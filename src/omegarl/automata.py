@@ -220,7 +220,7 @@ def parse_automaton(text: str) -> TGba:
     (src, letter, dst) triples merge, with accepting-set memberships
     unioned.
     """
-    headers: dict[str, str] = {}
+    headers: dict[str, tuple[int, str]] = {}
     body: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -230,20 +230,27 @@ def parse_automaton(text: str) -> TGba:
         if key in ("ap", "states", "initial", "acceptance-sets") and ":" in line:
             if key in headers:
                 raise AutomatonError(f"line {lineno}: duplicate header {key!r}")
-            headers[key] = line.split(":", 1)[1].strip()
+            headers[key] = (lineno, line.split(":", 1)[1].strip())
         else:
             body.append((lineno, line))
+
+    def number(key: str) -> int:
+        lineno, value = headers[key]
+        try:
+            return int(value)
+        except ValueError:
+            raise AutomatonError(f"line {lineno}: bad {key} value {value!r}") from None
 
     for key in ("states", "initial", "acceptance-sets"):
         if key not in headers:
             raise AutomatonError(f"missing header {key!r}")
-    ap_list = headers.get("ap", "").split()
+    ap_list = headers.get("ap", (0, ""))[1].split()
     if len(set(ap_list)) != len(ap_list):
         raise AutomatonError("duplicate atomic proposition in 'ap' header")
     ap = frozenset(ap_list)
-    num_states = int(headers["states"])
-    initial = int(headers["initial"])
-    n_sets = int(headers["acceptance-sets"])
+    num_states = number("states")
+    initial = number("initial")
+    n_sets = number("acceptance-sets")
     if n_sets < 1:
         raise AutomatonError("acceptance-sets must be at least 1")
 
@@ -266,7 +273,12 @@ def parse_automaton(text: str) -> TGba:
             for part in acc_text.split(","):
                 if not part:
                     continue
-                j = int(part)
+                try:
+                    j = int(part)
+                except ValueError:
+                    raise AutomatonError(
+                        f"line {lineno}: bad acceptance index {part!r}"
+                    ) from None
                 if not 1 <= j <= n_sets:
                     raise AutomatonError(
                         f"line {lineno}: acceptance index {j} out of range 1..{n_sets}"
@@ -321,11 +333,6 @@ def parse_automaton(text: str) -> TGba:
 def load_automaton(path) -> TGba:
     with open(path, encoding="utf-8") as fh:
         return parse_automaton(fh.read())
-
-
-def save_automaton(b: TGba, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_automaton(b))
 
 
 # --- degeneralization ----------------------------------------------------

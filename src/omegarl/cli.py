@@ -35,7 +35,6 @@ from .product import (
     ProductError,
     build_product,
     check_positional_impossibility,
-    evaluate_policy,
 )
 
 METHODS = ("augmented", "degeneralized", "frontier")
@@ -190,8 +189,7 @@ def cmd_train(args) -> int:
 
     policies = []
     session_reports = []
-    for si, pol in enumerate(result.policies):
-        ev = evaluate_policy(product, pol)
+    for si, (pol, ev) in enumerate(zip(result.policies, result.evaluations)):
         report = ev.to_dict(product, pol)
         if ev.positively_satisfies and not any(
             c["accepting"] and c["witnesses"] for c in report["classes"]

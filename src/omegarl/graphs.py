@@ -64,19 +64,6 @@ def strongly_connected_components(
     return comps
 
 
-def reachable_from(start: Node, successors: Callable[[Node], Iterable[Node]]) -> set[Node]:
-    """Forward closure of a single start node."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in successors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def backward_closure(targets: Iterable[Node], predecessors: Callable[[Node], Iterable[Node]]) -> set[Node]:
     """All nodes from which some target is reachable (targets included)."""
     seen = set(targets)

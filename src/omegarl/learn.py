@@ -7,6 +7,25 @@ persist across episodes within a session.  Exploration follows a
 visit-count epsilon schedule and the learning rate decays per state-action
 pair under a Robbins-Monro-compatible power law.  Value iteration is a
 test oracle only and takes no part in training.
+
+The training kernel runs on integer tables compiled once per ``train``
+call (``CompiledProduct``).  Pair ``p`` is the p-th enabled (state,
+action), in state order and then action-id order; state ``s`` owns the
+pairs from ``first[s]`` up to ``first[s + 1]``.  Each pair has a tuple of
+successor states, a tuple of the cumulative probabilities of all but its
+last successor (a uniform draw picks a successor by bisection), and a tuple
+of accepting-set bitmasks that drive the reward (``CompiledReward`` in the
+product module).  Q-values and visit counts are flat lists indexed by
+pair; action names come back only in the returned tables and policies.
+Per state, the kernel also keeps its greedy pair and maximal value current
+through every update, so neither the greedy choice nor the bootstrap
+target scans the state's actions.
+
+The kernel replays numpy's PCG64 ``Generator`` exactly (``RawDraws``): it
+takes each session's raw 64-bit words from ``bit_generator.random_raw`` in
+blocks and decodes them as ``Generator.random()`` and
+``Generator.integers(n)`` do, so a run draws the same numbers as calling
+the generator once per draw.
 """
 
 from __future__ import annotations
@@ -14,11 +33,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .mdp import PositionalPolicy
-from .product import ProductMdp, evaluate_policy
+from .product import CompiledReward, PolicyEvaluation, ProductMdp, evaluate_policy
 
 
 @dataclass(frozen=True)
@@ -98,27 +118,12 @@ class QTable:
         self.state_visits: dict[int, int] = dict.fromkeys(range(product.num_states), 0)
         self.pair_visits: dict[tuple[int, str], int] = dict.fromkeys(self.values, 0)
 
-    def best_value(self, s: int) -> float:
-        return max(self.values[(s, a)] for a in self.enabled[s])
-
-    def best_action(self, s: int) -> str:
-        actions = self.enabled[s]
-        if not actions:
-            raise ValueError(f"no action values recorded for state {s}")
-        best = actions[0]
-        best_v = self.values[(s, best)]
-        for a in actions[1:]:
-            v = self.values[(s, a)]
-            if v > best_v:
-                best, best_v = a, v
-        return best
-
 
 def q_update(
     q: QTable, s: int, a: str, r: float, s_next: int, gamma: float, step_size: float
 ) -> QTable:
     """One-step Q-learning update toward ``r + gamma * max_a' Q(s', a')``."""
-    target = r + gamma * q.best_value(s_next)
+    target = r + gamma * max(q.values[(s_next, b)] for b in q.enabled[s_next])
     q.values[(s, a)] += step_size * (target - q.values[(s, a)])
     return q
 
@@ -127,11 +132,100 @@ def greedy_policy(q: QTable) -> PositionalPolicy:
     """Greedy action per state, ties broken by the lowest action id."""
     choice = {}
     for s, actions in enumerate(q.enabled):
-        for a in actions:
-            if (s, a) not in q.values:
-                raise KeyError(f"Q-table is missing the entry for ({s}, {a!r})")
-        choice[s] = q.best_action(s)
+        qs = [q.values[(s, a)] for a in actions]  # KeyError on a missing entry
+        choice[s] = actions[qs.index(max(qs))]
     return PositionalPolicy(choice)
+
+
+@dataclass(frozen=True)
+class CompiledProduct:
+    """A product and a reward scheme as the integer tables of the kernel
+    (layout in the module docstring)."""
+
+    keys: tuple[tuple[int, str], ...]  # pair -> (state, action name)
+    first: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]
+    cuts: tuple[tuple[float, ...], ...]
+    masks: tuple[tuple[int, ...], ...]
+    reward: CompiledReward
+
+
+def compile_product(product: ProductMdp, reward: CompiledReward) -> CompiledProduct:
+    enabled, prob = product.mdp.enabled, product.mdp.prob
+    keys = tuple((s, a) for s in range(product.num_states) for a in enabled[s])
+    cuts = []
+    for key in keys:
+        cum, acc = [], 0.0
+        for _, p in prob[key][:-1]:
+            acc += p
+            cum.append(acc)
+        cuts.append(tuple(cum))
+    return CompiledProduct(
+        keys=keys,
+        first=(0, *accumulate(len(actions) for actions in enabled)),
+        succ=tuple(tuple(d for d, _ in prob[key]) for key in keys),
+        cuts=tuple(cuts),
+        masks=tuple(tuple(reward.mask.get((*key, d), 0) for d, _ in prob[key]) for key in keys),
+        reward=reward,
+    )
+
+
+class RawDraws:
+    """``Generator.random()`` and ``Generator.integers(n)`` of numpy's PCG64
+    generator, decoded from blocks of its raw 64-bit words.
+
+    ``random()`` is ``(x >> 11) * 2**-53`` of the next word.  ``integers(n)``
+    is Lemire's bounded method on 32-bit halves: a word's low half is used
+    first and its high half is kept for the next 32-bit draw, across calls,
+    and n = 1 draws nothing.  ``doubles[pos]`` is the next ``random()``; a
+    caller may read it directly and advance ``pos`` itself.  ``reserve(n)``
+    keeps at least n undrawn words (dropping drawn ones in place, so the
+    lists keep their identity), and a word taken by ``integers`` first
+    reserves ``margin`` words.
+    """
+
+    def __init__(self, bit_generator, margin: int = 1, block: int = 4096):
+        self._raw = bit_generator.random_raw
+        self._margin = margin
+        self._block = block
+        self._half: int | None = None
+        self.words: list[int] = []
+        self.doubles: list[float] = []
+        self.pos = 0
+
+    def reserve(self, n: int) -> None:
+        left = len(self.words) - self.pos
+        if left >= n:
+            return
+        del self.words[: self.pos]
+        del self.doubles[: self.pos]
+        self.pos = 0
+        raw = self._raw(max(n - left, self._block))
+        self.words += raw.tolist()
+        self.doubles += ((raw >> 11) * 2.0**-53).tolist()
+
+    def random(self) -> float:
+        self.reserve(1)
+        self.pos += 1
+        return self.doubles[self.pos - 1]
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            x, self._half = self._half, None
+            return x
+        self.reserve(self._margin)
+        w = self.words[self.pos]
+        self.pos += 1
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        while m & 0xFFFFFFFF < (1 << 32) % n:
+            m = self._uint32() * n
+        return m >> 32
 
 
 @dataclass(frozen=True)
@@ -146,12 +240,16 @@ class LearningCurve:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """``evaluations`` holds each final policy's exact evaluation, or None
+    when satisfaction was not tracked."""
+
     qtables: tuple[QTable, ...]
     curve: LearningCurve
     policies: tuple[PositionalPolicy, ...]
     first_positive_episode: tuple[int | None, ...]
     first_sat1_episode: tuple[int | None, ...]
     final_sat_probability: tuple[float, ...]
+    evaluations: tuple[PolicyEvaluation | None, ...]
 
 
 def train(
@@ -162,22 +260,25 @@ def train(
 ) -> TrainResult:
     """Q-learning over ``cfg.sessions`` independent seeded sessions.
 
-    ``scheme`` is a reward callable with a per-episode ``reset()`` (see the
-    product module).  After each episode the greedy policy is evaluated
-    exactly to record when it first positively satisfies the specification
-    and when its satisfaction probability first reaches one; the evaluation
-    never feeds back into learning.
+    ``scheme`` is a reward scheme of the product module; the kernel runs its
+    compiled form.  After each episode the greedy policy is evaluated
+    exactly, unless it equals the last one evaluated, to record when it
+    first positively satisfies the specification and when its satisfaction
+    probability first reaches one; the evaluation never feeds back into
+    learning.
     """
-    rows: dict[tuple[int, str], tuple[tuple[int, ...], tuple[float, ...]]] = {}
-    for (s, a), row in product.mdp.prob.items():
-        dsts = tuple(dst for dst, _ in row)
-        cum = []
-        acc = 0.0
-        for _, p in row:
-            acc += p
-            cum.append(acc)
-        rows[(s, a)] = (dsts, tuple(cum))
-    enabled = product.mdp.enabled
+    c = compile_product(product, scheme.compile())
+    keys, first, succ, cuts, masks = c.keys, list(c.first), c.succ, c.cuts, c.masks
+    spans = tuple(zip(first, first[1:]))
+    r_p, empty = c.reward.r_p, c.reward.empty
+    gamma, eps_num, neg_exp = cfg.gamma, cfg.epsilon_numerator, -cfg.alpha_exponent
+    steps = cfg.steps_per_episode
+    margin = 2 * steps + 1  # the most words the rest of an episode reads inline
+    n = product.num_states
+    initial = product.mdp.initial
+
+    def policy(greedy: list[int]) -> PositionalPolicy:
+        return PositionalPolicy({s: keys[p][1] for s, p in enumerate(greedy)})
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.sessions)
     curves = np.zeros((cfg.sessions, cfg.episodes))
@@ -185,60 +286,87 @@ def train(
     policies: list[PositionalPolicy] = []
     first_pos: list[int | None] = []
     first_sat1: list[int | None] = []
-    final_sat: list[float] = []
+    evaluations: list[PolicyEvaluation | None] = []
 
     for si in range(cfg.sessions):
-        rng = np.random.default_rng(seeds[si])
-        q = QTable(product)
-        state_visits = q.state_visits
-        pair_visits = q.pair_visits
-        values = q.values
+        draws = RawDraws(np.random.PCG64(seeds[si]), margin)
+        doubles = draws.doubles
+        values = [0.0] * len(keys)
+        pair_visits = [0] * len(keys)
+        state_visits = [0] * n
+        best = first[:-1]  # per state, its first pair of maximal value
+        top = [0.0] * n  # per state, that maximal value
         pos_ep: int | None = None
         sat1_ep: int | None = None
+        evaluated: list[int] | None = None
+        ev: PolicyEvaluation | None = None
         for ep in range(cfg.episodes):
-            scheme.reset()
             if cfg.epsilon_scope == "episode":
-                state_visits = dict.fromkeys(state_visits, 0)
-                q.state_visits = state_visits
-            s = product.mdp.initial
+                state_visits = [0] * n
+            draws.reserve(margin)
+            pos = draws.pos
+            s = initial
+            done = 0
             total = 0.0
-            for _ in range(cfg.steps_per_episode):
-                state_visits[s] += 1
-                eps = epsilon(state_visits[s], cfg.epsilon_numerator)
-                actions = enabled[s]
-                if rng.random() < eps:
-                    a = actions[rng.integers(len(actions))]
+            for _ in range(steps):
+                k = state_visits[s] + 1
+                state_visits[s] = k
+                pos += 1  # u < eps_num / k is u < epsilon(k), since u < 1
+                if doubles[pos - 1] < eps_num / k:
+                    lo, hi = spans[s]
+                    draws.pos = pos
+                    p = lo + draws.integers(hi - lo)
+                    pos = draws.pos
                 else:
-                    a = actions[0]
-                    best_v = values[(s, a)]
-                    for cand in actions[1:]:
-                        v = values[(s, cand)]
-                        if v > best_v:
-                            a, best_v = cand, v
-                dsts, cum = rows[(s, a)]
-                u = rng.random()
-                dst = dsts[bisect_right(cum, u)] if len(dsts) > 1 else dsts[0]
-                r = scheme((s, a, dst))
-                pair_visits[(s, a)] += 1
-                step_size = alpha(pair_visits[(s, a)], cfg.alpha_exponent)
-                q_update(q, s, a, r, dst, cfg.gamma, step_size)
-                total += r
+                    p = best[s]
+                j = bisect_right(cuts[p], doubles[pos])
+                pos += 1
+                dst = succ[p][j]
+                target = gamma * top[dst]  # adding a zero reward changes no bit
+                m = masks[p][j]
+                if m and not m & done:
+                    done |= m
+                    if empty[done]:
+                        done = 0
+                    target = r_p + target
+                    total += r_p
+                k = pair_visits[p] + 1
+                pair_visits[p] = k
+                v = values[p]
+                new = v + k**neg_exp * (target - v)  # k**neg_exp is alpha(k)
+                values[p] = new
+                # keep best[s] and top[s] equal to a fresh argmax and max
+                if new > top[s]:
+                    top[s] = new
+                    best[s] = p
+                elif p == best[s]:
+                    if new < v:
+                        lo, hi = spans[s]
+                        qs = values[lo:hi]
+                        top[s] = new = max(qs)
+                        best[s] = lo + qs.index(new)
+                elif new == top[s] and p < best[s]:
+                    best[s] = p
                 s = dst
-            curves[si, ep] = total / cfg.steps_per_episode
-            if track_satisfaction and sat1_ep is None:
-                ev = evaluate_policy(product, greedy_policy(q))
+            draws.pos = pos
+            curves[si, ep] = total / steps
+            if track_satisfaction and sat1_ep is None and best != evaluated:
+                evaluated, ev = best[:], evaluate_policy(product, policy(best))
                 if pos_ep is None and ev.positively_satisfies:
                     pos_ep = ep + 1
                 if ev.sat_probability == 1.0:
                     sat1_ep = ep + 1
-        pol = greedy_policy(q)
+        if track_satisfaction and best != evaluated:
+            ev = evaluate_policy(product, policy(best))
+        q = QTable(product)
+        q.values = dict(zip(keys, values))
+        q.pair_visits = dict(zip(keys, pair_visits))
+        q.state_visits = dict(enumerate(state_visits))
         qtables.append(q)
-        policies.append(pol)
+        policies.append(policy(best))
         first_pos.append(pos_ep)
         first_sat1.append(sat1_ep)
-        final_sat.append(
-            evaluate_policy(product, pol).sat_probability if track_satisfaction else float("nan")
-        )
+        evaluations.append(ev if track_satisfaction else None)
 
     curve = LearningCurve(
         per_session=curves,
@@ -251,7 +379,10 @@ def train(
         policies=tuple(policies),
         first_positive_episode=tuple(first_pos),
         first_sat1_episode=tuple(first_sat1),
-        final_sat_probability=tuple(final_sat),
+        final_sat_probability=tuple(
+            e.sat_probability if e is not None else float("nan") for e in evaluations
+        ),
+        evaluations=tuple(evaluations),
     )
 
 

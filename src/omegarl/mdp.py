@@ -67,7 +67,7 @@ class LabeledMdp:
                         raise MdpError(f"({s}, {a}, {dst}) has nonpositive probability")
                     total += p
                     triples.add((s, a, dst))
-                if abs(total - 1.0) > ROW_SUM_TOL:
+                if not abs(total - 1.0) <= ROW_SUM_TOL:  # a NaN fails too
                     raise MdpError(f"({s}, {a}) probabilities sum to {total!r}, not 1")
         for key, letter in self.label.items():
             if key not in triples:
@@ -219,8 +219,15 @@ def serialize_mdp(m: LabeledMdp) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(kind, token: str, lineno: int, what: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise MdpError(f"line {lineno}: bad {what} {token!r}") from None
+
+
 def parse_mdp(text: str) -> LabeledMdp:
-    headers: dict[str, str] = {}
+    headers: dict[str, tuple[int, str]] = {}
     prob_rows: dict[tuple[int, str], dict[int, float]] = {}
     labels: dict[tuple[int, str, int], frozenset[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -229,27 +236,31 @@ def parse_mdp(text: str) -> LabeledMdp:
             continue
         if line.startswith(("states:", "initial:", "ap:")):
             key, value = line.split(":", 1)
-            headers[key.strip()] = value.strip()
+            if key in headers:
+                raise MdpError(f"line {lineno}: duplicate header {key!r}")
+            headers[key] = (lineno, value.strip())
             continue
         tokens = line.split()
-        if tokens[0] == "prob" and len(tokens) == 5:
-            s, a, dst, p = int(tokens[1]), tokens[2], int(tokens[3]), float(tokens[4])
+        if tokens[0] not in ("prob", "label") or len(tokens) != 5:
+            raise MdpError(f"line {lineno}: expected 'prob s a s2 p' or 'label s a s2 {{..}}'")
+        s = _number(int, tokens[1], lineno, "state id")
+        a = tokens[2]
+        dst = _number(int, tokens[3], lineno, "state id")
+        if tokens[0] == "prob":
+            p = _number(float, tokens[4], lineno, "probability")
             row = prob_rows.setdefault((s, a), {})
             row[dst] = row.get(dst, 0.0) + p
-        elif tokens[0] == "label" and len(tokens) == 5:
-            s, a, dst = int(tokens[1]), tokens[2], int(tokens[3])
+        else:
             body = tokens[4].strip()
             if not (body.startswith("{") and body.endswith("}")):
                 raise MdpError(f"line {lineno}: label must be written as {{a,b}}")
             inner = body[1:-1].strip()
             letter = frozenset(x.strip() for x in inner.split(",") if x.strip())
             labels[(s, a, dst)] = letter
-        else:
-            raise MdpError(f"line {lineno}: expected 'prob s a s2 p' or 'label s a s2 {{..}}'")
     for key in ("states", "initial"):
         if key not in headers:
             raise MdpError(f"missing header {key!r}")
-    num_states = int(headers["states"])
+    num_states = _number(int, headers["states"][1], headers["states"][0], "state count")
     enabled: list[list[str]] = [[] for _ in range(num_states)]
     prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
     # action ids per state follow first appearance in the file
@@ -260,8 +271,8 @@ def parse_mdp(text: str) -> LabeledMdp:
         prob[(s, a)] = tuple(sorted(row.items()))
     return LabeledMdp(
         num_states=num_states,
-        initial=int(headers["initial"]),
-        ap=frozenset(headers.get("ap", "").split()),
+        initial=_number(int, headers["initial"][1], headers["initial"][0], "initial state"),
+        ap=frozenset(headers.get("ap", (0, ""))[1].split()),
         enabled=tuple(tuple(actions) for actions in enabled),
         prob=prob,
         label=labels,

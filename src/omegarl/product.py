@@ -54,7 +54,6 @@ class ProductMdp:
     pairs: tuple[tuple[int, int], ...]
     acceptance: tuple[frozenset[ProductTransition], ...]
     aut_edge: dict[ProductTransition, Transition]
-    base_mdp: LabeledMdp
     automaton: TGba
 
     @property
@@ -169,7 +168,6 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
         pairs=tuple(order),
         acceptance=tuple(frozenset(acc) for acc in acceptance),
         aut_edge=aut_edge,
-        base_mdp=m,
         automaton=b,
     )
 
@@ -215,6 +213,33 @@ def frontier_step(
     return FrontierState(remaining), True
 
 
+@dataclass(frozen=True)
+class CompiledReward:
+    """Bitmask form of a reward scheme, as the training kernel runs it.
+
+    Bit ``j`` of ``mask[t]`` says that transition ``t`` lies in accepting
+    set ``j``; ``done`` holds the bits of the sets hit since the working set
+    was last full, starting from 0.  A transition scores ``r_p`` when its
+    mask is nonzero and disjoint from ``done``; the sets it hits join
+    ``done``, which returns to 0 once ``empty[done]`` says that no pending
+    transition is left.  The frontier baseline is this over the automaton's
+    accepting sets; the accepting reward is the one-set case, whose working
+    set empties on every hit, so every accepting transition scores.
+    """
+
+    r_p: float
+    mask: dict[ProductTransition, int]
+    empty: tuple[bool, ...]
+
+    def step(self, done: int, t: ProductTransition) -> tuple[float, int]:
+        """Reward of ``t`` and the next ``done``."""
+        m = self.mask.get(t, 0)
+        if not m or m & done:
+            return 0.0, done
+        done |= m
+        return self.r_p, 0 if self.empty[done] else done
+
+
 class AcceptingReward:
     """Reward scheme of the memory-augmented method: stateless per episode."""
 
@@ -229,6 +254,9 @@ class AcceptingReward:
 
     def __call__(self, t: ProductTransition) -> float:
         return self.r_p if t in self._accepting else 0.0
+
+    def compile(self) -> CompiledReward:
+        return CompiledReward(self.r_p, dict.fromkeys(self._accepting, 1), (False, True))
 
 
 class FrontierReward:
@@ -252,6 +280,20 @@ class FrontierReward:
             return 0.0
         self._state, scored = frontier_step(self._state, aut_t, self._acceptance)
         return self.r_p if scored else 0.0
+
+    def compile(self) -> CompiledReward:
+        acc = self._acceptance
+        mask = {}
+        for t, aut_t in self._product.aut_edge.items():
+            m = sum(1 << j for j, s in enumerate(acc) if aut_t in s)
+            if m and not aut_t.is_epsilon():
+                mask[t] = m
+        full = frozenset().union(*acc)
+        empty = tuple(
+            full <= frozenset().union(*(s for j, s in enumerate(acc) if done >> j & 1))
+            for done in range(1 << len(acc))
+        )
+        return CompiledReward(self.r_p, mask, empty)
 
 
 # --- exact policy evaluation -------------------------------------------------

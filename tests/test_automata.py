@@ -316,3 +316,20 @@ def test_scc_and_deterministic_paths_agree(fig_automaton):
     for _ in range(150):
         w = random_lasso(rng, max_prefix=2, max_cycle=3)
         assert accepts_lasso(b, w) == accepts_lasso(padded, w)
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        ("states: 1", "states: one", "line 2: bad states value 'one'"),
+        ("initial: 0", "initial: x0", "line 3: bad initial value 'x0'"),
+        ("acceptance-sets: 1", "acceptance-sets: ?", "line 4: bad acceptance-sets value"),
+        ("acc: 1", "acc: 1,x", "line 5: bad acceptance index 'x'"),
+    ],
+    ids=["states", "initial", "acceptance-sets", "acc-index"],
+)
+def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
+    good = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n0 !a 0\n"
+    assert parse_automaton(good).num_states == 1
+    with pytest.raises(AutomatonError, match=match):
+        parse_automaton(good.replace(old, new, 1))

@@ -18,7 +18,8 @@ from omegarl import (
     train,
     value_iteration,
 )
-from omegarl.product import AcceptingReward
+from omegarl.learn import RawDraws
+from omegarl.product import AcceptingReward, FrontierReward
 
 
 def two_state_loop_product():
@@ -215,3 +216,47 @@ def test_train_session_scope_available(augmented_product):
         track_satisfaction=False,
     )
     assert result.curve.per_session.shape == (1, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_raw_draws_replay_numpy_generator(seed):
+    """Decoded raw words equal interleaved Generator.random() and
+    Generator.integers(n) calls; a small block forces refills mid-stream."""
+    ops = np.random.default_rng(seed + 100).integers(0, 10, size=3000).tolist()
+    gen = np.random.default_rng(seed)
+    draws = RawDraws(np.random.PCG64(seed), block=7)
+    for n in ops:  # 0 draws a uniform, n in 1..9 an index below n
+        if n == 0:
+            assert draws.random() == gen.random()
+        else:
+            assert draws.integers(n) == gen.integers(n)
+
+
+def test_train_greedy_cache_and_evaluations_match_fresh_ones(augmented_product, raw_product):
+    cfg = TrainConfig(episodes=8, steps_per_episode=400, sessions=2, rng_seed=4)
+    for product, scheme in ((augmented_product, AcceptingReward(augmented_product, 2.0)),
+                            (raw_product, FrontierReward(raw_product, 2.0))):
+        result = train(product, scheme, cfg)
+        for q, pol, ev, sat in zip(result.qtables, result.policies, result.evaluations,
+                                   result.final_sat_probability):
+            assert pol == greedy_policy(q)
+            assert ev == evaluate_policy(product, pol)
+            assert sat == ev.sat_probability
+
+
+def test_train_evaluates_each_greedy_policy_change_once(raw_product, monkeypatch):
+    import omegarl.learn as learn_mod
+
+    seen = []
+
+    def counting(product, policy):
+        seen.append(policy.choice)
+        return evaluate_policy(product, policy)
+
+    monkeypatch.setattr(learn_mod, "evaluate_policy", counting)
+    cfg = TrainConfig(episodes=40, steps_per_episode=300, sessions=1, rng_seed=6)
+    result = train(raw_product, FrontierReward(raw_product, 2.0), cfg)
+    assert result.first_sat1_episode == (None,)  # every episode's policy is checked
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+    assert seen[-1] == result.policies[0].choice
+    assert len(seen) < cfg.episodes

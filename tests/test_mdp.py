@@ -198,3 +198,29 @@ def test_parse_mdp_rejects_bad_row_sum():
     text = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 0.5\nprob 1 go 1 1.0\n"
     with pytest.raises(MdpError, match="sum"):
         parse_mdp(text)
+
+
+GOOD_MDP = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\nlabel 0 go 1 {a}\n"
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        ("states: 2", "states: two", "line 1: bad state count 'two'"),
+        ("initial: 0", "initial: x", "line 2: bad initial state 'x'"),
+        ("prob 0 go 1 1.0", "prob s0 go 1 1.0", "line 4: bad state id 's0'"),
+        ("prob 0 go 1 1.0", "prob 0 go 1 x", "line 4: bad probability 'x'"),
+        ("label 0 go 1", "label 0 go one", "line 6: bad state id 'one'"),
+        ("initial: 0\n", "initial: 0\nstates: 3\n", "line 3: duplicate header 'states'"),
+    ],
+    ids=["states", "initial", "prob-state", "prob-probability", "label-state", "duplicate-header"],
+)
+def test_parse_mdp_malformed_lines_raise_line_numbered_errors(old, new, match):
+    assert parse_mdp(GOOD_MDP).num_states == 2
+    with pytest.raises(MdpError, match=match):
+        parse_mdp(GOOD_MDP.replace(old, new, 1))
+
+
+def test_parse_mdp_rejects_nan_probability():
+    with pytest.raises(MdpError, match="sum"):
+        parse_mdp(GOOD_MDP.replace("prob 0 go 1 1.0", "prob 0 go 1 nan"))

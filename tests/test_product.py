@@ -21,7 +21,7 @@ from omegarl import (
     reward_accepting,
     value_iteration,
 )
-from omegarl.product import FrontierReward
+from omegarl.product import AcceptingReward, FrontierReward
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -178,6 +178,56 @@ def test_frontier_reward_scores_first_visits(raw_product):
     assert scheme(a_step) == 0.0  # a's set was removed
     scheme.reset()
     assert scheme(a_step) == 2.0
+
+
+def test_compiled_accepting_reward_matches_callable(augmented_product, degeneralized_product):
+    for product in (augmented_product, degeneralized_product):
+        scheme = AcceptingReward(product, 2.0)
+        compiled = scheme.compile()
+        for t in product.aut_edge:
+            assert compiled.step(0, t) == (scheme(t), 0)
+
+
+def overlapping_sets_product(grid):
+    """One-state automaton over {a, b} whose sets overlap: hitting the a-loop
+    removes sets 1 and 2 and leaves the b-loop of set 3 pending."""
+    loops = {letter: Transition(0, letter, 0) for letter in (frozenset(), A, B, AB)}
+    b = TGba(1, 0, AB, frozenset(loops.values()),
+             (frozenset({loops[A]}), frozenset({loops[A], loops[B]}), frozenset({loops[B]})))
+    return build_product(grid, b)
+
+
+@pytest.mark.parametrize("which", ["raw", "overlapping"])
+def test_compiled_frontier_matches_callable_on_walk(which, raw_product, grid):
+    """Seeded walk with random resets: the bitmask state and the callable's
+    working set agree, and so do their rewards."""
+    product = raw_product if which == "raw" else overlapping_sets_product(grid)
+    scheme = FrontierReward(product, 2.0)
+    compiled = scheme.compile()
+    acc = product.automaton.acceptance
+    full = frozenset().union(*acc)
+
+    def mask(t):
+        return sum(1 << j for j, s in enumerate(acc) if t in s)
+
+    rng = np.random.default_rng(45)
+    rows = product.mdp.prob
+    s, done, scored = product.mdp.initial, 0, 0
+    for _ in range(20_000):
+        if rng.random() < 0.05:
+            scheme.reset()
+            s, done = product.mdp.initial, 0
+        acts = product.mdp.enabled[s]
+        a = acts[rng.integers(len(acts))]
+        row = rows[(s, a)]
+        dst = row[rng.choice(len(row), p=[p for _, p in row])][0]
+        t = (s, a, dst)
+        r, done = compiled.step(done, t)
+        assert r == scheme(t)
+        assert scheme._state.remaining == frozenset(x for x in full if not mask(x) & done)
+        scored += r > 0
+        s = dst
+    assert scored > 50
 
 
 # --- evaluation ----------------------------------------------------------------------
