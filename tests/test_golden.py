@@ -3,7 +3,10 @@
 A change that keeps these hashes is behaviour-preserving; a deliberate
 behaviour change re-pins them and says why in CHANGES.md.  The slip MDP
 has three-successor rows, so successor sampling goes past the two-way
-split of the grid9 rooms.
+split of the grid9 rooms.  Besides the training runs, the automaton
+transforms, the method products and the value-iteration oracle are pinned
+directly, so a change to their numbering or their floats shows here even
+where the run artifacts would not see it.
 """
 
 import hashlib
@@ -11,7 +14,19 @@ import json
 
 import pytest
 
-from omegarl import TrainConfig, build_gridworld, fixture_gfa_gfb_gnc, train
+from omegarl import (
+    TrainConfig,
+    augment,
+    build_gridworld,
+    degeneralize,
+    fixture_fg_a,
+    fixture_gfa_gfb_gnc,
+    merge_unaccepting,
+    parse_mdp,
+    serialize_automaton,
+    train,
+    value_iteration,
+)
 from omegarl.cli import METHODS, main, method_product_and_scheme
 
 GRID9_CONFIG = {"episodes": 100, "steps_per_episode": 1000, "sessions": 2, "rng_seed": 2}
@@ -120,3 +135,106 @@ def test_golden_library_session_scope(method):
     for q in result.qtables:
         digest.update(repr(sorted(q.values.items())).encode())
     assert digest.hexdigest() == GOLDEN_LIBRARY[method]
+
+
+TRANSFORMS = {
+    "augment": augment,
+    "merge_augment": lambda b: merge_unaccepting(augment(b)),
+    "degeneralize": degeneralize,
+    "augment_degeneralize": lambda b: augment(degeneralize(b)),
+}
+FIXTURES = {"gfa_gfb_gnc": fixture_gfa_gfb_gnc, "fg_a": fixture_fg_a}
+GAMMAS = (0.0, 0.5, 0.95, 0.99)
+
+GOLDEN_TRANSFORMS = {
+    ("fg_a", "augment"):
+        "452ee7f8b7733acffa90a6ae6da43e022d2028d8dc671a87d46f447d97fb34d7",
+    ("fg_a", "augment_degeneralize"):
+        "07d295971c3b33ce55a59c20e9af2fb1dc0f7c779998f3f720a42c305fe76c0c",
+    ("fg_a", "degeneralize"):
+        "e8b73157115494f87074d6e846e96bacdf7c657d8769e462d9662d3775ee2f8c",
+    ("fg_a", "merge_augment"):
+        "83c9bba71ec4dc9d9c303aa7bdb8d11767ecabed386a70f7446cb36ec76839fa",
+    ("gfa_gfb_gnc", "augment"):
+        "d01f7550701bd0689a02c17333e62558a434c85c472fd4834b42a4c0c5e16c08",
+    ("gfa_gfb_gnc", "augment_degeneralize"):
+        "ac3afb68b70623d61b4e8f6e0d36cb1d4ea2391798e0b83c97da71cb43fb8630",
+    ("gfa_gfb_gnc", "degeneralize"):
+        "7983221950febe6aea60754d9e1afe154487331ae23a15d14d4ecdee87282197",
+    ("gfa_gfb_gnc", "merge_augment"):
+        "cff27547b646883869e20df931f21354a4b6956b5891e7e8b870ac60d13e1054",
+}
+
+GOLDEN_PRODUCTS = {
+    ("grid9", "augmented"):
+        "f239a6cd4fa994bdca5252e3d2370422f22dee8e39b8d5c474b4e8ac9cbc160a",
+    ("grid9", "degeneralized"):
+        "25908ea85c9c26ffb9e5edc497070ff37ad68e2f08688401f283f53cbd2de8d8",
+    ("grid9", "frontier"):
+        "383543228c338a6cda9b0449b7b6e67729676c4d571ecd540f87cbc18ae7a56c",
+    ("slip", "augmented"):
+        "675aff8f9c30a6c6201317aaf2516f7b46643fd660426090049fdeb182cd4987",
+    ("slip", "degeneralized"):
+        "b25e000de36690f6cd04d86e48c553476659115857256663e4aeaa21c83eed7e",
+    ("slip", "frontier"):
+        "378e22bb66374c76abfe0bf7d0429fc58e2d0202b870b6723e95da7bdba5d19b",
+}
+
+GOLDEN_ORACLE = {
+    ("grid9", "augmented"):
+        "e8e7eaba0101de89537e3a409bed5e7eb1e2cd1354e2e54786712fd97c25afff",
+    ("grid9", "degeneralized"):
+        "8b741f4eebe28694038fa17a0af324c1555e8b6b51a6b327b69db71ca4c2be75",
+    ("grid9", "frontier"):
+        "39846db2cb6f1a7ade3b6a5968d5f88b06d18c627d840ed1de5883a228a5dbf8",
+    ("slip", "augmented"):
+        "2c85ce89a6025f63b9b5fdb216af613b641a68cdfc5cb1986424e50a1dafa690",
+    ("slip", "degeneralized"):
+        "764d6e929279e3b2b89365904f5ca91fc6688ad8d0af41c6e2eaa57a1a5df1df",
+    ("slip", "frontier"):
+        "2eb1ed57b754fc07953ec97f0d3c3fd7a66bee447d97866f75f1c8f5e6d4e0bc",
+}
+
+
+def environment(env: str):
+    return build_gridworld() if env == "grid9" else parse_mdp(slip_mdp_text())
+
+
+def text_sha256(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture,transform", sorted(GOLDEN_TRANSFORMS))
+def test_golden_transform(fixture, transform):
+    b = TRANSFORMS[transform](FIXTURES[fixture]())
+    assert text_sha256(serialize_automaton(b), b.names) == GOLDEN_TRANSFORMS[(fixture, transform)]
+
+
+@pytest.mark.parametrize("env,method", sorted(GOLDEN))
+def test_golden_product(env, method):
+    product, _ = method_product_and_scheme(environment(env), fixture_gfa_gfb_gnc(), method, 2.0)
+    m = product.mdp
+    aut_edge = [
+        (t, e.src, "eps" if e.is_epsilon() else sorted(e.letter), e.dst)
+        for t, e in product.aut_edge.items()
+    ]
+    digest = text_sha256(
+        m.state_names,
+        product.pairs,
+        m.enabled,
+        list(m.prob.items()),
+        sorted((t, sorted(letter)) for t, letter in m.label.items()),
+        [sorted(acc) for acc in product.acceptance],
+        aut_edge,
+    )
+    assert digest == GOLDEN_PRODUCTS[(env, method)]
+
+
+@pytest.mark.parametrize("env,method", sorted(GOLDEN))
+def test_golden_value_iteration(env, method):
+    product, _ = method_product_and_scheme(environment(env), fixture_gfa_gfb_gnc(), method, 2.0)
+    runs = []
+    for gamma in GAMMAS:
+        values, policy = value_iteration(product, gamma, 2.0)
+        runs.append((sorted(values.items()), sorted(policy.choice.items())))
+    assert text_sha256(*runs) == GOLDEN_ORACLE[(env, method)]
