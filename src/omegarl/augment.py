@@ -10,11 +10,10 @@ accepted language.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .automata import EPSILON, TGba, Transition, _by_src
-from .graphs import backward_closure
+from .automata import TGba, Transition, _by_src
+from .graphs import closure, explore
 
 MemoryVector = tuple[int, ...]
 
@@ -60,29 +59,19 @@ def augment_with_states(b: TGba) -> tuple[TGba, tuple[AugmentedState, ...]]:
     """
     n = len(b.acceptance)
     out = _by_src(b)
-    zero = (0,) * n
     visit = {t: visitf(t, b.acceptance) for t in b.transitions}
 
-    start = (b.initial, zero)
-    index: dict[tuple[int, MemoryVector], int] = {start: 0}
-    order: list[tuple[int, MemoryVector]] = [start]
+    def successors(node):
+        x, v = node
+        for t in out[x]:
+            yield (t.dst, reset(v) if t.is_epsilon() else reset(vec_max(v, visit[t]))), t
+
+    order, rows = explore((b.initial, (0,) * n), successors)
     transitions: list[Transition] = []
     accepting: list[list[Transition]] = [[] for _ in range(n)]
-    queue = deque([start])
-    while queue:
-        x, v = queue.popleft()
-        i_src = index[(x, v)]
-        for t in out[x]:
-            if t.is_epsilon():
-                v2 = reset(v)
-            else:
-                v2 = reset(vec_max(v, visit[t]))
-            key = (t.dst, v2)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-                queue.append(key)
-            nt = Transition(i_src, t.letter, index[key])
+    for i_src, ((_, v), row) in enumerate(zip(order, rows)):
+        for t, i_dst in row:
+            nt = Transition(i_src, t.letter, i_dst)
             transitions.append(nt)
             if not t.is_epsilon():
                 for j in range(n):
@@ -128,7 +117,7 @@ def merge_unaccepting(b_aug: TGba, bases: tuple[int, ...] | None = None) -> TGba
     preds: list[set[int]] = [set() for _ in range(b_aug.num_states)]
     for t in b_aug.transitions:
         preds[t.dst].add(t.src)
-    live = backward_closure({t.src for t in acc_all}, lambda v: preds[v])
+    live = closure({t.src for t in acc_all}, lambda v: preds[v])
     dead = [s for s in b_aug.states() if s not in live]
     if not dead:
         return b_aug

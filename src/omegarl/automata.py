@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ltl
-from .graphs import strongly_connected_components
+from .graphs import closure, explore, strongly_connected_components
 from .ltl import LassoWord
 
 
@@ -139,14 +139,7 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
         if t.is_epsilon():
             seeds.add(t.dst)
 
-    x_final = set(seeds)
-    queue = list(seeds)
-    while queue:
-        v = queue.pop()
-        for w in succ[v]:
-            if w not in x_final:
-                x_final.add(w)
-                queue.append(w)
+    x_final = closure(seeds, lambda v: succ[v])
 
     for j, acc in enumerate(b.acceptance):
         for t in acc:
@@ -347,25 +340,18 @@ def degeneralize(b: TGba) -> TGba:
     """
     n = len(b.acceptance)
     out = _by_src(b)
-    start = (b.initial, 1)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
+
+    def successors(node):
+        x, j = node
+        for t in out[x]:
+            yield (t.dst, j % n + 1 if t in b.acceptance[j - 1] else j), t
+
+    order, rows = explore((b.initial, 1), successors)
     new_transitions: list[Transition] = []
     accepting: list[Transition] = []
-    queue = [start]
-    while queue:
-        x, j = queue.pop(0)
-        i_src = index[(x, j)]
-        for t in out[x]:
-            j2 = j + 1 if t in b.acceptance[j - 1] else j
-            if j2 > n:
-                j2 = 1
-            key = (t.dst, j2)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-                queue.append(key)
-            nt = Transition(i_src, t.letter, index[key])
+    for i_src, ((_, j), row) in enumerate(zip(order, rows)):
+        for t, i_dst in row:
+            nt = Transition(i_src, t.letter, i_dst)
             new_transitions.append(nt)
             if j == n and t in b.acceptance[n - 1]:
                 accepting.append(nt)
@@ -446,36 +432,24 @@ def accepts_lasso(b: TGba, w: LassoWord) -> bool:
     # epsilon cycles would allow runs that never consume the word
     _assert_no_epsilon_cycles(b, eps_out)
 
-    adj: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    start = (0, b.initial)
-    stack = [start]
-    adj[start] = []
-    order = [start]
-    while stack:
-        node = stack.pop()
+    def successors(node):
         pos, x = node
-        edges = []
         for dst, mask in by_letter[x].get(letters[pos], ()):
-            edges.append(((succ[pos], dst), mask))
+            yield (succ[pos], dst), mask
         for dst, mask in eps_out[x]:
-            edges.append(((pos, dst), mask))
-        adj[node] = edges
-        for nxt, _ in edges:
-            if nxt not in adj:
-                adj[nxt] = []
-                order.append(nxt)
-                stack.append(nxt)
+            yield (pos, dst), mask
 
-    comps = strongly_connected_components(order, lambda v: (e[0] for e in adj[v]))
-    comp_of = {}
+    _, rows = explore((0, b.initial), successors)
+    comps = strongly_connected_components(range(len(rows)), lambda v: (u for _, u in rows[v]))
+    comp_of = [0] * len(rows)
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     comp_mask = [None] * len(comps)  # None = no internal edge yet
-    for v, edges in adj.items():
+    for v, row in enumerate(rows):
         ci = comp_of[v]
-        for nxt, mask in edges:
-            if comp_of[nxt] == ci:
+        for mask, u in row:
+            if comp_of[u] == ci:
                 comp_mask[ci] = (comp_mask[ci] or 0) | mask
     return any(m == full_mask for m in comp_mask if m is not None)
 

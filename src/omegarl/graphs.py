@@ -2,10 +2,33 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Hashable, Iterable
 
 Node = Hashable
+
+
+def explore(
+    start: Node, successors: Callable[[Node], Iterable[tuple[Node, object]]]
+) -> tuple[list[Node], list[list[tuple[object, int]]]]:
+    """Breadth-first numbering of the nodes reachable from ``start``.
+
+    ``successors(node)`` yields ``(next_node, edge)`` pairs.  Nodes are
+    numbered in discovery order, ``start`` as 0.  Returns the nodes in that
+    order and, per node, its ``(edge, id)`` row in the order yielded.
+    """
+    index = {start: 0}
+    order = [start]
+    rows: list[list[tuple[object, int]]] = []
+    for node in order:  # order grows as it is walked, which makes it the FIFO queue
+        row = []
+        for nxt, edge in successors(node):
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append((edge, i))
+        rows.append(row)
+    return order, rows
 
 
 def strongly_connected_components(
@@ -64,14 +87,14 @@ def strongly_connected_components(
     return comps
 
 
-def backward_closure(targets: Iterable[Node], predecessors: Callable[[Node], Iterable[Node]]) -> set[Node]:
-    """All nodes from which some target is reachable (targets included)."""
-    seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in predecessors(v):
+def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]]) -> set[Node]:
+    """All nodes reachable from some seed along ``neighbours`` (seeds included);
+    given predecessors, all nodes from which some seed is reachable."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for w in neighbours(stack.pop()):
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                stack.append(w)
     return seen

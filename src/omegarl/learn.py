@@ -6,17 +6,20 @@ simulator at the product initial state while the Q-table and visit counts
 persist across episodes within a session.  Exploration follows a
 visit-count epsilon schedule and the learning rate decays per state-action
 pair under a Robbins-Monro-compatible power law.  Value iteration is a
-test oracle only and takes no part in training.
+test oracle only and takes no part in training; it runs on the same
+compiled tables as the kernel, with one Bellman backup per pair serving
+both its sweeps and its greedy extraction.
 
 The training kernel runs on integer tables compiled once per ``train``
 call (``CompiledProduct``).  Pair ``p`` is the p-th enabled (state,
 action), in state order and then action-id order; state ``s`` owns the
 pairs from ``first[s]`` up to ``first[s + 1]``.  Each pair has a tuple of
-successor states, a tuple of the cumulative probabilities of all but its
-last successor (a uniform draw picks a successor by bisection), and a tuple
-of accepting-set bitmasks that drive the reward (``CompiledReward`` in the
-product module).  Q-values and visit counts are flat lists indexed by
-pair; action names come back only in the returned tables and policies.
+successor states, a tuple of their probabilities, a tuple of the
+cumulative probabilities of all but its last successor (a uniform draw
+picks a successor by bisection), and a tuple of accepting-set bitmasks
+that drive the reward (``CompiledReward`` in the product module).
+Q-values and visit counts are flat lists indexed by pair; action names
+come back only in the returned tables and policies.
 Per state, the kernel also keeps its greedy pair and maximal value current
 through every update, so neither the greedy choice nor the bootstrap
 target scans the state's actions.
@@ -38,7 +41,13 @@ from itertools import accumulate
 import numpy as np
 
 from .mdp import PositionalPolicy
-from .product import CompiledReward, PolicyEvaluation, ProductMdp, evaluate_policy
+from .product import (
+    AcceptingReward,
+    CompiledReward,
+    PolicyEvaluation,
+    ProductMdp,
+    evaluate_policy,
+)
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """Config from a JSON object; unknown fields and values of the wrong
+        type raise ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
+        defaults = cls().to_dict()
+        for name, value in data.items():
+            if name not in defaults:
+                raise ValueError(f"unknown config field {name!r}")
+            kind = type(defaults[name])
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                what = {int: "an integer", float: "a number", str: "a string"}[kind]
+                raise ValueError(f"config field {name!r} must be {what}, not {value!r}")
         return cls(**data)
 
     @classmethod
@@ -145,6 +167,7 @@ class CompiledProduct:
     keys: tuple[tuple[int, str], ...]  # pair -> (state, action name)
     first: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
+    probs: tuple[tuple[float, ...], ...]
     cuts: tuple[tuple[float, ...], ...]
     masks: tuple[tuple[int, ...], ...]
     reward: CompiledReward
@@ -153,18 +176,13 @@ class CompiledProduct:
 def compile_product(product: ProductMdp, reward: CompiledReward) -> CompiledProduct:
     enabled, prob = product.mdp.enabled, product.mdp.prob
     keys = tuple((s, a) for s in range(product.num_states) for a in enabled[s])
-    cuts = []
-    for key in keys:
-        cum, acc = [], 0.0
-        for _, p in prob[key][:-1]:
-            acc += p
-            cum.append(acc)
-        cuts.append(tuple(cum))
+    probs = tuple(tuple(p for _, p in prob[key]) for key in keys)
     return CompiledProduct(
         keys=keys,
         first=(0, *accumulate(len(actions) for actions in enabled)),
         succ=tuple(tuple(d for d, _ in prob[key]) for key in keys),
-        cuts=tuple(cuts),
+        probs=probs,
+        cuts=tuple(tuple(accumulate(ps[:-1])) for ps in probs),
         masks=tuple(tuple(reward.mask.get((*key, d), 0) for d, _ in prob[key]) for key in keys),
         reward=reward,
     )
@@ -391,49 +409,39 @@ def value_iteration(
 ) -> tuple[dict[int, float], PositionalPolicy]:
     """Optimal discounted values under the accepting-transition reward.
 
-    Synchronous Bellman-optimality iteration to a sup-norm error below
-    ``tol``; the returned greedy policy breaks ties by lowest action id.
+    Synchronous Bellman-optimality iteration on the kernel's compiled
+    tables to a sup-norm error below ``tol``; the returned greedy policy
+    breaks ties by lowest action id.  ``r_p`` must be positive, as for
+    ``AcceptingReward``.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    accepting = product.accepting_transitions()
-    n = product.num_states
-    enabled = product.mdp.enabled
-    prob = product.mdp.prob
-    reward = {
-        (s, a, dst): (r_p if (s, a, dst) in accepting else 0.0)
-        for (s, a), row in prob.items()
-        for dst, _ in row
-    }
+    c = compile_product(product, AcceptingReward(product, r_p).compile())
+    r_p = c.reward.r_p
+    rows = tuple(
+        tuple((dst, p, r_p if m else 0.0) for dst, p, m in zip(*row))
+        for row in zip(c.succ, c.probs, c.masks)
+    )
+    spans = tuple(zip(c.first, c.first[1:]))
 
-    v = [0.0] * n
+    def backup(pair: int, v: list[float]) -> float:
+        total = 0.0
+        for dst, p, r in rows[pair]:
+            total += p * (r + gamma * v[dst])
+        return total
+
+    v = [0.0] * product.num_states
     threshold = tol if gamma == 0.0 else tol * (1.0 - gamma) / gamma
     while True:
-        new_v = [0.0] * n
-        delta = 0.0
-        for s in range(n):
-            best = -np.inf
-            for a in enabled[s]:
-                total = 0.0
-                for dst, p in prob[(s, a)]:
-                    total += p * (reward[(s, a, dst)] + gamma * v[dst])
-                if total > best:
-                    best = total
-            new_v[s] = best
-            delta = max(delta, abs(best - v[s]))
+        new_v = [max([backup(pair, v) for pair in range(lo, hi)]) for lo, hi in spans]
+        delta = max([abs(a - b) for a, b in zip(new_v, v)])
         v = new_v
         if delta <= threshold:
             break
 
-    choice = {}
-    for s in range(n):
-        best_a = None
-        best_val = -np.inf
-        for a in enabled[s]:
-            total = 0.0
-            for dst, p in prob[(s, a)]:
-                total += p * (reward[(s, a, dst)] + gamma * v[dst])
-            if total > best_val:
-                best_a, best_val = a, total
-        choice[s] = best_a
-    return {s: v[s] for s in range(n)}, PositionalPolicy(choice)
+    # max keeps the first maximal pair, so ties go to the lowest action id
+    choice = {
+        s: c.keys[max(range(lo, hi), key=lambda pair: backup(pair, v))][1]
+        for s, (lo, hi) in enumerate(spans)
+    }
+    return dict(enumerate(v)), PositionalPolicy(choice)

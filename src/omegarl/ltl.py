@@ -345,10 +345,12 @@ def eval_lasso(phi: Formula, w: LassoWord) -> bool:
     n = w.positions
     succ = list(range(1, n)) + [len(w.prefix)]
     letters = [w.letter(i) for i in range(n)]
-    memo: dict[Formula, list[bool]] = {}
+    # keyed on node identity: a frozen formula re-hashes its whole subtree on
+    # every lookup, and phi keeps every node alive for the call, so no id is reused
+    memo: dict[int, list[bool]] = {}
 
     def ev(f: Formula) -> list[bool]:
-        got = memo.get(f)
+        got = memo.get(id(f))
         if got is not None:
             return got
         if isinstance(f, TrueBool):
@@ -382,7 +384,7 @@ def eval_lasso(phi: Formula, w: LassoWord) -> bool:
             vals = _gfp(lambda v, i: op[i] and v[succ[i]], n)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        memo[f] = vals
+        memo[id(f)] = vals
         return vals
 
     return ev(phi)[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import backward_closure, strongly_connected_components
+from .graphs import closure, strongly_connected_components
 
 ROW_SUM_TOL = 1e-12
 
@@ -344,7 +344,7 @@ def reach_probability(
     for s in mc.states:
         for dst, _ in mc.prob[s]:
             preds[dst].append(s)
-    can_reach = backward_closure(target, lambda v: preds[v])
+    can_reach = closure(target, lambda v: preds[v])
 
     result = {s: 0.0 for s in mc.states}
     for s in target:

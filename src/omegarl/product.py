@@ -10,10 +10,10 @@ exactly through recurrence decomposition of the induced chain.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import TGba, Transition
+from .graphs import explore
 from .mdp import (
     LabeledMdp,
     PositionalPolicy,
@@ -98,67 +98,51 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
                 )
             lookup[t.src][t.letter] = t
 
-    start = (m.initial, b.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order: list[tuple[int, int]] = [start]
-    enabled: dict[int, list[str]] = {}
-    prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
-    label: dict[tuple[int, str, int], frozenset[str]] = {}
-    aut_edge: dict[ProductTransition, Transition] = {}
-    acceptance: list[set[ProductTransition]] = [set() for _ in b.acceptance]
-
-    queue = deque([start])
-    while queue:
-        s, x = queue.popleft()
-        i = index[(s, x)]
-        actions: list[str] = []
+    def successors(node):
+        s, x = node
         for a in m.enabled[s]:
-            row = []
             for dst, p in m.prob[(s, a)]:
-                letter = m.label_of(s, a, dst) & b.ap
+                full_label = m.label_of(s, a, dst)
+                letter = full_label & b.ap
                 t = lookup[x].get(letter)
                 if t is None:
                     raise MissingAutomatonMove(
                         f"automaton state {b.name_of(x)} has no move on label "
                         f"{sorted(letter)} produced by ({m.name_of(s)}, {a}, {m.name_of(dst)})"
                     )
-                key = (dst, t.dst)
-                if key not in index:
-                    index[key] = len(order)
-                    order.append(key)
-                    queue.append(key)
-                j = index[key]
-                row.append((j, p))
-                pt = (i, a, j)
-                aut_edge[pt] = t
-                full_label = m.label_of(s, a, dst)
-                if full_label:
-                    label[(i, a, j)] = full_label
+                yield (dst, t.dst), (a, p, t, full_label)
+        # action ids keep the base MDP's ordering, epsilon guesses last
+        for t in eps_out[x]:
+            yield (s, t.dst), (f"eps->{b.name_of(t.dst)}", 1.0, t, frozenset())
+
+    order, rows = explore((m.initial, b.initial), successors)
+    enabled: list[tuple[str, ...]] = []
+    prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
+    label: dict[tuple[int, str, int], frozenset[str]] = {}
+    aut_edge: dict[ProductTransition, Transition] = {}
+    acceptance: list[set[ProductTransition]] = [set() for _ in b.acceptance]
+    for i, row in enumerate(rows):
+        dists: dict[str, list[tuple[int, float]]] = {}
+        for (a, p, t, full_label), j in row:
+            dists.setdefault(a, []).append((j, p))
+            pt = (i, a, j)
+            aut_edge[pt] = t
+            if full_label:
+                label[pt] = full_label
+            if not t.is_epsilon():
                 for k, acc in enumerate(b.acceptance):
                     if t in acc:
                         acceptance[k].add(pt)
-            prob[(i, a)] = tuple(sorted(row))
-            actions.append(a)
-        for t in eps_out[x]:
-            a = f"eps->{b.name_of(t.dst)}"
-            key = (s, t.dst)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-                queue.append(key)
-            j = index[key]
-            prob[(i, a)] = ((j, 1.0),)
-            aut_edge[(i, a, j)] = t
-            actions.append(a)
-        # action ids keep the base MDP's ordering, epsilon guesses last
-        enabled[i] = actions
+        for a, dist in dists.items():
+            prob[(i, a)] = tuple(sorted(dist))
+        enabled.append(tuple(dists))
 
     names = tuple(f"({m.name_of(s)}|{b.name_of(x)})" for (s, x) in order)
     product_mdp = LabeledMdp(
         num_states=len(order),
         initial=0,
         ap=m.ap,
-        enabled=tuple(tuple(enabled[i]) for i in range(len(order))),
+        enabled=tuple(enabled),
         prob=prob,
         label=label,
         state_names=names,

@@ -10,15 +10,15 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .augment import augment, merge_unaccepting
 from .automata import TGba, accepts_lasso, degeneralize, fixture_gfa_gfb_gnc
 from .ltl import LassoWord, eval_lasso, parse_ltl
-from .mdp import ROW_SUM_TOL, build_gridworld
+from .mdp import ROW_SUM_TOL, PositionalPolicy, build_gridworld
 from .product import build_product, check_positional_impossibility, evaluate_policy
-from .mdp import PositionalPolicy
 
 SPEC_FORMULA = "G F a & G F b & G !c"
 
@@ -45,10 +45,34 @@ def all_lassos(ap=("a", "b", "c"), max_prefix: int = 2, max_cycle: int = 3):
                     yield LassoWord(prefix, cycle)
 
 
-def _timed(fn):
+def _timed(name: str, run) -> CheckResult:
     start = time.monotonic()
-    passed, detail = fn()
-    return passed, detail, time.monotonic() - start
+    passed, detail = run()
+    return CheckResult(name, passed, detail, time.monotonic() - start)
+
+
+def _lasso_agreement(name, automaton, max_prefix, max_cycle, acceptors) -> CheckResult:
+    """Every acceptor in ``acceptors(base)`` must give the base automaton's
+    verdict on every bounded lasso word; each acceptor comes with the
+    phrase that reports its disagreement."""
+
+    def run():
+        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
+        candidates = acceptors(base)
+        count = 0
+        for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
+            expect = accepts_lasso(base, w)
+            for accepts, disagreement in candidates:
+                if accepts(w) != expect:
+                    return False, f"{disagreement} on {w}"
+            count += 1
+        return True, f"{count} lasso words agree"
+
+    return _timed(name, run)
+
+
+def _automaton(kind: str, b: TGba):
+    return partial(accepts_lasso, b), f"{kind} automaton disagrees"
 
 
 def check_language_preservation(
@@ -56,61 +80,27 @@ def check_language_preservation(
 ) -> CheckResult:
     """Raw automaton, its augmentation, and the merged augmentation must
     agree on every bounded lasso word."""
-
-    def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        aug = augment(base)
-        merged = merge_unaccepting(aug)
-        count = 0
-        for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
-            expect = accepts_lasso(base, w)
-            if accepts_lasso(aug, w) != expect:
-                return False, f"augmented automaton disagrees on {w}"
-            if accepts_lasso(merged, w) != expect:
-                return False, f"merged automaton disagrees on {w}"
-            count += 1
-        return True, f"{count} lasso words agree"
-
-    passed, detail, secs = _timed(run)
-    return CheckResult("language-preservation", passed, detail, secs)
+    return _lasso_agreement("language-preservation", automaton, max_prefix, max_cycle, lambda b: [
+        _automaton("augmented", augment(b)), _automaton("merged", merge_unaccepting(augment(b)))
+    ])
 
 
 def check_formula_agreement(
     automaton: TGba | None = None, max_prefix: int = 2, max_cycle: int = 3
 ) -> CheckResult:
     """The automaton fixture must agree with direct formula evaluation."""
-
-    def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        phi = parse_ltl(SPEC_FORMULA)
-        count = 0
-        for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
-            if accepts_lasso(base, w) != eval_lasso(phi, w):
-                return False, f"automaton and formula disagree on {w}"
-            count += 1
-        return True, f"{count} lasso words agree"
-
-    passed, detail, secs = _timed(run)
-    return CheckResult("formula-agreement", passed, detail, secs)
+    return _lasso_agreement("formula-agreement", automaton, max_prefix, max_cycle, lambda b: [
+        (partial(eval_lasso, parse_ltl(SPEC_FORMULA)), "automaton and formula disagree")
+    ])
 
 
 def check_degeneralization(
     automaton: TGba | None = None, max_prefix: int = 2, max_cycle: int = 3
 ) -> CheckResult:
     """Collapsing to a single accepting set must preserve the language."""
-
-    def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        degen = degeneralize(base)
-        count = 0
-        for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
-            if accepts_lasso(base, w) != accepts_lasso(degen, w):
-                return False, f"degeneralized automaton disagrees on {w}"
-            count += 1
-        return True, f"{count} lasso words agree"
-
-    passed, detail, secs = _timed(run)
-    return CheckResult("degeneralization", passed, detail, secs)
+    return _lasso_agreement("degeneralization", automaton, max_prefix, max_cycle, lambda b: [
+        _automaton("degeneralized", degeneralize(b))
+    ])
 
 
 def check_recurrence_dichotomy(
@@ -138,8 +128,7 @@ def check_recurrence_dichotomy(
                     )
         return True, f"{n_policies} random positional policies, no violations"
 
-    passed, detail, secs = _timed(run)
-    return CheckResult("recurrence-dichotomy", passed, detail, secs)
+    return _timed("recurrence-dichotomy", run)
 
 
 def check_stochasticity(automaton: TGba | None = None) -> CheckResult:
@@ -163,8 +152,7 @@ def check_stochasticity(automaton: TGba | None = None) -> CheckResult:
                     return False, f"{name} row ({s}, {a}) off by {err}"
         return True, f"max row-sum error {worst:.2e}"
 
-    passed, detail, secs = _timed(run)
-    return CheckResult("stochasticity", passed, detail, secs)
+    return _timed("stochasticity", run)
 
 
 def check_impossibility_certificate(automaton: TGba | None = None) -> CheckResult:
@@ -182,8 +170,7 @@ def check_impossibility_certificate(automaton: TGba | None = None) -> CheckResul
             return False, "augmented product unexpectedly certifies impossibility"
         return True, "raw product impossible, augmented product possible"
 
-    passed, detail, secs = _timed(run)
-    return CheckResult("impossibility-certificate", passed, detail, secs)
+    return _timed("impossibility-certificate", run)
 
 
 def run_battery(quick: bool = False, automaton: TGba | None = None) -> list[CheckResult]:

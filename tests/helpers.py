@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from omegarl import EPSILON, LassoWord, Transition, ltl
-from omegarl.graphs import backward_closure
+from omegarl.graphs import closure
 
 AP3 = ("a", "b", "c")
 
@@ -274,7 +274,7 @@ def mc_reach_estimate(mc, target, runs, max_steps, rng):
     for s in states:
         for d, _ in mc.prob[s]:
             preds[d].append(s)
-    can_reach = backward_closure(set(target) & set(states), lambda v: preds[v])
+    can_reach = closure(set(target) & set(states), lambda v: preds[v])
     is_target = np.array([s in target for s in states])
     is_null = np.array([s not in can_reach for s in states])
 

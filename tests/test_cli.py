@@ -159,6 +159,26 @@ def test_train_mdp_file_input(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["env"] == str(mdp_file)
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"bogus": 1}, "unknown config field 'bogus'"),
+        ({"episodes": "2"}, "config field 'episodes' must be an integer, not '2'"),
+        ([1, 2], "config must be a JSON object, not list"),
+        ({"episodes": 1.5}, "config field 'episodes' must be an integer, not 1.5"),
+    ],
+    ids=["unknown-key", "string-count", "list", "float-count"],
+)
+def test_train_malformed_config_is_validation_error(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["train", "--env", "grid9", "--spec", "gfa_gfb_gnc", "--method", "augmented",
+               "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_compare_runs(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json")
     runs = []

@@ -156,6 +156,12 @@ def test_value_iteration_geometric_series():
     assert policy.choice == {0: "go", 1: "go"}
 
 
+@pytest.mark.parametrize("r_p", [0.0, -1.0])
+def test_value_iteration_rejects_nonpositive_reward(augmented_product, r_p):
+    with pytest.raises(ValueError, match="r_p must be positive"):
+        value_iteration(augmented_product, gamma=0.95, r_p=r_p)
+
+
 def test_value_iteration_finds_satisfying_policy(augmented_product):
     _, policy = value_iteration(augmented_product, gamma=0.95, r_p=2.0)
     assert evaluate_policy(augmented_product, policy).sat_probability == 1.0
