@@ -124,10 +124,13 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
     so if it violates any condition no valid partition exists.  Determinism
     inside the final part is checked per letter (at most one successor for
     each state/letter pair), the reading under which standard constructions
-    satisfy the transition-count condition.
+    satisfy the transition-count condition.  Transitions are walked in the
+    order of ``serialize_automaton``, so the violation named is the same in
+    every process (``EPSILON`` hashes by identity, so set order is not).
     """
+    ordered = _sorted_transitions(b)
     succ: list[set[int]] = [set() for _ in range(b.num_states)]
-    for t in b.transitions:
+    for t in ordered:
         succ[t.src].add(t.dst)
 
     seeds: set[int] = set()
@@ -135,14 +138,16 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
         for t in acc:
             seeds.add(t.src)
             seeds.add(t.dst)
-    for t in b.transitions:
+    for t in ordered:
         if t.is_epsilon():
             seeds.add(t.dst)
 
     x_final = closure(seeds, lambda v: succ[v])
 
     for j, acc in enumerate(b.acceptance):
-        for t in acc:
+        for t in ordered:
+            if t not in acc:
+                continue
             if t.src not in x_final or t.dst not in x_final:
                 raise NotLimitDeterministic(
                     f"accepting set {j + 1} transition {_render(b, t)} leaves the final part"
@@ -153,7 +158,7 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
                 )
 
     per_letter: dict[tuple[int, object], int] = {}
-    for t in b.transitions:
+    for t in ordered:
         if t.src not in x_final:
             continue
         if t.is_epsilon():

@@ -7,8 +7,16 @@ persist across episodes within a session.  Exploration follows a
 visit-count epsilon schedule and the learning rate decays per state-action
 pair under a Robbins-Monro-compatible power law.  Value iteration is a
 test oracle only and takes no part in training; it runs on the same
-compiled tables as the kernel, with one Bellman backup per pair serving
-both its sweeps and its greedy extraction.
+compiled tables as the kernel, with one Bellman backup serving both its
+sweeps and its greedy extraction.
+
+Value iteration lays the compiled rows out in successor slots (slot ``j``
+holds every pair's ``j``-th successor, padded with zero-probability,
+zero-reward slots) and backs up all pairs with a few numpy operations per
+slot.  It adds the slots one by one from the left, the order of a scalar
+loop over a row, so every value is that loop's float; the per-pair sum is
+never ``np.sum``, ``@``, ``dot`` or ``einsum``, whose summation order numpy
+does not promise (pairwise, SIMD and BLAS kernels regroup the additions).
 
 The training kernel runs on integer tables compiled once per ``train``
 call (``CompiledProduct``).  Pair ``p`` is the p-th enabled (state,
@@ -412,36 +420,51 @@ def value_iteration(
     Synchronous Bellman-optimality iteration on the kernel's compiled
     tables to a sup-norm error below ``tol``; the returned greedy policy
     breaks ties by lowest action id.  ``r_p`` must be positive, as for
-    ``AcceptingReward``.
+    ``AcceptingReward``, and ``tol`` must be non-negative.
+
+    The tables are laid out in successor slots: ``dst``, ``prob`` and
+    ``rew`` are ``(width, pairs)`` arrays, where ``width`` is the most
+    successors of any pair, slot ``j`` of pair ``p`` holds its ``j``-th
+    successor, and unused slots hold ``(0, 0.0, 0.0)``.  The backup adds
+    the slots one at a time, left to right, which is the order of a
+    per-pair loop over the successors; a padding slot adds ``+0.0`` and
+    changes no bit.  So every value is the float that loop gives, and the
+    pinned oracle hashes hold.  A reduction such as ``np.sum`` would be
+    free to regroup the additions and change the last bits.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    if not tol >= 0.0:
+        raise ValueError("tol must be non-negative")
     c = compile_product(product, AcceptingReward(product, r_p).compile())
-    r_p = c.reward.r_p
-    rows = tuple(
-        tuple((dst, p, r_p if m else 0.0) for dst, p, m in zip(*row))
-        for row in zip(c.succ, c.probs, c.masks)
-    )
-    spans = tuple(zip(c.first, c.first[1:]))
+    width = max(map(len, c.succ))
+    dst = np.zeros((width, len(c.keys)), dtype=np.intp)
+    prob = np.zeros((width, len(c.keys)))
+    rew = np.zeros((width, len(c.keys)))
+    for pair, row in enumerate(zip(c.succ, c.probs, c.masks)):
+        for j, (d, p, m) in enumerate(zip(*row)):
+            dst[j, pair], prob[j, pair], rew[j, pair] = d, p, c.reward.r_p if m else 0.0
+    starts = np.array(c.first[:-1], dtype=np.intp)
 
-    def backup(pair: int, v: list[float]) -> float:
-        total = 0.0
-        for dst, p, r in rows[pair]:
-            total += p * (r + gamma * v[dst])
+    def backup(v: np.ndarray) -> np.ndarray:
+        total = prob[0] * (rew[0] + gamma * v[dst[0]])
+        for j in range(1, width):
+            total += prob[j] * (rew[j] + gamma * v[dst[j]])
         return total
 
-    v = [0.0] * product.num_states
+    v = np.zeros(product.num_states)
     threshold = tol if gamma == 0.0 else tol * (1.0 - gamma) / gamma
     while True:
-        new_v = [max([backup(pair, v) for pair in range(lo, hi)]) for lo, hi in spans]
-        delta = max([abs(a - b) for a, b in zip(new_v, v)])
+        new_v = np.maximum.reduceat(backup(v), starts)
+        delta = np.abs(new_v - v).max()
         v = new_v
         if delta <= threshold:
             break
 
-    # max keeps the first maximal pair, so ties go to the lowest action id
-    choice = {
-        s: c.keys[max(range(lo, hi), key=lambda pair: backup(pair, v))][1]
-        for s, (lo, hi) in enumerate(spans)
-    }
-    return dict(enumerate(v)), PositionalPolicy(choice)
+    # the first maximal pair of each state, so ties go to the lowest action id
+    q = backup(v).tolist()
+    choice = {}
+    for s, (lo, hi) in enumerate(zip(c.first, c.first[1:])):
+        qs = q[lo:hi]
+        choice[s] = c.keys[lo + qs.index(max(qs))][1]
+    return dict(enumerate(v.tolist())), PositionalPolicy(choice)

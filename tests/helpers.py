@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own decision procedures:
 formula evaluation walks suffixes directly, automaton acceptance searches
-for accepting closed walks with a layered DP, and reachability is estimated
-by vectorized simulation.
+for accepting closed walks with a layered DP, reachability is estimated
+by vectorized simulation, and the reference value iteration backs up one
+pair at a time with a scalar loop over its successors.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import itertools
 
 import numpy as np
 
-from omegarl import EPSILON, LassoWord, Transition, ltl
+from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, ltl
 from omegarl.graphs import closure
+from omegarl.learn import compile_product
+from omegarl.product import AcceptingReward
 
 AP3 = ("a", "b", "c")
 
@@ -150,6 +153,44 @@ def enum_accepts(b, w: LassoWord) -> bool:
     return False
 
 
+# --- value-iteration oracle ------------------------------------------------------
+
+def scalar_value_iteration(product, gamma: float, r_p: float, tol: float = 1e-10):
+    """Reference for ``learn.value_iteration``: the same sweeps with a scalar
+    per-pair backup that adds the successors left to right."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
+    c = compile_product(product, AcceptingReward(product, r_p).compile())
+    r_p = c.reward.r_p
+    rows = tuple(
+        tuple((dst, p, r_p if m else 0.0) for dst, p, m in zip(*row))
+        for row in zip(c.succ, c.probs, c.masks)
+    )
+    spans = tuple(zip(c.first, c.first[1:]))
+
+    def backup(pair: int, v: list[float]) -> float:
+        total = 0.0
+        for dst, p, r in rows[pair]:
+            total += p * (r + gamma * v[dst])
+        return total
+
+    v = [0.0] * product.num_states
+    threshold = tol if gamma == 0.0 else tol * (1.0 - gamma) / gamma
+    while True:
+        new_v = [max([backup(pair, v) for pair in range(lo, hi)]) for lo, hi in spans]
+        delta = max([abs(a - b) for a, b in zip(new_v, v)])
+        v = new_v
+        if delta <= threshold:
+            break
+
+    # max keeps the first maximal pair, so ties go to the lowest action id
+    choice = {
+        s: c.keys[max(range(lo, hi), key=lambda pair: backup(pair, v))][1]
+        for s, (lo, hi) in enumerate(spans)
+    }
+    return dict(enumerate(v)), PositionalPolicy(choice)
+
+
 # --- random generators ---------------------------------------------------------
 
 def random_formula(rng, depth: int):
@@ -222,6 +263,48 @@ def random_tgba(rng, n_states=3, ap=("a", "b"), n_sets=2, allow_eps=True):
         ap=frozenset(ap),
         transitions=frozenset(transitions),
         acceptance=tuple(acceptance),
+    )
+
+
+def random_labeled_mdp(rng, n_states=8, ap=AP3, letters=None, max_succ=4, twin=0.3):
+    """Random labeled MDP with one to three actions per state and rows of
+    one to ``max_succ`` successors, labeled with letters drawn from
+    ``letters`` (default: every letter over ``ap``); with probability
+    ``twin`` a state's last action copies the row and labels of its first,
+    so the two tie."""
+    from omegarl import LabeledMdp
+
+    letters = letters_over(ap) if letters is None else letters
+    enabled, prob, label = [], {}, {}
+    for s in range(n_states):
+        actions = tuple(f"u{k}" for k in range(int(rng.integers(1, 4))))
+        enabled.append(actions)
+        for a in actions:
+            deg = int(rng.integers(1, max_succ + 1))
+            dsts = sorted(rng.choice(n_states, size=min(deg, n_states), replace=False).tolist())
+            weights = rng.random(len(dsts)) + 0.05
+            weights = weights / weights.sum()
+            weights[-1] = 1.0 - float(weights[:-1].sum())
+            prob[(s, a)] = tuple((d, float(p)) for d, p in zip(dsts, weights))
+            for d in dsts:
+                letter = letters[rng.integers(len(letters))]
+                if letter:
+                    label[(s, a, d)] = letter
+        if len(actions) > 1 and rng.random() < twin:
+            a0, a1 = actions[0], actions[-1]
+            prob[(s, a1)] = prob[(s, a0)]
+            for key in [key for key in label if key[:2] == (s, a1)]:
+                del label[key]
+            for d, _ in prob[(s, a0)]:
+                if (s, a0, d) in label:
+                    label[(s, a1, d)] = label[(s, a0, d)]
+    return LabeledMdp(
+        num_states=n_states,
+        initial=0,
+        ap=frozenset(ap),
+        enabled=tuple(enabled),
+        prob=prob,
+        label=label,
     )
 
 

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omegarl
 from helpers import enum_accepts, letters_over, random_lasso, random_tgba
 from omegarl import (
     EPSILON,
@@ -159,6 +164,37 @@ def test_check_ld_rejects_accepting_epsilon():
     b = TGba(2, 0, frozenset({"a"}), frozenset({te, t2}), (frozenset({te, t2}),))
     with pytest.raises(NotLimitDeterministic, match="epsilon"):
         check_limit_deterministic(b)
+
+
+FIRST_VIOLATION = """
+import sys
+history = [object() for _ in range(int(sys.argv[1]))]
+from omegarl import EPSILON, NotLimitDeterministic, TGba, Transition, check_limit_deterministic
+a = frozenset({"a"})
+loop = Transition(0, a, 0)
+rest = [Transition(0, a, 1)] + [Transition(0, EPSILON, d) for d in range(1, 6)]
+b = TGba(6, 0, frozenset({"a"}), frozenset([loop, *rest]), (frozenset({loop}),))
+try:
+    check_limit_deterministic(b)
+except NotLimitDeterministic as err:
+    print(err)
+"""
+
+
+def test_check_ld_names_the_first_violation_in_every_process():
+    # state 0 is final (accepting self-loop), so each epsilon edge out of it
+    # and its second a-successor are violations; EPSILON hashes by identity,
+    # so each process allocates a different number of objects before the
+    # import to give the transition set a different iteration order
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(Path(omegarl.__file__).parents[1]))
+    named = {
+        subprocess.run(
+            [sys.executable, "-c", FIRST_VIOLATION, str(history)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for history in range(4)
+    }
+    assert named == {"epsilon transition (x0,eps,x1) starts inside the final part"}
 
 
 # --- text format -----------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import letters_over, random_labeled_mdp, scalar_value_iteration
 from omegarl import (
     LabeledMdp,
     QTable,
@@ -10,14 +11,18 @@ from omegarl import (
     TrainConfig,
     Transition,
     alpha,
+    build_gridworld,
     build_product,
     epsilon,
     evaluate_policy,
+    fixture_fg_a,
+    fixture_gfa_gfb_gnc,
     greedy_policy,
     q_update,
     train,
     value_iteration,
 )
+from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import RawDraws
 from omegarl.product import AcceptingReward, FrontierReward
 
@@ -160,6 +165,52 @@ def test_value_iteration_geometric_series():
 def test_value_iteration_rejects_nonpositive_reward(augmented_product, r_p):
     with pytest.raises(ValueError, match="r_p must be positive"):
         value_iteration(augmented_product, gamma=0.95, r_p=r_p)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_value_iteration_rejects_negative_or_nan_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        value_iteration(two_state_loop_product(), gamma=0.5, r_p=1.0, tol=tol)
+
+
+def test_value_iteration_zero_tol_reaches_the_fixed_point():
+    values, _ = value_iteration(two_state_loop_product(), gamma=0.5, r_p=1.0, tol=0.0)
+    assert values == {0: 1.0, 1: 2.0}
+
+
+GAMMAS = (0.0, 0.5, 0.95, 0.99)
+
+
+def assert_same_as_scalar(product, gamma):
+    values, policy = value_iteration(product, gamma, 2.0)
+    ref_values, ref_policy = scalar_value_iteration(product, gamma, 2.0)
+    assert repr(values) == repr(ref_values)
+    assert policy.choice == ref_policy.choice
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_value_iteration_matches_scalar_reference_on_random_mdps(seed):
+    # rows of 1-4 successors pad the short ones; twin actions tie exactly
+    rng = np.random.default_rng(seed)
+    m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)), letters=letters_over("ab"))
+    for method in METHODS:
+        product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), method, 2.0)
+        assert_same_as_scalar(product, GAMMAS[seed % len(GAMMAS)])
+
+
+@pytest.mark.parametrize("spec", [fixture_gfa_gfb_gnc, fixture_fg_a])
+@pytest.mark.parametrize("method", METHODS)
+def test_value_iteration_matches_scalar_reference_on_fixtures(spec, method):
+    product, _ = method_product_and_scheme(build_gridworld(), spec(), method, 2.0)
+    for gamma in GAMMAS:
+        assert_same_as_scalar(product, gamma)
+
+
+def test_value_iteration_matches_scalar_reference_on_a_large_product():
+    m = random_labeled_mdp(np.random.default_rng(7), n_states=60, letters=letters_over("ab"))
+    product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), "augmented", 2.0)
+    assert product.num_states > 150
+    assert_same_as_scalar(product, 0.99)
 
 
 def test_value_iteration_finds_satisfying_policy(augmented_product):
