@@ -41,7 +41,6 @@ from .learn import (
     alpha,
     epsilon,
     greedy_policy,
-    q_update,
     train,
     value_iteration,
 )
@@ -75,17 +74,14 @@ from .product import (
     AcceptingReward,
     AlphabetMismatch,
     FrontierReward,
-    FrontierState,
     MissingAutomatonMove,
     NondeterministicMove,
     PolicyEvaluation,
     ProductMdp,
+    RewardScheme,
     build_product,
     check_positional_impossibility,
     evaluate_policy,
-    frontier_init,
-    frontier_step,
-    reward_accepting,
 )
 
 __version__ = "0.1.0"

@@ -93,25 +93,17 @@ def augment_with_states(b: TGba) -> tuple[TGba, tuple[AugmentedState, ...]]:
     return aug, states
 
 
-def merge_unaccepting(b_aug: TGba, bases: tuple[int, ...] | None = None) -> TGba:
+def merge_unaccepting(b_aug: TGba) -> TGba:
     """Collapse memory in regions that can never see another accepting transition.
 
     States from which no accepting transition of ``b_aug`` is reachable are
-    quotiented by their base state; every run entering such a region is
-    non-accepting regardless of its continuation, so the language is
-    unchanged.  ``bases`` defaults to the base encoded in the augmented
-    state names (``base@bits``).
+    quotiented by their base state, read from the augmented state names
+    (``base@bits``); every run entering such a region is non-accepting
+    regardless of its continuation, so the language is unchanged.
     """
-    if bases is None:
-        if b_aug.names is None or any("@" not in name for name in b_aug.names):
-            raise ValueError(
-                "merge needs augmented state names ('base@bits') or explicit bases"
-            )
-        base_names = tuple(name.split("@", 1)[0] for name in b_aug.names)
-    else:
-        if len(bases) != b_aug.num_states:
-            raise ValueError("bases length does not match state count")
-        base_names = tuple(str(x) for x in bases)
+    if b_aug.names is None or any("@" not in name for name in b_aug.names):
+        raise ValueError("merge needs augmented state names ('base@bits')")
+    base_names = tuple(name.split("@", 1)[0] for name in b_aug.names)
 
     acc_all = frozenset().union(*b_aug.acceptance)
     preds: list[set[int]] = [set() for _ in range(b_aug.num_states)]

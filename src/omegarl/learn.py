@@ -7,10 +7,11 @@ persist across episodes within a session.  Exploration follows a
 visit-count epsilon schedule and the learning rate decays per state-action
 pair under a Robbins-Monro-compatible power law.  Value iteration is a
 test oracle only and takes no part in training; it runs on the same
-compiled tables as the kernel, with one Bellman backup serving both its
-sweeps and its greedy extraction.
+integer tables as the kernel (built by ``build_product``; layout in the
+product module), with one Bellman backup serving both its sweeps and its
+greedy extraction.
 
-Value iteration lays the compiled rows out in successor slots (slot ``j``
+Value iteration lays the table rows out in successor slots (slot ``j``
 holds every pair's ``j``-th successor, padded with zero-probability,
 zero-reward slots) and backs up all pairs with a few numpy operations per
 slot.  It adds the slots one by one from the left, the order of a scalar
@@ -18,16 +19,10 @@ loop over a row, so every value is that loop's float; the per-pair sum is
 never ``np.sum``, ``@``, ``dot`` or ``einsum``, whose summation order numpy
 does not promise (pairwise, SIMD and BLAS kernels regroup the additions).
 
-The training kernel runs on integer tables compiled once per ``train``
-call (``CompiledProduct``).  Pair ``p`` is the p-th enabled (state,
-action), in state order and then action-id order; state ``s`` owns the
-pairs from ``first[s]`` up to ``first[s + 1]``.  Each pair has a tuple of
-successor states, a tuple of their probabilities, a tuple of the
-cumulative probabilities of all but its last successor (a uniform draw
-picks a successor by bisection), and a tuple of accepting-set bitmasks
-that drive the reward (``CompiledReward`` in the product module).
-Q-values and visit counts are flat lists indexed by pair; action names
-come back only in the returned tables and policies.
+The training kernel runs on the product's integer tables and inlines the
+reward scheme's bitmask ``step``.  Q-values and visit counts are flat
+lists indexed by pair; action names come back only in the returned tables
+and policies.
 Per state, the kernel also keeps its greedy pair and maximal value current
 through every update, so neither the greedy choice nor the bootstrap
 target scans the state's actions.
@@ -44,18 +39,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .mdp import PositionalPolicy
-from .product import (
-    AcceptingReward,
-    CompiledReward,
-    PolicyEvaluation,
-    ProductMdp,
-    evaluate_policy,
-)
+from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_policy
 
 
 @dataclass(frozen=True)
@@ -142,20 +130,9 @@ class QTable:
 
     def __init__(self, product: ProductMdp):
         self.enabled = product.mdp.enabled
-        self.values: dict[tuple[int, str], float] = {
-            (s, a): 0.0 for s in range(product.num_states) for a in self.enabled[s]
-        }
+        self.values: dict[tuple[int, str], float] = dict.fromkeys(product.keys, 0.0)
         self.state_visits: dict[int, int] = dict.fromkeys(range(product.num_states), 0)
         self.pair_visits: dict[tuple[int, str], int] = dict.fromkeys(self.values, 0)
-
-
-def q_update(
-    q: QTable, s: int, a: str, r: float, s_next: int, gamma: float, step_size: float
-) -> QTable:
-    """One-step Q-learning update toward ``r + gamma * max_a' Q(s', a')``."""
-    target = r + gamma * max(q.values[(s_next, b)] for b in q.enabled[s_next])
-    q.values[(s, a)] += step_size * (target - q.values[(s, a)])
-    return q
 
 
 def greedy_policy(q: QTable) -> PositionalPolicy:
@@ -165,35 +142,6 @@ def greedy_policy(q: QTable) -> PositionalPolicy:
         qs = [q.values[(s, a)] for a in actions]  # KeyError on a missing entry
         choice[s] = actions[qs.index(max(qs))]
     return PositionalPolicy(choice)
-
-
-@dataclass(frozen=True)
-class CompiledProduct:
-    """A product and a reward scheme as the integer tables of the kernel
-    (layout in the module docstring)."""
-
-    keys: tuple[tuple[int, str], ...]  # pair -> (state, action name)
-    first: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]
-    probs: tuple[tuple[float, ...], ...]
-    cuts: tuple[tuple[float, ...], ...]
-    masks: tuple[tuple[int, ...], ...]
-    reward: CompiledReward
-
-
-def compile_product(product: ProductMdp, reward: CompiledReward) -> CompiledProduct:
-    enabled, prob = product.mdp.enabled, product.mdp.prob
-    keys = tuple((s, a) for s in range(product.num_states) for a in enabled[s])
-    probs = tuple(tuple(p for _, p in prob[key]) for key in keys)
-    return CompiledProduct(
-        keys=keys,
-        first=(0, *accumulate(len(actions) for actions in enabled)),
-        succ=tuple(tuple(d for d, _ in prob[key]) for key in keys),
-        probs=probs,
-        cuts=tuple(tuple(accumulate(ps[:-1])) for ps in probs),
-        masks=tuple(tuple(reward.mask.get((*key, d), 0) for d, _ in prob[key]) for key in keys),
-        reward=reward,
-    )
 
 
 class RawDraws:
@@ -274,29 +222,29 @@ class TrainResult:
     policies: tuple[PositionalPolicy, ...]
     first_positive_episode: tuple[int | None, ...]
     first_sat1_episode: tuple[int | None, ...]
-    final_sat_probability: tuple[float, ...]
     evaluations: tuple[PolicyEvaluation | None, ...]
 
 
 def train(
     product: ProductMdp,
-    scheme,
+    scheme: RewardScheme,
     cfg: TrainConfig,
     track_satisfaction: bool = True,
 ) -> TrainResult:
     """Q-learning over ``cfg.sessions`` independent seeded sessions.
 
-    ``scheme`` is a reward scheme of the product module; the kernel runs its
-    compiled form.  After each episode the greedy policy is evaluated
-    exactly, unless it equals the last one evaluated, to record when it
-    first positively satisfies the specification and when its satisfaction
-    probability first reaches one; the evaluation never feeds back into
-    learning.
+    ``scheme`` is a reward scheme of the product module; the kernel applies
+    its bitmask rule to the product's masks.  After each episode the greedy
+    policy is evaluated exactly, unless it equals the last one evaluated, to
+    record when it first positively satisfies the specification and when its
+    satisfaction probability first reaches one; the evaluation never feeds
+    back into learning.
     """
-    c = compile_product(product, scheme.compile())
-    keys, first, succ, cuts, masks = c.keys, list(c.first), c.succ, c.cuts, c.masks
+    keys, first, succ, cuts, masks = (
+        product.keys, list(product.first), product.succ, product.cuts, product.masks
+    )
     spans = tuple(zip(first, first[1:]))
-    r_p, empty = c.reward.r_p, c.reward.empty
+    r_p, empty = scheme.r_p, scheme.empty
     gamma, eps_num, neg_exp = cfg.gamma, cfg.epsilon_numerator, -cfg.alpha_exponent
     steps = cfg.steps_per_episode
     margin = 2 * steps + 1  # the most words the rest of an episode reads inline
@@ -405,9 +353,6 @@ def train(
         policies=tuple(policies),
         first_positive_episode=tuple(first_pos),
         first_sat1_episode=tuple(first_sat1),
-        final_sat_probability=tuple(
-            e.sat_probability if e is not None else float("nan") for e in evaluations
-        ),
         evaluations=tuple(evaluations),
     )
 
@@ -417,7 +362,7 @@ def value_iteration(
 ) -> tuple[dict[int, float], PositionalPolicy]:
     """Optimal discounted values under the accepting-transition reward.
 
-    Synchronous Bellman-optimality iteration on the kernel's compiled
+    Synchronous Bellman-optimality iteration on the product's integer
     tables to a sup-norm error below ``tol``; the returned greedy policy
     breaks ties by lowest action id.  ``r_p`` must be positive, as for
     ``AcceptingReward``, and ``tol`` must be non-negative.
@@ -436,15 +381,15 @@ def value_iteration(
         raise ValueError("gamma must lie in [0, 1)")
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
-    c = compile_product(product, AcceptingReward(product, r_p).compile())
-    width = max(map(len, c.succ))
-    dst = np.zeros((width, len(c.keys)), dtype=np.intp)
-    prob = np.zeros((width, len(c.keys)))
-    rew = np.zeros((width, len(c.keys)))
-    for pair, row in enumerate(zip(c.succ, c.probs, c.masks)):
+    if r_p <= 0:
+        raise ValueError("r_p must be positive")
+    width = max(map(len, product.succ))
+    shape = (width, len(product.keys))
+    dst, prob, rew = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)
+    for pair, row in enumerate(zip(product.succ, product.probs, product.masks)):
         for j, (d, p, m) in enumerate(zip(*row)):
-            dst[j, pair], prob[j, pair], rew[j, pair] = d, p, c.reward.r_p if m else 0.0
-    starts = np.array(c.first[:-1], dtype=np.intp)
+            dst[j, pair], prob[j, pair], rew[j, pair] = d, p, r_p if m else 0.0
+    starts = np.array(product.first[:-1], dtype=np.intp)
 
     def backup(v: np.ndarray) -> np.ndarray:
         total = prob[0] * (rew[0] + gamma * v[dst[0]])
@@ -464,7 +409,7 @@ def value_iteration(
     # the first maximal pair of each state, so ties go to the lowest action id
     q = backup(v).tolist()
     choice = {}
-    for s, (lo, hi) in enumerate(zip(c.first, c.first[1:])):
+    for s, (lo, hi) in enumerate(zip(product.first, product.first[1:])):
         qs = q[lo:hi]
-        choice[s] = c.keys[lo + qs.index(max(qs))][1]
+        choice[s] = product.keys[lo + qs.index(max(qs))][1]
     return dict(enumerate(v.tolist())), PositionalPolicy(choice)

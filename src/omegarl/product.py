@@ -6,11 +6,23 @@ epsilon transition.  Accepting transition sets lift to product transitions
 and drive the two reward schemes: the memoryless accepting-transition
 reward and the working-set ("frontier") baseline.  Policies are evaluated
 exactly through recurrence decomposition of the induced chain.
+
+``build_product`` also lays the product out as the integer tables that
+training and value iteration run on.  Pair ``p`` is the p-th enabled
+(state, action), in state order and then action-id order; state ``s`` owns
+the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]`` names
+the pair.  Each pair has a tuple of successor states, a tuple of their
+probabilities, a tuple of the cumulative probabilities of all but its last
+successor (a uniform draw picks a successor by bisection), and a tuple of
+bitmasks whose bit ``k`` says that the transition lies in accepting set
+``k`` (0 for epsilon and non-accepting transitions).  Both reward schemes
+are one rule over those masks (``RewardScheme``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .automata import TGba, Transition
 from .graphs import explore
@@ -48,6 +60,8 @@ class ProductMdp:
     ``pairs[i]`` gives the (MDP state, automaton state) decomposition of
     product state ``i``; ``aut_edge`` maps each product transition to the
     automaton transition it synchronizes with (epsilon actions included).
+    The remaining fields are the integer tables (layout in the module
+    docstring).
     """
 
     mdp: LabeledMdp
@@ -55,6 +69,12 @@ class ProductMdp:
     acceptance: tuple[frozenset[ProductTransition], ...]
     aut_edge: dict[ProductTransition, Transition]
     automaton: TGba
+    keys: tuple[tuple[int, str], ...]  # pair -> (state, action name)
+    first: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]
+    probs: tuple[tuple[float, ...], ...]
+    cuts: tuple[tuple[float, ...], ...]
+    masks: tuple[tuple[int, ...], ...]
 
     @property
     def num_states(self) -> int:
@@ -121,20 +141,28 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
     label: dict[tuple[int, str, int], frozenset[str]] = {}
     aut_edge: dict[ProductTransition, Transition] = {}
     acceptance: list[set[ProductTransition]] = [set() for _ in b.acceptance]
+    keys, succ, probs, masks = [], [], [], []
     for i, row in enumerate(rows):
-        dists: dict[str, list[tuple[int, float]]] = {}
+        dists: dict[str, list[tuple[int, float, int]]] = {}
         for (a, p, t, full_label), j in row:
-            dists.setdefault(a, []).append((j, p))
             pt = (i, a, j)
             aut_edge[pt] = t
             if full_label:
                 label[pt] = full_label
+            mask = 0
             if not t.is_epsilon():
                 for k, acc in enumerate(b.acceptance):
                     if t in acc:
                         acceptance[k].add(pt)
+                        mask |= 1 << k
+            dists.setdefault(a, []).append((j, p, mask))
         for a, dist in dists.items():
-            prob[(i, a)] = tuple(sorted(dist))
+            js, ps, ms = zip(*sorted(dist))
+            keys.append((i, a))
+            prob[(i, a)] = tuple(zip(js, ps))
+            succ.append(js)
+            probs.append(ps)
+            masks.append(ms)
         enabled.append(tuple(dists))
 
     names = tuple(f"({m.name_of(s)}|{b.name_of(x)})" for (s, x) in order)
@@ -153,131 +181,71 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
         acceptance=tuple(frozenset(acc) for acc in acceptance),
         aut_edge=aut_edge,
         automaton=b,
+        keys=tuple(keys),
+        first=(0, *accumulate(map(len, enabled))),
+        succ=tuple(succ),
+        probs=tuple(probs),
+        cuts=tuple(tuple(accumulate(ps[:-1])) for ps in probs),
+        masks=tuple(masks),
     )
 
 
 # --- rewards ---------------------------------------------------------------
 
-def reward_accepting(
-    t: ProductTransition, acceptance: tuple[frozenset[ProductTransition], ...], r_p: float
-) -> float:
-    """Fixed positive reward on transitions inside any accepting set."""
-    if r_p <= 0:
-        raise ValueError("r_p must be positive")
-    return r_p if any(t in acc for acc in acceptance) else 0.0
+class RewardScheme:
+    """A reward scheme as one bitmask rule over the product's ``masks``.
 
-
-@dataclass(frozen=True)
-class FrontierState:
-    """Working set of accepting automaton transitions not yet taken."""
-
-    remaining: frozenset[Transition]
-
-
-def frontier_init(acceptance: tuple[frozenset[Transition], ...]) -> FrontierState:
-    return FrontierState(frozenset().union(*acceptance))
-
-
-def frontier_step(
-    f: FrontierState,
-    t: Transition,
-    acceptance: tuple[frozenset[Transition], ...],
-) -> tuple[FrontierState, bool]:
-    """Remove every accepting set containing ``t`` when ``t`` is still pending.
-
-    Returns the new state and whether the transition scored.  An emptied
-    working set is re-initialized to all accepting transitions.
-    """
-    if t not in f.remaining:
-        return f, False
-    removed = frozenset().union(*(acc for acc in acceptance if t in acc))
-    remaining = f.remaining - removed
-    if not remaining:
-        remaining = frozenset().union(*acceptance)
-    return FrontierState(remaining), True
-
-
-@dataclass(frozen=True)
-class CompiledReward:
-    """Bitmask form of a reward scheme, as the training kernel runs it.
-
-    Bit ``j`` of ``mask[t]`` says that transition ``t`` lies in accepting
-    set ``j``; ``done`` holds the bits of the sets hit since the working set
-    was last full, starting from 0.  A transition scores ``r_p`` when its
-    mask is nonzero and disjoint from ``done``; the sets it hits join
-    ``done``, which returns to 0 once ``empty[done]`` says that no pending
-    transition is left.  The frontier baseline is this over the automaton's
-    accepting sets; the accepting reward is the one-set case, whose working
-    set empties on every hit, so every accepting transition scores.
+    ``done`` holds the bits of the accepting sets hit since the working set
+    was last full, starting from 0.  A transition whose mask is nonzero and
+    disjoint from ``done`` scores ``r_p``; the sets it hits join ``done``,
+    which returns to 0 once ``empty[done]`` says that no pending transition
+    is left.  The schemes differ only in ``empty``.  The training kernel
+    inlines ``step``; calling the scheme on a product transition applies
+    ``step`` to a running ``done`` that ``reset`` clears.
     """
 
-    r_p: float
-    mask: dict[ProductTransition, int]
-    empty: tuple[bool, ...]
+    def __init__(self, product: ProductMdp, r_p: float, empty: tuple[bool, ...]):
+        if r_p <= 0:
+            raise ValueError("r_p must be positive")
+        self.product = product
+        self.r_p = float(r_p)
+        self.empty = empty
+        self.done = 0
 
-    def step(self, done: int, t: ProductTransition) -> tuple[float, int]:
-        """Reward of ``t`` and the next ``done``."""
-        m = self.mask.get(t, 0)
-        if not m or m & done:
+    def step(self, done: int, mask: int) -> tuple[float, int]:
+        """Reward of a transition with ``mask`` and the next ``done``."""
+        if not mask or mask & done:
             return 0.0, done
-        done |= m
+        done |= mask
         return self.r_p, 0 if self.empty[done] else done
 
-
-class AcceptingReward:
-    """Reward scheme of the memory-augmented method: stateless per episode."""
-
-    def __init__(self, product: ProductMdp, r_p: float):
-        if r_p <= 0:
-            raise ValueError("r_p must be positive")
-        self.r_p = float(r_p)
-        self._accepting = product.accepting_transitions()
-
     def reset(self) -> None:
-        pass
+        self.done = 0
 
     def __call__(self, t: ProductTransition) -> float:
-        return self.r_p if t in self._accepting else 0.0
+        s, a, dst = t
+        product = self.product
+        p = product.first[s] + product.mdp.enabled[s].index(a)
+        r, self.done = self.step(self.done, product.masks[p][product.succ[p].index(dst)])
+        return r
 
-    def compile(self) -> CompiledReward:
-        return CompiledReward(self.r_p, dict.fromkeys(self._accepting, 1), (False, True))
+
+def AcceptingReward(product: ProductMdp, r_p: float) -> RewardScheme:
+    """Reward of the memory-augmented method: every hit empties the working
+    set, so every accepting transition scores ``r_p``."""
+    return RewardScheme(product, r_p, (False,) + (True,) * ((1 << len(product.acceptance)) - 1))
 
 
-class FrontierReward:
+def FrontierReward(product: ProductMdp, r_p: float) -> RewardScheme:
     """Working-set baseline: scores the first occurrence of each accepting
     set's transitions, re-initializing once every set has been hit."""
-
-    def __init__(self, product: ProductMdp, r_p: float):
-        if r_p <= 0:
-            raise ValueError("r_p must be positive")
-        self.r_p = float(r_p)
-        self._product = product
-        self._acceptance = product.automaton.acceptance
-        self._state = frontier_init(self._acceptance)
-
-    def reset(self) -> None:
-        self._state = frontier_init(self._acceptance)
-
-    def __call__(self, t: ProductTransition) -> float:
-        aut_t = self._product.aut_edge[t]
-        if aut_t.is_epsilon():
-            return 0.0
-        self._state, scored = frontier_step(self._state, aut_t, self._acceptance)
-        return self.r_p if scored else 0.0
-
-    def compile(self) -> CompiledReward:
-        acc = self._acceptance
-        mask = {}
-        for t, aut_t in self._product.aut_edge.items():
-            m = sum(1 << j for j, s in enumerate(acc) if aut_t in s)
-            if m and not aut_t.is_epsilon():
-                mask[t] = m
-        full = frozenset().union(*acc)
-        empty = tuple(
-            full <= frozenset().union(*(s for j, s in enumerate(acc) if done >> j & 1))
-            for done in range(1 << len(acc))
-        )
-        return CompiledReward(self.r_p, mask, empty)
+    acc = product.automaton.acceptance
+    full = frozenset().union(*acc)
+    empty = tuple(
+        full <= frozenset().union(*(s for j, s in enumerate(acc) if done >> j & 1))
+        for done in range(1 << len(acc))
+    )
+    return RewardScheme(product, r_p, empty)
 
 
 # --- exact policy evaluation -------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own decision procedures:
 formula evaluation walks suffixes directly, automaton acceptance searches
 for accepting closed walks with a layered DP, reachability is estimated
-by vectorized simulation, and the reference value iteration backs up one
-pair at a time with a scalar loop over its successors.
+by vectorized simulation, the reference value iteration backs up one
+pair at a time with a scalar loop over its successors, and the reference
+frontier reward keeps its working set as a set of transitions.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 
 from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, ltl
 from omegarl.graphs import closure
-from omegarl.learn import compile_product
-from omegarl.product import AcceptingReward
 
 AP3 = ("a", "b", "c")
 
@@ -160,13 +159,11 @@ def scalar_value_iteration(product, gamma: float, r_p: float, tol: float = 1e-10
     per-pair backup that adds the successors left to right."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    c = compile_product(product, AcceptingReward(product, r_p).compile())
-    r_p = c.reward.r_p
     rows = tuple(
         tuple((dst, p, r_p if m else 0.0) for dst, p, m in zip(*row))
-        for row in zip(c.succ, c.probs, c.masks)
+        for row in zip(product.succ, product.probs, product.masks)
     )
-    spans = tuple(zip(c.first, c.first[1:]))
+    spans = tuple(zip(product.first, product.first[1:]))
 
     def backup(pair: int, v: list[float]) -> float:
         total = 0.0
@@ -185,10 +182,29 @@ def scalar_value_iteration(product, gamma: float, r_p: float, tol: float = 1e-10
 
     # max keeps the first maximal pair, so ties go to the lowest action id
     choice = {
-        s: c.keys[max(range(lo, hi), key=lambda pair: backup(pair, v))][1]
+        s: product.keys[max(range(lo, hi), key=lambda pair: backup(pair, v))][1]
         for s, (lo, hi) in enumerate(spans)
     }
     return dict(enumerate(v)), PositionalPolicy(choice)
+
+
+# --- frontier reward oracle ------------------------------------------------------
+
+def frontier_init(acceptance) -> frozenset:
+    """The full working set: every transition of every accepting set."""
+    return frozenset().union(*acceptance)
+
+
+def frontier_step(remaining: frozenset, t, acceptance) -> tuple[frozenset, bool]:
+    """Remove every accepting set containing ``t`` when ``t`` is still pending.
+
+    Returns the new working set and whether the transition scored.  An
+    emptied working set is re-initialized to all accepting transitions.
+    """
+    if t not in remaining:
+        return remaining, False
+    remaining -= frozenset().union(*(acc for acc in acceptance if t in acc))
+    return remaining or frontier_init(acceptance), True
 
 
 # --- random generators ---------------------------------------------------------

@@ -18,7 +18,6 @@ from omegarl import (
     fixture_fg_a,
     fixture_gfa_gfb_gnc,
     greedy_policy,
-    q_update,
     train,
     value_iteration,
 )
@@ -79,16 +78,6 @@ def test_train_config_validation():
     cfg = TrainConfig()
     assert cfg.gamma == 0.95 and cfg.r_p == 2.0 and cfg.alpha_exponent == 0.85
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_q_update_one_step_target():
-    p = two_state_loop_product()
-    q = QTable(p)
-    q_update(q, 0, "go", 2.0, 1, gamma=0.95, step_size=1.0)
-    assert q.values[(0, "go")] == 2.0
-    q2 = QTable(p)
-    q_update(q2, 0, "go", 0.0, 1, gamma=0.95, step_size=0.7)
-    assert q2.values[(0, "go")] == 0.0  # zero TD error leaves the entry alone
 
 
 def test_q_update_fixed_point_of_optimal_values(augmented_product):
@@ -294,11 +283,9 @@ def test_train_greedy_cache_and_evaluations_match_fresh_ones(augmented_product, 
     for product, scheme in ((augmented_product, AcceptingReward(augmented_product, 2.0)),
                             (raw_product, FrontierReward(raw_product, 2.0))):
         result = train(product, scheme, cfg)
-        for q, pol, ev, sat in zip(result.qtables, result.policies, result.evaluations,
-                                   result.final_sat_probability):
+        for q, pol, ev in zip(result.qtables, result.policies, result.evaluations):
             assert pol == greedy_policy(q)
             assert ev == evaluate_policy(product, pol)
-            assert sat == ev.sat_probability
 
 
 def test_train_evaluates_each_greedy_policy_change_once(raw_product, monkeypatch):

@@ -1,7 +1,9 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
-from helpers import letters_over, mc_absorption_estimate
+from helpers import frontier_init, frontier_step, letters_over, mc_absorption_estimate
 from omegarl import (
     EPSILON,
     AlphabetMismatch,
@@ -11,17 +13,19 @@ from omegarl import (
     TGba,
     Transition,
     augment_with_states,
+    build_gridworld,
     build_product,
     check_positional_impossibility,
     decompose,
     evaluate_policy,
-    frontier_init,
-    frontier_step,
+    fixture_gfa_gfb_gnc,
     induce_chain,
-    reward_accepting,
+    parse_mdp,
     value_iteration,
 )
+from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.product import AcceptingReward, FrontierReward
+from test_golden import slip_mdp_text
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -133,41 +137,96 @@ def test_product_rows_stochastic(augmented_product, raw_product, degeneralized_p
                 assert row[0][1] == 1.0 and len(row) == 1
 
 
+# --- tables ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("env", ["grid9", "slip"])
+@pytest.mark.parametrize("method", METHODS)
+def test_product_tables_match_prob_and_acceptance(env, method):
+    m = build_gridworld() if env == "grid9" else parse_mdp(slip_mdp_text())
+    product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), method, 2.0)
+    prob = product.mdp.prob
+    assert list(product.keys) == list(prob)
+    assert product.first == (0, *accumulate(map(len, product.mdp.enabled)))
+    for p, (s, a) in enumerate(product.keys):
+        assert product.first[s] <= p < product.first[s + 1]
+        assert tuple(zip(product.succ[p], product.probs[p])) == prob[(s, a)]
+        assert product.cuts[p] == tuple(accumulate(product.probs[p][:-1]))
+        for dst, mask in zip(product.succ[p], product.masks[p]):
+            t = (s, a, dst)
+            assert mask == sum(1 << k for k, acc in enumerate(product.acceptance) if t in acc)
+
+
 # --- rewards -----------------------------------------------------------------------
 
 
-def test_reward_accepting_values(augmented_product):
+def overlapping_sets_product(grid):
+    """One-state automaton over {a, b} whose sets overlap: hitting the a-loop
+    removes sets 1 and 2 and leaves the b-loop of set 3 pending."""
+    loops = {letter: Transition(0, letter, 0) for letter in (frozenset(), A, B, AB)}
+    b = TGba(1, 0, AB, frozenset(loops.values()),
+             (frozenset({loops[A]}), frozenset({loops[A], loops[B]}), frozenset({loops[B]})))
+    return build_product(grid, b)
+
+
+def walk_tables(product, seed: int, steps: int = 20_000, restart: float = 0.05):
+    """Seeded walk drawn from the product's tables that restarts at the
+    initial state with probability ``restart``; yields
+    ``(restarted, transition, mask)``."""
+    rng = np.random.default_rng(seed)
+    s = product.mdp.initial
+    for _ in range(steps):
+        restarted = rng.random() < restart
+        if restarted:
+            s = product.mdp.initial
+        p = int(rng.integers(product.first[s], product.first[s + 1]))
+        j = int(rng.choice(len(product.succ[p]), p=product.probs[p]))
+        yield restarted, (s, product.keys[p][1], product.succ[p][j]), product.masks[p][j]
+        s = product.succ[p][j]
+
+
+def test_reward_support_is_exactly_the_accepting_union(augmented_product, degeneralized_product):
+    for product in (augmented_product, degeneralized_product):
+        scheme = AcceptingReward(product, 2.0)
+        accepting = product.accepting_transitions()
+        assert accepting
+        for t in product.aut_edge:
+            assert scheme(t) == (2.0 if t in accepting else 0.0)
+
+
+def test_accepting_reward_values(augmented_product, grid):
     names = by_name(augmented_product)
-    t = (names["(s4|x0@00)"], "to_s0", names["(s0|x0@10)"])
-    assert reward_accepting(t, augmented_product.acceptance, 2.0) == 2.0
-    dull = (names["(s7|x0@00)"], "up", names["(s4|x0@00)"])
-    assert reward_accepting(dull, augmented_product.acceptance, 2.0) == 0.0
-    # membership in two sets still pays a single reward
-    shared = (0, "z", 0)
-    assert reward_accepting(shared, (frozenset({shared}), frozenset({shared})), 2.0) == 2.0
-    with pytest.raises(ValueError):
-        reward_accepting(t, augmented_product.acceptance, 0.0)
+    scheme = AcceptingReward(augmented_product, 2.0)
+    assert scheme((names["(s4|x0@00)"], "to_s0", names["(s0|x0@10)"])) == 2.0
+    assert scheme((names["(s7|x0@00)"], "up", names["(s4|x0@00)"])) == 0.0
+    # membership in two sets still pays a single reward, every time
+    product = overlapping_sets_product(grid)
+    shared = [t for t in product.aut_edge if sum(t in acc for acc in product.acceptance) == 2]
+    assert shared
+    scheme = AcceptingReward(product, 2.0)
+    for t in shared * 2:
+        assert scheme(t) == 2.0
 
 
-def test_reward_support_is_exactly_the_accepting_union(augmented_product):
-    acc = augmented_product.accepting_transitions()
-    for t in augmented_product.aut_edge:
-        expected = 2.0 if t in acc else 0.0
-        assert reward_accepting(t, augmented_product.acceptance, 2.0) == expected
+@pytest.mark.parametrize("cls", [AcceptingReward, FrontierReward])
+@pytest.mark.parametrize("r_p", [0.0, -1.0])
+def test_reward_rejects_nonpositive_r_p(cls, r_p, augmented_product):
+    with pytest.raises(ValueError, match="r_p must be positive"):
+        cls(augmented_product, r_p)
 
 
 def test_frontier_step_set_arithmetic(fig_automaton):
     acc = fig_automaton.acceptance
     f = frontier_init(acc)
-    assert f.remaining == acc[0] | acc[1]
+    assert f == acc[0] | acc[1]
     f2, scored = frontier_step(f, Transition(0, A, 0), acc)
     assert scored is True
-    assert f2.remaining == frozenset({Transition(0, B, 0)})
+    assert f2 == frozenset({Transition(0, B, 0)})
     f3, scored = frontier_step(f2, Transition(0, A, 0), acc)
     assert scored is False and f3 == f2
     f4, scored = frontier_step(f3, Transition(0, B, 0), acc)
     assert scored is True
-    assert f4.remaining == acc[0] | acc[1]  # emptied, so re-initialized
+    assert f4 == acc[0] | acc[1]  # emptied, so re-initialized
 
 
 def test_frontier_reward_scores_first_visits(raw_product):
@@ -180,53 +239,52 @@ def test_frontier_reward_scores_first_visits(raw_product):
     assert scheme(a_step) == 2.0
 
 
-def test_compiled_accepting_reward_matches_callable(augmented_product, degeneralized_product):
-    for product in (augmented_product, degeneralized_product):
-        scheme = AcceptingReward(product, 2.0)
-        compiled = scheme.compile()
-        for t in product.aut_edge:
-            assert compiled.step(0, t) == (scheme(t), 0)
-
-
-def overlapping_sets_product(grid):
-    """One-state automaton over {a, b} whose sets overlap: hitting the a-loop
-    removes sets 1 and 2 and leaves the b-loop of set 3 pending."""
-    loops = {letter: Transition(0, letter, 0) for letter in (frozenset(), A, B, AB)}
-    b = TGba(1, 0, AB, frozenset(loops.values()),
-             (frozenset({loops[A]}), frozenset({loops[A], loops[B]}), frozenset({loops[B]})))
-    return build_product(grid, b)
+@pytest.mark.parametrize("which", ["augmented", "unmerged", "overlapping"])
+def test_accepting_step_matches_one_set_frontier_reference(which, request, grid):
+    """The accepting reward is the set-based frontier over one set, the union
+    of the accepting sets, whose working set empties on every hit."""
+    if which == "overlapping":
+        product = overlapping_sets_product(grid)
+    else:
+        product = request.getfixturevalue(f"{which}_product")
+    scheme = AcceptingReward(product, 2.0)
+    acc = (product.accepting_transitions(),)
+    remaining, done, scored = frontier_init(acc), 0, 0
+    for restarted, t, mask in walk_tables(product, 46):
+        if restarted:
+            remaining, done = frontier_init(acc), 0
+            scheme.reset()
+        remaining, hit = frontier_step(remaining, t, acc)
+        r, done = scheme.step(done, mask)
+        assert r == (2.0 if hit else 0.0) == scheme(t)
+        assert done == scheme.done == 0 and remaining == acc[0]
+        scored += hit
+    assert scored > 50
 
 
 @pytest.mark.parametrize("which", ["raw", "overlapping"])
-def test_compiled_frontier_matches_callable_on_walk(which, raw_product, grid):
-    """Seeded walk with random resets: the bitmask state and the callable's
+def test_frontier_step_matches_set_reference_on_walk(which, raw_product, grid):
+    """Seeded walk with random resets: the bitmask ``done`` and the set-based
     working set agree, and so do their rewards."""
     product = raw_product if which == "raw" else overlapping_sets_product(grid)
     scheme = FrontierReward(product, 2.0)
-    compiled = scheme.compile()
     acc = product.automaton.acceptance
-    full = frozenset().union(*acc)
+    full = frontier_init(acc)
 
     def mask(t):
         return sum(1 << j for j, s in enumerate(acc) if t in s)
 
-    rng = np.random.default_rng(45)
-    rows = product.mdp.prob
-    s, done, scored = product.mdp.initial, 0, 0
-    for _ in range(20_000):
-        if rng.random() < 0.05:
+    remaining, done, scored = full, 0, 0
+    for restarted, t, m in walk_tables(product, 45):
+        if restarted:
+            remaining, done = full, 0
             scheme.reset()
-            s, done = product.mdp.initial, 0
-        acts = product.mdp.enabled[s]
-        a = acts[rng.integers(len(acts))]
-        row = rows[(s, a)]
-        dst = row[rng.choice(len(row), p=[p for _, p in row])][0]
-        t = (s, a, dst)
-        r, done = compiled.step(done, t)
-        assert r == scheme(t)
-        assert scheme._state.remaining == frozenset(x for x in full if not mask(x) & done)
-        scored += r > 0
-        s = dst
+        remaining, hit = frontier_step(remaining, product.aut_edge[t], acc)
+        r, done = scheme.step(done, m)
+        assert r == (2.0 if hit else 0.0) == scheme(t)
+        assert done == scheme.done
+        assert remaining == frozenset(x for x in full if not mask(x) & done)
+        scored += hit
     assert scored > 50
 
 
