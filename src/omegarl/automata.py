@@ -460,26 +460,11 @@ def accepts_lasso(b: TGba, w: LassoWord) -> bool:
 
 
 def _assert_no_epsilon_cycles(b: TGba, eps_out) -> None:
-    color = [0] * b.num_states  # 0 unvisited, 1 active, 2 done
-    for root in b.states():
-        if color[root]:
-            continue
-        stack = [(root, iter(eps_out[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for dst, _ in it:
-                if color[dst] == 1:
-                    raise AutomatonError("epsilon transitions form a cycle")
-                if color[dst] == 0:
-                    color[dst] = 1
-                    stack.append((dst, iter(eps_out[dst])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
+    """An epsilon cycle is an epsilon component of several states, or a
+    state with an epsilon self-loop."""
+    for comp in strongly_connected_components(b.states(), lambda x: (d for d, _ in eps_out[x])):
+        if len(comp) > 1 or any(d == comp[0] for d, _ in eps_out[comp[0]]):
+            raise AutomatonError("epsilon transitions form a cycle")
 
 
 def _render(b: TGba, t: Transition) -> str:

@@ -20,9 +20,11 @@ never ``np.sum``, ``@``, ``dot`` or ``einsum``, whose summation order numpy
 does not promise (pairwise, SIMD and BLAS kernels regroup the additions).
 
 The training kernel runs on the product's integer tables and inlines the
-reward scheme's bitmask ``step``.  Q-values and visit counts are flat
-lists indexed by pair; action names come back only in the returned tables
-and policies.
+reward scheme's bitmask ``step``.  A ``QTable`` holds flat lists: Q-values
+and visit counts indexed by pair, state visits indexed by state; the
+kernel hands its own lists over.  Action names come back only in the
+returned policies, which ``greedy_policy`` and ``value_iteration`` extract
+by one rule: the first maximal pair of each state.
 Per state, the kernel also keeps its greedy pair and maximal value current
 through every update, so neither the greedy choice nor the bootstrap
 target scans the state's actions.
@@ -43,7 +45,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .mdp import PositionalPolicy
-from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_policy
+from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_policy, require_positive
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.r_p <= 0:
-            raise ValueError("r_p must be positive")
+        require_positive("r_p", self.r_p)
         for name in ("episodes", "steps_per_episode", "sessions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -79,8 +80,7 @@ class TrainConfig:
                 "alpha_exponent must lie in (0.5, 1] so that the step sizes "
                 "sum to infinity while their squares stay summable"
             )
-        if self.epsilon_numerator <= 0:
-            raise ValueError("epsilon_numerator must be positive")
+        require_positive("epsilon_numerator", self.epsilon_numerator)
         if self.epsilon_scope not in ("episode", "session"):
             raise ValueError("epsilon_scope must be 'episode' or 'session'")
 
@@ -125,23 +125,31 @@ def alpha(k: int, exponent: float = 0.85) -> float:
 
 
 class QTable:
-    """Action values plus visit counts, initialized to zero on every
-    enabled state-action pair of a product."""
+    """Action values plus visit counts of a product, initialized to zero:
+    ``values`` and ``pair_visits`` are indexed by pair (``product.keys``
+    names them), ``state_visits`` by state."""
 
     def __init__(self, product: ProductMdp):
-        self.enabled = product.mdp.enabled
-        self.values: dict[tuple[int, str], float] = dict.fromkeys(product.keys, 0.0)
-        self.state_visits: dict[int, int] = dict.fromkeys(range(product.num_states), 0)
-        self.pair_visits: dict[tuple[int, str], int] = dict.fromkeys(self.values, 0)
+        self.product = product
+        self.values: list[float] = [0.0] * len(product.keys)
+        self.pair_visits: list[int] = [0] * len(product.keys)
+        self.state_visits: list[int] = [0] * product.num_states
+
+
+def _first_maximal(product: ProductMdp, values) -> PositionalPolicy:
+    """The action of each state's first maximal pair in ``values``, so ties
+    go to the lowest action id."""
+    first, keys = product.first, product.keys
+    choice = {}
+    for s, (lo, hi) in enumerate(zip(first, first[1:])):
+        qs = values[lo:hi]
+        choice[s] = keys[lo + qs.index(max(qs))][1]
+    return PositionalPolicy(choice)
 
 
 def greedy_policy(q: QTable) -> PositionalPolicy:
     """Greedy action per state, ties broken by the lowest action id."""
-    choice = {}
-    for s, actions in enumerate(q.enabled):
-        qs = [q.values[(s, a)] for a in actions]  # KeyError on a missing entry
-        choice[s] = actions[qs.index(max(qs))]
-    return PositionalPolicy(choice)
+    return _first_maximal(q.product, q.values)
 
 
 class RawDraws:
@@ -333,9 +341,7 @@ def train(
         if track_satisfaction and best != evaluated:
             ev = evaluate_policy(product, policy(best))
         q = QTable(product)
-        q.values = dict(zip(keys, values))
-        q.pair_visits = dict(zip(keys, pair_visits))
-        q.state_visits = dict(enumerate(state_visits))
+        q.values, q.pair_visits, q.state_visits = values, pair_visits, state_visits
         qtables.append(q)
         policies.append(policy(best))
         first_pos.append(pos_ep)
@@ -364,8 +370,9 @@ def value_iteration(
 
     Synchronous Bellman-optimality iteration on the product's integer
     tables to a sup-norm error below ``tol``; the returned greedy policy
-    breaks ties by lowest action id.  ``r_p`` must be positive, as for
-    ``AcceptingReward``, and ``tol`` must be non-negative.
+    breaks ties by lowest action id, as ``greedy_policy`` does.  ``r_p``
+    must be positive and finite, as for ``AcceptingReward``, and ``tol``
+    must be non-negative.
 
     The tables are laid out in successor slots: ``dst``, ``prob`` and
     ``rew`` are ``(width, pairs)`` arrays, where ``width`` is the most
@@ -381,8 +388,7 @@ def value_iteration(
         raise ValueError("gamma must lie in [0, 1)")
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
-    if r_p <= 0:
-        raise ValueError("r_p must be positive")
+    require_positive("r_p", r_p)
     width = max(map(len, product.succ))
     shape = (width, len(product.keys))
     dst, prob, rew = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)
@@ -406,10 +412,4 @@ def value_iteration(
         if delta <= threshold:
             break
 
-    # the first maximal pair of each state, so ties go to the lowest action id
-    q = backup(v).tolist()
-    choice = {}
-    for s, (lo, hi) in enumerate(zip(product.first, product.first[1:])):
-        qs = q[lo:hi]
-        choice[s] = product.keys[lo + qs.index(max(qs))][1]
-    return dict(enumerate(v.tolist())), PositionalPolicy(choice)
+    return dict(enumerate(v.tolist())), _first_maximal(product, backup(v).tolist())

@@ -7,7 +7,6 @@ chains, and exact reachability probabilities via a direct linear solve.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,21 +289,17 @@ def load_mdp(path) -> LabeledMdp:
 def induce_chain(m: LabeledMdp, pi: PositionalPolicy) -> MarkovChain:
     """Markov chain over the states reachable from the initial state under ``pi``."""
     prob: dict[int, tuple[tuple[int, float], ...]] = {}
-    seen = {m.initial}
-    queue = deque([m.initial])
-    while queue:
-        s = queue.popleft()
+
+    def successors(s: int):
         a = pi.choice.get(s)
         if a is None:
             raise UndefinedChoice(s)
         if a not in m.enabled[s]:
             raise MdpError(f"policy chooses disabled action {a!r} at state {s}")
-        row = m.prob[(s, a)]
-        prob[s] = row
-        for dst, _ in row:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+        prob[s] = row = m.prob[(s, a)]
+        return (dst for dst, _ in row)
+
+    seen = closure((m.initial,), successors)
     return MarkovChain(
         states=tuple(sorted(seen)),
         prob=prob,

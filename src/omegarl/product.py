@@ -15,12 +15,15 @@ the pair.  Each pair has a tuple of successor states, a tuple of their
 probabilities, a tuple of the cumulative probabilities of all but its last
 successor (a uniform draw picks a successor by bisection), and a tuple of
 bitmasks whose bit ``k`` says that the transition lies in accepting set
-``k`` (0 for epsilon and non-accepting transitions).  Both reward schemes
-are one rule over those masks (``RewardScheme``).
+``k`` of the automaton (0 for epsilon and non-accepting transitions).
+Acceptance lives only in these masks: both reward schemes are one rule
+over them (``RewardScheme``), and policy evaluation and the positional
+impossibility certificate read them too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -55,19 +58,15 @@ class NondeterministicMove(ProductError):
 
 @dataclass(frozen=True)
 class ProductMdp:
-    """Reachable product, exposed as a labeled MDP plus acceptance data.
+    """Reachable product, exposed as a labeled MDP plus the integer tables.
 
     ``pairs[i]`` gives the (MDP state, automaton state) decomposition of
-    product state ``i``; ``aut_edge`` maps each product transition to the
-    automaton transition it synchronizes with (epsilon actions included).
-    The remaining fields are the integer tables (layout in the module
-    docstring).
+    product state ``i``.  The remaining fields are the integer tables
+    (layout in the module docstring).
     """
 
     mdp: LabeledMdp
     pairs: tuple[tuple[int, int], ...]
-    acceptance: tuple[frozenset[ProductTransition], ...]
-    aut_edge: dict[ProductTransition, Transition]
     automaton: TGba
     keys: tuple[tuple[int, str], ...]  # pair -> (state, action name)
     first: tuple[int, ...]
@@ -86,9 +85,6 @@ class ProductMdp:
     def render_transition(self, t: ProductTransition) -> str:
         src, a, dst = t
         return f"{self.name_of(src)} -{a}-> {self.name_of(dst)}"
-
-    def accepting_transitions(self) -> frozenset[ProductTransition]:
-        return frozenset().union(*self.acceptance)
 
 
 def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
@@ -139,21 +135,16 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
     enabled: list[tuple[str, ...]] = []
     prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
     label: dict[tuple[int, str, int], frozenset[str]] = {}
-    aut_edge: dict[ProductTransition, Transition] = {}
-    acceptance: list[set[ProductTransition]] = [set() for _ in b.acceptance]
     keys, succ, probs, masks = [], [], [], []
     for i, row in enumerate(rows):
         dists: dict[str, list[tuple[int, float, int]]] = {}
         for (a, p, t, full_label), j in row:
-            pt = (i, a, j)
-            aut_edge[pt] = t
             if full_label:
-                label[pt] = full_label
+                label[(i, a, j)] = full_label
             mask = 0
             if not t.is_epsilon():
                 for k, acc in enumerate(b.acceptance):
                     if t in acc:
-                        acceptance[k].add(pt)
                         mask |= 1 << k
             dists.setdefault(a, []).append((j, p, mask))
         for a, dist in dists.items():
@@ -178,8 +169,6 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
     return ProductMdp(
         mdp=product_mdp,
         pairs=tuple(order),
-        acceptance=tuple(frozenset(acc) for acc in acceptance),
-        aut_edge=aut_edge,
         automaton=b,
         keys=tuple(keys),
         first=(0, *accumulate(map(len, enabled))),
@@ -191,6 +180,12 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
 
 
 # --- rewards ---------------------------------------------------------------
+
+def require_positive(name: str, x: float) -> None:
+    """Reject anything but a finite positive number (NaN and infinity too)."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be positive and finite, not {x!r}")
+
 
 class RewardScheme:
     """A reward scheme as one bitmask rule over the product's ``masks``.
@@ -205,8 +200,7 @@ class RewardScheme:
     """
 
     def __init__(self, product: ProductMdp, r_p: float, empty: tuple[bool, ...]):
-        if r_p <= 0:
-            raise ValueError("r_p must be positive")
+        require_positive("r_p", r_p)
         self.product = product
         self.r_p = float(r_p)
         self.empty = empty
@@ -233,7 +227,8 @@ class RewardScheme:
 def AcceptingReward(product: ProductMdp, r_p: float) -> RewardScheme:
     """Reward of the memory-augmented method: every hit empties the working
     set, so every accepting transition scores ``r_p``."""
-    return RewardScheme(product, r_p, (False,) + (True,) * ((1 << len(product.acceptance)) - 1))
+    n_sets = len(product.automaton.acceptance)
+    return RewardScheme(product, r_p, (False,) + (True,) * ((1 << n_sets) - 1))
 
 
 def FrontierReward(product: ProductMdp, r_p: float) -> RewardScheme:
@@ -302,32 +297,35 @@ def evaluate_policy(p: ProductMdp, pi: PositionalPolicy) -> PolicyEvaluation:
     """
     chain = induce_chain(p.mdp, pi)
     dec = decompose(chain)
-    n_sets = len(p.acceptance)
+    n_sets = len(p.automaton.acceptance)
 
     classes: list[ClassReport] = []
     accepting_states: set[int] = set()
     for members in dec.recurrent_classes:
-        edges = []
-        for s in members:
-            a = pi.choice[s]
-            for dst, _ in chain.prob[s]:
-                edges.append((s, a, dst))
-        coverage = []
+        # OR the chosen pairs' masks over the class; states ascend and so
+        # does each row's succ, so a set's witness is its lowest transition
+        covered = 0
         witnesses: dict[int, ProductTransition] = {}
-        for j in range(n_sets):
-            hit = next((e for e in sorted(edges) if e in p.acceptance[j]), None)
-            coverage.append(hit is not None)
-            if hit is not None:
-                witnesses[j] = hit
+        for s in sorted(members):
+            a = pi.choice[s]
+            pair = p.first[s] + p.mdp.enabled[s].index(a)
+            for dst, mask in zip(p.succ[pair], p.masks[pair]):
+                new = mask & ~covered
+                if new:
+                    covered |= new
+                    for j in range(n_sets):
+                        if new >> j & 1:
+                            witnesses[j] = (s, a, dst)
+        coverage = tuple(bool(covered >> j & 1) for j in range(n_sets))
         accepting = all(coverage)
         if accepting:
             accepting_states.update(members)
         classes.append(
             ClassReport(
                 states=tuple(sorted(members)),
-                coverage=tuple(coverage),
+                coverage=coverage,
                 accepting=accepting,
-                witnesses=witnesses,
+                witnesses=dict(sorted(witnesses.items())),
             )
         )
 
@@ -353,17 +351,17 @@ def check_positional_impossibility(p: ProductMdp) -> bool:
     policy fixes a single action there, so it can intersect at most one of
     the two sets.
     """
-    n = len(p.acceptance)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fi, fj = p.acceptance[i], p.acceptance[j]
+    sources: list[set[tuple[int, str]]] = [set() for _ in p.automaton.acceptance]
+    for key, masks in zip(p.keys, p.masks):
+        for j, acc in enumerate(sources):
+            if any(m >> j & 1 for m in masks):
+                acc.add(key)
+    for i, fi in enumerate(sources):
+        for fj in sources[i + 1:]:
             if not fi or not fj:
                 continue
-            srcs = {t[0] for t in fi} | {t[0] for t in fj}
-            if len(srcs) != 1:
+            if len({s for s, _ in fi | fj}) != 1:
                 continue
-            acts_i = {t[1] for t in fi}
-            acts_j = {t[1] for t in fj}
-            if acts_i.isdisjoint(acts_j):
+            if {a for _, a in fi}.isdisjoint(a for _, a in fj):
                 return True
     return False

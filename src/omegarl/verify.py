@@ -114,7 +114,7 @@ def check_recurrence_dichotomy(
         product = build_product(build_gridworld(), merge_unaccepting(augment(base)))
         rng = np.random.default_rng(seed)
         enabled = product.mdp.enabled
-        n_sets = len(product.acceptance)
+        n_sets = len(product.automaton.acceptance)
         for trial in range(n_policies):
             pi = PositionalPolicy(
                 {s: acts[rng.integers(len(acts))] for s, acts in enumerate(enabled)}

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own decision procedures:
 formula evaluation walks suffixes directly, automaton acceptance searches
 for accepting closed walks with a layered DP, reachability is estimated
 by vectorized simulation, the reference value iteration backs up one
-pair at a time with a scalar loop over its successors, and the reference
-frontier reward keeps its working set as a set of transitions.
+pair at a time with a scalar loop over its successors, the reference
+frontier reward keeps its working set as a set of transitions, and a
+product's accepting transitions are rebuilt from its base MDP and
+automaton rather than read from its masks.
 """
 
 from __future__ import annotations
@@ -186,6 +188,39 @@ def scalar_value_iteration(product, gamma: float, r_p: float, tol: float = 1e-10
         for s, (lo, hi) in enumerate(spans)
     }
     return dict(enumerate(v)), PositionalPolicy(choice)
+
+
+# --- product views -----------------------------------------------------------------
+
+def product_aut_edge(m, product) -> dict:
+    """Each product transition ``(i, action, j)`` mapped to the automaton
+    transition it synchronizes with, rebuilt from the base MDP ``m`` and the
+    product's automaton in the order the product explores them: state by
+    state, the base MDP's actions and rows first, then the epsilon guesses
+    by target state."""
+    b = product.automaton
+    index = {pair: i for i, pair in enumerate(product.pairs)}
+    edges = {}
+    for i, (s, x) in enumerate(product.pairs):
+        out = [t for t in b.transitions if t.src == x]
+        for a in m.enabled[s]:
+            for dst, _ in m.prob[(s, a)]:
+                letter = m.label_of(s, a, dst) & b.ap
+                (t,) = [t for t in out if not t.is_epsilon() and t.letter == letter]
+                edges[(i, a, index[(dst, t.dst)])] = t
+        for t in sorted((t for t in out if t.is_epsilon()), key=lambda t: t.dst):
+            edges[(i, f"eps->{b.name_of(t.dst)}", index[(s, t.dst)])] = t
+    return edges
+
+
+def product_acceptance(m, product) -> tuple[frozenset, ...]:
+    """The product transitions in each accepting set of the product's
+    automaton; epsilon moves never accept."""
+    edges = product_aut_edge(m, product)
+    return tuple(
+        frozenset(pt for pt, t in edges.items() if not t.is_epsilon() and t in acc)
+        for acc in product.automaton.acceptance
+    )
 
 
 # --- frontier reward oracle ------------------------------------------------------

@@ -320,6 +320,31 @@ def test_epsilon_cycle_rejected():
         accepts_lasso(b, lasso([], [{"a"}]))
 
 
+def epsilon_automaton(eps_edges):
+    """Four states that loop on {a}, with the given epsilon edges; the
+    a-loop of the last state is accepting."""
+    loops = [Transition(x, A, x) for x in range(4)]
+    eps = [Transition(src, EPSILON, dst) for src, dst in eps_edges]
+    return TGba(4, 0, frozenset({"a"}), frozenset(loops + eps), (frozenset({loops[3]}),))
+
+
+# test_epsilon_cycle_rejected covers the two-cycle
+@pytest.mark.parametrize("eps_edges", [
+    [(0, 0)],  # self-loop
+    [(0, 1), (1, 2), (2, 3), (3, 1)],  # cycle behind an acyclic prefix
+], ids=["self-loop", "behind-prefix"])
+def test_epsilon_cycle_shapes_rejected(eps_edges):
+    with pytest.raises(AutomatonError, match="cycle"):
+        accepts_lasso(epsilon_automaton(eps_edges), lasso([], [{"a"}]))
+
+
+def test_epsilon_diamond_is_no_cycle():
+    b = epsilon_automaton([(0, 1), (0, 2), (1, 3), (2, 3)])
+    w = lasso([], [{"a"}])
+    assert accepts_lasso(b, w) is True
+    assert enum_accepts(b, w) is True
+
+
 def test_acceptance_agrees_with_walk_enum_on_random_automata():
     rng = np.random.default_rng(12)
     for _ in range(150):

@@ -166,8 +166,13 @@ def test_train_mdp_file_input(tmp_path):
         ({"episodes": "2"}, "config field 'episodes' must be an integer, not '2'"),
         ([1, 2], "config must be a JSON object, not list"),
         ({"episodes": 1.5}, "config field 'episodes' must be an integer, not 1.5"),
+        ({"r_p": float("nan")}, "r_p must be positive and finite, not nan"),
+        ({"r_p": float("inf")}, "r_p must be positive and finite, not inf"),
+        ({"epsilon_numerator": float("nan")},
+         "epsilon_numerator must be positive and finite, not nan"),
     ],
-    ids=["unknown-key", "string-count", "list", "float-count"],
+    ids=["unknown-key", "string-count", "list", "float-count", "nan-r_p", "inf-r_p",
+         "nan-epsilon"],
 )
 def test_train_malformed_config_is_validation_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from helpers import product_acceptance, product_aut_edge
 from omegarl import (
     TrainConfig,
     augment,
@@ -133,7 +134,7 @@ def test_golden_library_session_scope(method):
     result = train(product, scheme, cfg, track_satisfaction=False)
     digest = hashlib.sha256(result.curve.per_session.tobytes())
     for q in result.qtables:
-        digest.update(repr(sorted(q.values.items())).encode())
+        digest.update(repr(sorted(zip(product.keys, q.values))).encode())
     assert digest.hexdigest() == GOLDEN_LIBRARY[method]
 
 
@@ -212,11 +213,12 @@ def test_golden_transform(fixture, transform):
 
 @pytest.mark.parametrize("env,method", sorted(GOLDEN))
 def test_golden_product(env, method):
-    product, _ = method_product_and_scheme(environment(env), fixture_gfa_gfb_gnc(), method, 2.0)
+    base = environment(env)
+    product, _ = method_product_and_scheme(base, fixture_gfa_gfb_gnc(), method, 2.0)
     m = product.mdp
     aut_edge = [
         (t, e.src, "eps" if e.is_epsilon() else sorted(e.letter), e.dst)
-        for t, e in product.aut_edge.items()
+        for t, e in product_aut_edge(base, product).items()
     ]
     digest = text_sha256(
         m.state_names,
@@ -224,7 +226,7 @@ def test_golden_product(env, method):
         m.enabled,
         list(m.prob.items()),
         sorted((t, sorted(letter)) for t, letter in m.label.items()),
-        [sorted(acc) for acc in product.acceptance],
+        [sorted(acc) for acc in product_acceptance(base, product)],
         aut_edge,
     )
     assert digest == GOLDEN_PRODUCTS[(env, method)]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import letters_over, random_labeled_mdp, scalar_value_iteration
+from helpers import letters_over, product_acceptance, random_labeled_mdp, scalar_value_iteration
 from omegarl import (
     LabeledMdp,
     QTable,
@@ -75,17 +75,21 @@ def test_train_config_validation():
         TrainConfig(episodes=0)
     with pytest.raises(ValueError, match="epsilon_scope"):
         TrainConfig(epsilon_scope="weekly")
+    for name in ("r_p", "epsilon_numerator"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                TrainConfig(**{name: bad})
     cfg = TrainConfig()
     assert cfg.gamma == 0.95 and cfg.r_p == 2.0 and cfg.alpha_exponent == 0.85
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def test_q_update_fixed_point_of_optimal_values(augmented_product):
+def test_q_update_fixed_point_of_optimal_values(augmented_product, grid):
     """At the optimal Q-values the expected update is zero, so sampled TD
     errors must average out within noise for every state-action pair."""
     gamma, r_p = 0.95, 2.0
     values, _ = value_iteration(augmented_product, gamma, r_p)
-    accepting = augmented_product.accepting_transitions()
+    accepting = frozenset().union(*product_acceptance(grid, augmented_product))
     prob = augmented_product.mdp.prob
     enabled = augmented_product.mdp.enabled
 
@@ -119,25 +123,22 @@ def test_q_update_fixed_point_of_optimal_values(augmented_product):
         assert abs(tds.mean()) <= 5 * se + 1e-9
 
 
-def test_greedy_policy_tie_breaking_and_errors(augmented_product):
+def test_greedy_policy_tie_breaking(augmented_product):
     q = QTable(augmented_product)
     pi = greedy_policy(q)
     for s, acts in enumerate(augmented_product.mdp.enabled):
         assert pi.choice[s] == acts[0]  # all-zero table: lowest action id
-    del q.values[(0, augmented_product.mdp.enabled[0][0])]
-    with pytest.raises(KeyError):
-        greedy_policy(q)
 
 
-def test_greedy_policy_matches_value_iteration(augmented_product):
+def test_greedy_policy_matches_value_iteration(augmented_product, grid):
     gamma, r_p = 0.95, 2.0
     values, vi_policy = value_iteration(augmented_product, gamma, r_p)
-    accepting = augmented_product.accepting_transitions()
+    accepting = frozenset().union(*product_acceptance(grid, augmented_product))
     q = QTable(augmented_product)
-    for (s, a), row in augmented_product.mdp.prob.items():
-        q.values[(s, a)] = sum(
+    for pair, (s, a) in enumerate(augmented_product.keys):
+        q.values[pair] = sum(
             p * ((r_p if (s, a, d) in accepting else 0.0) + gamma * values[d])
-            for d, p in row
+            for d, p in augmented_product.mdp.prob[(s, a)]
         )
     assert greedy_policy(q).choice == vi_policy.choice
 
@@ -150,7 +151,7 @@ def test_value_iteration_geometric_series():
     assert policy.choice == {0: "go", 1: "go"}
 
 
-@pytest.mark.parametrize("r_p", [0.0, -1.0])
+@pytest.mark.parametrize("r_p", [0.0, -1.0, math.nan, math.inf])
 def test_value_iteration_rejects_nonpositive_reward(augmented_product, r_p):
     with pytest.raises(ValueError, match="r_p must be positive"):
         value_iteration(augmented_product, gamma=0.95, r_p=r_p)
@@ -207,9 +208,9 @@ def test_value_iteration_finds_satisfying_policy(augmented_product):
     assert evaluate_policy(augmented_product, policy).sat_probability == 1.0
 
 
-def test_value_iteration_gamma_zero_is_myopic(augmented_product):
+def test_value_iteration_gamma_zero_is_myopic(augmented_product, grid):
     r_p = 2.0
-    accepting = augmented_product.accepting_transitions()
+    accepting = frozenset().union(*product_acceptance(grid, augmented_product))
     _, policy = value_iteration(augmented_product, gamma=0.0, r_p=r_p)
     for s, acts in enumerate(augmented_product.mdp.enabled):
         def immediate(a):
@@ -239,7 +240,7 @@ def test_train_q_values_bounded(augmented_product):
     result = train(augmented_product, AcceptingReward(augmented_product, cfg.r_p), cfg)
     bound = cfg.r_p / (1.0 - cfg.gamma)
     for q in result.qtables:
-        assert all(0.0 <= v <= bound + 1e-9 for v in q.values.values())
+        assert all(0.0 <= v <= bound + 1e-9 for v in q.values)
 
 
 def test_train_collects_reward_and_reports_curves(augmented_product):

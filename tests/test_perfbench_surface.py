@@ -5,13 +5,16 @@ directly, so an API cut that breaks them (and with them
 ``perfbench/run.py --trace 1``) fails here instead of in a benchmark run.
 """
 
+import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 import workloads  # noqa: E402
@@ -41,3 +44,15 @@ def test_kernel_probe_calls(grid9):
         result = layers.train(product, scheme, cfg, track_satisfaction=False)
         assert result.evaluations == (None,) * cfg.sessions
         assert [layers.greedy_policy(q) for q in result.qtables] == list(result.policies)
+
+
+def test_measure_reports_declared_per_layer_metrics(grid9):
+    """The whole ``--trace 1`` probe set runs, and every figure it reports is
+    a per-layer metric of ``BENCHMARK.json`` with that metric's unit."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    units = {metric["name"]: metric["unit"] for metric in declared}
+    out = layers.measure(grid9)
+    assert len(out) == 39
+    for name, (value, unit) in out.items():
+        assert units.get(name) == unit, name
+        assert math.isfinite(value) and value >= 0.0, name

@@ -3,7 +3,14 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from helpers import frontier_init, frontier_step, letters_over, mc_absorption_estimate
+from helpers import (
+    frontier_init,
+    frontier_step,
+    letters_over,
+    mc_absorption_estimate,
+    product_acceptance,
+    product_aut_edge,
+)
 from omegarl import (
     EPSILON,
     AlphabetMismatch,
@@ -61,14 +68,15 @@ def test_product_initial_and_counts(augmented_product, raw_product):
     assert raw_product.num_states == 14
 
 
-def test_product_accepting_transition_example(augmented_product):
+def test_product_accepting_transition_example(augmented_product, grid):
     names = by_name(augmented_product)
     t = (names["(s4|x0@00)"], "to_s0", names["(s0|x0@10)"])
     assert dict(augmented_product.mdp.prob[(names["(s4|x0@00)"], "to_s0")])[
         names["(s0|x0@10)"]
     ] == pytest.approx(0.9, abs=1e-15)
-    assert t in augmented_product.acceptance[0]
-    assert t not in augmented_product.acceptance[1]
+    acceptance = product_acceptance(grid, augmented_product)
+    assert t in acceptance[0]
+    assert t not in acceptance[1]
 
 
 def test_product_with_trivial_automaton_is_isomorphic(grid):
@@ -93,9 +101,9 @@ def test_product_epsilon_actions(grid, eps_automaton):
             row = product.mdp.prob[(i, "eps->x1")]
             assert row == ((names[f"(s{s}|x1)"], 1.0),)
     # epsilon product transitions are never accepting
-    for acc in product.acceptance:
-        for (src, a, dst) in acc:
-            assert not a.startswith("eps->")
+    for p, (_, a) in enumerate(product.keys):
+        if a.startswith("eps->"):
+            assert product.masks[p] == (0,)
 
 
 def test_product_missing_move_fails_loudly(grid):
@@ -146,6 +154,9 @@ def test_product_tables_match_prob_and_acceptance(env, method):
     m = build_gridworld() if env == "grid9" else parse_mdp(slip_mdp_text())
     product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), method, 2.0)
     prob = product.mdp.prob
+    # acceptance rebuilt from the automaton, not a view derived from the masks
+    acceptance = product_acceptance(m, product)
+    assert any(acceptance)
     assert list(product.keys) == list(prob)
     assert product.first == (0, *accumulate(map(len, product.mdp.enabled)))
     for p, (s, a) in enumerate(product.keys):
@@ -154,7 +165,7 @@ def test_product_tables_match_prob_and_acceptance(env, method):
         assert product.cuts[p] == tuple(accumulate(product.probs[p][:-1]))
         for dst, mask in zip(product.succ[p], product.masks[p]):
             t = (s, a, dst)
-            assert mask == sum(1 << k for k, acc in enumerate(product.acceptance) if t in acc)
+            assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
 
 
 # --- rewards -----------------------------------------------------------------------
@@ -185,12 +196,14 @@ def walk_tables(product, seed: int, steps: int = 20_000, restart: float = 0.05):
         s = product.succ[p][j]
 
 
-def test_reward_support_is_exactly_the_accepting_union(augmented_product, degeneralized_product):
+def test_reward_support_is_exactly_the_accepting_union(
+    augmented_product, degeneralized_product, grid
+):
     for product in (augmented_product, degeneralized_product):
         scheme = AcceptingReward(product, 2.0)
-        accepting = product.accepting_transitions()
+        accepting = frozenset().union(*product_acceptance(grid, product))
         assert accepting
-        for t in product.aut_edge:
+        for t in product_aut_edge(grid, product):
             assert scheme(t) == (2.0 if t in accepting else 0.0)
 
 
@@ -201,7 +214,8 @@ def test_accepting_reward_values(augmented_product, grid):
     assert scheme((names["(s7|x0@00)"], "up", names["(s4|x0@00)"])) == 0.0
     # membership in two sets still pays a single reward, every time
     product = overlapping_sets_product(grid)
-    shared = [t for t in product.aut_edge if sum(t in acc for acc in product.acceptance) == 2]
+    acceptance = product_acceptance(grid, product)
+    shared = [t for t in product_aut_edge(grid, product) if sum(t in acc for acc in acceptance) == 2]
     assert shared
     scheme = AcceptingReward(product, 2.0)
     for t in shared * 2:
@@ -209,7 +223,7 @@ def test_accepting_reward_values(augmented_product, grid):
 
 
 @pytest.mark.parametrize("cls", [AcceptingReward, FrontierReward])
-@pytest.mark.parametrize("r_p", [0.0, -1.0])
+@pytest.mark.parametrize("r_p", [0.0, -1.0, float("nan"), float("inf")])
 def test_reward_rejects_nonpositive_r_p(cls, r_p, augmented_product):
     with pytest.raises(ValueError, match="r_p must be positive"):
         cls(augmented_product, r_p)
@@ -248,7 +262,7 @@ def test_accepting_step_matches_one_set_frontier_reference(which, request, grid)
     else:
         product = request.getfixturevalue(f"{which}_product")
     scheme = AcceptingReward(product, 2.0)
-    acc = (product.accepting_transitions(),)
+    acc = (frozenset().union(*product_acceptance(grid, product)),)
     remaining, done, scored = frontier_init(acc), 0, 0
     for restarted, t, mask in walk_tables(product, 46):
         if restarted:
@@ -269,6 +283,7 @@ def test_frontier_step_matches_set_reference_on_walk(which, raw_product, grid):
     product = raw_product if which == "raw" else overlapping_sets_product(grid)
     scheme = FrontierReward(product, 2.0)
     acc = product.automaton.acceptance
+    aut_edge = product_aut_edge(grid, product)
     full = frontier_init(acc)
 
     def mask(t):
@@ -279,7 +294,7 @@ def test_frontier_step_matches_set_reference_on_walk(which, raw_product, grid):
         if restarted:
             remaining, done = full, 0
             scheme.reset()
-        remaining, hit = frontier_step(remaining, product.aut_edge[t], acc)
+        remaining, hit = frontier_step(remaining, aut_edge[t], acc)
         r, done = scheme.step(done, m)
         assert r == (2.0 if hit else 0.0) == scheme(t)
         assert done == scheme.done
@@ -339,7 +354,7 @@ def test_impossibility_certificates(raw_product, augmented_product, degeneralize
 def test_recurrent_classes_cover_all_sets_or_none(augmented_product):
     rng = np.random.default_rng(42)
     enabled = augmented_product.mdp.enabled
-    n_sets = len(augmented_product.acceptance)
+    n_sets = len(augmented_product.automaton.acceptance)
     for _ in range(200):
         pi = PositionalPolicy(
             {s: acts[rng.integers(len(acts))] for s, acts in enumerate(enabled)}
@@ -358,6 +373,7 @@ def test_frontier_tracks_memory_until_first_reset(grid, fig_automaton):
     rng = np.random.default_rng(43)
     enabled = product.mdp.enabled
     rows = {key: row for key, row in product.mdp.prob.items()}
+    aut_edge = product_aut_edge(grid, product)
     checked_steps = 0
     for _ in range(2000):
         s = product.mdp.initial
@@ -373,7 +389,7 @@ def test_frontier_tracks_memory_until_first_reset(grid, fig_automaton):
                 acc_p += p
                 if u < acc_p:
                     break
-            aug_t = product.aut_edge[(s, a, dst)]
+            aug_t = aut_edge[(s, a, dst)]
             raw_t = Transition(states[aug_t.src].base, aug_t.letter, states[aug_t.dst].base)
             frontier, _ = frontier_step(frontier, raw_t, acc_raw)
             for j in range(2):
