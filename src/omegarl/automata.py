@@ -375,7 +375,9 @@ def degeneralize(b: TGba) -> TGba:
 
 @lru_cache(maxsize=64)
 def _run_index(b: TGba):
-    """Per-state letter lookup plus accepting-set bitmasks, cached per automaton."""
+    """Per-state letter lookup plus accepting-set bitmasks, cached per
+    automaton; raises ``AutomatonError`` if epsilon transitions form a
+    cycle."""
     n_sets = len(b.acceptance)
     mask_of: dict[Transition, int] = {}
     for t in b.transitions:
@@ -398,6 +400,9 @@ def _run_index(b: TGba):
             lst.append((t.dst, mask_of[t]))
             if len(lst) > 1:
                 deterministic = False
+    # epsilon cycles would allow runs that never consume the word; lru_cache
+    # caches no exception, so every call on such an automaton raises
+    _assert_no_epsilon_cycles(b, eps_out)
     full_mask = (1 << n_sets) - 1
     return by_letter, eps_out, full_mask, deterministic
 
@@ -433,9 +438,6 @@ def accepts_lasso(b: TGba, w: LassoWord) -> bool:
         for m in masks[seen[(pos, x)] :]:
             acc |= m
         return acc == full_mask
-
-    # epsilon cycles would allow runs that never consume the word
-    _assert_no_epsilon_cycles(b, eps_out)
 
     def successors(node):
         pos, x = node

@@ -11,9 +11,11 @@ integer tables as the kernel (built by ``build_product``; layout in the
 product module), with one Bellman backup serving both its sweeps and its
 greedy extraction.
 
-Value iteration lays the table rows out in successor slots (slot ``j``
-holds every pair's ``j``-th successor, padded with zero-probability,
-zero-reward slots) and backs up all pairs with a few numpy operations per
+Both read the rows padded to the widest one (``_padded_tables``): row
+``p`` holds pair ``p``'s successors, probabilities, cuts and masks, padded
+with state 0, probability 0, cut ``+inf`` and mask 0.  Value iteration
+reads the columns as successor slots (slot ``j`` holds every pair's
+``j``-th successor) and backs up all pairs with a few numpy operations per
 slot.  It adds the slots one by one from the left, the order of a scalar
 loop over a row, so every value is that loop's float; the per-pair sum is
 never ``np.sum``, ``@``, ``dot`` or ``einsum``, whose summation order numpy
@@ -21,31 +23,122 @@ does not promise (pairwise, SIMD and BLAS kernels regroup the additions).
 
 The training kernel runs on the product's integer tables and inlines the
 reward scheme's bitmask ``step``.  A ``QTable`` holds flat lists: Q-values
-and visit counts indexed by pair, state visits indexed by state; the
-kernel hands its own lists over.  Action names come back only in the
+and visit counts indexed by pair, state visits indexed by state, copied
+from the kernel's arrays.  Action names come back only in the
 returned policies, which ``greedy_policy`` and ``value_iteration`` extract
 by one rule: the first maximal pair of each state.
 Per state, the kernel also keeps its greedy pair and maximal value current
 through every update, so neither the greedy choice nor the bootstrap
-target scans the state's actions.
+target scans the state's actions; only a drop in the greedy pair's value
+rescans the state for its first maximal pair.
 
-The kernel replays numpy's PCG64 ``Generator`` exactly (``RawDraws``): it
-takes each session's raw 64-bit words from ``bit_generator.random_raw`` in
-blocks and decodes them as ``Generator.random()`` and
-``Generator.integers(n)`` do, so a run draws the same numbers as calling
-the generator once per draw.
+The step loop runs in C (``_kernel.c``, one call per episode); Python
+seeds the sessions, resets the per-episode counts, evaluates greedy
+policies and assembles the result.  The kernel replays numpy's PCG64
+``Generator`` exactly.  Each session's generator state is
+``PCG64(seed).state``: the 128-bit ``state`` and ``inc``, handed over as
+four 64-bit halves, plus the buffered high half-word of the last 32-bit
+draw, which starts empty in each session and lives in the caller's array,
+never in the kernel.  Each 64-bit word is the XSL-RR output of the advanced
+state; ``random()`` is ``(w >> 11) * 2**-53``; ``integers(n)`` is Lemire's
+method on 32-bit halves, the low half of a word first with its high half
+kept for the next 32-bit draw, and n = 1 draws nothing.
+
+The kernel does the IEEE operations of the Python reference loop (kept
+with the tests as ``reference_train``) in the same order:
+``eps_num / k``; ``gamma * top[dst]``, then ``r_p + target`` on a fresh
+accepting mask; ``v + pow(k, -alpha_exponent) * (target - v)``, since
+CPython's ``int ** float`` is the same libm ``pow`` call; the successor is
+the count of the pair's cuts that are ``<= u``, as ``bisect_right`` gives,
+with the cut rows padded by ``+inf``.  It is compiled with ``gcc -O2
+-ffp-contract=off`` and no ``-ffast-math`` or ``-march``, since a fused
+multiply-add would change the last bits.  The module builds the kernel on
+first import into ``__pycache__`` next to this file, under a name keyed by
+the hash of the C source, the declarations and the flags; the compiler
+runs in a private temporary directory and the result is moved into place
+atomically, so concurrent first imports all succeed.  A failed build
+raises ``ImportError`` with the compiler's message; there is no Python
+fallback.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from bisect import bisect_right
+import os
 from dataclasses import asdict, dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from .mdp import PositionalPolicy
 from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_policy, require_positive
+
+_KERNEL_CDEF = """
+double run_episode(
+    int64_t steps, int64_t initial,
+    double gamma, double r_p, double eps_num, double neg_exp,
+    int64_t width, const int64_t *first, const int64_t *succ,
+    const double *cuts, const int64_t *masks, const uint8_t *empty,
+    double *values, int64_t *pair_visits, int64_t *state_visits,
+    int64_t *best, double *top, uint64_t *rng);
+void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out);
+"""
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off")
+
+
+def _load_kernel():
+    """The compiled kernel's ``(ffi, lib)``, built on a cache miss."""
+    here = Path(__file__).resolve().parent
+    source = (here / "_kernel.c").read_text(encoding="utf-8")
+    key = hashlib.sha256("\0".join((source, _KERNEL_CDEF, *_KERNEL_FLAGS)).encode()).hexdigest()
+    name = f"_omegarl_kernel_{key[:16]}"
+    path = here / "__pycache__" / (name + EXTENSION_SUFFIXES[0])
+    if not path.exists():
+        _build_kernel(name, source, path)
+    spec = spec_from_file_location(name, path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ffi, module.lib
+
+
+def _build_kernel(name: str, source: str, path: Path) -> None:
+    """Emit the cffi wrapper, compile it with gcc in a private directory and
+    move the result to ``path`` in one step.  Its imports serve only this
+    cold path."""
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    import cffi
+
+    builder = cffi.FFI()
+    builder.cdef(_KERNEL_CDEF)
+    builder.set_source(name, source, compiler_verbose=False)
+    try:
+        path.parent.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+            c_file, so_file = os.path.join(tmp, name + ".c"), os.path.join(tmp, path.name)
+            builder.emit_c_code(c_file)
+            cmd = ["gcc", "-shared", "-fPIC", *_KERNEL_FLAGS,
+                   "-I" + sysconfig.get_paths()["include"], c_file, "-o", so_file, "-lm"]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode == 0:
+                os.replace(so_file, path)
+    except OSError as exc:  # no gcc, or no writable cache directory
+        raise ImportError(f"cannot build the omegarl training kernel: {exc}") from None
+    if proc.returncode != 0:
+        raise ImportError(
+            f"cannot build the omegarl training kernel: gcc exited with status "
+            f"{proc.returncode}:\n{proc.stderr}"
+        )
+
+
+# Built at import, so that no train call pays the one-time compile.
+_ffi, _lib = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -152,62 +245,40 @@ def greedy_policy(q: QTable) -> PositionalPolicy:
     return _first_maximal(q.product, q.values)
 
 
-class RawDraws:
-    """``Generator.random()`` and ``Generator.integers(n)`` of numpy's PCG64
-    generator, decoded from blocks of its raw 64-bit words.
+def _generator_array(bit_generator: np.random.PCG64) -> np.ndarray:
+    """The kernel's generator state for ``bit_generator``: its 128-bit
+    ``state`` and ``inc`` as high and low 64-bit halves, then an empty
+    buffered half-word (a has-half flag and the half)."""
+    pcg = bit_generator.state["state"]
+    halves = (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64))
+    return np.array([*halves, 0, 0], dtype=np.uint64)
 
-    ``random()`` is ``(x >> 11) * 2**-53`` of the next word.  ``integers(n)``
-    is Lemire's bounded method on 32-bit halves: a word's low half is used
-    first and its high half is kept for the next 32-bit draw, across calls,
-    and n = 1 draws nothing.  ``doubles[pos]`` is the next ``random()``; a
-    caller may read it directly and advance ``pos`` itself.  ``reserve(n)``
-    keeps at least n undrawn words (dropping drawn ones in place, so the
-    lists keep their identity), and a word taken by ``integers`` first
-    reserves ``margin`` words.
-    """
 
-    def __init__(self, bit_generator, margin: int = 1, block: int = 4096):
-        self._raw = bit_generator.random_raw
-        self._margin = margin
-        self._block = block
-        self._half: int | None = None
-        self.words: list[int] = []
-        self.doubles: list[float] = []
-        self.pos = 0
+def _padded_tables(product: ProductMdp) -> tuple[np.ndarray, ...]:
+    """The product's ``succ``, ``probs``, ``cuts`` and ``masks`` as
+    ``(pairs, width)`` arrays, each row padded to the widest one with
+    state 0, probability 0, cut ``+inf`` and mask 0."""
+    lengths = np.array([len(row) for row in product.succ])
+    slots = np.arange(lengths.max())
+    used, cut = slots < lengths[:, None], slots < lengths[:, None] - 1
+    succ, probs = np.zeros(used.shape, dtype=np.int64), np.zeros(used.shape)
+    cuts, masks = np.full(used.shape, np.inf), np.zeros(used.shape, dtype=np.int64)
+    # a boolean index fills the selected slots row by row, left to right
+    for table, where, rows in ((succ, used, product.succ), (probs, used, product.probs),
+                               (cuts, cut, product.cuts), (masks, used, product.masks)):
+        table[where] = list(chain.from_iterable(rows))
+    return succ, probs, cuts, masks
 
-    def reserve(self, n: int) -> None:
-        left = len(self.words) - self.pos
-        if left >= n:
-            return
-        del self.words[: self.pos]
-        del self.doubles[: self.pos]
-        self.pos = 0
-        raw = self._raw(max(n - left, self._block))
-        self.words += raw.tolist()
-        self.doubles += ((raw >> 11) * 2.0**-53).tolist()
 
-    def random(self) -> float:
-        self.reserve(1)
-        self.pos += 1
-        return self.doubles[self.pos - 1]
+_CTYPES = {np.dtype(t): c for t, c in (
+    (np.float64, "double[]"), (np.int64, "int64_t[]"),
+    (np.uint8, "uint8_t[]"), (np.uint64, "uint64_t[]"),
+)}
 
-    def _uint32(self) -> int:
-        if self._half is not None:
-            x, self._half = self._half, None
-            return x
-        self.reserve(self._margin)
-        w = self.words[self.pos]
-        self.pos += 1
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
 
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        m = self._uint32() * n
-        while m & 0xFFFFFFFF < (1 << 32) % n:
-            m = self._uint32() * n
-        return m >> 32
+def _pointers(*arrays: np.ndarray) -> tuple:
+    """Typed cffi views of C-contiguous arrays; each keeps its array alive."""
+    return tuple(_ffi.from_buffer(_CTYPES[a.dtype], a) for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -248,19 +319,19 @@ def train(
     satisfaction probability first reaches one; the evaluation never feeds
     back into learning.
     """
-    keys, first, succ, cuts, masks = (
-        product.keys, list(product.first), product.succ, product.cuts, product.masks
-    )
-    spans = tuple(zip(first, first[1:]))
-    r_p, empty = scheme.r_p, scheme.empty
-    gamma, eps_num, neg_exp = cfg.gamma, cfg.epsilon_numerator, -cfg.alpha_exponent
-    steps = cfg.steps_per_episode
-    margin = 2 * steps + 1  # the most words the rest of an episode reads inline
+    keys = product.keys
+    succ, _, cuts, masks = _padded_tables(product)
+    first = np.array(product.first, dtype=np.int64)
+    empty = np.array(scheme.empty, dtype=np.uint8)
     n = product.num_states
-    initial = product.mdp.initial
+    tables = (
+        cfg.steps_per_episode, product.mdp.initial,
+        cfg.gamma, scheme.r_p, cfg.epsilon_numerator, -cfg.alpha_exponent,
+        succ.shape[1], *_pointers(first, succ, cuts, masks, empty),
+    )
 
-    def policy(greedy: list[int]) -> PositionalPolicy:
-        return PositionalPolicy({s: keys[p][1] for s, p in enumerate(greedy)})
+    def policy(greedy: np.ndarray) -> PositionalPolicy:
+        return PositionalPolicy({s: keys[p][1] for s, p in enumerate(greedy.tolist())})
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.sessions)
     curves = np.zeros((cfg.sessions, cfg.episodes))
@@ -271,77 +342,32 @@ def train(
     evaluations: list[PolicyEvaluation | None] = []
 
     for si in range(cfg.sessions):
-        draws = RawDraws(np.random.PCG64(seeds[si]), margin)
-        doubles = draws.doubles
-        values = [0.0] * len(keys)
-        pair_visits = [0] * len(keys)
-        state_visits = [0] * n
-        best = first[:-1]  # per state, its first pair of maximal value
-        top = [0.0] * n  # per state, that maximal value
+        rng = _generator_array(np.random.PCG64(seeds[si]))
+        values = np.zeros(len(keys))
+        pair_visits = np.zeros(len(keys), dtype=np.int64)
+        state_visits = np.zeros(n, dtype=np.int64)
+        best = first[:-1].copy()  # per state, its first pair of maximal value
+        top = np.zeros(n)  # per state, that maximal value
+        session = _pointers(values, pair_visits, state_visits, best, top, rng)
         pos_ep: int | None = None
         sat1_ep: int | None = None
-        evaluated: list[int] | None = None
+        evaluated: bytes | None = None
         ev: PolicyEvaluation | None = None
         for ep in range(cfg.episodes):
             if cfg.epsilon_scope == "episode":
-                state_visits = [0] * n
-            draws.reserve(margin)
-            pos = draws.pos
-            s = initial
-            done = 0
-            total = 0.0
-            for _ in range(steps):
-                k = state_visits[s] + 1
-                state_visits[s] = k
-                pos += 1  # u < eps_num / k is u < epsilon(k), since u < 1
-                if doubles[pos - 1] < eps_num / k:
-                    lo, hi = spans[s]
-                    draws.pos = pos
-                    p = lo + draws.integers(hi - lo)
-                    pos = draws.pos
-                else:
-                    p = best[s]
-                j = bisect_right(cuts[p], doubles[pos])
-                pos += 1
-                dst = succ[p][j]
-                target = gamma * top[dst]  # adding a zero reward changes no bit
-                m = masks[p][j]
-                if m and not m & done:
-                    done |= m
-                    if empty[done]:
-                        done = 0
-                    target = r_p + target
-                    total += r_p
-                k = pair_visits[p] + 1
-                pair_visits[p] = k
-                v = values[p]
-                new = v + k**neg_exp * (target - v)  # k**neg_exp is alpha(k)
-                values[p] = new
-                # keep best[s] and top[s] equal to a fresh argmax and max
-                if new > top[s]:
-                    top[s] = new
-                    best[s] = p
-                elif p == best[s]:
-                    if new < v:
-                        lo, hi = spans[s]
-                        qs = values[lo:hi]
-                        top[s] = new = max(qs)
-                        best[s] = lo + qs.index(new)
-                elif new == top[s] and p < best[s]:
-                    best[s] = p
-                s = dst
-            draws.pos = pos
-            curves[si, ep] = total / steps
-            if track_satisfaction and sat1_ep is None and best != evaluated:
-                evaluated, ev = best[:], evaluate_policy(product, policy(best))
+                state_visits.fill(0)
+            curves[si, ep] = _lib.run_episode(*tables, *session) / cfg.steps_per_episode
+            if track_satisfaction and sat1_ep is None and best.tobytes() != evaluated:
+                evaluated, ev = best.tobytes(), evaluate_policy(product, policy(best))
                 if pos_ep is None and ev.positively_satisfies:
                     pos_ep = ep + 1
                 if ev.sat_probability == 1.0:
                     sat1_ep = ep + 1
-        if track_satisfaction and best != evaluated:
+        if track_satisfaction and best.tobytes() != evaluated:
             ev = evaluate_policy(product, policy(best))
         q = QTable(product)
-        q.values, q.pair_visits, q.state_visits = values, pair_visits, state_visits
+        q.values, q.pair_visits = values.tolist(), pair_visits.tolist()
+        q.state_visits = state_visits.tolist()
         qtables.append(q)
         policies.append(policy(best))
         first_pos.append(pos_ep)
@@ -375,9 +401,9 @@ def value_iteration(
     must be non-negative.
 
     The tables are laid out in successor slots: ``dst``, ``prob`` and
-    ``rew`` are ``(width, pairs)`` arrays, where ``width`` is the most
-    successors of any pair, slot ``j`` of pair ``p`` holds its ``j``-th
-    successor, and unused slots hold ``(0, 0.0, 0.0)``.  The backup adds
+    ``rew`` are ``(width, pairs)`` transposes of the padded tables, where
+    ``width`` is the most successors of any pair, slot ``j`` of pair ``p``
+    holds its ``j``-th successor, and unused slots hold ``(0, 0.0, 0.0)``.  The backup adds
     the slots one at a time, left to right, which is the order of a
     per-pair loop over the successors; a padding slot adds ``+0.0`` and
     changes no bit.  So every value is the float that loop gives, and the
@@ -389,12 +415,10 @@ def value_iteration(
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
     require_positive("r_p", r_p)
-    width = max(map(len, product.succ))
-    shape = (width, len(product.keys))
-    dst, prob, rew = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)
-    for pair, row in enumerate(zip(product.succ, product.probs, product.masks)):
-        for j, (d, p, m) in enumerate(zip(*row)):
-            dst[j, pair], prob[j, pair], rew[j, pair] = d, p, r_p if m else 0.0
+    succ, probs, _, masks = _padded_tables(product)
+    # slot-major copies: the strided rows of a transposed view sweep ~10 % slower
+    dst, prob, rew = (np.ascontiguousarray(a.T) for a in (succ, probs, np.where(masks, r_p, 0.0)))
+    width = len(dst)
     starts = np.array(product.first[:-1], dtype=np.intp)
 
     def backup(v: np.ndarray) -> np.ndarray:

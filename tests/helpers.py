@@ -5,6 +5,7 @@ formula evaluation walks suffixes directly, automaton acceptance searches
 for accepting closed walks with a layered DP, reachability is estimated
 by vectorized simulation, the reference value iteration backs up one
 pair at a time with a scalar loop over its successors, the reference
+training loop steps in Python on numpy's raw generator words, the reference
 frontier reward keeps its working set as a set of transitions, and a
 product's accepting transitions are rebuilt from its base MDP and
 automaton rather than read from its masks.
@@ -13,11 +14,14 @@ automaton rather than read from its masks.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 
-from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, ltl
+from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, evaluate_policy, ltl
 from omegarl.graphs import closure
+from omegarl.learn import LearningCurve, QTable, TrainResult
+from omegarl.product import PolicyEvaluation
 
 AP3 = ("a", "b", "c")
 
@@ -188,6 +192,185 @@ def scalar_value_iteration(product, gamma: float, r_p: float, tol: float = 1e-10
         for s, (lo, hi) in enumerate(spans)
     }
     return dict(enumerate(v)), PositionalPolicy(choice)
+
+
+# --- training reference -------------------------------------------------------
+
+class RawDraws:
+    """``Generator.random()`` and ``Generator.integers(n)`` of numpy's PCG64
+    generator, decoded from blocks of its raw 64-bit words.
+
+    ``random()`` is ``(x >> 11) * 2**-53`` of the next word.  ``integers(n)``
+    is Lemire's bounded method on 32-bit halves: a word's low half is used
+    first and its high half is kept for the next 32-bit draw, across calls,
+    and n = 1 draws nothing.  ``doubles[pos]`` is the next ``random()``; a
+    caller may read it directly and advance ``pos`` itself.  ``reserve(n)``
+    keeps at least n undrawn words (dropping drawn ones in place, so the
+    lists keep their identity), and a word taken by ``integers`` first
+    reserves ``margin`` words.
+    """
+
+    def __init__(self, bit_generator, margin: int = 1, block: int = 4096):
+        self._raw = bit_generator.random_raw
+        self._margin = margin
+        self._block = block
+        self._half: int | None = None
+        self.words: list[int] = []
+        self.doubles: list[float] = []
+        self.pos = 0
+
+    def reserve(self, n: int) -> None:
+        left = len(self.words) - self.pos
+        if left >= n:
+            return
+        del self.words[: self.pos]
+        del self.doubles[: self.pos]
+        self.pos = 0
+        raw = self._raw(max(n - left, self._block))
+        self.words += raw.tolist()
+        self.doubles += ((raw >> 11) * 2.0**-53).tolist()
+
+    def random(self) -> float:
+        self.reserve(1)
+        self.pos += 1
+        return self.doubles[self.pos - 1]
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            x, self._half = self._half, None
+            return x
+        self.reserve(self._margin)
+        w = self.words[self.pos]
+        self.pos += 1
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        while m & 0xFFFFFFFF < (1 << 32) % n:
+            m = self._uint32() * n
+        return m >> 32
+
+
+def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
+    """Reference for ``learn.train``: the same sessions with the step loop in
+    Python, drawing from ``RawDraws``; its floats are the ones the compiled
+    kernel must reproduce bit for bit."""
+    keys, first, succ, cuts, masks = (
+        product.keys, list(product.first), product.succ, product.cuts, product.masks
+    )
+    spans = tuple(zip(first, first[1:]))
+    r_p, empty = scheme.r_p, scheme.empty
+    gamma, eps_num, neg_exp = cfg.gamma, cfg.epsilon_numerator, -cfg.alpha_exponent
+    steps = cfg.steps_per_episode
+    margin = 2 * steps + 1  # the most words the rest of an episode reads inline
+    n = product.num_states
+    initial = product.mdp.initial
+
+    def policy(greedy: list[int]) -> PositionalPolicy:
+        return PositionalPolicy({s: keys[p][1] for s, p in enumerate(greedy)})
+
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.sessions)
+    curves = np.zeros((cfg.sessions, cfg.episodes))
+    qtables: list[QTable] = []
+    policies: list[PositionalPolicy] = []
+    first_pos: list[int | None] = []
+    first_sat1: list[int | None] = []
+    evaluations: list[PolicyEvaluation | None] = []
+
+    for si in range(cfg.sessions):
+        draws = RawDraws(np.random.PCG64(seeds[si]), margin)
+        doubles = draws.doubles
+        values = [0.0] * len(keys)
+        pair_visits = [0] * len(keys)
+        state_visits = [0] * n
+        best = first[:-1]  # per state, its first pair of maximal value
+        top = [0.0] * n  # per state, that maximal value
+        pos_ep: int | None = None
+        sat1_ep: int | None = None
+        evaluated: list[int] | None = None
+        ev: PolicyEvaluation | None = None
+        for ep in range(cfg.episodes):
+            if cfg.epsilon_scope == "episode":
+                state_visits = [0] * n
+            draws.reserve(margin)
+            pos = draws.pos
+            s = initial
+            done = 0
+            total = 0.0
+            for _ in range(steps):
+                k = state_visits[s] + 1
+                state_visits[s] = k
+                pos += 1  # u < eps_num / k is u < epsilon(k), since u < 1
+                if doubles[pos - 1] < eps_num / k:
+                    lo, hi = spans[s]
+                    draws.pos = pos
+                    p = lo + draws.integers(hi - lo)
+                    pos = draws.pos
+                else:
+                    p = best[s]
+                j = bisect_right(cuts[p], doubles[pos])
+                pos += 1
+                dst = succ[p][j]
+                target = gamma * top[dst]  # adding a zero reward changes no bit
+                m = masks[p][j]
+                if m and not m & done:
+                    done |= m
+                    if empty[done]:
+                        done = 0
+                    target = r_p + target
+                    total += r_p
+                k = pair_visits[p] + 1
+                pair_visits[p] = k
+                v = values[p]
+                new = v + k**neg_exp * (target - v)  # k**neg_exp is alpha(k)
+                values[p] = new
+                # keep best[s] and top[s] equal to a fresh argmax and max
+                if new > top[s]:
+                    top[s] = new
+                    best[s] = p
+                elif p == best[s]:
+                    if new < v:
+                        lo, hi = spans[s]
+                        qs = values[lo:hi]
+                        top[s] = new = max(qs)
+                        best[s] = lo + qs.index(new)
+                elif new == top[s] and p < best[s]:
+                    best[s] = p
+                s = dst
+            draws.pos = pos
+            curves[si, ep] = total / steps
+            if track_satisfaction and sat1_ep is None and best != evaluated:
+                evaluated, ev = best[:], evaluate_policy(product, policy(best))
+                if pos_ep is None and ev.positively_satisfies:
+                    pos_ep = ep + 1
+                if ev.sat_probability == 1.0:
+                    sat1_ep = ep + 1
+        if track_satisfaction and best != evaluated:
+            ev = evaluate_policy(product, policy(best))
+        q = QTable(product)
+        q.values, q.pair_visits, q.state_visits = values, pair_visits, state_visits
+        qtables.append(q)
+        policies.append(policy(best))
+        first_pos.append(pos_ep)
+        first_sat1.append(sat1_ep)
+        evaluations.append(ev if track_satisfaction else None)
+
+    curve = LearningCurve(
+        per_session=curves,
+        mean=curves.mean(axis=0),
+        std=curves.std(axis=0),
+    )
+    return TrainResult(
+        qtables=tuple(qtables),
+        curve=curve,
+        policies=tuple(policies),
+        first_positive_episode=tuple(first_pos),
+        first_sat1_episode=tuple(first_sat1),
+        evaluations=tuple(evaluations),
+    )
 
 
 # --- product views -----------------------------------------------------------------

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import letters_over, product_acceptance, random_labeled_mdp, scalar_value_iteration
+from helpers import (
+    RawDraws,
+    letters_over,
+    product_acceptance,
+    random_labeled_mdp,
+    reference_train,
+    scalar_value_iteration,
+)
 from omegarl import (
     LabeledMdp,
     QTable,
@@ -22,7 +29,7 @@ from omegarl import (
     value_iteration,
 )
 from omegarl.cli import METHODS, method_product_and_scheme
-from omegarl.learn import RawDraws
+from omegarl.learn import _generator_array, _lib, _pointers
 from omegarl.product import AcceptingReward, FrontierReward
 
 
@@ -36,16 +43,14 @@ def two_state_loop_product():
         prob={(0, "go"): ((1, 1.0),), (1, "go"): ((1, 1.0),)},
         label={(1, "go", 1): frozenset({"a"})},
     )
+    return build_product(m, loop_automaton())
+
+
+def loop_automaton():
+    """One state that loops on {a} and on {}; the {a} loop accepts."""
     loop_a = Transition(0, frozenset({"a"}), 0)
     loop_empty = Transition(0, frozenset(), 0)
-    b = TGba(
-        1,
-        0,
-        frozenset({"a"}),
-        frozenset({loop_a, loop_empty}),
-        (frozenset({loop_a}),),
-    )
-    return build_product(m, b)
+    return TGba(1, 0, frozenset({"a"}), frozenset({loop_a, loop_empty}), (frozenset({loop_a}),))
 
 
 def test_epsilon_schedule():
@@ -267,8 +272,9 @@ def test_train_session_scope_available(augmented_product):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_raw_draws_replay_numpy_generator(seed):
-    """Decoded raw words equal interleaved Generator.random() and
-    Generator.integers(n) calls; a small block forces refills mid-stream."""
+    """The reference's decoded raw words equal interleaved Generator.random()
+    and Generator.integers(n) calls; a small block forces refills
+    mid-stream."""
     ops = np.random.default_rng(seed + 100).integers(0, 10, size=3000).tolist()
     gen = np.random.default_rng(seed)
     draws = RawDraws(np.random.PCG64(seed), block=7)
@@ -277,6 +283,131 @@ def test_raw_draws_replay_numpy_generator(seed):
             assert draws.random() == gen.random()
         else:
             assert draws.integers(n) == gen.integers(n)
+
+
+def kernel_draws(rng: np.ndarray, ops) -> list[int]:
+    """The compiled generator's draws for ``ops`` (0: a raw word, n: an
+    index below n), advancing ``rng`` in place."""
+    ops = np.array(ops, dtype=np.int64)
+    out = np.zeros(len(ops), dtype=np.uint64)
+    _lib.draw(*_pointers(rng, ops), len(ops), *_pointers(out))
+    return out.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_kernel_generator_replays_numpy_stream(seed):
+    """The compiled PCG64 gives random_raw's words, also when its state is
+    saved and restored mid-stream, and decodes interleaved random() and
+    integers(n) draws as numpy's Generator does, the buffered half-word
+    surviving between calls."""
+    rng = _generator_array(np.random.PCG64(seed))
+    words = []
+    for size in (1, 999, 5000, 4000):  # each call loads and stores the state
+        words += kernel_draws(rng, [0] * size)
+        rng = rng.copy()
+    assert words == np.random.PCG64(seed).random_raw(10000).tolist()
+
+    ops = np.random.default_rng(seed + 100).integers(0, 10, size=3000).tolist()
+    rng = _generator_array(np.random.PCG64(seed))
+    drawn = [x for chunk in range(0, 3000, 7) for x in kernel_draws(rng, ops[chunk:chunk + 7])]
+    gen = np.random.default_rng(seed)
+    for n, x in zip(ops, drawn, strict=True):
+        if n:
+            assert x == gen.integers(n)
+        else:
+            assert (x >> 11) * 2.0**-53 == gen.random()
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def test_kernel_generator_rejects_like_lemire():
+    """A state whose next word is 0 makes integers(3) reject both of its
+    halves (2**32 mod 3 = 1 > 0); the kernel, numpy and the reference then
+    agree, and the kernel has consumed two words with a half-word left."""
+    inc = np.random.PCG64(3).state["state"]["inc"]
+    hi = 0x0123456789ABCDEF  # top 6 bits zero: XSL-RR does not rotate
+    after = (hi << 64) | hi  # xor of the halves is 0
+    before = (after - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+
+    def bit_generator():
+        bg = np.random.PCG64()
+        bg.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+        return bg
+
+    assert bit_generator().random_raw(1).tolist() == [0]
+    rng = _generator_array(bit_generator())
+    expected = np.random.Generator(bit_generator()).integers(3)
+    assert kernel_draws(rng, [3]) == [expected] == [RawDraws(bit_generator()).integers(3)]
+    two_on = bit_generator()
+    two_on.random_raw(2)
+    assert rng[:4].tolist() == _generator_array(two_on)[:4].tolist()
+    assert rng[4] == 1  # the accepted word's high half is buffered
+
+
+def assert_same_training(result, ref):
+    assert result.curve.per_session.tobytes() == ref.curve.per_session.tobytes()
+    for q, r in zip(result.qtables, ref.qtables, strict=True):
+        assert np.array(q.values).tobytes() == np.array(r.values).tobytes()
+        assert (q.pair_visits, q.state_visits) == (r.pair_visits, r.state_visits)
+    assert [p.choice for p in result.policies] == [p.choice for p in ref.policies]
+    assert result.first_positive_episode == ref.first_positive_episode
+    assert result.first_sat1_episode == ref.first_sat1_episode
+    assert result.evaluations == ref.evaluations
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_train_matches_python_reference_on_random_mdps(seed):
+    """The compiled kernel reproduces the Python step loop bit for bit:
+    Q-values, visits, curves, first episodes and policies, over three
+    sessions (a half-word leaking from one session into the next would show)
+    on random MDPs, both fixtures, every method and both epsilon scopes."""
+    rng = np.random.default_rng(seed)
+    # c-free labels, so that most sessions reach sat 1 and the episode counts mean something
+    m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 10)), letters=letters_over("ab"))
+    one_action_states = 0
+    for spec in (fixture_gfa_gfb_gnc, fixture_fg_a):
+        for method in METHODS:
+            product, scheme = method_product_and_scheme(m, spec(), method, 2.0)
+            widths = np.diff(product.first)
+            one_action_states += int((widths == 1).sum())
+            for scope in ("episode", "session"):
+                cfg = TrainConfig(episodes=20, steps_per_episode=200, sessions=3,
+                                  gamma=(0.9, 0.95, 0.99)[seed % 3], rng_seed=seed,
+                                  epsilon_scope=scope)
+                assert_same_training(train(product, scheme, cfg),
+                                     reference_train(product, scheme, cfg))
+    assert one_action_states > 0
+
+
+def test_train_matches_python_reference_with_one_action_everywhere():
+    """n = 1 draws nothing: a product whose states all have one action."""
+    product = two_state_loop_product()
+    cfg = TrainConfig(episodes=5, steps_per_episode=40, sessions=3, rng_seed=1)
+    scheme = AcceptingReward(product, cfg.r_p)
+    assert_same_training(train(product, scheme, cfg), reference_train(product, scheme, cfg))
+
+
+def test_train_matches_python_reference_when_a_rescan_ties():
+    """At gamma = 0 a pair holds exactly r_p while every one of its
+    transitions so far accepted.  So "b" and "c" of state 0 sit at r_p once
+    explored, and when the greedy "a" first misses (probability 0.01) its
+    rescan finds them tied: the first maximal pair must win."""
+    accept = frozenset({"a"})
+    m = LabeledMdp(
+        num_states=2,
+        initial=0,
+        ap=accept,
+        enabled=(("a", "b", "c"), ("go",)),
+        prob={(0, "a"): ((0, 0.99), (1, 0.01)), (0, "b"): ((0, 1.0),), (0, "c"): ((0, 1.0),),
+              (1, "go"): ((0, 1.0),)},
+        label={(0, "a", 0): accept, (0, "b", 0): accept, (0, "c", 0): accept},
+    )
+    product = build_product(m, loop_automaton())
+    cfg = TrainConfig(gamma=0.0, episodes=10, steps_per_episode=100, sessions=3, rng_seed=3)
+    scheme = AcceptingReward(product, cfg.r_p)
+    assert_same_training(train(product, scheme, cfg), reference_train(product, scheme, cfg))
 
 
 def test_train_greedy_cache_and_evaluations_match_fresh_ones(augmented_product, raw_product):
