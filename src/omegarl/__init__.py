@@ -28,6 +28,7 @@ from .automata import (
     degeneralize,
     fixture_fg_a,
     fixture_gfa_gfb_gnc,
+    lasso_acceptor,
     load_automaton,
     named_fixture,
     parse_automaton,
@@ -51,6 +52,7 @@ from .ltl import (
     atoms,
     eval_lasso,
     format_ltl,
+    formula_evaluator,
     lasso,
     load_formula,
     parse_ltl,

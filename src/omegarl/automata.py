@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from . import ltl
 from .graphs import closure, explore, strongly_connected_components
@@ -306,10 +307,11 @@ def parse_automaton(text: str) -> TGba:
                 raise AutomatonError(
                     f"line {lineno}: undeclared proposition(s) {sorted(undeclared)}"
                 )
+            holds = ltl.formula_evaluator(phi)
             expanded = [
                 Transition(src, letter, dst)
                 for letter in letters
-                if ltl.eval_lasso(phi, LassoWord((), (letter,)))
+                if holds(LassoWord((), (letter,)))
             ]
         for t in expanded:
             membership.setdefault(t, set()).update(acc_indices)
@@ -410,43 +412,104 @@ def _run_index(b: TGba):
 def accepts_lasso(b: TGba, w: LassoWord) -> bool:
     """Exact membership of ``prefix . cycle^w`` in the automaton's language.
 
-    Epsilon transitions consume no letter.  For automata that are epsilon
-    free and deterministic per letter the unique run is followed directly;
-    otherwise the product graph of (word position, state) nodes is analysed
-    by SCC: the word is accepted iff some reachable SCC's internal
-    transitions meet every accepting set.
-    """
-    by_letter, eps_out, full_mask, deterministic = _run_index(b)
-    n = w.positions
-    loop = len(w.prefix)
-    letters = [w.letter(i) for i in range(n)]
-    succ = list(range(1, n)) + [loop]
+    Epsilon transitions consume no letter.  The run graph has one node per
+    (word position, state).  The prefix is walked letter by letter to the
+    set of states that enter the first cycle position (a single state when
+    the automaton is epsilon free and deterministic per letter); the word is
+    accepted iff one of them, say ``x``, accepts ``cycle^w`` alone.  That
+    verdict depends only on ``(x, cycle)``.  It follows the unique run for a
+    deterministic automaton; otherwise the run graph of the cycle started at
+    ``(0, x)`` is analysed by SCC, and some reachable SCC's internal
+    transitions must meet every accepting set.
 
-    if deterministic:
-        pos, x = 0, b.initial
-        seen: dict[tuple[int, int], int] = {}
-        masks: list[int] = []
-        while (pos, x) not in seen:
-            seen[(pos, x)] = len(masks)
-            step = by_letter[x].get(letters[pos])
-            if not step:
-                return False
-            dst, mask = step[0]
-            masks.append(mask)
-            pos, x = succ[pos], dst
-        acc = 0
-        for m in masks[seen[(pos, x)] :]:
-            acc |= m
-        return acc == full_mask
+    This is exact: a prefix position is never revisited and epsilon cycles
+    are rejected, so every SCC with an internal edge lies at cycle
+    positions, and the cycle nodes reachable from the start are exactly
+    those reachable from the ``(len(prefix), x)`` nodes of the entering
+    states.  A caller that
+    decides many words on one automaton should keep a :func:`lasso_acceptor`,
+    which memoizes each ``(x, cycle)`` verdict.
+    """
+    return lasso_acceptor(b)(w)
+
+
+def lasso_acceptor(b: TGba) -> Callable[[LassoWord], bool]:
+    """Build the acceptance test of :func:`accepts_lasso` once for ``b``.
+
+    The returned function keeps its own verdict memo keyed on
+    ``(state, cycle)``; it lives only as long as the function.  Raises
+    ``AutomatonError`` if epsilon transitions form a cycle.
+    """
+    index = _run_index(b)
+    by_letter, eps_out, _, deterministic = index
+    verdict = _run_verdict if deterministic else _scc_verdict
+    verdicts: dict[tuple[int, tuple], bool] = {}
+
+    def accepts(w: LassoWord) -> bool:
+        if deterministic:
+            x = b.initial
+            for letter in w.prefix:
+                step = by_letter[x].get(letter)
+                if not step:
+                    return False
+                x = step[0][0]
+            entering = (x,)
+        else:
+            entering = {b.initial}
+            for letter in w.prefix:
+                entering = {
+                    dst
+                    for y in closure(entering, lambda s: (d for d, _ in eps_out[s]))
+                    for dst, _ in by_letter[y].get(letter, ())
+                }
+        cycle = w.cycle
+        for x in entering:
+            key = (x, cycle)
+            got = verdicts.get(key)
+            if got is None:
+                got = verdicts[key] = verdict(index, x, cycle)
+            if got:
+                return True
+        return False
+
+    return accepts
+
+
+def _run_verdict(index, x: int, cycle: tuple) -> bool:
+    """Whether the unique run from ``x`` on ``cycle^w`` is accepting."""
+    by_letter, _, full_mask, _ = index
+    n = len(cycle)
+    pos = 0
+    seen: dict[tuple[int, int], int] = {}
+    masks: list[int] = []
+    while (pos, x) not in seen:
+        seen[(pos, x)] = len(masks)
+        step = by_letter[x].get(cycle[pos])
+        if not step:
+            return False
+        x, mask = step[0]
+        masks.append(mask)
+        pos = pos + 1 if pos + 1 < n else 0
+    acc = 0
+    for m in masks[seen[(pos, x)] :]:
+        acc |= m
+    return acc == full_mask
+
+
+def _scc_verdict(index, x: int, cycle: tuple) -> bool:
+    """Whether some SCC reachable from ``(0, x)`` in the run graph of
+    ``cycle^w`` has internal transitions meeting every accepting set."""
+    by_letter, eps_out, full_mask, _ = index
+    n = len(cycle)
 
     def successors(node):
-        pos, x = node
-        for dst, mask in by_letter[x].get(letters[pos], ()):
-            yield (succ[pos], dst), mask
-        for dst, mask in eps_out[x]:
+        pos, y = node
+        for dst, mask in by_letter[y].get(cycle[pos], ()):
+            yield (pos + 1 if pos + 1 < n else 0, dst), mask
+        for dst, mask in eps_out[y]:
             yield (pos, dst), mask
 
-    _, rows = explore((0, b.initial), successors)
+    _, rows = explore((0, x), successors)
     comps = strongly_connected_components(range(len(rows)), lambda v: (u for _, u in rows[v]))
     comp_of = [0] * len(rows)
     for ci, comp in enumerate(comps):

@@ -2,10 +2,13 @@
 evaluation on ultimately periodic words.
 
 An infinite word is represented as a :class:`LassoWord` ``prefix . cycle^w``
-whose letters are sets of atomic-proposition names.  Temporal operators are
-decided exactly by fixpoint iteration over the finitely many distinct suffix
-classes of the lasso, so the evaluator serves as a ground-truth oracle for
-the automata in this package.
+whose letters are sets of atomic-proposition names.  Its positions
+``0..n-1`` (``n = len(prefix) + len(cycle)``) are the finitely many distinct
+suffixes of the word.  A formula is compiled once into a program whose
+values are position bitsets (bit ``i`` of an int is the truth value at
+position ``i``); connectives are bit operations and temporal operators are
+decided exactly by fixpoint iteration over those positions, so the
+evaluator serves as a ground-truth oracle for the automata in this package.
 
 Grammar (tightest binding first)::
 
@@ -22,6 +25,7 @@ parentheses group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 
 class ParseError(ValueError):
@@ -334,81 +338,108 @@ def format_ltl(phi: Formula) -> str:
 
 # --- evaluation --------------------------------------------------------
 
-def eval_lasso(phi: Formula, w: LassoWord) -> bool:
-    """Exact satisfaction of ``phi`` on the infinite word ``w``.
+# A compiled formula is a post-order list of (opcode, x, y) instructions; x and
+# y index earlier instructions (an atom's x is its name, unused operands are 0).
+# ``F f`` compiles as ``true U f``.
+_TRUE, _FALSE, _ATOM, _NOT, _AND, _OR, _IMPLIES, _NEXT, _UNTIL, _GLOBALLY = range(10)
+_OPCODE = {
+    TrueBool: _TRUE, FalseBool: _FALSE, Atom: _ATOM, Not: _NOT, And: _AND, Or: _OR,
+    Implies: _IMPLIES, Next: _NEXT, Until: _UNTIL, Eventually: _UNTIL, Globally: _GLOBALLY,
+}
+_TRUE_NODE = TrueBool()
 
-    Every subformula is evaluated as a truth vector over the lasso's
-    distinct positions.  Until/Eventually are least fixpoints and Globally
-    is a greatest fixpoint of their one-step expansions, which is exact on
-    the finite suffix graph.
+
+def formula_evaluator(phi: Formula) -> Callable[[LassoWord], bool]:
+    """Compile ``phi`` once; the returned function decides it on any lasso word.
+
+    Each subformula becomes one instruction whose value on a word is a
+    bitset over the word's distinct positions: bit ``i`` of a Python int is
+    the truth value at position ``i``, and position ``n - 1`` (the last)
+    steps back to ``p = len(prefix)``.  Boolean connectives are bit
+    operations, ``X v`` is ``(v >> 1) | (((v >> p) & 1) << (n - 1))``,
+    Until/Eventually iterate their one-step expansion up from the empty set
+    to the least fixpoint and Globally down from the full set to the
+    greatest, which is exact on the finite suffix graph.  A subformula object
+    that occurs twice is compiled once.
     """
-    n = w.positions
-    succ = list(range(1, n)) + [len(w.prefix)]
-    letters = [w.letter(i) for i in range(n)]
+    program: list[tuple[int, object, int]] = []
     # keyed on node identity: a frozen formula re-hashes its whole subtree on
-    # every lookup, and phi keeps every node alive for the call, so no id is reused
-    memo: dict[int, list[bool]] = {}
+    # every lookup, and phi keeps every node alive, so no id is reused
+    slot: dict[int, int] = {}
 
-    def ev(f: Formula) -> list[bool]:
-        got = memo.get(id(f))
+    def emit(f: Formula) -> int:
+        got = slot.get(id(f))
         if got is not None:
             return got
-        if isinstance(f, TrueBool):
-            vals = [True] * n
-        elif isinstance(f, FalseBool):
-            vals = [False] * n
-        elif isinstance(f, Atom):
-            vals = [f.name in letters[i] for i in range(n)]
-        elif isinstance(f, Not):
-            vals = [not v for v in ev(f.operand)]
-        elif isinstance(f, And):
-            le, ri = ev(f.left), ev(f.right)
-            vals = [le[i] and ri[i] for i in range(n)]
-        elif isinstance(f, Or):
-            le, ri = ev(f.left), ev(f.right)
-            vals = [le[i] or ri[i] for i in range(n)]
-        elif isinstance(f, Implies):
-            le, ri = ev(f.left), ev(f.right)
-            vals = [(not le[i]) or ri[i] for i in range(n)]
-        elif isinstance(f, Next):
-            op = ev(f.operand)
-            vals = [op[succ[i]] for i in range(n)]
-        elif isinstance(f, Until):
-            le, ri = ev(f.left), ev(f.right)
-            vals = _lfp(lambda v, i: ri[i] or (le[i] and v[succ[i]]), n)
-        elif isinstance(f, Eventually):
-            op = ev(f.operand)
-            vals = _lfp(lambda v, i: op[i] or v[succ[i]], n)
-        elif isinstance(f, Globally):
-            op = ev(f.operand)
-            vals = _gfp(lambda v, i: op[i] and v[succ[i]], n)
-        else:
+        op = _OPCODE.get(type(f))
+        if op is None:
             raise TypeError(f"not a formula: {f!r}")
-        memo[id(f)] = vals
-        return vals
+        if op == _ATOM:
+            ins = (op, f.name, 0)
+        elif op in (_TRUE, _FALSE):
+            ins = (op, 0, 0)
+        elif isinstance(f, Eventually):
+            ins = (op, emit(_TRUE_NODE), emit(f.operand))
+        elif op in (_AND, _OR, _IMPLIES, _UNTIL):
+            ins = (op, emit(f.left), emit(f.right))
+        else:
+            ins = (op, emit(f.operand), 0)
+        slot[id(f)] = len(program)
+        program.append(ins)
+        return len(program) - 1
 
-    return ev(phi)[0]
+    emit(phi)
+
+    def holds(w: LassoWord) -> bool:
+        letters = w.prefix + w.cycle
+        loop = len(w.prefix)
+        top = len(letters) - 1
+        full = (1 << len(letters)) - 1
+        v: list[int] = []
+        for op, x, y in program:
+            if op == _ATOM:
+                val = 0
+                for i, letter in enumerate(letters):
+                    if x in letter:
+                        val |= 1 << i
+            elif op == _NOT:
+                val = full ^ v[x]
+            elif op == _AND:
+                val = v[x] & v[y]
+            elif op == _OR:
+                val = v[x] | v[y]
+            elif op == _IMPLIES:
+                val = (full ^ v[x]) | v[y]
+            elif op == _NEXT:
+                val = v[x]
+                val = (val >> 1) | (((val >> loop) & 1) << top)
+            elif op == _UNTIL:  # least fixpoint of  r | (l & X s), from s = r
+                left, r = v[x], v[y]
+                val = r
+                while True:
+                    nxt = r | (left & ((val >> 1) | (((val >> loop) & 1) << top)))
+                    if nxt == val:
+                        break
+                    val = nxt
+            elif op == _GLOBALLY:  # greatest fixpoint of  g & X s, from s = g
+                g = val = v[x]
+                while True:
+                    nxt = g & ((val >> 1) | (((val >> loop) & 1) << top))
+                    if nxt == val:
+                        break
+                    val = nxt
+            elif op == _TRUE:
+                val = full
+            else:
+                val = 0
+            v.append(val)
+        return bool(v[-1] & 1)
+
+    return holds
 
 
-def _lfp(step, n: int) -> list[bool]:
-    vals = [False] * n
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if not vals[i] and step(vals, i):
-                vals[i] = True
-                changed = True
-    return vals
-
-
-def _gfp(step, n: int) -> list[bool]:
-    vals = [True] * n
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if vals[i] and not step(vals, i):
-                vals[i] = False
-                changed = True
-    return vals
+def eval_lasso(phi: Formula, w: LassoWord) -> bool:
+    """Exact satisfaction of ``phi`` on the infinite word ``w``: compile the
+    formula (see :func:`formula_evaluator`), then evaluate it once.  A caller
+    that decides one formula on many words should keep the evaluator."""
+    return formula_evaluator(phi)(w)

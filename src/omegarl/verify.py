@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .augment import augment, merge_unaccepting
-from .automata import TGba, accepts_lasso, degeneralize, fixture_gfa_gfb_gnc
-from .ltl import LassoWord, eval_lasso, parse_ltl
+from .automata import TGba, degeneralize, fixture_gfa_gfb_gnc, lasso_acceptor
+from .ltl import LassoWord, formula_evaluator, parse_ltl
 from .mdp import ROW_SUM_TOL, PositionalPolicy, build_gridworld
 from .product import build_product, check_positional_impossibility, evaluate_policy
 
@@ -54,14 +53,22 @@ def _timed(name: str, run) -> CheckResult:
 def _lasso_agreement(name, automaton, max_prefix, max_cycle, acceptors) -> CheckResult:
     """Every acceptor in ``acceptors(base)`` must give the base automaton's
     verdict on every bounded lasso word; each acceptor comes with the
-    phrase that reports its disagreement."""
+    phrase that reports its disagreement.
+
+    The oracles are built once per check: one :func:`lasso_acceptor` for
+    the base automaton and each candidate automaton, one
+    :func:`formula_evaluator` per formula.  An acceptor decides each
+    ``(state, cycle)`` once, so words that differ only in their prefix
+    share that work; every word is still compared against every acceptor.
+    """
 
     def run():
         base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
+        base_accepts = lasso_acceptor(base)
         candidates = acceptors(base)
         count = 0
         for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
-            expect = accepts_lasso(base, w)
+            expect = base_accepts(w)
             for accepts, disagreement in candidates:
                 if accepts(w) != expect:
                     return False, f"{disagreement} on {w}"
@@ -72,7 +79,7 @@ def _lasso_agreement(name, automaton, max_prefix, max_cycle, acceptors) -> Check
 
 
 def _automaton(kind: str, b: TGba):
-    return partial(accepts_lasso, b), f"{kind} automaton disagrees"
+    return lasso_acceptor(b), f"{kind} automaton disagrees"
 
 
 def check_language_preservation(
@@ -90,7 +97,7 @@ def check_formula_agreement(
 ) -> CheckResult:
     """The automaton fixture must agree with direct formula evaluation."""
     return _lasso_agreement("formula-agreement", automaton, max_prefix, max_cycle, lambda b: [
-        (partial(eval_lasso, parse_ltl(SPEC_FORMULA)), "automaton and formula disagree")
+        (formula_evaluator(parse_ltl(SPEC_FORMULA)), "automaton and formula disagree")
     ])
 
 

@@ -468,6 +468,24 @@ def random_lasso(rng, max_prefix=3, max_cycle=3, ap=AP3) -> LassoWord:
     )
 
 
+def lassos_sharing_cycles(rng, n_cycles=6, per_cycle=8, max_prefix=4, max_cycle=3, ap=AP3):
+    """Random lasso words in groups of ``per_cycle`` that share one cycle and
+    differ in their prefixes (the empty one and up to ``max_prefix``
+    letters); the groups are interleaved, so an oracle reused across the
+    words that memoizes per cycle is hit out of order."""
+    letters = letters_over(ap)
+
+    def draw(length):
+        return tuple(letters[rng.integers(len(letters))] for _ in range(length))
+
+    words = []
+    for _ in range(n_cycles):
+        cycle = draw(rng.integers(1, max_cycle + 1))
+        words.append(LassoWord((), cycle))
+        words.extend(LassoWord(draw(rng.integers(1, max_prefix + 1)), cycle) for _ in range(per_cycle - 1))
+    return [words[i] for i in rng.permutation(len(words))]
+
+
 def random_tgba(rng, n_states=3, ap=("a", "b"), n_sets=2, allow_eps=True):
     """Random small automaton; may be nondeterministic and partial, with
     acyclic epsilon edges (source id < target id)."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import omegarl
-from helpers import enum_accepts, letters_over, random_lasso, random_tgba
+from helpers import enum_accepts, lassos_sharing_cycles, letters_over, random_lasso, random_tgba
 from omegarl import (
     EPSILON,
     AutomatonError,
@@ -23,6 +23,7 @@ from omegarl import (
     fixture_fg_a,
     fixture_gfa_gfb_gnc,
     lasso,
+    lasso_acceptor,
     named_fixture,
     parse_automaton,
     parse_ltl,
@@ -397,3 +398,44 @@ def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
     assert parse_automaton(good).num_states == 1
     with pytest.raises(AutomatonError, match=match):
         parse_automaton(good.replace(old, new, 1))
+
+
+def test_reused_acceptor_matches_walk_enum_on_random_automata():
+    """One acceptor per automaton over words that share cycles, so its
+    per-(state, cycle) memo is hit across different prefixes."""
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        b = random_tgba(rng, n_states=3, ap=("a", "b"), n_sets=int(rng.integers(1, 3)))
+        accepts = lasso_acceptor(b)
+        for w in lassos_sharing_cycles(rng, n_cycles=4, per_cycle=8, ap=("a", "b")):
+            assert accepts(w) == enum_accepts(b, w)
+
+
+def test_reused_acceptor_matches_walk_enum_on_fixtures(fig_automaton, eps_automaton):
+    rng = np.random.default_rng(16)
+    for b, ap in ((fig_automaton, ("a", "b", "c")), (eps_automaton, ("a",))):
+        accepts = lasso_acceptor(b)
+        words = lassos_sharing_cycles(rng, n_cycles=10, per_cycle=10, ap=ap)
+        assert any(w.prefix for w in words)
+        for w in words:
+            assert accepts(w) == enum_accepts(b, w)
+
+
+def test_acceptors_of_distinct_automata_share_no_verdicts(fig_automaton):
+    """An acceptor built right after another one, for an automaton with the
+    same states and transitions, must not reuse the first one's verdicts."""
+    corrupted = TGba(
+        num_states=fig_automaton.num_states,
+        initial=fig_automaton.initial,
+        ap=fig_automaton.ap,
+        transitions=fig_automaton.transitions,
+        acceptance=(fig_automaton.acceptance[0], frozenset()),
+    )
+    words = lassos_sharing_cycles(np.random.default_rng(17), n_cycles=12, per_cycle=6)
+    good = lasso_acceptor(fig_automaton)
+    verdicts = [good(w) for w in words]
+    bad = lasso_acceptor(corrupted)
+    corrupted_verdicts = [bad(w) for w in words]
+    assert corrupted_verdicts == [enum_accepts(corrupted, w) for w in words]
+    assert verdicts == [enum_accepts(fig_automaton, w) for w in words]
+    assert corrupted_verdicts != verdicts

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from omegarl import fixture_gfa_gfb_gnc
+from omegarl import LassoWord, Transition, fixture_gfa_gfb_gnc
 from omegarl.cli import main
 from omegarl.verify import check_formula_agreement
 from omegarl.automata import TGba
@@ -251,6 +251,45 @@ def test_verify_quick(capsys):
         "stochasticity",
         "impossibility-certificate",
     } <= names
+
+
+LASSO_CHECKS = ("language-preservation", "formula-agreement", "degeneralization")
+
+
+def test_verify_full_battery(capsys):
+    assert main(["verify"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert set(checks) == {
+        *LASSO_CHECKS,
+        "recurrence-dichotomy",
+        "stochasticity",
+        "impossibility-certificate",
+    }
+    assert all(c["passed"] for c in checks.values())
+    for name in LASSO_CHECKS:
+        assert checks[name]["detail"] == "42632 lasso words agree"
+
+
+def test_verify_finds_disagreement_that_needs_a_prefix():
+    """Redirecting the trap's {a,b} self-loop to x0 lets a run leave the
+    trap; the first bounded word that tells the automaton from the formula
+    must first enter the trap with c."""
+    good = fixture_gfa_gfb_gnc()
+    ab = frozenset(("a", "b"))
+    escaped = TGba(
+        num_states=good.num_states,
+        initial=good.initial,
+        ap=good.ap,
+        transitions=(good.transitions - {Transition(1, ab, 1)}) | {Transition(1, ab, 0)},
+        acceptance=good.acceptance,
+        names=good.names,
+    )
+    result = check_formula_agreement(escaped, max_prefix=1, max_cycle=2)
+    assert result.passed is False
+    witness = LassoWord((frozenset(("c",)),), (ab,))
+    assert result.detail == f"automaton and formula disagree on {witness}"
 
 
 def test_verify_names_failing_check_for_corrupted_automaton():

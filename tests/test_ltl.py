@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import bf_eval, random_formula, random_lasso
-from omegarl import LassoWord, ParseError, eval_lasso, format_ltl, lasso, load_formula, parse_ltl
+from helpers import bf_eval, lassos_sharing_cycles, random_formula, random_lasso
+from omegarl import (
+    LassoWord,
+    ParseError,
+    eval_lasso,
+    format_ltl,
+    formula_evaluator,
+    lasso,
+    load_formula,
+    parse_ltl,
+)
 from omegarl.ltl import (
     And,
     Atom,
@@ -140,3 +149,14 @@ def test_de_morgan():
         lhs = Not(And(left, right))
         rhs = parse_ltl(f"!({format_ltl(left)}) | !({format_ltl(right)})")
         assert eval_lasso(lhs, w) == eval_lasso(rhs, w)
+
+
+def test_reused_evaluator_matches_suffix_walk_oracle():
+    """One evaluator per formula over words that share cycles and differ
+    in prefixes of up to four letters."""
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        phi = random_formula(rng, depth=4)
+        holds = formula_evaluator(phi)
+        for w in lassos_sharing_cycles(rng, n_cycles=3, per_cycle=5):
+            assert holds(w) == bf_eval(phi, w)
