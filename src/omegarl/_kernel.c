@@ -1,10 +1,13 @@
-/* One episode of tabular Q-learning on a product's padded integer tables.
+/* The compiled loops of omegarl.learn: one episode of tabular Q-learning
+ * (run_episode, which steps numpy's PCG64 generator; draw exposes that
+ * generator to the tests) and the synchronous sweeps of value iteration
+ * (value_sweeps), both on a product's padded integer tables.
  *
- * This is the step loop of omegarl.learn.train; the module docstring there
- * states the contract (layout, generator state, float order).  Every
- * floating-point operation below is the one the Python reference performs,
- * in the same order, so the results are bit-identical to it when compiled
- * without floating-point contraction or reassociation.
+ * The module docstring of omegarl.learn states the contract (layout,
+ * generator state, float order).  Every floating-point operation below is
+ * the one the Python reference performs, in the same order, so the results
+ * are bit-identical to it when compiled without floating-point contraction
+ * or reassociation.
  */
 
 #include <math.h>
@@ -148,4 +151,61 @@ double run_episode(
     }
     store_draws(&d, rng);
     return total;
+}
+
+/* Pair p's backup from the values v: each successor slot's probability
+ * times its reward (r_p on a non-zero mask) plus gamma times its value,
+ * added from the left; a padding slot adds +0.0. */
+static inline double backup(
+    int64_t p, int64_t width, const int64_t *succ, const double *probs,
+    const int64_t *masks, double gamma, double r_p, const double *v)
+{
+    const int64_t *dst = succ + p * width, *m = masks + p * width;
+    const double *prob = probs + p * width;
+    double t = prob[0] * ((m[0] ? r_p : 0.0) + gamma * v[dst[0]]);
+    for (int64_t j = 1; j < width; j++)
+        t += prob[j] * ((m[j] ? r_p : 0.0) + gamma * v[dst[j]]);
+    return t;
+}
+
+/* Up to `limit` synchronous Bellman-optimality sweeps of the state values
+ * `v`: a sweep computes each state's maximal pair backup into `next` and
+ * the loop stops after the first sweep that moves no state by more than
+ * `threshold`.  Returns 0 when `limit` sweeps ran without meeting the
+ * threshold (`v` holds the last sweep's values, ready for another call),
+ * else 1, with the final values in `v` and each pair's backup from them in
+ * `q`. */
+int64_t value_sweeps(
+    int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
+    const double *probs, const int64_t *masks, double gamma, double r_p,
+    double threshold, int64_t limit, double *v, double *next, double *q)
+{
+    double *cur = v;
+    int converged = 0;
+    for (int64_t sweep = 0; sweep < limit && !converged; sweep++) {
+        double delta = 0.0;
+        for (int64_t s = 0; s < states; s++) {
+            double top = backup(first[s], width, succ, probs, masks, gamma, r_p, cur);
+            for (int64_t p = first[s] + 1; p < first[s + 1]; p++) {
+                double t = backup(p, width, succ, probs, masks, gamma, r_p, cur);
+                if (t > top)
+                    top = t;
+            }
+            double d = fabs(top - cur[s]);
+            if (d > delta)
+                delta = d;
+            next[s] = top;
+        }
+        double *swap = cur;
+        cur = next;
+        next = swap;
+        converged = delta <= threshold;
+    }
+    if (cur != v)
+        for (int64_t s = 0; s < states; s++)
+            v[s] = cur[s];
+    if (converged)
+        for (int64_t p = 0; p < first[states]; p++)
+            q[p] = backup(p, width, succ, probs, masks, gamma, r_p, v);
+    return converged;
 }

@@ -6,66 +6,65 @@ simulator at the product initial state while the Q-table and visit counts
 persist across episodes within a session.  Exploration follows a
 visit-count epsilon schedule and the learning rate decays per state-action
 pair under a Robbins-Monro-compatible power law.  Value iteration is a
-test oracle only and takes no part in training; it runs on the same
-integer tables as the kernel (built by ``build_product``; layout in the
-product module), with one Bellman backup serving both its sweeps and its
-greedy extraction.
+test oracle only and takes no part in training.
 
-Both read the rows padded to the widest one (``_padded_tables``): row
-``p`` holds pair ``p``'s successors, probabilities, cuts and masks, padded
-with state 0, probability 0, cut ``+inf`` and mask 0.  Value iteration
-reads the columns as successor slots (slot ``j`` holds every pair's
-``j``-th successor) and backs up all pairs with a few numpy operations per
-slot.  It adds the slots one by one from the left, the order of a scalar
-loop over a row, so every value is that loop's float; the per-pair sum is
-never ``np.sum``, ``@``, ``dot`` or ``einsum``, whose summation order numpy
-does not promise (pairwise, SIMD and BLAS kernels regroup the additions).
+Both loops run in C (``_kernel.c``) on the same integer tables (built by
+``build_product``; layout in the product module), padded to the widest
+row by ``_padded_tables``: row ``p`` holds pair ``p``'s successors,
+probabilities, cuts and masks, padded with state 0, probability 0, cut
+``+inf`` and mask 0.  ``run_episode`` runs one episode's step loop;
+Python seeds the sessions, resets the per-episode counts, evaluates greedy
+policies and assembles the result.  ``value_sweeps`` runs the synchronous
+sweeps of value iteration and hands back the final values and each pair's
+backup from them.  A ``QTable`` holds flat lists: Q-values and visit
+counts indexed by pair, state visits indexed by state, copied from the
+kernel's arrays.  Action names come back only in the returned policies,
+which ``greedy_policy`` and ``value_iteration`` extract by one rule: the
+first maximal pair of each state.  Per state, the training kernel also
+keeps its greedy pair and maximal value current through every update, so
+neither the greedy choice nor the bootstrap target scans the state's
+actions; only a drop in the greedy pair's value rescans the state for its
+first maximal pair.
 
-The training kernel runs on the product's integer tables and inlines the
-reward scheme's bitmask ``step``.  A ``QTable`` holds flat lists: Q-values
-and visit counts indexed by pair, state visits indexed by state, copied
-from the kernel's arrays.  Action names come back only in the
-returned policies, which ``greedy_policy`` and ``value_iteration`` extract
-by one rule: the first maximal pair of each state.
-Per state, the kernel also keeps its greedy pair and maximal value current
-through every update, so neither the greedy choice nor the bootstrap
-target scans the state's actions; only a drop in the greedy pair's value
-rescans the state for its first maximal pair.
+The training kernel replays numpy's PCG64 ``Generator`` exactly.  Each
+session's generator state is ``PCG64(seed).state``: the 128-bit ``state``
+and ``inc``, handed over as four 64-bit halves, plus the buffered high
+half-word of the last 32-bit draw, which starts empty in each session and
+lives in the caller's array, never in the kernel.  Each 64-bit word is the
+XSL-RR output of the advanced state; ``random()`` is ``(w >> 11) *
+2**-53``; ``integers(n)`` is Lemire's method on 32-bit halves, the low
+half of a word first with its high half kept for the next 32-bit draw,
+and n = 1 draws nothing.
 
-The step loop runs in C (``_kernel.c``, one call per episode); Python
-seeds the sessions, resets the per-episode counts, evaluates greedy
-policies and assembles the result.  The kernel replays numpy's PCG64
-``Generator`` exactly.  Each session's generator state is
-``PCG64(seed).state``: the 128-bit ``state`` and ``inc``, handed over as
-four 64-bit halves, plus the buffered high half-word of the last 32-bit
-draw, which starts empty in each session and lives in the caller's array,
-never in the kernel.  Each 64-bit word is the XSL-RR output of the advanced
-state; ``random()`` is ``(w >> 11) * 2**-53``; ``integers(n)`` is Lemire's
-method on 32-bit halves, the low half of a word first with its high half
-kept for the next 32-bit draw, and n = 1 draws nothing.
-
-The kernel does the IEEE operations of the Python reference loop (kept
-with the tests as ``reference_train``) in the same order:
-``eps_num / k``; ``gamma * top[dst]``, then ``r_p + target`` on a fresh
-accepting mask; ``v + pow(k, -alpha_exponent) * (target - v)``, since
-CPython's ``int ** float`` is the same libm ``pow`` call; the successor is
-the count of the pair's cuts that are ``<= u``, as ``bisect_right`` gives,
-with the cut rows padded by ``+inf``.  It is compiled with ``gcc -O2
--ffp-contract=off`` and no ``-ffast-math`` or ``-march``, since a fused
-multiply-add would change the last bits.  The module builds the kernel on
-first import into ``__pycache__`` next to this file, under a name keyed by
-the hash of the C source, the declarations and the flags; the compiler
-runs in a private temporary directory and the result is moved into place
-atomically, so concurrent first imports all succeed.  A failed build
-raises ``ImportError`` with the compiler's message; there is no Python
-fallback.
+Both entry points do the IEEE operations of their Python references (kept
+with the tests as ``reference_train`` and ``scalar_value_iteration``) in
+the same order, so every float they return is bit-identical to the
+reference's.  Training: ``eps_num / k``; ``gamma * top[dst]``, then ``r_p
++ target`` on a fresh accepting mask; ``v + pow(k, -alpha_exponent) *
+(target - v)``, since CPython's ``int ** float`` is the same libm ``pow``
+call; the successor is the count of the pair's cuts that are ``<= u``, as
+``bisect_right`` gives, with the cut rows padded by ``+inf``.  Value
+iteration: a pair's backup is ``p0 * (r0 + gamma * v[d0])``, then ``+=
+pj * (rj + gamma * v[dj])`` for each further slot from the left, where
+``r`` is ``r_p`` on a non-zero mask and 0 otherwise, so a padding slot
+adds ``+0.0`` and changes no bit; a state's value is the maximum of its
+pairs' backups; a sweep's change is the maximum of ``|new - old|``.  The
+kernel is compiled with ``gcc -O2 -ffp-contract=off`` and no
+``-ffast-math``, ``-Ofast`` or ``-march``, since a fused multiply-add or a
+reassociated sum would change the last bits.  The module builds the
+kernel on first import into ``__pycache__`` next to this file, under a
+name keyed by a CRC-32 of the C source, the declarations and the flags;
+the compiler runs in a private temporary directory and the result is
+moved into place atomically, so concurrent first imports all succeed.  A
+failed build raises ``ImportError`` with the compiler's message; there is
+no Python fallback.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import zlib
 from dataclasses import asdict, dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
@@ -86,16 +85,21 @@ double run_episode(
     double *values, int64_t *pair_visits, int64_t *state_visits,
     int64_t *best, double *top, uint64_t *rng);
 void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out);
+int64_t value_sweeps(
+    int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
+    const double *probs, const int64_t *masks, double gamma, double r_p,
+    double threshold, int64_t limit, double *v, double *next, double *q);
 """
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off")
+_SWEEPS_PER_CALL = 4096
 
 
 def _load_kernel():
     """The compiled kernel's ``(ffi, lib)``, built on a cache miss."""
     here = Path(__file__).resolve().parent
     source = (here / "_kernel.c").read_text(encoding="utf-8")
-    key = hashlib.sha256("\0".join((source, _KERNEL_CDEF, *_KERNEL_FLAGS)).encode()).hexdigest()
-    name = f"_omegarl_kernel_{key[:16]}"
+    key = zlib.crc32("\0".join((source, _KERNEL_CDEF, *_KERNEL_FLAGS)).encode())
+    name = f"_omegarl_kernel_{key:08x}"
     path = here / "__pycache__" / (name + EXTENSION_SUFFIXES[0])
     if not path.exists():
         _build_kernel(name, source, path)
@@ -400,15 +404,13 @@ def value_iteration(
     must be positive and finite, as for ``AcceptingReward``, and ``tol``
     must be non-negative.
 
-    The tables are laid out in successor slots: ``dst``, ``prob`` and
-    ``rew`` are ``(width, pairs)`` transposes of the padded tables, where
-    ``width`` is the most successors of any pair, slot ``j`` of pair ``p``
-    holds its ``j``-th successor, and unused slots hold ``(0, 0.0, 0.0)``.  The backup adds
-    the slots one at a time, left to right, which is the order of a
-    per-pair loop over the successors; a padding slot adds ``+0.0`` and
-    changes no bit.  So every value is the float that loop gives, and the
-    pinned oracle hashes hold.  A reduction such as ``np.sum`` would be
-    free to regroup the additions and change the last bits.
+    The sweeps run in the kernel's ``value_sweeps``: each sweep backs up
+    every pair from the last sweep's values, keeps each state's maximum,
+    and the loop stops after the first sweep whose largest change is at
+    most ``tol * (1 - gamma) / gamma`` (``tol`` itself at gamma 0).  One
+    kernel call runs at most ``_SWEEPS_PER_CALL`` sweeps and the next call
+    resumes from its values, so a keyboard interrupt still lands within one
+    call where the sweeps take long (tens of thousands near gamma 1).
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
@@ -416,24 +418,11 @@ def value_iteration(
         raise ValueError("tol must be non-negative")
     require_positive("r_p", r_p)
     succ, probs, _, masks = _padded_tables(product)
-    # slot-major copies: the strided rows of a transposed view sweep ~10 % slower
-    dst, prob, rew = (np.ascontiguousarray(a.T) for a in (succ, probs, np.where(masks, r_p, 0.0)))
-    width = len(dst)
-    starts = np.array(product.first[:-1], dtype=np.intp)
-
-    def backup(v: np.ndarray) -> np.ndarray:
-        total = prob[0] * (rew[0] + gamma * v[dst[0]])
-        for j in range(1, width):
-            total += prob[j] * (rew[j] + gamma * v[dst[j]])
-        return total
-
-    v = np.zeros(product.num_states)
+    first = np.array(product.first, dtype=np.int64)
+    v, scratch, q = np.zeros(product.num_states), np.zeros(product.num_states), np.zeros(len(succ))
     threshold = tol if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-    while True:
-        new_v = np.maximum.reduceat(backup(v), starts)
-        delta = np.abs(new_v - v).max()
-        v = new_v
-        if delta <= threshold:
-            break
-
-    return dict(enumerate(v.tolist())), _first_maximal(product, backup(v).tolist())
+    args = (product.num_states, succ.shape[1], *_pointers(first, succ, probs, masks),
+            gamma, r_p, threshold, _SWEEPS_PER_CALL, *_pointers(v, scratch, q))
+    while not _lib.value_sweeps(*args):
+        pass
+    return dict(enumerate(v.tolist())), _first_maximal(product, q.tolist())

@@ -1,6 +1,7 @@
-"""The compiled training kernel is built on the first import of a cold copy
-of the package: concurrent first imports all succeed, and a failed build is
-an ImportError that carries the compiler's failure."""
+"""The compiled kernel is built on the first import of a cold copy of the
+package: concurrent first imports all succeed and can run both of its
+loops, and a failed build is an ImportError that carries the compiler's
+failure."""
 
 import os
 import shutil
@@ -8,8 +9,25 @@ import subprocess
 import sys
 
 import omegarl
+from omegarl.learn import _KERNEL_FLAGS
 
 PACKAGE = os.path.dirname(omegarl.__file__)
+
+# A two-state product (s0 -> s1, then a rewarded self-loop at s1) through
+# value iteration and one training step: both kernel loops of a fresh build.
+RUN_BOTH_LOOPS = """
+from omegarl import (AcceptingReward, LabeledMdp, TGba, TrainConfig, Transition, build_product,
+                     train, value_iteration)
+m = LabeledMdp(num_states=2, initial=0, ap=frozenset({"a"}), enabled=(("go",), ("go",)),
+               prob={(0, "go"): ((1, 1.0),), (1, "go"): ((1, 1.0),)},
+               label={(1, "go", 1): frozenset({"a"})})
+loop_a, loop_empty = Transition(0, frozenset({"a"}), 0), Transition(0, frozenset(), 0)
+b = TGba(1, 0, frozenset({"a"}), frozenset({loop_a, loop_empty}), (frozenset({loop_a}),))
+product = build_product(m, b)
+assert value_iteration(product, gamma=0.5, r_p=1.0, tol=0.0)[0] == {0: 1.0, 1: 2.0}
+cfg = TrainConfig(episodes=1, steps_per_episode=2, sessions=1)
+assert train(product, AcceptingReward(product, 2.0), cfg).curve.mean.tolist() == [1.0]
+"""
 
 
 def cold_copy(tmp_path):
@@ -18,15 +36,15 @@ def cold_copy(tmp_path):
     return tmp_path / "omegarl"
 
 
-def start_import(root, path=None) -> subprocess.Popen:
+def start_import(root, path=None, code="import omegarl") -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(root), "PATH": path or os.environ.get("PATH", "")}
-    return subprocess.Popen([sys.executable, "-c", "import omegarl"], env=env,
+    return subprocess.Popen([sys.executable, "-c", code], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def test_concurrent_cold_imports_both_build_one_kernel(tmp_path):
     package = cold_copy(tmp_path)
-    procs = [start_import(tmp_path), start_import(tmp_path)]
+    procs = [start_import(tmp_path, code=RUN_BOTH_LOOPS) for _ in range(2)]
     errors = [proc.communicate(timeout=120)[1] for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], errors
     cache = package / "__pycache__"
@@ -55,3 +73,16 @@ def test_compiler_error_is_an_import_error_with_its_message(tmp_path):
     assert "ImportError: cannot build the omegarl training kernel: gcc exited" in err
     assert "this kernel does not compile" in err
     assert not list((package / "__pycache__").glob("_omegarl_kernel_*"))
+
+
+def test_import_leaves_hashlib_unloaded():
+    # the kernel's cache key is a CRC-32: importing hashlib maps OpenSSL
+    code = "import sys, omegarl; print('_hashlib' in sys.modules, 'hashlib' in sys.modules)"
+    out = start_import(os.path.dirname(PACKAGE), code=code).communicate(timeout=120)
+    assert out == ("False False\n", "")
+
+
+def test_kernel_flags_keep_every_float_operation():
+    # a fused multiply-add or a reassociated sum changes the kernels' last bits
+    assert "-ffp-contract=off" in _KERNEL_FLAGS
+    assert not [f for f in _KERNEL_FLAGS if f in ("-ffast-math", "-Ofast") or f.startswith("-march=")]

@@ -28,6 +28,7 @@ from omegarl import (
     train,
     value_iteration,
 )
+from omegarl import learn
 from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import _generator_array, _lib, _pointers
 from omegarl.product import AcceptingReward, FrontierReward
@@ -176,9 +177,9 @@ def test_value_iteration_zero_tol_reaches_the_fixed_point():
 GAMMAS = (0.0, 0.5, 0.95, 0.99)
 
 
-def assert_same_as_scalar(product, gamma):
-    values, policy = value_iteration(product, gamma, 2.0)
-    ref_values, ref_policy = scalar_value_iteration(product, gamma, 2.0)
+def assert_same_as_scalar(product, gamma, tol=1e-10):
+    values, policy = value_iteration(product, gamma, 2.0, tol)
+    ref_values, ref_policy = scalar_value_iteration(product, gamma, 2.0, tol)
     assert repr(values) == repr(ref_values)
     assert policy.choice == ref_policy.choice
 
@@ -206,6 +207,27 @@ def test_value_iteration_matches_scalar_reference_on_a_large_product():
     product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), "augmented", 2.0)
     assert product.num_states > 150
     assert_same_as_scalar(product, 0.99)
+
+
+def small_random_product():
+    """An augmented product of 11 states and 22 pairs with rows of up to
+    four successors."""
+    m = random_labeled_mdp(np.random.default_rng(3), n_states=4, letters=letters_over("ab"))
+    product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), "augmented", 2.0)
+    assert len(product.keys) == 22
+    return product
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+def test_value_iteration_matches_scalar_reference_near_gamma_one(tol):
+    # tens of thousands of sweeps; tol 0 stops only once no bit changes
+    assert_same_as_scalar(small_random_product(), 0.999, tol)
+
+
+@pytest.mark.parametrize("limit", [1, 7])
+def test_value_iteration_resumes_across_kernel_calls(monkeypatch, limit):
+    monkeypatch.setattr(learn, "_SWEEPS_PER_CALL", limit)
+    assert_same_as_scalar(small_random_product(), 0.99)
 
 
 def test_value_iteration_finds_satisfying_policy(augmented_product):
