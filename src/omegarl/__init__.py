@@ -2,20 +2,12 @@
 
 The pipeline: an LTL specification is recognized by a limit-deterministic
 generalized Buchi automaton; the automaton is augmented with a memory
-vector recording visited accepting sets; the product with the controlled
+bitmask recording visited accepting sets; the product with the controlled
 MDP yields a reward function whose optimal discounted policies positively
 satisfy the specification, learnable by tabular Q-learning.
 """
 
-from .augment import (
-    AugmentedState,
-    augment,
-    augment_with_states,
-    merge_unaccepting,
-    reset,
-    vec_max,
-    visitf,
-)
+from .augment import augment, merge_unaccepting
 from .automata import (
     EPSILON,
     AutomatonError,

@@ -1,87 +1,55 @@
-"""Memory-vector augmentation of generalized Buchi automata.
+"""Memory augmentation of generalized Buchi automata.
 
-The augmentation pairs each automaton state with a binary memory vector, one
-bit per accepting set, recording which sets have been visited since the
-last time all of them were.  Accepting sets of the augmented automaton keep
-only the "first visit since reset" transitions, which spreads accepting
-transitions over distinct memory-tagged states while preserving the
-accepted language.
+The augmentation pairs each automaton state with a memory, one bit per
+accepting set, recording which sets have been visited since the last time
+all of them were.  The memory is an accepting-set bitmask, like the masks
+of ``TGba``: a transition ORs its mask in, and a full memory resets to 0.
+Accepting sets of the augmented automaton keep only the "first visit since
+reset" transitions, which spreads accepting transitions over distinct
+memory-tagged states while preserving the accepted language.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import TGba, Transition, _by_src
 from .graphs import closure, explore
 
-MemoryVector = tuple[int, ...]
-
-
-def visitf(e: Transition, acceptance: tuple[frozenset[Transition], ...]) -> MemoryVector:
-    """Bit i is set iff the transition belongs to accepting set i."""
-    return tuple(1 if e in acc else 0 for acc in acceptance)
-
-
-def reset(v: MemoryVector) -> MemoryVector:
-    """All-zeros when every set has been visited; otherwise unchanged."""
-    return (0,) * len(v) if all(v) else v
-
-
-def vec_max(v: MemoryVector, u: MemoryVector) -> MemoryVector:
-    """Elementwise maximum (bitwise OR for 0/1 vectors)."""
-    if len(v) != len(u):
-        raise ValueError("memory vectors differ in length")
-    return tuple(max(a, b) for a, b in zip(v, u))
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Original state plus its memory vector; ``memory=None`` marks a state
-    produced by merging a reward-free region."""
-
-    base: int
-    memory: MemoryVector | None
-
 
 def augment(b: TGba) -> TGba:
-    """Reachable fragment of the memory-vector augmentation of ``b``."""
-    return augment_with_states(b)[0]
+    """Reachable fragment of the memory augmentation of ``b``.
 
-
-def augment_with_states(b: TGba) -> tuple[TGba, tuple[AugmentedState, ...]]:
-    """Augmentation plus the (base, memory) decomposition of each new state.
-
-    Transitions update memory by ``reset(max(v, visitf(e)))``; epsilon
-    transitions contribute an all-zero visit vector, so they carry the
-    memory through unchanged.  Accepting set j of the result keeps exactly
-    the set-j transitions leaving a state whose j-th memory bit is 0.
+    Transitions update memory ``v`` to ``v | mask``, reset to 0 when every
+    bit is set; an epsilon move's mask is 0, so it carries the memory
+    through unchanged.  Accepting set j of the result keeps exactly the
+    set-j transitions leaving a state whose memory bit j is 0.  A state is
+    named ``base@bits`` with the bit of set 1 first.
     """
     n = len(b.acceptance)
+    full = (1 << n) - 1
     out = _by_src(b)
-    visit = {t: visitf(t, b.acceptance) for t in b.transitions}
 
     def successors(node):
         x, v = node
         for t in out[x]:
-            yield (t.dst, reset(v) if t.is_epsilon() else reset(vec_max(v, visit[t]))), t
+            w = v | b.masks[t]
+            yield (t.dst, 0 if w == full else w), t
 
-    order, rows = explore((b.initial, (0,) * n), successors)
+    order, rows = explore((b.initial, 0), successors)
     transitions: list[Transition] = []
     accepting: list[list[Transition]] = [[] for _ in range(n)]
     for i_src, ((_, v), row) in enumerate(zip(order, rows)):
         for t, i_dst in row:
             nt = Transition(i_src, t.letter, i_dst)
             transitions.append(nt)
-            if not t.is_epsilon():
-                for j in range(n):
-                    if v[j] == 0 and t in b.acceptance[j]:
-                        accepting[j].append(nt)
+            fresh = b.masks[t] & ~v
+            for j in range(n):
+                if fresh >> j & 1:
+                    accepting[j].append(nt)
 
     names = tuple(
-        f"{b.name_of(x)}@{''.join(map(str, v))}" for (x, v) in order
+        f"{b.name_of(x)}@{''.join(str(v >> j & 1) for j in range(n))}" for (x, v) in order
     )
-    aug = TGba(
+    return TGba(
         num_states=len(order),
         initial=0,
         ap=b.ap,
@@ -89,8 +57,6 @@ def augment_with_states(b: TGba) -> tuple[TGba, tuple[AugmentedState, ...]]:
         acceptance=tuple(frozenset(acc) for acc in accepting),
         names=names,
     )
-    states = tuple(AugmentedState(base=x, memory=v) for (x, v) in order)
-    return aug, states
 
 
 def merge_unaccepting(b_aug: TGba) -> TGba:
@@ -105,11 +71,10 @@ def merge_unaccepting(b_aug: TGba) -> TGba:
         raise ValueError("merge needs augmented state names ('base@bits')")
     base_names = tuple(name.split("@", 1)[0] for name in b_aug.names)
 
-    acc_all = frozenset().union(*b_aug.acceptance)
     preds: list[set[int]] = [set() for _ in range(b_aug.num_states)]
     for t in b_aug.transitions:
         preds[t.dst].add(t.src)
-    live = closure({t.src for t in acc_all}, lambda v: preds[v])
+    live = closure({t.src for t, mask in b_aug.masks.items() if mask}, lambda v: preds[v])
     dead = [s for s in b_aug.states() if s not in live]
     if not dead:
         return b_aug

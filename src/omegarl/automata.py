@@ -10,7 +10,7 @@ shorthands that are expanded at parse time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -55,7 +55,11 @@ class TGba:
 
     States are the integers ``0..num_states-1``.  ``acceptance`` is the
     ordered list of accepting transition sets; a run is accepting when it
-    takes transitions from every set infinitely often.
+    takes transitions from every set infinitely often.  ``masks`` maps each
+    transition to its accepting-set bitmask (bit ``j`` set iff the
+    transition lies in ``acceptance[j]``), computed once at construction;
+    it is the form every other module reads acceptance in.  Epsilon moves
+    consume no letter, so none may be accepting: their mask is always 0.
     """
 
     num_states: int
@@ -64,6 +68,7 @@ class TGba:
     transitions: frozenset[Transition]
     acceptance: tuple[frozenset[Transition], ...]
     names: tuple[str, ...] | None = None
+    masks: dict[Transition, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_states < 1:
@@ -77,11 +82,21 @@ class TGba:
                 raise AutomatonError(f"transition {t} references an undeclared state")
             if t.letter is not EPSILON and not frozenset(t.letter) <= self.ap:
                 raise AutomatonError(f"transition {t} uses undeclared propositions")
+        if self.names is not None and len(self.names) != self.num_states:
+            raise AutomatonError("state name list does not match state count")
+        masks = dict.fromkeys(self.transitions, 0)
         for j, acc in enumerate(self.acceptance):
             if not acc <= self.transitions:
                 raise AutomatonError(f"accepting set {j + 1} contains unknown transitions")
-        if self.names is not None and len(self.names) != self.num_states:
-            raise AutomatonError("state name list does not match state count")
+            for t in acc:
+                masks[t] |= 1 << j
+        # name the lowest offender: EPSILON hashes by identity, so set order
+        # differs from process to process
+        accepting_eps = [t for t, mask in masks.items() if mask and t.is_epsilon()]
+        if accepting_eps:
+            t = min(accepting_eps, key=lambda t: (t.src, t.dst))
+            raise AutomatonError(f"epsilon transition {_render(self, t)} is accepting")
+        object.__setattr__(self, "masks", masks)
 
     def name_of(self, state: int) -> str:
         return self.names[state] if self.names else f"x{state}"
@@ -122,41 +137,28 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
 
     The final part is the forward closure of all accepting-transition
     endpoints and all epsilon targets; it is the unique minimal candidate,
-    so if it violates any condition no valid partition exists.  Determinism
-    inside the final part is checked per letter (at most one successor for
-    each state/letter pair), the reading under which standard constructions
+    so if it violates any condition no valid partition exists.  Some
+    conditions hold by construction and are not checked: the final part
+    holds both endpoints of every accepting transition and no transition
+    leaves it, since it is the forward closure of those endpoints; and no
+    accepting transition is an epsilon move, since ``TGba`` rejects one.
+    What is checked is that no epsilon move starts inside the final part,
+    and determinism there, per letter (at most one successor for each
+    state/letter pair), the reading under which standard constructions
     satisfy the transition-count condition.  Transitions are walked in the
     order of ``serialize_automaton``, so the violation named is the same in
     every process (``EPSILON`` hashes by identity, so set order is not).
     """
     ordered = _sorted_transitions(b)
     succ: list[set[int]] = [set() for _ in range(b.num_states)]
+    seeds: set[int] = set()
     for t in ordered:
         succ[t.src].add(t.dst)
-
-    seeds: set[int] = set()
-    for acc in b.acceptance:
-        for t in acc:
-            seeds.add(t.src)
+        if b.masks[t]:
+            seeds.update((t.src, t.dst))
+        elif t.is_epsilon():
             seeds.add(t.dst)
-    for t in ordered:
-        if t.is_epsilon():
-            seeds.add(t.dst)
-
     x_final = closure(seeds, lambda v: succ[v])
-
-    for j, acc in enumerate(b.acceptance):
-        for t in ordered:
-            if t not in acc:
-                continue
-            if t.src not in x_final or t.dst not in x_final:
-                raise NotLimitDeterministic(
-                    f"accepting set {j + 1} transition {_render(b, t)} leaves the final part"
-                )
-            if t.is_epsilon():
-                raise NotLimitDeterministic(
-                    f"accepting set {j + 1} contains the epsilon transition {_render(b, t)}"
-                )
 
     per_letter: dict[tuple[int, object], int] = {}
     for t in ordered:
@@ -165,10 +167,6 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
         if t.is_epsilon():
             raise NotLimitDeterministic(
                 f"epsilon transition {_render(b, t)} starts inside the final part"
-            )
-        if t.dst not in x_final:
-            raise NotLimitDeterministic(
-                f"transition {_render(b, t)} escapes the final part"
             )
         key = (t.src, t.letter)
         per_letter[key] = per_letter.get(key, 0) + 1
@@ -203,7 +201,7 @@ def serialize_automaton(b: TGba) -> str:
         f"acceptance-sets: {len(b.acceptance)}",
     ]
     for t in _sorted_transitions(b):
-        accs = [str(j + 1) for j, acc in enumerate(b.acceptance) if t in acc]
+        accs = [str(j + 1) for j in range(len(b.acceptance)) if b.masks[t] >> j & 1]
         line = f"{t.src} {_guard_text(t.letter, ap_sorted)} {t.dst}"
         if accs:
             line += f" acc: {','.join(accs)}"
@@ -294,6 +292,8 @@ def parse_automaton(text: str) -> TGba:
             raise AutomatonError(f"line {lineno}: state id out of range")
         guard = " ".join(tokens[1:-1])
         if guard == "eps":
+            if acc_indices:
+                raise AutomatonError(f"line {lineno}: an epsilon move cannot be accepting")
             expanded = [Transition(src, EPSILON, dst)]
         else:
             try:
@@ -351,7 +351,7 @@ def degeneralize(b: TGba) -> TGba:
     def successors(node):
         x, j = node
         for t in out[x]:
-            yield (t.dst, j % n + 1 if t in b.acceptance[j - 1] else j), t
+            yield (t.dst, j % n + 1 if b.masks[t] >> (j - 1) & 1 else j), t
 
     order, rows = explore((b.initial, 1), successors)
     new_transitions: list[Transition] = []
@@ -360,7 +360,7 @@ def degeneralize(b: TGba) -> TGba:
         for t, i_dst in row:
             nt = Transition(i_src, t.letter, i_dst)
             new_transitions.append(nt)
-            if j == n and t in b.acceptance[n - 1]:
+            if j == n and b.masks[t] >> (n - 1) & 1:
                 accepting.append(nt)
     names = tuple(f"{b.name_of(x)}.{j}" for (x, j) in order)
     return TGba(
@@ -377,35 +377,27 @@ def degeneralize(b: TGba) -> TGba:
 
 @lru_cache(maxsize=64)
 def _run_index(b: TGba):
-    """Per-state letter lookup plus accepting-set bitmasks, cached per
-    automaton; raises ``AutomatonError`` if epsilon transitions form a
-    cycle."""
-    n_sets = len(b.acceptance)
-    mask_of: dict[Transition, int] = {}
-    for t in b.transitions:
-        m = 0
-        for j, acc in enumerate(b.acceptance):
-            if t in acc:
-                m |= 1 << j
-        mask_of[t] = m
+    """Per-state letter lookup of (target, mask) moves plus epsilon targets,
+    cached per automaton; raises ``AutomatonError`` if epsilon transitions
+    form a cycle."""
     by_letter: list[dict[frozenset, list[tuple[int, int]]]] = [
         {} for _ in range(b.num_states)
     ]
-    eps_out: list[list[tuple[int, int]]] = [[] for _ in range(b.num_states)]
+    eps_out: list[list[int]] = [[] for _ in range(b.num_states)]
     deterministic = True
     for t in _sorted_transitions(b):
         if t.is_epsilon():
-            eps_out[t.src].append((t.dst, mask_of[t]))
+            eps_out[t.src].append(t.dst)
             deterministic = False
         else:
             lst = by_letter[t.src].setdefault(t.letter, [])
-            lst.append((t.dst, mask_of[t]))
+            lst.append((t.dst, b.masks[t]))
             if len(lst) > 1:
                 deterministic = False
     # epsilon cycles would allow runs that never consume the word; lru_cache
     # caches no exception, so every call on such an automaton raises
     _assert_no_epsilon_cycles(b, eps_out)
-    full_mask = (1 << n_sets) - 1
+    full_mask = (1 << len(b.acceptance)) - 1
     return by_letter, eps_out, full_mask, deterministic
 
 
@@ -459,7 +451,7 @@ def lasso_acceptor(b: TGba) -> Callable[[LassoWord], bool]:
             for letter in w.prefix:
                 entering = {
                     dst
-                    for y in closure(entering, lambda s: (d for d, _ in eps_out[s]))
+                    for y in closure(entering, lambda s: eps_out[s])
                     for dst, _ in by_letter[y].get(letter, ())
                 }
         cycle = w.cycle
@@ -506,8 +498,8 @@ def _scc_verdict(index, x: int, cycle: tuple) -> bool:
         pos, y = node
         for dst, mask in by_letter[y].get(cycle[pos], ()):
             yield (pos + 1 if pos + 1 < n else 0, dst), mask
-        for dst, mask in eps_out[y]:
-            yield (pos, dst), mask
+        for dst in eps_out[y]:
+            yield (pos, dst), 0
 
     _, rows = explore((0, x), successors)
     comps = strongly_connected_components(range(len(rows)), lambda v: (u for _, u in rows[v]))
@@ -527,8 +519,8 @@ def _scc_verdict(index, x: int, cycle: tuple) -> bool:
 def _assert_no_epsilon_cycles(b: TGba, eps_out) -> None:
     """An epsilon cycle is an epsilon component of several states, or a
     state with an epsilon self-loop."""
-    for comp in strongly_connected_components(b.states(), lambda x: (d for d, _ in eps_out[x])):
-        if len(comp) > 1 or any(d == comp[0] for d, _ in eps_out[comp[0]]):
+    for comp in strongly_connected_components(b.states(), lambda x: eps_out[x]):
+        if len(comp) > 1 or comp[0] in eps_out[comp[0]]:
             raise AutomatonError("epsilon transitions form a cycle")
 
 

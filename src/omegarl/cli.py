@@ -175,8 +175,6 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = TrainConfig.from_dict({**cfg.to_dict(), "rng_seed": args.seed})
-    if args.method not in METHODS:
-        raise CliError(f"unknown method {args.method!r}")
 
     product, scheme = method_product_and_scheme(m, b_raw, args.method, cfg.r_p)
     result = train(product, scheme, cfg)

@@ -14,11 +14,12 @@ the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]`` names
 the pair.  Each pair has a tuple of successor states, a tuple of their
 probabilities, a tuple of the cumulative probabilities of all but its last
 successor (a uniform draw picks a successor by bisection), and a tuple of
-bitmasks whose bit ``k`` says that the transition lies in accepting set
-``k`` of the automaton (0 for epsilon and non-accepting transitions).
-Acceptance lives only in these masks: both reward schemes are one rule
-over them (``RewardScheme``), and policy evaluation and the positional
-impossibility certificate read them too.
+bitmasks: each is the mask the automaton (``TGba.masks``) gives the move
+it synchronizes with, whose bit ``k`` says that the move lies in accepting
+set ``k``.  An epsilon guess carries mask 0, since the automaton has no
+accepting epsilon move.  Acceptance lives only in these masks: both reward
+schemes are one rule over them (``RewardScheme``), and policy evaluation
+and the positional impossibility certificate read them too.
 """
 
 from __future__ import annotations
@@ -141,12 +142,7 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
         for (a, p, t, full_label), j in row:
             if full_label:
                 label[(i, a, j)] = full_label
-            mask = 0
-            if not t.is_epsilon():
-                for k, acc in enumerate(b.acceptance):
-                    if t in acc:
-                        mask |= 1 << k
-            dists.setdefault(a, []).append((j, p, mask))
+            dists.setdefault(a, []).append((j, p, b.masks[t]))
         for a, dist in dists.items():
             js, ps, ms = zip(*sorted(dist))
             keys.append((i, a))
@@ -234,11 +230,10 @@ def AcceptingReward(product: ProductMdp, r_p: float) -> RewardScheme:
 def FrontierReward(product: ProductMdp, r_p: float) -> RewardScheme:
     """Working-set baseline: scores the first occurrence of each accepting
     set's transitions, re-initializing once every set has been hit."""
-    acc = product.automaton.acceptance
-    full = frozenset().union(*acc)
+    b = product.automaton
+    masks = set(b.masks.values()) - {0}
     empty = tuple(
-        full <= frozenset().union(*(s for j, s in enumerate(acc) if done >> j & 1))
-        for done in range(1 << len(acc))
+        all(mask & done for mask in masks) for done in range(1 << len(b.acceptance))
     )
     return RewardScheme(product, r_p, empty)
 

@@ -406,6 +406,15 @@ def product_acceptance(m, product) -> tuple[frozenset, ...]:
     )
 
 
+# --- augmented state names --------------------------------------------------------
+
+def split_augmented(name: str) -> tuple[str, tuple[int, ...]]:
+    """Base state name and memory vector of an augmented state named
+    ``base@bits``; entry j of the vector is the bit of accepting set j + 1."""
+    base, bits = name.split("@")
+    return base, tuple(int(c) for c in bits)
+
+
 # --- frontier reward oracle ------------------------------------------------------
 
 def frontier_init(acceptance) -> frozenset:

@@ -3,21 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import letters_over, random_lasso
+from helpers import letters_over, random_lasso, random_tgba, split_augmented
 from omegarl import (
     EPSILON,
     TGba,
     Transition,
     accepts_lasso,
     augment,
-    augment_with_states,
     check_limit_deterministic,
+    degeneralize,
     lasso,
+    lasso_acceptor,
     merge_unaccepting,
-    reset,
-    vec_max,
-    visitf,
 )
+from omegarl.automata import letter_key
+from omegarl.verify import all_lassos
 from test_automata import canonical_form
 
 A = frozenset({"a"})
@@ -25,39 +25,94 @@ B = frozenset({"b"})
 AB = frozenset({"a", "b"})
 
 
-def test_visitf_on_fixture_transitions(fig_automaton):
-    acc = fig_automaton.acceptance
-    assert visitf(Transition(0, AB, 0), acc) == (1, 1)
-    assert visitf(Transition(0, A, 0), acc) == (1, 0)
-    assert visitf(Transition(0, frozenset(), 0), acc) == (0, 0)
+def augmented_walks(b, seed: int, walks: int = 100, steps: int = 30):
+    """Seeded random walks on ``augment(b)``.  Returns the augmentation and
+    the walks, each a list of steps ``(raw transition, augmented transition,
+    memory before, memory after)``; the memories and the raw transition are
+    read from the ``base@bits`` state names."""
+    aug = augment(b)
+    index = {b.name_of(x): x for x in b.states()}
+    ap_sorted = tuple(sorted(b.ap))
+    out = [[] for _ in aug.states()]
+    for t in sorted(aug.transitions, key=lambda t: (t.src, letter_key(t.letter, ap_sorted), t.dst)):
+        out[t.src].append(t)
+    rng = np.random.default_rng(seed)
+    result = []
+    for _ in range(walks):
+        x, walk = aug.initial, []
+        for _ in range(steps):
+            if not out[x]:
+                break
+            t = out[x][rng.integers(len(out[x]))]
+            base, before = split_augmented(aug.names[t.src])
+            base_dst, after = split_augmented(aug.names[t.dst])
+            walk.append((Transition(index[base], t.letter, index[base_dst]), t, before, after))
+            x = t.dst
+        result.append(walk)
+    return aug, result
 
 
-def test_reset():
-    assert reset((1, 1)) == (0, 0)
-    assert reset((1, 0)) == (1, 0)
-    assert reset((0, 0)) == (0, 0)
+def walked_automata(fig_automaton, eps_automaton):
+    """The fixtures plus seeded random automata with three accepting sets."""
+    rng = np.random.default_rng(22)
+    return [fig_automaton, eps_automaton] + [random_tgba(rng, n_sets=3) for _ in range(4)]
 
 
-def test_vec_max():
-    assert vec_max((1, 0), (0, 1)) == (1, 1)
-    assert vec_max((0, 0), (1, 0)) == (1, 0)
-    assert vec_max((1, 1), (1, 1)) == (1, 1)
-    with pytest.raises(ValueError):
-        vec_max((1,), (1, 0))
+def step(aug, src: str, letter) -> str:
+    """Name of the successor of the augmented state named ``src`` on ``letter``."""
+    (dst,) = [
+        t.dst for t in aug.transitions if aug.names[t.src] == src and t.letter == letter
+    ]
+    return aug.names[dst]
+
+
+def test_visitf_on_fixture_transitions(fig_automaton, eps_automaton):
+    """The paper's visit vector visitf(e) is the transition's mask, bit j
+    for accepting set j + 1; epsilon moves visit no set."""
+    masks = fig_automaton.masks
+    assert masks[Transition(0, AB, 0)] == 0b11
+    assert masks[Transition(0, A, 0)] == 0b01
+    assert masks[Transition(0, B, 0)] == 0b10
+    assert masks[Transition(0, frozenset(), 0)] == 0
+    assert masks[Transition(1, AB, 1)] == 0
+    assert eps_automaton.masks[Transition(0, EPSILON, 1)] == 0
+    assert eps_automaton.masks[Transition(1, A, 1)] == 1
+
+
+def test_reset(fig_automaton):
+    """A memory that would become all ones resets to all zeros; any other
+    memory is kept."""
+    aug = augment(fig_automaton)
+    assert step(aug, "x0@10", B) == "x0@00"
+    assert step(aug, "x0@01", A) == "x0@00"
+    assert step(aug, "x0@00", AB) == "x0@00"
+    assert step(aug, "x0@10", A) == "x0@10"
+    assert step(aug, "x0@00", frozenset()) == "x0@00"
+
+
+def test_vec_max(fig_automaton):
+    """Short of a reset, the memory is the bitwise maximum of the memory
+    before and the visit vector; the trap keeps its memory."""
+    aug = augment(fig_automaton)
+    assert step(aug, "x0@00", A) == "x0@10"
+    assert step(aug, "x0@00", B) == "x0@01"
+    assert step(aug, "x0@01", B) == "x0@01"
+    assert step(aug, "x0@10", frozenset({"c"})) == "x1@10"
+    assert step(aug, "x1@01", AB) == "x1@01"
 
 
 def test_augment_fixture_reachable_states(fig_automaton):
-    aug, states = augment_with_states(fig_automaton)
+    aug = augment(fig_automaton)
     assert aug.num_states == 6
     assert set(aug.names) == {
         "x0@00", "x0@10", "x0@01", "x1@00", "x1@10", "x1@01",
     }
     # the all-ones memory resets within the transition, so it never appears
-    assert all(st.memory != (1, 1) for st in states)
+    assert all(split_augmented(name)[1] != (1, 1) for name in aug.names)
 
 
 def test_augment_memory_update_and_acceptance(fig_automaton):
-    aug, states = augment_with_states(fig_automaton)
+    aug = augment(fig_automaton)
     idx = {aug.names[i]: i for i in range(aug.num_states)}
     t = Transition(idx["x0@10"], B, idx["x0@00"])
     assert t in aug.transitions
@@ -74,11 +129,11 @@ def test_augment_single_set_isomorphic(eps_automaton):
 
 
 def test_augment_epsilon_copies_memory(eps_automaton):
-    aug, states = augment_with_states(eps_automaton)
+    aug = augment(eps_automaton)
     eps_edges = [t for t in aug.transitions if t.letter is EPSILON]
     assert eps_edges
     for t in eps_edges:
-        assert states[t.src].memory == states[t.dst].memory
+        assert split_augmented(aug.names[t.src])[1] == split_augmented(aug.names[t.dst])[1]
 
 
 def test_merge_fixture_collapses_trap(fig_automaton):
@@ -125,46 +180,65 @@ def test_language_preserved_epsilon_fixture(eps_automaton):
         assert accepts_lasso(merged, w) == expect
 
 
-def test_memory_update_algebra(fig_automaton):
-    rng = np.random.default_rng(22)
-    transitions = sorted(fig_automaton.transitions, key=repr)
-    for _ in range(300):
-        v = (int(rng.integers(2)), int(rng.integers(2)))
-        e = transitions[rng.integers(len(transitions))]
-        combined = vec_max(v, visitf(e, fig_automaton.acceptance))
-        after = reset(combined)
-        assert (after == (0, 0) and combined == (1, 1)) or (
-            after == combined and combined != (1, 1)
-        )
+def test_language_preserved_on_random_automata():
+    """Seeded random automata with one to three accepting sets and epsilon
+    edges: the augmentation, the merged augmentation, the degeneralization
+    and the augmented degeneralization accept exactly the raw automaton's
+    bounded lasso words."""
+    rng = np.random.default_rng(24)
+    words = list(all_lassos(("a", "b"), max_prefix=2, max_cycle=3))
+    for k in range(12):
+        b = random_tgba(rng, n_sets=1 + k % 3)
+        expect = lasso_acceptor(b)
+        transforms = {
+            "augment": augment(b),
+            "merge.augment": merge_unaccepting(augment(b)),
+            "degeneralize": degeneralize(b),
+            "augment.degeneralize": augment(degeneralize(b)),
+        }
+        acceptors = {name: lasso_acceptor(c) for name, c in transforms.items()}
+        for w in words:
+            verdict = expect(w)
+            for name, accepts in acceptors.items():
+                assert accepts(w) == verdict, (k, name, w)
 
 
-def test_memory_monotone_between_resets_and_records_visits(fig_automaton):
-    """Simulate random runs of the raw automaton while folding the memory
-    update; between resets the memory never loses a bit, and bit j is set
-    exactly when an accepting-set-j transition occurred since the reset."""
-    rng = np.random.default_rng(23)
-    out = {}
-    for t in fig_automaton.transitions:
-        out.setdefault(t.src, []).append(t)
-    for t_list in out.values():
-        t_list.sort(key=repr)
-    for _ in range(200):
-        x = fig_automaton.initial
-        v = (0, 0)
-        seen = [False, False]
-        for _ in range(30):
-            t = out[x][rng.integers(len(out[x]))]
-            combined = vec_max(v, visitf(t, fig_automaton.acceptance))
-            v2 = reset(combined)
-            for j in range(2):
-                seen[j] = seen[j] or t in fig_automaton.acceptance[j]
-            if combined == (1, 1):
-                seen = [False, False]
-                assert v2 == (0, 0)
-            else:
-                assert all(v2[j] >= v[j] for j in range(2))
-                assert list(map(bool, v2)) == seen
-            v, x = v2, t.dst
+def test_memory_update_algebra(fig_automaton, eps_automaton):
+    """Along seeded walks of the augmentation, each step's memory is the
+    update ``reset(max(v, visitf(e)))`` of the memory ``v`` before it:
+    ``visitf(e)`` marks the accepting sets that hold the raw transition
+    ``e`` and ``reset`` zeroes an all-ones vector.  The step is accepting
+    for set j exactly when ``e`` is in set j and bit j of ``v`` is 0."""
+    for seed, b in enumerate(walked_automata(fig_automaton, eps_automaton)):
+        aug, walks = augmented_walks(b, seed)
+        for walk in walks:
+            for e, t, v, after in walk:
+                assert e in b.transitions
+                visit = tuple(int(e in acc) for acc in b.acceptance)
+                combined = tuple(max(p, q) for p, q in zip(v, visit))
+                assert after == ((0,) * len(v) if all(combined) else combined)
+                accepting = tuple(int(t in acc) for acc in aug.acceptance)
+                assert accepting == tuple(q * (1 - p) for p, q in zip(v, visit))
+
+
+def test_memory_monotone_between_resets_and_records_visits(fig_automaton, eps_automaton):
+    """Along seeded walks of the augmentation, between resets the memory
+    never loses a bit, and bit j is set exactly when an accepting-set-j
+    transition occurred since the reset."""
+    for seed, b in enumerate(walked_automata(fig_automaton, eps_automaton)):
+        n = len(b.acceptance)
+        _, walks = augmented_walks(b, 100 + seed)
+        for walk in walks:
+            seen = [False] * n
+            for e, _, v, after in walk:
+                for j, acc in enumerate(b.acceptance):
+                    seen[j] = seen[j] or e in acc
+                if all(seen):
+                    seen = [False] * n
+                    assert after == (0,) * n
+                else:
+                    assert all(q >= p for p, q in zip(v, after))
+                    assert list(map(bool, after)) == seen
 
 
 def test_augment_preserves_limit_determinism(fig_automaton, eps_automaton):

@@ -159,12 +159,11 @@ def test_check_ld_rejects_epsilon_inside_final_part():
         check_limit_deterministic(b)
 
 
-def test_check_ld_rejects_accepting_epsilon():
+def test_tgba_rejects_accepting_epsilon():
     te = Transition(0, EPSILON, 1)
     t2 = Transition(1, A, 1)
-    b = TGba(2, 0, frozenset({"a"}), frozenset({te, t2}), (frozenset({te, t2}),))
-    with pytest.raises(NotLimitDeterministic, match="epsilon"):
-        check_limit_deterministic(b)
+    with pytest.raises(AutomatonError, match=r"epsilon transition \(x0,eps,x1\) is accepting"):
+        TGba(2, 0, frozenset({"a"}), frozenset({te, t2}), (frozenset({te, t2}),))
 
 
 FIRST_VIOLATION = """
@@ -253,6 +252,25 @@ def test_parse_rejects_temporal_guard():
     text = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 X a 0\n"
     with pytest.raises(AutomatonError, match="temporal"):
         parse_automaton(text)
+
+
+ACCEPTING_EPSILON = "ap: a\nstates: 2\ninitial: 0\nacceptance-sets: 1\n0 a 1\n1 eps 0 acc: 1\n"
+
+
+def test_parse_rejects_accepting_epsilon():
+    with pytest.raises(AutomatonError, match="line 6: an epsilon move cannot be accepting"):
+        parse_automaton(ACCEPTING_EPSILON)
+
+
+def test_masks_match_acceptance_on_random_automata():
+    rng = np.random.default_rng(25)
+    for k in range(30):
+        b = random_tgba(rng, n_states=4, n_sets=1 + k % 4)
+        assert set(b.masks) == b.transitions
+        for t, mask in b.masks.items():
+            assert mask >> len(b.acceptance) == 0
+            for j, acc in enumerate(b.acceptance):
+                assert bool(mask >> j & 1) == (t in acc)
 
 
 def test_tgba_requires_accepting_set():

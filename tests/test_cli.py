@@ -6,6 +6,7 @@ from omegarl import LassoWord, Transition, fixture_gfa_gfb_gnc
 from omegarl.cli import main
 from omegarl.verify import check_formula_agreement
 from omegarl.automata import TGba
+from test_automata import ACCEPTING_EPSILON
 
 
 def write_config(path, **overrides):
@@ -48,6 +49,13 @@ def test_automaton_out_round_trips(tmp_path, capsys):
     capsys.readouterr()
     assert main(["automaton", str(out_file), "--check-ld"]) == 0
     assert "limit-deterministic: yes" in capsys.readouterr().out
+
+
+def test_automaton_accepting_epsilon_names_line(tmp_path, capsys):
+    path = tmp_path / "accepting_eps.tgba"
+    path.write_text(ACCEPTING_EPSILON)
+    assert main(["automaton", str(path)]) == 1
+    assert "line 6: an epsilon move cannot be accepting" in capsys.readouterr().err
 
 
 def test_automaton_merge_requires_augment(capsys):

@@ -10,6 +10,7 @@ from helpers import (
     mc_absorption_estimate,
     product_acceptance,
     product_aut_edge,
+    split_augmented,
 )
 from omegarl import (
     EPSILON,
@@ -19,7 +20,7 @@ from omegarl import (
     PositionalPolicy,
     TGba,
     Transition,
-    augment_with_states,
+    augment,
     build_gridworld,
     build_product,
     check_positional_impossibility,
@@ -243,6 +244,31 @@ def test_frontier_step_set_arithmetic(fig_automaton):
     assert f4 == acc[0] | acc[1]  # emptied, so re-initialized
 
 
+@pytest.mark.parametrize("which", ["raw", "epsilon", "augmented", "overlapping", "empty-set"])
+def test_frontier_empty_matches_set_emptiness(which, raw_product, grid, fig_automaton, eps_automaton):
+    """``empty[done]`` holds exactly when removing the accepting sets in
+    ``done`` from the full set-based working set leaves it empty."""
+    if which == "raw":
+        product = raw_product
+    elif which == "epsilon":
+        product = build_product(grid, eps_automaton)
+    elif which == "augmented":
+        product = build_product(grid, augment(fig_automaton))
+    elif which == "overlapping":
+        product = overlapping_sets_product(grid)
+    else:
+        b = fig_automaton
+        product = build_product(grid, TGba(
+            b.num_states, b.initial, b.ap, b.transitions, (b.acceptance[0], frozenset())
+        ))
+    acc = product.automaton.acceptance
+    expect = tuple(
+        not frontier_init(acc) - frozenset().union(*(s for j, s in enumerate(acc) if done >> j & 1))
+        for done in range(1 << len(acc))
+    )
+    assert FrontierReward(product, 1.0).empty == expect
+
+
 def test_frontier_reward_scores_first_visits(raw_product):
     scheme = FrontierReward(raw_product, 2.0)
     names = by_name(raw_product)
@@ -367,8 +393,8 @@ def test_frontier_tracks_memory_until_first_reset(grid, fig_automaton):
     """Co-simulate random product runs: the frontier's removed sets must
     match the memory bits recorded by the augmentation until the first
     reset re-arms both."""
-    aug, states = augment_with_states(fig_automaton)
-    product = build_product(grid, aug)
+    product = build_product(grid, augment(fig_automaton))
+    base_index = {name: x for x, name in enumerate(fig_automaton.names)}
     acc_raw = fig_automaton.acceptance
     rng = np.random.default_rng(43)
     enabled = product.mdp.enabled
@@ -390,12 +416,13 @@ def test_frontier_tracks_memory_until_first_reset(grid, fig_automaton):
                 if u < acc_p:
                     break
             aug_t = aut_edge[(s, a, dst)]
-            raw_t = Transition(states[aug_t.src].base, aug_t.letter, states[aug_t.dst].base)
+            base, _ = split_augmented(product.automaton.names[aug_t.src])
+            base_dst, memory = split_augmented(product.automaton.names[aug_t.dst])
+            raw_t = Transition(base_index[base], aug_t.letter, base_index[base_dst])
             frontier, _ = frontier_step(frontier, raw_t, acc_raw)
             for j in range(2):
                 if raw_t in acc_raw[j]:
                     removed[j] = True
-            memory = states[aug_t.dst].memory
             if all(removed):
                 break  # both sets hit: the memory reset and the frontier re-armed
             assert list(memory) == [int(x) for x in removed]
