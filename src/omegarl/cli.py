@@ -9,7 +9,6 @@ method and write its artifacts), ``compare`` (align finished runs), and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -223,6 +222,8 @@ def cmd_train(args) -> int:
     (out / "report.json").write_text(
         json.dumps(report_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+    import hashlib  # here, so that importing the CLI does not map OpenSSL
 
     digest = hashlib.sha256()
     digest.update(serialize_automaton(b_raw).encode())

@@ -2,13 +2,16 @@
 evaluation on ultimately periodic words.
 
 An infinite word is represented as a :class:`LassoWord` ``prefix . cycle^w``
-whose letters are sets of atomic-proposition names.  Its positions
-``0..n-1`` (``n = len(prefix) + len(cycle)``) are the finitely many distinct
-suffixes of the word.  A formula is compiled once into a program whose
-values are position bitsets (bit ``i`` of an int is the truth value at
-position ``i``); connectives are bit operations and temporal operators are
-decided exactly by fixpoint iteration over those positions, so the
-evaluator serves as a ground-truth oracle for the automata in this package.
+whose letters are sets of atomic-proposition names.  A formula is compiled
+once into a post-order program, one instruction per subformula, and a word
+is decided in two exact steps.  The truth values of every subformula at the
+cycle's entry depend only on the cycle, since the suffix there is
+``cycle^w``; they are found by running the program on the cycle's positions
+as bitsets, with the temporal operators decided by fixpoint iteration.  Each
+earlier position's values depend only on its letter and on the values one
+position later, so the prefix is walked backwards one letter at a time.  The
+evaluator therefore serves as a ground-truth oracle for the automata in this
+package.
 
 Grammar (tightest binding first)::
 
@@ -349,18 +352,88 @@ _OPCODE = {
 _TRUE_NODE = TrueBool()
 
 
+def _values(program, letters, later: int | None = None) -> int:
+    """Every instruction's truth value at the first of ``letters``, packed
+    into one int (bit ``k`` is instruction ``k``).
+
+    The positions are ``letters`` in order.  After the last one the word
+    goes back to the first when ``later`` is None, so the word is
+    ``letters^w``; otherwise it goes on to a position whose packed values
+    are ``later``.  Each instruction's value is a bitset over the positions:
+    bit ``i`` of a Python int is the truth value at position ``i``.
+    Boolean connectives are bit operations and ``X v`` shifts ``v`` down one
+    position, taking the last position's bit from the position after it.
+    Until/Eventually iterate their one-step expansion ``r | (l & X s)`` up
+    from ``r`` to the least fixpoint and Globally its ``g & X s`` down from
+    ``g`` to the greatest, which is exact on the finitely many positions.
+    """
+    top = len(letters) - 1
+    full = (1 << len(letters)) - 1
+
+    def shift(val: int, k: int) -> int:  # X of instruction k's bitset ``val``
+        after = val if later is None else later >> k
+        return (val >> 1) | ((after & 1) << top)
+
+    v: list[int] = []
+    for k, (op, x, y) in enumerate(program):
+        if op == _ATOM:
+            val = 0
+            for i, letter in enumerate(letters):
+                if x in letter:
+                    val |= 1 << i
+        elif op == _NOT:
+            val = full ^ v[x]
+        elif op == _AND:
+            val = v[x] & v[y]
+        elif op == _OR:
+            val = v[x] | v[y]
+        elif op == _IMPLIES:
+            val = (full ^ v[x]) | v[y]
+        elif op == _NEXT:
+            val = shift(v[x], x)
+        elif op == _UNTIL:  # least fixpoint of  r | (l & X s), from s = r
+            left, r = v[x], v[y]
+            val = r
+            while True:
+                nxt = r | (left & shift(val, k))
+                if nxt == val:
+                    break
+                val = nxt
+        elif op == _GLOBALLY:  # greatest fixpoint of  g & X s, from s = g
+            g = val = v[x]
+            while True:
+                nxt = g & shift(val, k)
+                if nxt == val:
+                    break
+                val = nxt
+        elif op == _TRUE:
+            val = full
+        else:
+            val = 0
+        v.append(val)
+    return sum((val & 1) << k for k, val in enumerate(v))
+
+
 def formula_evaluator(phi: Formula) -> Callable[[LassoWord], bool]:
     """Compile ``phi`` once; the returned function decides it on any lasso word.
 
-    Each subformula becomes one instruction whose value on a word is a
-    bitset over the word's distinct positions: bit ``i`` of a Python int is
-    the truth value at position ``i``, and position ``n - 1`` (the last)
-    steps back to ``p = len(prefix)``.  Boolean connectives are bit
-    operations, ``X v`` is ``(v >> 1) | (((v >> p) & 1) << (n - 1))``,
-    Until/Eventually iterate their one-step expansion up from the empty set
-    to the least fixpoint and Globally down from the full set to the
-    greatest, which is exact on the finite suffix graph.  A subformula object
-    that occurs twice is compiled once.
+    Each subformula becomes one instruction, and a subformula object that
+    occurs twice is compiled once.  A position's values are packed into one
+    int, bit ``k`` being instruction ``k``'s truth value there.  The values
+    at the cycle's entry depend only on the cycle: they are
+    ``_values(program, cycle)``.  The values at an earlier position depend
+    only on its letter and the next position's values: they are
+    ``_values(program, (letter,), next_values)``, where an atom tests the
+    letter, connectives combine bits of the same position, ``X f`` reads
+    ``f`` one position later, ``l U r`` is ``r | (l & X (l U r))`` and
+    ``G g`` is ``g & X G g``.  A prefix position is never revisited, so
+    those one-step rules decide it exactly.  Walking the prefix backwards
+    from the cycle's entry gives the values at position 0, and the verdict
+    is the top instruction's bit there.
+
+    The returned function memoizes the entry values per cycle and each
+    backward step per ``(letter, values)``.  Both memos belong to it alone
+    and live as long as it does.
     """
     program: list[tuple[int, object, int]] = []
     # keyed on node identity: a frozen formula re-hashes its whole subtree on
@@ -389,51 +462,21 @@ def formula_evaluator(phi: Formula) -> Callable[[LassoWord], bool]:
         return len(program) - 1
 
     emit(phi)
+    verdict_bit = 1 << (len(program) - 1)
+    entries: dict[tuple, int] = {}
+    steps: dict[tuple, int] = {}
 
     def holds(w: LassoWord) -> bool:
-        letters = w.prefix + w.cycle
-        loop = len(w.prefix)
-        top = len(letters) - 1
-        full = (1 << len(letters)) - 1
-        v: list[int] = []
-        for op, x, y in program:
-            if op == _ATOM:
-                val = 0
-                for i, letter in enumerate(letters):
-                    if x in letter:
-                        val |= 1 << i
-            elif op == _NOT:
-                val = full ^ v[x]
-            elif op == _AND:
-                val = v[x] & v[y]
-            elif op == _OR:
-                val = v[x] | v[y]
-            elif op == _IMPLIES:
-                val = (full ^ v[x]) | v[y]
-            elif op == _NEXT:
-                val = v[x]
-                val = (val >> 1) | (((val >> loop) & 1) << top)
-            elif op == _UNTIL:  # least fixpoint of  r | (l & X s), from s = r
-                left, r = v[x], v[y]
-                val = r
-                while True:
-                    nxt = r | (left & ((val >> 1) | (((val >> loop) & 1) << top)))
-                    if nxt == val:
-                        break
-                    val = nxt
-            elif op == _GLOBALLY:  # greatest fixpoint of  g & X s, from s = g
-                g = val = v[x]
-                while True:
-                    nxt = g & ((val >> 1) | (((val >> loop) & 1) << top))
-                    if nxt == val:
-                        break
-                    val = nxt
-            elif op == _TRUE:
-                val = full
-            else:
-                val = 0
-            v.append(val)
-        return bool(v[-1] & 1)
+        values = entries.get(w.cycle)
+        if values is None:
+            values = entries[w.cycle] = _values(program, w.cycle)
+        for letter in reversed(w.prefix):
+            key = (letter, values)
+            got = steps.get(key)
+            if got is None:
+                got = steps[key] = _values(program, (letter,), values)
+            values = got
+        return bool(values & verdict_bit)
 
     return holds
 

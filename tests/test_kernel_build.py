@@ -75,11 +75,19 @@ def test_compiler_error_is_an_import_error_with_its_message(tmp_path):
     assert not list((package / "__pycache__").glob("_omegarl_kernel_*"))
 
 
+def hashlib_loaded_after(code: str) -> tuple[str, str]:
+    code += "; print('_hashlib' in sys.modules, 'hashlib' in sys.modules)"
+    return start_import(os.path.dirname(PACKAGE), code=code).communicate(timeout=120)
+
+
 def test_import_leaves_hashlib_unloaded():
     # the kernel's cache key is a CRC-32: importing hashlib maps OpenSSL
-    code = "import sys, omegarl; print('_hashlib' in sys.modules, 'hashlib' in sys.modules)"
-    out = start_import(os.path.dirname(PACKAGE), code=code).communicate(timeout=120)
-    assert out == ("False False\n", "")
+    assert hashlib_loaded_after("import sys, omegarl") == ("False False\n", "")
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only `train` hashes a manifest, so the CLI imports hashlib there
+    assert hashlib_loaded_after("import sys, omegarl.cli") == ("False False\n", "")
 
 
 def test_kernel_flags_keep_every_float_operation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import bf_eval, lassos_sharing_cycles, random_formula, random_lasso
+from helpers import AP3, bf_eval, lassos_sharing_cycles, letters_over, random_formula, random_lasso
 from omegarl import (
     LassoWord,
     ParseError,
@@ -22,6 +22,7 @@ from omegarl.ltl import (
     TrueBool,
     Until,
 )
+from omegarl.verify import all_lassos
 
 SPEC = "G F a & G F b & G !c"
 
@@ -160,3 +161,53 @@ def test_reused_evaluator_matches_suffix_walk_oracle():
         holds = formula_evaluator(phi)
         for w in lassos_sharing_cycles(rng, n_cycles=3, per_cycle=5):
             assert holds(w) == bf_eval(phi, w)
+
+
+def test_evaluator_on_rotated_and_repeated_cycles():
+    """Cycles that are rotations or powers of one another, such as (a, b),
+    (b, a) and (a, b, a, b), have the same length or the same letters but
+    different entry values; one evaluator per formula sees them all,
+    interleaved, behind prefixes of 0-4 letters."""
+    rng = np.random.default_rng(12)
+    letters = letters_over(AP3)
+
+    def draw(length):
+        return tuple(letters[rng.integers(len(letters))] for _ in range(length))
+
+    words = []
+    for _ in range(3):
+        base = draw(rng.integers(2, 4))
+        family = {base[k:] + base[:k] for k in range(len(base))}
+        family |= {c * 2 for c in family}
+        for cycle in family:
+            words.extend(LassoWord(draw(rng.integers(5)), cycle) for _ in range(3))
+    words = [words[i] for i in rng.permutation(len(words))]
+    for _ in range(60):
+        phi = random_formula(rng, depth=4)
+        holds = formula_evaluator(phi)
+        for w in words:
+            assert holds(w) == bf_eval(phi, w)
+
+
+def test_evaluators_keep_their_own_memos():
+    """Two evaluators built back to back and run on the same words each
+    give their own formula's verdicts."""
+    rng = np.random.default_rng(13)
+    words = lassos_sharing_cycles(rng, n_cycles=4, per_cycle=5)
+    spec = parse_ltl(SPEC)
+    pairs = [(spec, Not(spec))] + [
+        (random_formula(rng, depth=4), random_formula(rng, depth=4)) for _ in range(40)
+    ]
+    for phi, psi in pairs:
+        holds_phi, holds_psi = formula_evaluator(phi), formula_evaluator(psi)
+        for w in words:
+            assert holds_phi(w) == bf_eval(phi, w)
+            assert holds_psi(w) == bf_eval(psi, w)
+
+
+def test_spec_evaluator_on_every_short_lasso():
+    phi = parse_ltl(SPEC)
+    holds = formula_evaluator(phi)
+    words = list(all_lassos(max_prefix=1, max_cycle=2))
+    assert len(words) == 648
+    assert [holds(w) for w in words] == [bf_eval(phi, w) for w in words]
