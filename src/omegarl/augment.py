@@ -11,7 +11,9 @@ memory-tagged states while preserving the accepted language.
 
 from __future__ import annotations
 
-from .automata import TGba, Transition, _by_src
+from itertools import chain
+
+from .automata import TGba, Transition
 from .graphs import closure, explore
 
 
@@ -26,11 +28,10 @@ def augment(b: TGba) -> TGba:
     """
     n = len(b.acceptance)
     full = (1 << n) - 1
-    out = _by_src(b)
 
     def successors(node):
         x, v = node
-        for t in out[x]:
+        for t in chain.from_iterable(b.moves[x].values()):
             w = v | b.masks[t]
             yield (t.dst, 0 if w == full else w), t
 

@@ -4,14 +4,16 @@ Provides the data model, a line-oriented text format, limit-determinism
 checking, degeneralization to a single accepting set, and an exact
 acceptance test for ultimately periodic words.  Transitions carry explicit
 letters (subsets of the AP universe); the file format accepts Boolean guard
-shorthands that are expanded at parse time.
+shorthands that are expanded at parse time.  Every walk over an
+automaton's moves, here and in the augmentation and the product, reads the
+one per-state index ``TGba.moves``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from . import ltl
@@ -60,6 +62,13 @@ class TGba:
     transition lies in ``acceptance[j]``), computed once at construction;
     it is the form every other module reads acceptance in.  Epsilon moves
     consume no letter, so none may be accepting: their mask is always 0.
+
+    ``moves[x]``, also computed at construction, maps each letter of state
+    ``x`` (``EPSILON`` included) to the tuple of its transitions on it.
+    Letters follow :func:`letter_key` order and each tuple ascends by target,
+    so walking ``moves`` visits every transition once, in the order of
+    :func:`serialize_automaton`, which fixes the numbering of every
+    automaton and product built from this one.
     """
 
     num_states: int
@@ -69,6 +78,9 @@ class TGba:
     acceptance: tuple[frozenset[Transition], ...]
     names: tuple[str, ...] | None = None
     masks: dict[Transition, int] = field(init=False, repr=False, compare=False)
+    moves: tuple[dict[object, tuple[Transition, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.num_states < 1:
@@ -97,6 +109,11 @@ class TGba:
             t = min(accepting_eps, key=lambda t: (t.src, t.dst))
             raise AutomatonError(f"epsilon transition {_render(self, t)} is accepting")
         object.__setattr__(self, "masks", masks)
+        ap = tuple(sorted(self.ap))
+        moves = tuple({} for _ in self.states())
+        for t in sorted(self.transitions, key=lambda t: (t.src, letter_key(t.letter, ap), t.dst)):
+            moves[t.src][t.letter] = moves[t.src].get(t.letter, ()) + (t,)
+        object.__setattr__(self, "moves", moves)
 
     def name_of(self, state: int) -> str:
         return self.names[state] if self.names else f"x{state}"
@@ -118,18 +135,6 @@ def letter_key(letter, ap_sorted: tuple[str, ...]) -> tuple:
     return (1, "".join("1" if x in letter else "0" for x in ap_sorted))
 
 
-def _sorted_transitions(b: TGba) -> list[Transition]:
-    ap_sorted = tuple(sorted(b.ap))
-    return sorted(b.transitions, key=lambda t: (t.src, letter_key(t.letter, ap_sorted), t.dst))
-
-
-def _by_src(b: TGba) -> list[list[Transition]]:
-    out: list[list[Transition]] = [[] for _ in range(b.num_states)]
-    for t in _sorted_transitions(b):
-        out[t.src].append(t)
-    return out
-
-
 # --- limit determinism --------------------------------------------------
 
 def check_limit_deterministic(b: TGba) -> LimitDetPartition:
@@ -145,37 +150,30 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
     What is checked is that no epsilon move starts inside the final part,
     and determinism there, per letter (at most one successor for each
     state/letter pair), the reading under which standard constructions
-    satisfy the transition-count condition.  Transitions are walked in the
-    order of ``serialize_automaton``, so the violation named is the same in
+    satisfy the transition-count condition.  States and letters are walked
+    in the order of ``b.moves``, so the violation named is the same in
     every process (``EPSILON`` hashes by identity, so set order is not).
     """
-    ordered = _sorted_transitions(b)
-    succ: list[set[int]] = [set() for _ in range(b.num_states)]
     seeds: set[int] = set()
-    for t in ordered:
-        succ[t.src].add(t.dst)
-        if b.masks[t]:
+    for t, mask in b.masks.items():
+        if mask:
             seeds.update((t.src, t.dst))
         elif t.is_epsilon():
             seeds.add(t.dst)
-    x_final = closure(seeds, lambda v: succ[v])
+    x_final = closure(seeds, lambda v: (t.dst for ts in b.moves[v].values() for t in ts))
 
-    per_letter: dict[tuple[int, object], int] = {}
-    for t in ordered:
-        if t.src not in x_final:
-            continue
-        if t.is_epsilon():
-            raise NotLimitDeterministic(
-                f"epsilon transition {_render(b, t)} starts inside the final part"
-            )
-        key = (t.src, t.letter)
-        per_letter[key] = per_letter.get(key, 0) + 1
-        if per_letter[key] > 1:
-            raise NotLimitDeterministic(
-                f"state {b.name_of(t.src)} has {per_letter[key]} successors on letter "
-                f"{sorted(t.letter)} inside the final part "
-                "(per-letter reading of the determinism condition failed)"
-            )
+    for x in sorted(x_final):
+        for letter, ts in b.moves[x].items():
+            if letter is EPSILON:
+                raise NotLimitDeterministic(
+                    f"epsilon transition {_render(b, ts[0])} starts inside the final part"
+                )
+            if len(ts) > 1:
+                raise NotLimitDeterministic(
+                    f"state {b.name_of(x)} has {len(ts)} successors on letter "
+                    f"{sorted(letter)} inside the final part "
+                    "(per-letter reading of the determinism condition failed)"
+                )
 
     x_initial = frozenset(b.states()) - x_final
     return LimitDetPartition(frozenset(x_initial), frozenset(x_final))
@@ -200,7 +198,7 @@ def serialize_automaton(b: TGba) -> str:
         f"initial: {b.initial}",
         f"acceptance-sets: {len(b.acceptance)}",
     ]
-    for t in _sorted_transitions(b):
+    for t in itertools.chain.from_iterable(ts for row in b.moves for ts in row.values()):
         accs = [str(j + 1) for j in range(len(b.acceptance)) if b.masks[t] >> j & 1]
         line = f"{t.src} {_guard_text(t.letter, ap_sorted)} {t.dst}"
         if accs:
@@ -215,7 +213,9 @@ def parse_automaton(text: str) -> TGba:
     Guards are Boolean expressions over the declared AP universe (or
     ``eps``) and expand to one transition per satisfying letter.  Repeated
     (src, letter, dst) triples merge, with accepting-set memberships
-    unioned.
+    unioned.  A proposition name must be an atom of the guard grammar
+    (``[a-z][a-z0-9_]*``, not ``true``, ``false`` or ``eps``), so that the
+    serialized text reads back as the same automaton.
     """
     headers: dict[str, tuple[int, str]] = {}
     body: list[tuple[int, str]] = []
@@ -244,6 +244,12 @@ def parse_automaton(text: str) -> TGba:
     ap_list = headers.get("ap", (0, ""))[1].split()
     if len(set(ap_list)) != len(ap_list):
         raise AutomatonError("duplicate atomic proposition in 'ap' header")
+    for name in ap_list:
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", name) or name in ("true", "false", "eps"):
+            raise AutomatonError(
+                f"line {headers['ap'][0]}: {name!r} is not a proposition name "
+                "(need [a-z][a-z0-9_]*, not true, false or eps)"
+            )
     ap = frozenset(ap_list)
     num_states = number("states")
     initial = number("initial")
@@ -346,11 +352,10 @@ def degeneralize(b: TGba) -> TGba:
     language is preserved while the order of visits becomes fixed.
     """
     n = len(b.acceptance)
-    out = _by_src(b)
 
     def successors(node):
         x, j = node
-        for t in out[x]:
+        for t in itertools.chain.from_iterable(b.moves[x].values()):
             yield (t.dst, j % n + 1 if b.masks[t] >> (j - 1) & 1 else j), t
 
     order, rows = explore((b.initial, 1), successors)
@@ -375,32 +380,6 @@ def degeneralize(b: TGba) -> TGba:
 
 # --- acceptance of lasso words -------------------------------------------
 
-@lru_cache(maxsize=64)
-def _run_index(b: TGba):
-    """Per-state letter lookup of (target, mask) moves plus epsilon targets,
-    cached per automaton; raises ``AutomatonError`` if epsilon transitions
-    form a cycle."""
-    by_letter: list[dict[frozenset, list[tuple[int, int]]]] = [
-        {} for _ in range(b.num_states)
-    ]
-    eps_out: list[list[int]] = [[] for _ in range(b.num_states)]
-    deterministic = True
-    for t in _sorted_transitions(b):
-        if t.is_epsilon():
-            eps_out[t.src].append(t.dst)
-            deterministic = False
-        else:
-            lst = by_letter[t.src].setdefault(t.letter, [])
-            lst.append((t.dst, b.masks[t]))
-            if len(lst) > 1:
-                deterministic = False
-    # epsilon cycles would allow runs that never consume the word; lru_cache
-    # caches no exception, so every call on such an automaton raises
-    _assert_no_epsilon_cycles(b, eps_out)
-    full_mask = (1 << len(b.acceptance)) - 1
-    return by_letter, eps_out, full_mask, deterministic
-
-
 def accepts_lasso(b: TGba, w: LassoWord) -> bool:
     """Exact membership of ``prefix . cycle^w`` in the automaton's language.
 
@@ -418,9 +397,9 @@ def accepts_lasso(b: TGba, w: LassoWord) -> bool:
     are rejected, so every SCC with an internal edge lies at cycle
     positions, and the cycle nodes reachable from the start are exactly
     those reachable from the ``(len(prefix), x)`` nodes of the entering
-    states.  A caller that
-    decides many words on one automaton should keep a :func:`lasso_acceptor`,
-    which memoizes each ``(x, cycle)`` verdict.
+    states.  Nothing is cached across calls: each call builds a fresh
+    :func:`lasso_acceptor`, so a caller that decides many words on one
+    automaton should keep one, which memoizes each ``(x, cycle)`` verdict.
     """
     return lasso_acceptor(b)(w)
 
@@ -428,12 +407,16 @@ def accepts_lasso(b: TGba, w: LassoWord) -> bool:
 def lasso_acceptor(b: TGba) -> Callable[[LassoWord], bool]:
     """Build the acceptance test of :func:`accepts_lasso` once for ``b``.
 
-    The returned function keeps its own verdict memo keyed on
-    ``(state, cycle)``; it lives only as long as the function.  Raises
-    ``AutomatonError`` if epsilon transitions form a cycle.
+    The acceptor is the unit of reuse: it reads ``b.moves`` and ``b.masks``
+    and keeps its own verdict memo keyed on ``(state, cycle)``, which lives
+    only as long as the returned function.  Raises ``AutomatonError`` here,
+    before any word is read, if epsilon transitions form a cycle (such a
+    cycle would allow runs that never consume the word).
     """
-    index = _run_index(b)
-    by_letter, eps_out, _, deterministic = index
+    moves = b.moves
+    eps_out = [[t.dst for t in row.get(EPSILON, ())] for row in moves]
+    _assert_no_epsilon_cycles(b, eps_out)
+    deterministic = not any(eps_out) and all(len(ts) == 1 for row in moves for ts in row.values())
     verdict = _run_verdict if deterministic else _scc_verdict
     verdicts: dict[tuple[int, tuple], bool] = {}
 
@@ -441,25 +424,25 @@ def lasso_acceptor(b: TGba) -> Callable[[LassoWord], bool]:
         if deterministic:
             x = b.initial
             for letter in w.prefix:
-                step = by_letter[x].get(letter)
+                step = moves[x].get(letter)
                 if not step:
                     return False
-                x = step[0][0]
+                x = step[0].dst
             entering = (x,)
         else:
             entering = {b.initial}
             for letter in w.prefix:
                 entering = {
-                    dst
+                    t.dst
                     for y in closure(entering, lambda s: eps_out[s])
-                    for dst, _ in by_letter[y].get(letter, ())
+                    for t in moves[y].get(letter, ())
                 }
         cycle = w.cycle
         for x in entering:
             key = (x, cycle)
             got = verdicts.get(key)
             if got is None:
-                got = verdicts[key] = verdict(index, x, cycle)
+                got = verdicts[key] = verdict(b, x, cycle)
             if got:
                 return True
         return False
@@ -467,39 +450,38 @@ def lasso_acceptor(b: TGba) -> Callable[[LassoWord], bool]:
     return accepts
 
 
-def _run_verdict(index, x: int, cycle: tuple) -> bool:
+def _run_verdict(b: TGba, x: int, cycle: tuple) -> bool:
     """Whether the unique run from ``x`` on ``cycle^w`` is accepting."""
-    by_letter, _, full_mask, _ = index
     n = len(cycle)
     pos = 0
     seen: dict[tuple[int, int], int] = {}
     masks: list[int] = []
     while (pos, x) not in seen:
         seen[(pos, x)] = len(masks)
-        step = by_letter[x].get(cycle[pos])
+        step = b.moves[x].get(cycle[pos])
         if not step:
             return False
-        x, mask = step[0]
-        masks.append(mask)
+        t = step[0]
+        x = t.dst
+        masks.append(b.masks[t])
         pos = pos + 1 if pos + 1 < n else 0
     acc = 0
     for m in masks[seen[(pos, x)] :]:
         acc |= m
-    return acc == full_mask
+    return acc == (1 << len(b.acceptance)) - 1
 
 
-def _scc_verdict(index, x: int, cycle: tuple) -> bool:
+def _scc_verdict(b: TGba, x: int, cycle: tuple) -> bool:
     """Whether some SCC reachable from ``(0, x)`` in the run graph of
     ``cycle^w`` has internal transitions meeting every accepting set."""
-    by_letter, eps_out, full_mask, _ = index
     n = len(cycle)
 
     def successors(node):
         pos, y = node
-        for dst, mask in by_letter[y].get(cycle[pos], ()):
-            yield (pos + 1 if pos + 1 < n else 0, dst), mask
-        for dst in eps_out[y]:
-            yield (pos, dst), 0
+        for t in b.moves[y].get(cycle[pos], ()):
+            yield (pos + 1 if pos + 1 < n else 0, t.dst), b.masks[t]
+        for t in b.moves[y].get(EPSILON, ()):
+            yield (pos, t.dst), 0
 
     _, rows = explore((0, x), successors)
     comps = strongly_connected_components(range(len(rows)), lambda v: (u for _, u in rows[v]))
@@ -513,6 +495,7 @@ def _scc_verdict(index, x: int, cycle: tuple) -> bool:
         for mask, u in row:
             if comp_of[u] == ci:
                 comp_mask[ci] = (comp_mask[ci] or 0) | mask
+    full_mask = (1 << len(b.acceptance)) - 1
     return any(m == full_mask for m in comp_mask if m is not None)
 
 

@@ -96,6 +96,8 @@ def method_product_and_scheme(m, b_raw, method: str, r_p: float):
 # --- automaton subcommand ---------------------------------------------------
 
 def cmd_automaton(args) -> int:
+    if args.merge and not args.do_augment:
+        raise CliError("--merge requires --augment")
     b, _ = _load_spec_automaton(args.input)
     print(
         f"input: {b.num_states} states, {len(b.transitions)} transitions, "
@@ -114,8 +116,6 @@ def cmd_automaton(args) -> int:
                     f"limit-deterministic: yes (|X_initial| = {len(part.x_initial)}, "
                     f"|X_final| = {len(part.x_final)})"
                 )
-    if args.merge and not args.do_augment:
-        raise CliError("--merge requires --augment")
     if args.degeneralize:
         b = degeneralize(b)
         print(

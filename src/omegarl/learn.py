@@ -11,8 +11,9 @@ test oracle only and takes no part in training.
 Both loops run in C (``_kernel.c``) on the same integer tables (built by
 ``build_product``; layout in the product module), padded to the widest
 row by ``_padded_tables``: row ``p`` holds pair ``p``'s successors,
-probabilities, cuts and masks, padded with state 0, probability 0, cut
-``+inf`` and mask 0.  ``run_episode`` runs one episode's step loop;
+probabilities, cuts (derived there from the probabilities) and masks,
+padded with state 0, probability 0, cut ``+inf`` and mask 0.
+``run_episode`` runs one episode's step loop;
 Python seeds the sessions, resets the per-episode counts, evaluates greedy
 policies and assembles the result.  ``value_sweeps`` runs the synchronous
 sweeps of value iteration and hands back the final values and each pair's
@@ -259,18 +260,20 @@ def _generator_array(bit_generator: np.random.PCG64) -> np.ndarray:
 
 
 def _padded_tables(product: ProductMdp) -> tuple[np.ndarray, ...]:
-    """The product's ``succ``, ``probs``, ``cuts`` and ``masks`` as
-    ``(pairs, width)`` arrays, each row padded to the widest one with
-    state 0, probability 0, cut ``+inf`` and mask 0."""
+    """The product's ``succ``, ``probs`` and ``masks`` as ``(pairs, width)``
+    arrays, each row padded to the widest one with state 0, probability 0
+    and mask 0, and the cuts: the running sums of ``probs`` (``cumsum`` adds
+    left to right, as the reference's ``accumulate`` does), ``+inf`` from
+    each row's last successor on."""
     lengths = np.array([len(row) for row in product.succ])
     slots = np.arange(lengths.max())
-    used, cut = slots < lengths[:, None], slots < lengths[:, None] - 1
+    used = slots < lengths[:, None]
     succ, probs = np.zeros(used.shape, dtype=np.int64), np.zeros(used.shape)
-    cuts, masks = np.full(used.shape, np.inf), np.zeros(used.shape, dtype=np.int64)
+    masks = np.zeros(used.shape, dtype=np.int64)
     # a boolean index fills the selected slots row by row, left to right
-    for table, where, rows in ((succ, used, product.succ), (probs, used, product.probs),
-                               (cuts, cut, product.cuts), (masks, used, product.masks)):
-        table[where] = list(chain.from_iterable(rows))
+    for table, rows in ((succ, product.succ), (probs, product.probs), (masks, product.masks)):
+        table[used] = list(chain.from_iterable(rows))
+    cuts = np.where(slots < lengths[:, None] - 1, np.cumsum(probs, axis=1), np.inf)
     return succ, probs, cuts, masks
 
 

@@ -12,10 +12,9 @@ training and value iteration run on.  Pair ``p`` is the p-th enabled
 (state, action), in state order and then action-id order; state ``s`` owns
 the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]`` names
 the pair.  Each pair has a tuple of successor states, a tuple of their
-probabilities, a tuple of the cumulative probabilities of all but its last
-successor (a uniform draw picks a successor by bisection), and a tuple of
-bitmasks: each is the mask the automaton (``TGba.masks``) gives the move
-it synchronizes with, whose bit ``k`` says that the move lies in accepting
+probabilities (training derives the cuts a uniform draw bisects from these;
+none are stored), and a tuple of bitmasks: each is the mask the automaton
+(``TGba.masks``) gives the move it synchronizes with, whose bit ``k`` says that the move lies in accepting
 set ``k``.  An epsilon guess carries mask 0, since the automaton has no
 accepting epsilon move.  Acceptance lives only in these masks: both reward
 schemes are one rule over them (``RewardScheme``), and policy evaluation
@@ -28,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .automata import TGba, Transition
+from .automata import EPSILON, TGba
 from .graphs import explore
 from .mdp import (
     LabeledMdp,
@@ -73,7 +72,6 @@ class ProductMdp:
     first: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
     probs: tuple[tuple[float, ...], ...]
-    cuts: tuple[tuple[float, ...], ...]
     masks: tuple[tuple[int, ...], ...]
 
     @property
@@ -102,34 +100,32 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
             f"automaton propositions {sorted(b.ap - m.ap)} missing from the MDP"
         )
 
-    lookup: list[dict[frozenset, Transition]] = [{} for _ in range(b.num_states)]
-    eps_out: list[list[Transition]] = [[] for _ in range(b.num_states)]
-    for t in sorted(b.transitions, key=lambda t: (t.src, t.dst)):
-        if t.is_epsilon():
-            eps_out[t.src].append(t)
-        else:
-            if t.letter in lookup[t.src]:
+    # every state, reachable or not: the automaton itself is malformed
+    for x, row in enumerate(b.moves):
+        for letter, ts in row.items():
+            if letter is not EPSILON and len(ts) > 1:
                 raise NondeterministicMove(
-                    f"automaton state {b.name_of(t.src)} has two successors on "
-                    f"letter {sorted(t.letter)}"
+                    f"automaton state {b.name_of(x)} has {len(ts)} successors on "
+                    f"letter {sorted(letter)}"
                 )
-            lookup[t.src][t.letter] = t
 
     def successors(node):
         s, x = node
+        moves = b.moves[x]
         for a in m.enabled[s]:
             for dst, p in m.prob[(s, a)]:
                 full_label = m.label_of(s, a, dst)
                 letter = full_label & b.ap
-                t = lookup[x].get(letter)
-                if t is None:
+                step = moves.get(letter)
+                if step is None:
                     raise MissingAutomatonMove(
                         f"automaton state {b.name_of(x)} has no move on label "
                         f"{sorted(letter)} produced by ({m.name_of(s)}, {a}, {m.name_of(dst)})"
                     )
+                t = step[0]
                 yield (dst, t.dst), (a, p, t, full_label)
         # action ids keep the base MDP's ordering, epsilon guesses last
-        for t in eps_out[x]:
+        for t in moves.get(EPSILON, ()):
             yield (s, t.dst), (f"eps->{b.name_of(t.dst)}", 1.0, t, frozenset())
 
     order, rows = explore((m.initial, b.initial), successors)
@@ -170,7 +166,6 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
         first=(0, *accumulate(map(len, enabled))),
         succ=tuple(succ),
         probs=tuple(probs),
-        cuts=tuple(tuple(accumulate(ps[:-1])) for ps in probs),
         masks=tuple(masks),
     )
 

@@ -258,9 +258,8 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
     """Reference for ``learn.train``: the same sessions with the step loop in
     Python, drawing from ``RawDraws``; its floats are the ones the compiled
     kernel must reproduce bit for bit."""
-    keys, first, succ, cuts, masks = (
-        product.keys, list(product.first), product.succ, product.cuts, product.masks
-    )
+    keys, first, succ, masks = product.keys, list(product.first), product.succ, product.masks
+    cuts = [tuple(itertools.accumulate(ps[:-1])) for ps in product.probs]
     spans = tuple(zip(first, first[1:]))
     r_p, empty = scheme.r_p, scheme.empty
     gamma, eps_num, neg_exp = cfg.gamma, cfg.epsilon_numerator, -cfg.alpha_exponent

@@ -36,20 +36,27 @@ AB = frozenset({"a", "b"})
 EMPTY = frozenset()
 
 
-def canonical_form(b: TGba) -> str:
-    """BFS renumbering from the initial state, then canonical text; equal
-    strings mean isomorphic automata (valid for per-letter-deterministic
-    inputs, which is all this helper is used on)."""
+def serialized_order(b: TGba) -> list[Transition]:
+    """The transitions sorted as the canonical text lists them: by source,
+    then letter (epsilon first, then the bitstring over the sorted AP),
+    then target."""
     ap_sorted = tuple(sorted(b.ap))
-    out = {}
-    for t in sorted(
+    return sorted(
         b.transitions,
         key=lambda t: (
             t.src,
             (0, "") if t.letter is EPSILON else (1, "".join("1" if x in t.letter else "0" for x in ap_sorted)),
             t.dst,
         ),
-    ):
+    )
+
+
+def canonical_form(b: TGba) -> str:
+    """BFS renumbering from the initial state, then canonical text; equal
+    strings mean isomorphic automata (valid for per-letter-deterministic
+    inputs, which is all this helper is used on)."""
+    out = {}
+    for t in serialized_order(b):
         out.setdefault(t.src, []).append(t)
     order = [b.initial]
     index = {b.initial: 0}
@@ -262,6 +269,27 @@ def test_parse_rejects_accepting_epsilon():
         parse_automaton(ACCEPTING_EPSILON)
 
 
+def test_moves_hold_every_transition_once_in_serialized_order():
+    rng = np.random.default_rng(27)
+    automata = [fixture_gfa_gfb_gnc(), fixture_fg_a()]
+    automata += [random_tgba(rng, n_states=4, allow_eps=True) for _ in range(30)]
+    assert any(EPSILON in row for b in automata for row in b.moves)
+    for b in automata:
+        assert len(b.moves) == b.num_states
+        for x, row in enumerate(b.moves):
+            for letter, ts in row.items():
+                assert ts and all(t.src == x and t.letter == letter for t in ts)
+        flat = [t for row in b.moves for ts in row.values() for t in ts]
+        assert flat == serialized_order(b)
+
+
+@pytest.mark.parametrize("name", ["eps", ":", "A", "true"])
+def test_parse_rejects_proposition_names_guards_cannot_write(name):
+    text = f"states: 1\nap: a {name}\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n"
+    with pytest.raises(AutomatonError, match=rf"line 2: '{name}' is not a proposition name"):
+        parse_automaton(text)
+
+
 def test_masks_match_acceptance_on_random_automata():
     rng = np.random.default_rng(25)
     for k in range(30):
@@ -335,7 +363,7 @@ def test_epsilon_cycle_rejected():
     t2 = Transition(1, EPSILON, 0)
     ta = Transition(0, A, 0)
     b = TGba(2, 0, frozenset({"a"}), frozenset({t1, t2, ta}), (frozenset({ta}),))
-    for _ in range(2):  # the check runs once per automaton, yet every call raises
+    for _ in range(2):  # every call raises, not only the first
         with pytest.raises(AutomatonError, match="cycle"):
             accepts_lasso(b, lasso([], [{"a"}]))
 

@@ -59,8 +59,10 @@ def test_automaton_accepting_epsilon_names_line(tmp_path, capsys):
 
 
 def test_automaton_merge_requires_augment(capsys):
-    assert main(["automaton", "gfa_gfb_gnc", "--merge"]) == 1
-    assert "merge requires" in capsys.readouterr().err
+    assert main(["automaton", "gfa_gfb_gnc", "--merge", "--check-ld"]) == 1
+    captured = capsys.readouterr()
+    assert "merge requires" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_fixture_is_validation_error(capsys):

@@ -32,6 +32,7 @@ from omegarl import (
     value_iteration,
 )
 from omegarl.cli import METHODS, method_product_and_scheme
+from omegarl.learn import _padded_tables
 from omegarl.product import AcceptingReward, FrontierReward
 from test_golden import slip_mdp_text
 
@@ -138,6 +139,18 @@ def test_product_rejects_letter_nondeterminism(grid):
         build_product(grid, b)
 
 
+def test_product_rejects_letter_nondeterminism_at_unreachable_state(grid):
+    # state 1 has no incoming transition, so no explored pair ever reads it
+    letters = letters_over(("a", "b", "c"))
+    trans = {Transition(x, letter, x) for x in (0, 1) for letter in letters}
+    trans.add(Transition(1, A, 0))
+    b = TGba(
+        2, 0, frozenset({"a", "b", "c"}), frozenset(trans), (frozenset({Transition(0, A, 0)}),)
+    )
+    with pytest.raises(NondeterministicMove, match=r"state x1 has 2 successors on letter \['a'\]"):
+        build_product(grid, b)
+
+
 def test_product_rows_stochastic(augmented_product, raw_product, degeneralized_product):
     for product in (augmented_product, raw_product, degeneralized_product):
         for (s, a), row in product.mdp.prob.items():
@@ -160,10 +173,12 @@ def test_product_tables_match_prob_and_acceptance(env, method):
     assert any(acceptance)
     assert list(product.keys) == list(prob)
     assert product.first == (0, *accumulate(map(len, product.mdp.enabled)))
+    _, _, cuts, _ = _padded_tables(product)
     for p, (s, a) in enumerate(product.keys):
         assert product.first[s] <= p < product.first[s + 1]
         assert tuple(zip(product.succ[p], product.probs[p])) == prob[(s, a)]
-        assert product.cuts[p] == tuple(accumulate(product.probs[p][:-1]))
+        row = list(accumulate(product.probs[p][:-1]))
+        assert cuts[p].tolist() == row + [np.inf] * (cuts.shape[1] - len(row))
         for dst, mask in zip(product.succ[p], product.masks[p]):
             t = (s, a, dst)
             assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
