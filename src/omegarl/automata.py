@@ -313,11 +313,12 @@ def parse_automaton(text: str) -> TGba:
                 raise AutomatonError(
                     f"line {lineno}: undeclared proposition(s) {sorted(undeclared)}"
                 )
-            holds = ltl.formula_evaluator(phi)
+            # a propositional guard holds on letter^w iff it holds on letter
+            holds = ltl.formula_evaluator(phi, [(letter,) for letter in letters])(())
             expanded = [
                 Transition(src, letter, dst)
-                for letter in letters
-                if holds(LassoWord((), (letter,)))
+                for j, letter in enumerate(letters)
+                if holds >> j & 1
             ]
         for t in expanded:
             membership.setdefault(t, set()).update(acc_indices)
@@ -381,71 +382,79 @@ def degeneralize(b: TGba) -> TGba:
 # --- acceptance of lasso words -------------------------------------------
 
 def accepts_lasso(b: TGba, w: LassoWord) -> bool:
-    """Exact membership of ``prefix . cycle^w`` in the automaton's language.
+    """Exact membership of ``prefix . cycle^w`` in the automaton's language:
+    the table of :func:`lasso_acceptor` over the single cycle ``w.cycle``,
+    read at ``w.prefix``.  Nothing is kept across calls, so a caller that
+    decides many words on one automaton should build one acceptor over all
+    of their cycles."""
+    return lasso_acceptor(b, (w.cycle,))(w.prefix) == 1
+
+
+def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
+    """Decide every word ``prefix . cycle^w`` with ``cycle`` in ``cycles``
+    at once: the returned function maps a prefix (a tuple of letters) to an
+    int whose bit ``j`` is set iff ``prefix . cycles[j]^w`` is accepted.
 
     Epsilon transitions consume no letter.  The run graph has one node per
     (word position, state).  The prefix is walked letter by letter to the
     set of states that enter the first cycle position (a single state when
-    the automaton is epsilon free and deterministic per letter); the word is
+    the automaton is epsilon free and deterministic per letter); a word is
     accepted iff one of them, say ``x``, accepts ``cycle^w`` alone.  That
-    verdict depends only on ``(x, cycle)``.  It follows the unique run for a
-    deterministic automaton; otherwise the run graph of the cycle started at
-    ``(0, x)`` is analysed by SCC, and some reachable SCC's internal
-    transitions must meet every accepting set.
+    verdict depends only on ``(x, cycle)``, so the answer for a prefix is the
+    OR of one bitset per entering state, holding that state's verdict on
+    every cycle.  A deterministic automaton's verdict follows its unique
+    run; otherwise the run graph of the cycle started at ``(0, x)`` is
+    analysed by SCC, and some reachable SCC's internal transitions must
+    meet every accepting set.
 
     This is exact: a prefix position is never revisited and epsilon cycles
     are rejected, so every SCC with an internal edge lies at cycle
     positions, and the cycle nodes reachable from the start are exactly
     those reachable from the ``(len(prefix), x)`` nodes of the entering
-    states.  Nothing is cached across calls: each call builds a fresh
-    :func:`lasso_acceptor`, so a caller that decides many words on one
-    automaton should keep one, which memoizes each ``(x, cycle)`` verdict.
-    """
-    return lasso_acceptor(b)(w)
-
-
-def lasso_acceptor(b: TGba) -> Callable[[LassoWord], bool]:
-    """Build the acceptance test of :func:`accepts_lasso` once for ``b``.
+    states.
 
     The acceptor is the unit of reuse: it reads ``b.moves`` and ``b.masks``
-    and keeps its own verdict memo keyed on ``(state, cycle)``, which lives
-    only as long as the returned function.  Raises ``AutomatonError`` here,
-    before any word is read, if epsilon transitions form a cycle (such a
-    cycle would allow runs that never consume the word).
+    and computes a state's bitset the first time a prefix enters the cycle
+    there, in a table that lives only as long as the returned function.
+    Raises ``AutomatonError`` here, before any prefix is read, if epsilon
+    transitions form a cycle (such a cycle would allow runs that never
+    consume the word).
     """
     moves = b.moves
     eps_out = [[t.dst for t in row.get(EPSILON, ())] for row in moves]
-    _assert_no_epsilon_cycles(b, eps_out)
-    deterministic = not any(eps_out) and all(len(ts) == 1 for row in moves for ts in row.values())
+    has_eps = any(eps_out)
+    if has_eps:
+        _assert_no_epsilon_cycles(b, eps_out)
+    deterministic = not has_eps and all(len(ts) == 1 for row in moves for ts in row.values())
     verdict = _run_verdict if deterministic else _scc_verdict
-    verdicts: dict[tuple[int, tuple], bool] = {}
+    table: list[int | None] = [None] * b.num_states
 
-    def accepts(w: LassoWord) -> bool:
+    def accepts(prefix) -> int:
         if deterministic:
             x = b.initial
-            for letter in w.prefix:
+            for letter in prefix:
                 step = moves[x].get(letter)
                 if not step:
-                    return False
+                    return 0
                 x = step[0].dst
             entering = (x,)
         else:
             entering = {b.initial}
-            for letter in w.prefix:
+            for letter in prefix:
                 entering = {
                     t.dst
                     for y in closure(entering, lambda s: eps_out[s])
                     for t in moves[y].get(letter, ())
                 }
-        cycle = w.cycle
+        bits = 0
         for x in entering:
-            key = (x, cycle)
-            got = verdicts.get(key)
+            got = table[x]
             if got is None:
-                got = verdicts[key] = verdict(b, x, cycle)
-            if got:
-                return True
-        return False
+                got = table[x] = sum(
+                    1 << j for j, cycle in enumerate(cycles) if verdict(b, x, cycle)
+                )
+            bits |= got
+        return bits
 
     return accepts
 

@@ -3,15 +3,18 @@ evaluation on ultimately periodic words.
 
 An infinite word is represented as a :class:`LassoWord` ``prefix . cycle^w``
 whose letters are sets of atomic-proposition names.  A formula is compiled
-once into a post-order program, one instruction per subformula, and a word
-is decided in two exact steps.  The truth values of every subformula at the
-cycle's entry depend only on the cycle, since the suffix there is
-``cycle^w``; they are found by running the program on the cycle's positions
-as bitsets, with the temporal operators decided by fixpoint iteration.  Each
-earlier position's values depend only on its letter and on the values one
-position later, so the prefix is walked backwards one letter at a time.  The
-evaluator therefore serves as a ground-truth oracle for the automata in this
-package.
+once into a post-order program, one instruction per subformula, together
+with a list of cycles; the compiled evaluator then answers one prefix
+against every cycle at once, as an int whose bit ``j`` is the verdict on
+``prefix . cycles[j]^w``.  Each word is decided in two exact steps.  The
+truth values of every subformula at the cycle's entry depend only on the
+cycle, since the suffix there is ``cycle^w``; they are found by running the
+program on the cycle's positions as bitsets, with the temporal operators
+decided by fixpoint iteration.  Each earlier position's values depend only
+on its letter and on the values one position later, so the prefix is walked
+backwards one letter at a time, once per distinct set of entry values
+rather than once per cycle.  The evaluator therefore serves as a
+ground-truth oracle for the automata in this package.
 
 Grammar (tightest binding first)::
 
@@ -414,26 +417,31 @@ def _values(program, letters, later: int | None = None) -> int:
     return sum((val & 1) << k for k, val in enumerate(v))
 
 
-def formula_evaluator(phi: Formula) -> Callable[[LassoWord], bool]:
-    """Compile ``phi`` once; the returned function decides it on any lasso word.
+def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
+    """Compile ``phi`` once and decide it on every word ``prefix . cycle^w``
+    with ``cycle`` in ``cycles`` at once: the returned function maps a
+    prefix (a tuple of letters) to an int whose bit ``j`` is set iff
+    ``prefix . cycles[j]^w`` satisfies ``phi``.
 
     Each subformula becomes one instruction, and a subformula object that
     occurs twice is compiled once.  A position's values are packed into one
     int, bit ``k`` being instruction ``k``'s truth value there.  The values
-    at the cycle's entry depend only on the cycle: they are
-    ``_values(program, cycle)``.  The values at an earlier position depend
-    only on its letter and the next position's values: they are
-    ``_values(program, (letter,), next_values)``, where an atom tests the
-    letter, connectives combine bits of the same position, ``X f`` reads
-    ``f`` one position later, ``l U r`` is ``r | (l & X (l U r))`` and
-    ``G g`` is ``g & X G g``.  A prefix position is never revisited, so
-    those one-step rules decide it exactly.  Walking the prefix backwards
-    from the cycle's entry gives the values at position 0, and the verdict
-    is the top instruction's bit there.
+    at a cycle's entry depend only on the cycle: they are
+    ``_values(program, cycle)``, computed here for every cycle, and cycles
+    with equal entry values form one group with one mask of cycle bits.
+    The values at an earlier position depend only on its letter and the
+    next position's values: they are ``_values(program, (letter,),
+    next_values)``, where an atom tests the letter, connectives combine bits
+    of the same position, ``X f`` reads ``f`` one position later, ``l U r``
+    is ``r | (l & X (l U r))`` and ``G g`` is ``g & X G g``.  A prefix
+    position is never revisited, so those one-step rules decide it exactly.
+    For each group the prefix is walked backwards from the entry values to
+    the values at position 0, and the masks of the groups whose top
+    instruction holds there are ORed together.
 
-    The returned function memoizes the entry values per cycle and each
-    backward step per ``(letter, values)``.  Both memos belong to it alone
-    and live as long as it does.
+    The returned function memoizes each backward step per
+    ``(letter, values)``; the memo belongs to it alone and lives as long as
+    it does.
     """
     program: list[tuple[int, object, int]] = []
     # keyed on node identity: a frozen formula re-hashes its whole subtree on
@@ -463,26 +471,31 @@ def formula_evaluator(phi: Formula) -> Callable[[LassoWord], bool]:
 
     emit(phi)
     verdict_bit = 1 << (len(program) - 1)
-    entries: dict[tuple, int] = {}
+    groups: dict[int, int] = {}
+    for j, cycle in enumerate(cycles):
+        entry = _values(program, cycle)
+        groups[entry] = groups.get(entry, 0) | 1 << j
     steps: dict[tuple, int] = {}
 
-    def holds(w: LassoWord) -> bool:
-        values = entries.get(w.cycle)
-        if values is None:
-            values = entries[w.cycle] = _values(program, w.cycle)
-        for letter in reversed(w.prefix):
-            key = (letter, values)
-            got = steps.get(key)
-            if got is None:
-                got = steps[key] = _values(program, (letter,), values)
-            values = got
-        return bool(values & verdict_bit)
+    def holds(prefix) -> int:
+        bits = 0
+        for values, mask in groups.items():
+            for letter in reversed(prefix):
+                key = (letter, values)
+                got = steps.get(key)
+                if got is None:
+                    got = steps[key] = _values(program, (letter,), values)
+                values = got
+            if values & verdict_bit:
+                bits |= mask
+        return bits
 
     return holds
 
 
 def eval_lasso(phi: Formula, w: LassoWord) -> bool:
-    """Exact satisfaction of ``phi`` on the infinite word ``w``: compile the
-    formula (see :func:`formula_evaluator`), then evaluate it once.  A caller
-    that decides one formula on many words should keep the evaluator."""
-    return formula_evaluator(phi)(w)
+    """Exact satisfaction of ``phi`` on the infinite word ``w``: the table of
+    :func:`formula_evaluator` over the single cycle ``w.cycle``, read at
+    ``w.prefix``.  A caller that decides one formula on many words should
+    build one evaluator over all of their cycles."""
+    return formula_evaluator(phi, (w.cycle,))(w.prefix) == 1

@@ -30,20 +30,30 @@ class CheckResult:
     seconds: float
 
 
-def all_lassos(ap=("a", "b", "c"), max_prefix: int = 2, max_cycle: int = 3):
-    """Every lasso word with bounded prefix/cycle lengths over 2^ap,
-    generated lazily: the 42,632 words of the default bounds take about
-    6.5 MiB as a list, a sixth of ``omegarl verify``'s peak memory."""
+def lasso_parts(ap=("a", "b", "c"), max_prefix: int = 2, max_cycle: int = 3):
+    """The prefixes and the cycles of the bounded lasso words over 2^ap, as
+    two lists: every prefix of at most ``max_prefix`` letters and every
+    cycle of 1 to ``max_cycle`` letters, shorter ones first, letters in
+    subset order.  This order fixes the order of :func:`all_lassos` and
+    which word a failing lasso check names."""
     letters = [
         frozenset(s)
         for r in range(len(ap) + 1)
         for s in itertools.combinations(sorted(ap), r)
     ]
-    for np_ in range(max_prefix + 1):
-        for prefix in itertools.product(letters, repeat=np_):
-            for nc in range(1, max_cycle + 1):
-                for cycle in itertools.product(letters, repeat=nc):
-                    yield LassoWord(prefix, cycle)
+    prefixes = [p for n in range(max_prefix + 1) for p in itertools.product(letters, repeat=n)]
+    cycles = [c for n in range(1, max_cycle + 1) for c in itertools.product(letters, repeat=n)]
+    return prefixes, cycles
+
+
+def all_lassos(ap=("a", "b", "c"), max_prefix: int = 2, max_cycle: int = 3):
+    """Every lasso word with bounded prefix/cycle lengths over 2^ap, prefix
+    by prefix and, within a prefix, cycle by cycle, in the order of
+    :func:`lasso_parts`; generated lazily."""
+    prefixes, cycles = lasso_parts(ap, max_prefix, max_cycle)
+    for prefix in prefixes:
+        for cycle in cycles:
+            yield LassoWord(prefix, cycle)
 
 
 def _timed(name: str, run) -> CheckResult:
@@ -53,38 +63,42 @@ def _timed(name: str, run) -> CheckResult:
 
 
 def _lasso_agreement(name, automaton, max_prefix, max_cycle, acceptors) -> CheckResult:
-    """Every acceptor in ``acceptors(base)`` must give the base automaton's
-    verdict on every bounded lasso word; each acceptor comes with the
-    phrase that reports its disagreement.
+    """Every oracle in ``acceptors(base, cycles)`` must give the base
+    automaton's verdict on every bounded lasso word; each oracle comes with
+    the phrase that reports its disagreement.
 
-    The oracles are built once per check: one :func:`lasso_acceptor` for
-    the base automaton and each candidate automaton, one
-    :func:`formula_evaluator` per formula.  An automaton acceptor decides
-    each ``(state, cycle)`` once; a formula evaluator computes each cycle's
-    entry values once and each ``(letter, values)`` step back through a
-    prefix once.  So words that share a cycle, or a cycle and the end of a
-    prefix, share that work; every word is still compared against every
-    acceptor.
+    Every oracle, the base automaton's :func:`lasso_acceptor` and each
+    candidate's acceptor or :func:`formula_evaluator`, is built once per
+    check over the whole list of cycles, and answers a prefix with one
+    bitset over them.  So each prefix costs one XOR per candidate.  A
+    failure names the word of the first disagreement in :func:`all_lassos`
+    order: the first prefix with any, then the lowest cycle bit over all
+    candidates, the earlier candidate on a tie.
     """
 
     def run():
         base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        base_accepts = lasso_acceptor(base)
-        candidates = acceptors(base)
-        count = 0
-        for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
-            expect = base_accepts(w)
+        prefixes, cycles = lasso_parts(sorted(base.ap), max_prefix, max_cycle)
+        base_accepts = lasso_acceptor(base, cycles)
+        candidates = acceptors(base, cycles)
+        for prefix in prefixes:
+            expect = base_accepts(prefix)
+            first_bit, phrase = 0, None
             for accepts, disagreement in candidates:
-                if accepts(w) != expect:
-                    return False, f"{disagreement} on {w}"
-            count += 1
-        return True, f"{count} lasso words agree"
+                diff = accepts(prefix) ^ expect
+                bit = diff & -diff  # the lowest cycle this candidate disagrees on
+                if bit and (not first_bit or bit < first_bit):
+                    first_bit, phrase = bit, disagreement
+            if first_bit:
+                w = LassoWord(prefix, cycles[first_bit.bit_length() - 1])
+                return False, f"{phrase} on {w}"
+        return True, f"{len(prefixes) * len(cycles)} lasso words agree"
 
     return _timed(name, run)
 
 
-def _automaton(kind: str, b: TGba):
-    return lasso_acceptor(b), f"{kind} automaton disagrees"
+def _automaton(kind: str, b: TGba, cycles):
+    return lasso_acceptor(b, cycles), f"{kind} automaton disagrees"
 
 
 def check_language_preservation(
@@ -92,27 +106,35 @@ def check_language_preservation(
 ) -> CheckResult:
     """Raw automaton, its augmentation, and the merged augmentation must
     agree on every bounded lasso word."""
-    return _lasso_agreement("language-preservation", automaton, max_prefix, max_cycle, lambda b: [
-        _automaton("augmented", augment(b)), _automaton("merged", merge_unaccepting(augment(b)))
-    ])
+    return _lasso_agreement(
+        "language-preservation", automaton, max_prefix, max_cycle,
+        lambda b, cycles: [
+            _automaton("augmented", augment(b), cycles),
+            _automaton("merged", merge_unaccepting(augment(b)), cycles),
+        ],
+    )
 
 
 def check_formula_agreement(
     automaton: TGba | None = None, max_prefix: int = 2, max_cycle: int = 3
 ) -> CheckResult:
     """The automaton fixture must agree with direct formula evaluation."""
-    return _lasso_agreement("formula-agreement", automaton, max_prefix, max_cycle, lambda b: [
-        (formula_evaluator(parse_ltl(SPEC_FORMULA)), "automaton and formula disagree")
-    ])
+    return _lasso_agreement(
+        "formula-agreement", automaton, max_prefix, max_cycle,
+        lambda b, cycles: [
+            (formula_evaluator(parse_ltl(SPEC_FORMULA), cycles), "automaton and formula disagree"),
+        ],
+    )
 
 
 def check_degeneralization(
     automaton: TGba | None = None, max_prefix: int = 2, max_cycle: int = 3
 ) -> CheckResult:
     """Collapsing to a single accepting set must preserve the language."""
-    return _lasso_agreement("degeneralization", automaton, max_prefix, max_cycle, lambda b: [
-        _automaton("degeneralized", degeneralize(b))
-    ])
+    return _lasso_agreement(
+        "degeneralization", automaton, max_prefix, max_cycle,
+        lambda b, cycles: [_automaton("degeneralized", degeneralize(b), cycles)],
+    )
 
 
 def check_recurrence_dichotomy(

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own decision procedures:
 formula evaluation walks suffixes directly, automaton acceptance searches
-for accepting closed walks with a layered DP, reachability is estimated
+for accepting closed walks with a layered DP, the reference lasso check
+compares those two word by word, reachability is estimated
 by vectorized simulation, the reference value iteration backs up one
 pair at a time with a scalar loop over its successors, the reference
 training loop steps in Python on numpy's raw generator words, the reference
@@ -22,6 +23,7 @@ from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, evaluate_p
 from omegarl.graphs import closure
 from omegarl.learn import LearningCurve, QTable, TrainResult
 from omegarl.product import PolicyEvaluation
+from omegarl.verify import all_lassos
 
 AP3 = ("a", "b", "c")
 
@@ -156,6 +158,45 @@ def enum_accepts(b, w: LassoWord) -> bool:
         if (anchor, full) in seen:
             return True
     return False
+
+
+def cycle_verdict(table, cycles, w: LassoWord) -> bool:
+    """The verdict on ``w`` read off a bitset-over-cycles oracle (a
+    ``lasso_acceptor`` or ``formula_evaluator`` built over ``cycles``)."""
+    return bool(table(w.prefix) >> cycles.index(w.cycle) & 1)
+
+
+def assert_table_matches(table, prefixes, cycles, decide) -> None:
+    """Every bit of a bitset-over-cycles oracle built over ``cycles``, at
+    every prefix, equals ``decide`` on its word; no bit beyond the cycles
+    is set."""
+    for prefix in prefixes:
+        bits = table(prefix)
+        assert bits >> len(cycles) == 0
+        for j, cycle in enumerate(cycles):
+            w = LassoWord(prefix, cycle)
+            assert bool(bits >> j & 1) == decide(w), w
+
+
+def reference_lasso_agreement(base, candidates, max_prefix: int, max_cycle: int):
+    """Reference for ``verify._lasso_agreement``: the word-by-word loop over
+    ``all_lassos``.  The base automaton is decided with ``enum_accepts``;
+    each candidate, an automaton or a formula paired with the phrase that
+    reports its disagreement, with ``enum_accepts`` or ``bf_eval``.  Returns
+    the check's ``(passed, detail)``: the first word on which some
+    candidate disagrees, the earlier candidate on a tie."""
+
+    def decide(oracle, w):
+        return bf_eval(oracle, w) if isinstance(oracle, ltl.Formula) else enum_accepts(oracle, w)
+
+    count = 0
+    for w in all_lassos(sorted(base.ap), max_prefix, max_cycle):
+        expect = enum_accepts(base, w)
+        for oracle, disagreement in candidates:
+            if decide(oracle, w) != expect:
+                return False, f"{disagreement} on {w}"
+        count += 1
+    return True, f"{count} lasso words agree"
 
 
 # --- value-iteration oracle ------------------------------------------------------

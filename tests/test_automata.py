@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import omegarl
-from helpers import enum_accepts, lassos_sharing_cycles, letters_over, random_lasso, random_tgba
+from helpers import (
+    AP3,
+    assert_table_matches,
+    cycle_verdict,
+    enum_accepts,
+    lassos_sharing_cycles,
+    letters_over,
+    random_lasso,
+    random_tgba,
+)
 from omegarl import (
     EPSILON,
     AutomatonError,
@@ -17,6 +26,7 @@ from omegarl import (
     TGba,
     Transition,
     accepts_lasso,
+    augment,
     check_limit_deterministic,
     degeneralize,
     eval_lasso,
@@ -24,11 +34,14 @@ from omegarl import (
     fixture_gfa_gfb_gnc,
     lasso,
     lasso_acceptor,
+    merge_unaccepting,
     named_fixture,
     parse_automaton,
     parse_ltl,
     serialize_automaton,
 )
+from omegarl import automata
+from omegarl.verify import lasso_parts
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -447,29 +460,33 @@ def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
 
 
 def test_reused_acceptor_matches_walk_enum_on_random_automata():
-    """One acceptor per automaton over words that share cycles, so its
-    per-(state, cycle) memo is hit across different prefixes."""
+    """One acceptor per automaton over the cycles of words that share
+    cycles, so each state's bitset is reused across different prefixes."""
     rng = np.random.default_rng(15)
     for _ in range(40):
         b = random_tgba(rng, n_states=3, ap=("a", "b"), n_sets=int(rng.integers(1, 3)))
-        accepts = lasso_acceptor(b)
-        for w in lassos_sharing_cycles(rng, n_cycles=4, per_cycle=8, ap=("a", "b")):
-            assert accepts(w) == enum_accepts(b, w)
+        words = lassos_sharing_cycles(rng, n_cycles=4, per_cycle=8, ap=("a", "b"))
+        cycles = list(dict.fromkeys(w.cycle for w in words))
+        accepts = lasso_acceptor(b, cycles)
+        for w in words:
+            assert cycle_verdict(accepts, cycles, w) == enum_accepts(b, w)
 
 
 def test_reused_acceptor_matches_walk_enum_on_fixtures(fig_automaton, eps_automaton):
     rng = np.random.default_rng(16)
     for b, ap in ((fig_automaton, ("a", "b", "c")), (eps_automaton, ("a",))):
-        accepts = lasso_acceptor(b)
         words = lassos_sharing_cycles(rng, n_cycles=10, per_cycle=10, ap=ap)
         assert any(w.prefix for w in words)
+        cycles = list(dict.fromkeys(w.cycle for w in words))
+        accepts = lasso_acceptor(b, cycles)
         for w in words:
-            assert accepts(w) == enum_accepts(b, w)
+            assert cycle_verdict(accepts, cycles, w) == enum_accepts(b, w)
 
 
 def test_acceptors_of_distinct_automata_share_no_verdicts(fig_automaton):
-    """An acceptor built right after another one, for an automaton with the
-    same states and transitions, must not reuse the first one's verdicts."""
+    """An acceptor built right after another one, over the same cycles, for
+    an automaton with the same states and transitions, must not reuse the
+    first one's bitsets."""
     corrupted = TGba(
         num_states=fig_automaton.num_states,
         initial=fig_automaton.initial,
@@ -478,10 +495,45 @@ def test_acceptors_of_distinct_automata_share_no_verdicts(fig_automaton):
         acceptance=(fig_automaton.acceptance[0], frozenset()),
     )
     words = lassos_sharing_cycles(np.random.default_rng(17), n_cycles=12, per_cycle=6)
-    good = lasso_acceptor(fig_automaton)
-    verdicts = [good(w) for w in words]
-    bad = lasso_acceptor(corrupted)
-    corrupted_verdicts = [bad(w) for w in words]
+    cycles = list(dict.fromkeys(w.cycle for w in words))
+    good = lasso_acceptor(fig_automaton, cycles)
+    verdicts = [cycle_verdict(good, cycles, w) for w in words]
+    bad = lasso_acceptor(corrupted, cycles)
+    corrupted_verdicts = [cycle_verdict(bad, cycles, w) for w in words]
     assert corrupted_verdicts == [enum_accepts(corrupted, w) for w in words]
     assert verdicts == [enum_accepts(fig_automaton, w) for w in words]
     assert corrupted_verdicts != verdicts
+
+
+def test_acceptor_bits_match_walk_enum_on_battery_automata(fig_automaton):
+    """Every bit of the table, on the four automata of the verify battery
+    and every lasso word with prefix <= 1 and cycle <= 2."""
+    prefixes, cycles = lasso_parts(AP3, 1, 2)
+    aug = augment(fig_automaton)
+    for b in (fig_automaton, aug, merge_unaccepting(aug), degeneralize(fig_automaton)):
+        accepts = lasso_acceptor(b, cycles)
+        assert_table_matches(accepts, prefixes, cycles, lambda w: enum_accepts(b, w))
+
+
+def test_acceptor_bits_match_walk_enum_on_random_automata():
+    """Nondeterministic and partial automata with epsilon edges take the
+    closure walk and the SCC verdict."""
+    rng = np.random.default_rng(18)
+    prefixes, cycles = lasso_parts(("a", "b"), 2, 2)
+    with_eps = 0
+    for _ in range(40):
+        b = random_tgba(rng, n_states=3, n_sets=int(rng.integers(1, 3)), allow_eps=True)
+        with_eps += any(t.is_epsilon() for t in b.transitions)
+        accepts = lasso_acceptor(b, cycles)
+        assert_table_matches(accepts, prefixes, cycles, lambda w: enum_accepts(b, w))
+    assert with_eps >= 10
+
+
+def test_epsilon_free_acceptor_skips_the_epsilon_cycle_search(fig_automaton, monkeypatch):
+    """Without an epsilon move there is no epsilon cycle to look for."""
+    def no_scc(*args):
+        raise AssertionError("SCC pass on an epsilon-free automaton")
+
+    monkeypatch.setattr(automata, "strongly_connected_components", no_scc)
+    accepts = lasso_acceptor(fig_automaton, ((A, B),))
+    assert accepts(()) == 1

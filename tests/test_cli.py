@@ -271,16 +271,12 @@ def test_verify_full_battery(capsys):
     assert main(["verify"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    checks = {c["name"]: c for c in doc["checks"]}
-    assert set(checks) == {
-        *LASSO_CHECKS,
-        "recurrence-dichotomy",
-        "stochasticity",
-        "impossibility-certificate",
-    }
-    assert all(c["passed"] for c in checks.values())
-    for name in LASSO_CHECKS:
-        assert checks[name]["detail"] == "42632 lasso words agree"
+    assert [(c["name"], c["passed"], c["detail"]) for c in doc["checks"]] == [
+        *((name, True, "42632 lasso words agree") for name in LASSO_CHECKS),
+        ("recurrence-dichotomy", True, "1000 random positional policies, no violations"),
+        ("stochasticity", True, "max row-sum error 0.00e+00"),
+        ("impossibility-certificate", True, "raw product impossible, augmented product possible"),
+    ]
 
 
 def test_verify_finds_disagreement_that_needs_a_prefix():

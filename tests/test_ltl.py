@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import AP3, bf_eval, lassos_sharing_cycles, letters_over, random_formula, random_lasso
+from helpers import (
+    AP3,
+    assert_table_matches,
+    bf_eval,
+    cycle_verdict,
+    lassos_sharing_cycles,
+    letters_over,
+    random_formula,
+    random_lasso,
+)
 from omegarl import (
     LassoWord,
     ParseError,
@@ -22,7 +31,7 @@ from omegarl.ltl import (
     TrueBool,
     Until,
 )
-from omegarl.verify import all_lassos
+from omegarl.verify import lasso_parts
 
 SPEC = "G F a & G F b & G !c"
 
@@ -153,21 +162,23 @@ def test_de_morgan():
 
 
 def test_reused_evaluator_matches_suffix_walk_oracle():
-    """One evaluator per formula over words that share cycles and differ
-    in prefixes of up to four letters."""
+    """One evaluator per formula over the cycles of words that share cycles
+    and differ in prefixes of up to four letters."""
     rng = np.random.default_rng(9)
     for _ in range(60):
         phi = random_formula(rng, depth=4)
-        holds = formula_evaluator(phi)
-        for w in lassos_sharing_cycles(rng, n_cycles=3, per_cycle=5):
-            assert holds(w) == bf_eval(phi, w)
+        words = lassos_sharing_cycles(rng, n_cycles=3, per_cycle=5)
+        cycles = list(dict.fromkeys(w.cycle for w in words))
+        holds = formula_evaluator(phi, cycles)
+        for w in words:
+            assert cycle_verdict(holds, cycles, w) == bf_eval(phi, w)
 
 
 def test_evaluator_on_rotated_and_repeated_cycles():
     """Cycles that are rotations or powers of one another, such as (a, b),
     (b, a) and (a, b, a, b), have the same length or the same letters but
-    different entry values; one evaluator per formula sees them all,
-    interleaved, behind prefixes of 0-4 letters."""
+    may have different entry values; one evaluator per formula, built over
+    all of them, decides them behind prefixes of 0-4 letters."""
     rng = np.random.default_rng(12)
     letters = letters_over(AP3)
 
@@ -182,32 +193,45 @@ def test_evaluator_on_rotated_and_repeated_cycles():
         for cycle in family:
             words.extend(LassoWord(draw(rng.integers(5)), cycle) for _ in range(3))
     words = [words[i] for i in rng.permutation(len(words))]
+    cycles = list(dict.fromkeys(w.cycle for w in words))
     for _ in range(60):
         phi = random_formula(rng, depth=4)
-        holds = formula_evaluator(phi)
+        holds = formula_evaluator(phi, cycles)
         for w in words:
-            assert holds(w) == bf_eval(phi, w)
+            assert cycle_verdict(holds, cycles, w) == bf_eval(phi, w)
 
 
 def test_evaluators_keep_their_own_memos():
-    """Two evaluators built back to back and run on the same words each
-    give their own formula's verdicts."""
+    """Two evaluators built back to back over the same cycles and run on the
+    same prefixes each give their own formula's verdicts."""
     rng = np.random.default_rng(13)
     words = lassos_sharing_cycles(rng, n_cycles=4, per_cycle=5)
+    cycles = list(dict.fromkeys(w.cycle for w in words))
     spec = parse_ltl(SPEC)
     pairs = [(spec, Not(spec))] + [
         (random_formula(rng, depth=4), random_formula(rng, depth=4)) for _ in range(40)
     ]
     for phi, psi in pairs:
-        holds_phi, holds_psi = formula_evaluator(phi), formula_evaluator(psi)
+        holds_phi, holds_psi = formula_evaluator(phi, cycles), formula_evaluator(psi, cycles)
         for w in words:
-            assert holds_phi(w) == bf_eval(phi, w)
-            assert holds_psi(w) == bf_eval(psi, w)
+            assert cycle_verdict(holds_phi, cycles, w) == bf_eval(phi, w)
+            assert cycle_verdict(holds_psi, cycles, w) == bf_eval(psi, w)
 
 
 def test_spec_evaluator_on_every_short_lasso():
+    prefixes, cycles = lasso_parts(AP3, 1, 2)
+    assert len(prefixes) * len(cycles) == 648
     phi = parse_ltl(SPEC)
-    holds = formula_evaluator(phi)
-    words = list(all_lassos(max_prefix=1, max_cycle=2))
-    assert len(words) == 648
-    assert [holds(w) for w in words] == [bf_eval(phi, w) for w in words]
+    holds = formula_evaluator(phi, cycles)
+    assert_table_matches(holds, prefixes, cycles, lambda w: bf_eval(phi, w))
+
+
+def test_evaluator_bits_match_suffix_walk_on_random_formulas():
+    """Every bit of the table, for random depth-4 formulas on every lasso
+    word with prefix <= 1 and cycle <= 2."""
+    rng = np.random.default_rng(14)
+    prefixes, cycles = lasso_parts(AP3, 1, 2)
+    for _ in range(60):
+        phi = random_formula(rng, depth=4)
+        holds = formula_evaluator(phi, cycles)
+        assert_table_matches(holds, prefixes, cycles, lambda w: bf_eval(phi, w))

@@ -1,10 +1,21 @@
 """The verify battery's own machinery: the random policies that
-recurrence-dichotomy tests, and that the check can fail."""
+recurrence-dichotomy tests, the order of the bounded lasso words, the word
+each lasso check names when it fails, and that the checks can fail."""
 
 import numpy as np
 import pytest
 
-from omegarl import verify
+from helpers import enum_accepts, reference_lasso_agreement
+from omegarl import (
+    LassoWord,
+    TGba,
+    Transition,
+    augment,
+    fixture_gfa_gfb_gnc,
+    merge_unaccepting,
+    parse_ltl,
+    verify,
+)
 
 
 def scalar_rows(enabled, n_policies, seed):
@@ -48,3 +59,109 @@ def test_recurrence_dichotomy_fails_without_augmentation(monkeypatch):
     for result in (verify.check_recurrence_dichotomy(), verify.check_recurrence_dichotomy(100)):
         assert result.passed is False
         assert result.detail == "policy 28 has a class covering 1/2 sets"
+
+
+def test_all_lassos_lists_each_prefix_against_every_cycle():
+    for ap, max_prefix, max_cycle in ((("a", "b", "c"), 2, 3), (("a",), 3, 2), (("a", "b"), 0, 1)):
+        prefixes, cycles = verify.lasso_parts(ap, max_prefix, max_cycle)
+        words = [LassoWord(x, y) for x in prefixes for y in cycles]
+        assert list(verify.all_lassos(ap, max_prefix, max_cycle)) == words
+    prefixes, cycles = verify.lasso_parts()
+    assert (len(prefixes), len(cycles)) == (73, 584)
+
+
+# --- the lasso checks against the word-by-word reference ----------------------
+
+AB = frozenset(("a", "b"))
+
+# each check's candidates as the battery builds them, read through the module
+# so that a monkeypatched transform reaches the reference too
+CANDIDATES = {
+    "language-preservation": lambda b: [
+        (verify.augment(b), "augmented automaton disagrees"),
+        (verify.merge_unaccepting(verify.augment(b)), "merged automaton disagrees"),
+    ],
+    "formula-agreement": lambda b: [
+        (parse_ltl(verify.SPEC_FORMULA), "automaton and formula disagree"),
+    ],
+    "degeneralization": lambda b: [
+        (verify.degeneralize(b), "degeneralized automaton disagrees"),
+    ],
+}
+CHECKS = {
+    "language-preservation": verify.check_language_preservation,
+    "formula-agreement": verify.check_formula_agreement,
+    "degeneralization": verify.check_degeneralization,
+}
+
+
+def with_acceptance(b, acceptance, transitions=None):
+    return TGba(
+        num_states=b.num_states,
+        initial=b.initial,
+        ap=b.ap,
+        transitions=b.transitions if transitions is None else transitions,
+        acceptance=acceptance,
+        names=b.names,
+    )
+
+
+def emptied(b):
+    """The second accepting set emptied: no word is accepted."""
+    return with_acceptance(b, (b.acceptance[0], frozenset()))
+
+
+def escaped(b):
+    """The trap's {a,b} self-loop redirected to x0, so a run can leave the
+    trap; telling it from the formula needs a prefix."""
+    moved = (b.transitions - {Transition(1, AB, 1)}) | {Transition(1, AB, 0)}
+    return with_acceptance(b, b.acceptance, moved)
+
+
+def saturated(b):
+    """Every transition in every accepting set: the trap makes every word
+    accepted."""
+    return with_acceptance(b, (b.transitions,) * len(b.acceptance))
+
+
+def check_and_reference(name, base):
+    result = CHECKS[name](base, max_prefix=1, max_cycle=2)
+    assert result.name == name
+    reference = reference_lasso_agreement(base, CANDIDATES[name](base), 1, 2)
+    return (result.passed, result.detail), reference
+
+
+@pytest.mark.parametrize("corrupt", [lambda b: b, emptied, escaped],
+                         ids=["fixture", "emptied-set", "escaped-trap"])
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_lasso_check_matches_word_by_word_reference(name, corrupt):
+    got, reference = check_and_reference(name, corrupt(fixture_gfa_gfb_gnc()))
+    assert got == reference
+
+
+def test_lasso_check_names_the_earlier_of_two_candidates_on_one_word(monkeypatch):
+    """Both candidates accept nothing, so both first disagree on the first
+    word the fixture accepts; the augmented automaton is named."""
+    good = fixture_gfa_gfb_gnc()
+    monkeypatch.setattr(verify, "augment", lambda b: augment(emptied(b)))
+    got, reference = check_and_reference("language-preservation", good)
+    witness = LassoWord((), (AB,))
+    assert got == reference == (False, f"augmented automaton disagrees on {witness}")
+    assert not enum_accepts(merge_unaccepting(augment(emptied(good))), witness)
+
+
+def test_lasso_check_names_the_lowest_cycle_of_one_prefix(monkeypatch):
+    """On the empty prefix the augmented candidate first disagrees on the
+    cycle (a,b) and the merged one, which accepts every word, on the lower
+    cycle (); the merged one is named."""
+    good = fixture_gfa_gfb_gnc()
+    monkeypatch.setattr(verify, "augment", lambda b: augment(emptied(b)))
+    monkeypatch.setattr(verify, "merge_unaccepting", lambda aug: augment(saturated(good)))
+    got, reference = check_and_reference("language-preservation", good)
+    witness = LassoWord((), (frozenset(),))
+    assert got == reference == (False, f"merged automaton disagrees on {witness}")
+    cycles = verify.lasso_parts(("a", "b", "c"), 1, 2)[1]
+    assert cycles.index(witness.cycle) < cycles.index((AB,))
+    aug = augment(emptied(good))
+    assert enum_accepts(aug, witness) == enum_accepts(good, witness)
+    assert enum_accepts(aug, LassoWord((), (AB,))) != enum_accepts(good, LassoWord((), (AB,)))
