@@ -18,8 +18,6 @@ from .automata import (
     accepts_lasso,
     check_limit_deterministic,
     degeneralize,
-    fixture_fg_a,
-    fixture_gfa_gfb_gnc,
     lasso_acceptor,
     load_automaton,
     named_fixture,
@@ -56,7 +54,6 @@ from .mdp import (
     PositionalPolicy,
     RecurrenceDecomposition,
     UndefinedChoice,
-    build_gridworld,
     decompose,
     induce_chain,
     load_mdp,

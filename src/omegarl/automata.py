@@ -1,12 +1,40 @@
 """Transition-based generalized Buchi automata with epsilon moves.
 
 Provides the data model, a line-oriented text format, limit-determinism
-checking, degeneralization to a single accepting set, and an exact
-acceptance test for ultimately periodic words.  Transitions carry explicit
-letters (subsets of the AP universe); the file format accepts Boolean guard
-shorthands that are expanded at parse time.  Every walk over an
-automaton's moves, here and in the augmentation and the product, reads the
-one per-state index ``TGba.moves``.
+checking, degeneralization to a single accepting set, an exact acceptance
+test for ultimately periodic words, and the packaged example automata
+(:func:`named_fixture`).  Transitions carry explicit letters (subsets of
+the AP universe).  Every walk over an automaton's moves, here and in the
+augmentation and the product, reads the one per-state index
+``TGba.moves``.
+
+Text format
+-----------
+One item per line.  ``#`` starts a comment that runs to the end of the
+line, and blank lines are skipped.  Four headers, in any order and each at
+most once::
+
+    ap: a b c            # atomic propositions; optional, default none
+    states: 2            # states 0..1, named x0 and x1
+    initial: 0
+    acceptance-sets: 2   # accepting sets 1..2; at least one
+
+Each other line is a transition ``src guard dst``, optionally followed by
+``acc: j,k`` to put it in accepting sets ``j`` and ``k``.  A guard is
+``eps``, an epsilon move that reads no letter and may not be accepting, or
+a Boolean expression over the declared propositions in the grammar of
+:mod:`omegarl.ltl` without temporal operators: names, ``true``,
+``false``, ``!``, ``&``, ``|``, ``->`` and parentheses.  A guard is
+shorthand for one transition per letter that satisfies it, so over
+``ap: a b c`` the line ``0 !c 0`` stands for the four c-free letters.
+Transitions with the same source, letter and target merge, and their
+accepting sets are unioned: ``0 !c 0`` and ``0 a & !c 0 acc: 1`` together
+put the a-loops, and only those, in set 1.
+:func:`serialize_automaton` writes the canonical form: one line per
+transition with its full-conjunction guard, in ``TGba.moves`` order.  A
+proposition name must match ``[a-z][a-z0-9_]*`` and be none of ``true``,
+``false`` and ``eps``, so that the canonical text reads back as the same
+automaton.
 """
 
 from __future__ import annotations
@@ -14,6 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 from . import ltl
@@ -208,14 +237,9 @@ def serialize_automaton(b: TGba) -> str:
 
 
 def parse_automaton(text: str) -> TGba:
-    """Parse the line-oriented automaton format (see package docs).
+    """Parse the automaton text format of the module docstring.
 
-    Guards are Boolean expressions over the declared AP universe (or
-    ``eps``) and expand to one transition per satisfying letter.  Repeated
-    (src, letter, dst) triples merge, with accepting-set memberships
-    unioned.  A proposition name must be an atom of the guard grammar
-    (``[a-z][a-z0-9_]*``, not ``true``, ``false`` or ``eps``), so that the
-    serialized text reads back as the same automaton.
+    Every error but a missing header names the line that caused it.
     """
     headers: dict[str, tuple[int, str]] = {}
     body: list[tuple[int, str]] = []
@@ -243,7 +267,9 @@ def parse_automaton(text: str) -> TGba:
             raise AutomatonError(f"missing header {key!r}")
     ap_list = headers.get("ap", (0, ""))[1].split()
     if len(set(ap_list)) != len(ap_list):
-        raise AutomatonError("duplicate atomic proposition in 'ap' header")
+        raise AutomatonError(
+            f"line {headers['ap'][0]}: duplicate atomic proposition in 'ap' header"
+        )
     for name in ap_list:
         if not re.fullmatch(r"[a-z][a-z0-9_]*", name) or name in ("true", "false", "eps"):
             raise AutomatonError(
@@ -254,8 +280,13 @@ def parse_automaton(text: str) -> TGba:
     num_states = number("states")
     initial = number("initial")
     n_sets = number("acceptance-sets")
-    if n_sets < 1:
-        raise AutomatonError("acceptance-sets must be at least 1")
+    for key, bad, problem in (
+        ("states", num_states < 1, "automaton needs at least one state"),
+        ("initial", not 0 <= initial < num_states, f"initial state {initial} out of range"),
+        ("acceptance-sets", n_sets < 1, "acceptance-sets must be at least 1"),
+    ):
+        if bad:
+            raise AutomatonError(f"line {headers[key][0]}: {problem}")
 
     ap_sorted = tuple(sorted(ap))
     letters = [
@@ -521,83 +552,17 @@ def _render(b: TGba, t: Transition) -> str:
     return f"({b.name_of(t.src)},{letter},{b.name_of(t.dst)})"
 
 
-# --- fixtures ------------------------------------------------------------
+# --- packaged fixtures ----------------------------------------------------
 
-def fixture_gfa_gfb_gnc() -> TGba:
-    """Two-state limit-deterministic automaton for ``G F a & G F b & G !c``.
-
-    State x0 loops on every c-free letter; any letter containing c falls
-    into the absorbing trap x1.  Set 1 holds the a-loops, set 2 the
-    b-loops; the {a,b} loop belongs to both.
-    """
-    ap = frozenset({"a", "b", "c"})
-    subsets = [
-        frozenset(s)
-        for r in range(4)
-        for s in itertools.combinations(sorted(ap), r)
-    ]
-    transitions = []
-    for letter in subsets:
-        transitions.append(Transition(0, letter, 1 if "c" in letter else 0))
-        transitions.append(Transition(1, letter, 1))
-    f1 = frozenset(
-        {Transition(0, frozenset({"a"}), 0), Transition(0, frozenset({"a", "b"}), 0)}
-    )
-    f2 = frozenset(
-        {Transition(0, frozenset({"b"}), 0), Transition(0, frozenset({"a", "b"}), 0)}
-    )
-    return TGba(
-        num_states=2,
-        initial=0,
-        ap=ap,
-        transitions=frozenset(transitions),
-        acceptance=(f1, f2),
-        names=("x0", "x1"),
-    )
-
-
-def fixture_fg_a() -> TGba:
-    """Three-state limit-deterministic automaton for ``F G a``.
-
-    x0 is the nondeterministic part (loops on everything, epsilon guess to
-    x1); x1 accepts on each a-letter and falls into the trap x2 on the
-    empty letter, so the automaton is total.
-    """
-    ap = frozenset({"a"})
-    a = frozenset({"a"})
-    empty = frozenset()
-    transitions = frozenset(
-        {
-            Transition(0, empty, 0),
-            Transition(0, a, 0),
-            Transition(0, EPSILON, 1),
-            Transition(1, a, 1),
-            Transition(1, empty, 2),
-            Transition(2, a, 2),
-            Transition(2, empty, 2),
-        }
-    )
-    acceptance = (frozenset({Transition(1, a, 1)}),)
-    return TGba(
-        num_states=3,
-        initial=0,
-        ap=ap,
-        transitions=transitions,
-        acceptance=acceptance,
-        names=("x0", "x1", "x2"),
-    )
-
-
-FIXTURES = {
-    "gfa_gfb_gnc": fixture_gfa_gfb_gnc,
-    "fg_a": fixture_fg_a,
-}
+_FIXTURES = {path.stem: path for path in Path(__file__).with_name("fixtures").glob("*.tgba")}
 
 
 def named_fixture(name: str) -> TGba:
+    """The packaged automaton ``fixtures/<name>.tgba``."""
     try:
-        return FIXTURES[name]()
+        path = _FIXTURES[name]
     except KeyError:
         raise AutomatonError(
-            f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}"
+            f"unknown fixture {name!r}; available: {', '.join(sorted(_FIXTURES))}"
         ) from None
+    return load_automaton(path)

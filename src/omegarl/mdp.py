@@ -1,13 +1,41 @@
 """Labeled Markov decision processes and induced-chain analysis.
 
-Includes the nine-room gridworld environment used by the experiments, a
-text format for external MDPs, transient/recurrent decomposition of induced
-chains, and exact reachability probabilities via a direct linear solve.
+Includes a text format for MDPs, the packaged environments
+(:data:`ENVIRONMENTS`, among them the paper's nine-room grid ``grid9``),
+transient/recurrent decomposition of induced chains, and exact
+reachability probabilities via a direct linear solve.
+
+Text format
+-----------
+One item per line.  ``#`` starts a comment that runs to the end of the
+line, and blank lines are skipped.  Three headers, in any order and each
+at most once::
+
+    states: 9     # states 0..8, named s0..s8; required
+    initial: 7    # required
+    ap: a b c     # atomic propositions; optional, default none
+
+Each other line is one of::
+
+    prob s act t p        # act in state s moves to t with probability p
+    label s act t {a,b}   # the transition (s, act, t) carries letter {a, b}
+
+State ids are integers and action names hold no spaces.  Every state
+needs a ``prob`` line; a state's actions are numbered in the order they
+first appear, and each action's probabilities must sum to one.  Two
+``prob`` lines for the same ``(s, act, t)`` add up.  A ``label`` must sit
+on a positive-probability transition and use only declared propositions;
+a later ``label`` line for the same transition replaces an earlier one,
+and a transition with none carries the empty label ``{}``.
+:func:`serialize_mdp` writes the canonical form: the rows state by state
+and action by action, then the nonempty labels in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -129,76 +157,6 @@ class RecurrenceDecomposition:
     recurrent_classes: tuple[frozenset[int], ...]
 
 
-# --- gridworld -----------------------------------------------------------
-
-_MOVES = {"right": (0, 1), "left": (0, -1), "up": (-1, 0), "down": (1, 0)}
-_OPPOSITE = {"right": "left", "left": "right", "up": "down", "down": "up"}
-UNSAFE_ROOMS = (2, 3, 5, 6)
-CORRIDOR = 4
-
-
-def _grid_move(s: int, direction: str) -> int:
-    """4-neighbour move on the 3x3 grid; off-grid attempts stay put."""
-    r, c = divmod(s, 3)
-    dr, dc = _MOVES[direction]
-    r2, c2 = r + dr, c + dc
-    if 0 <= r2 < 3 and 0 <= c2 < 3:
-        return r2 * 3 + c2
-    return s
-
-
-def build_gridworld() -> LabeledMdp:
-    """Eight rooms around a central corridor on a 3x3 grid.
-
-    Rooms use the four compass actions: the intended neighbour is reached
-    with probability 0.9 and the opposite one with 0.1, staying put when a
-    move would leave the grid.  The corridor s4 has one action per room,
-    reaching it with probability 0.9 and staying with 0.1.  Entering any of
-    the four unsafe rooms is labeled {c}; the corridor-to-s0 transition is
-    labeled {a} and corridor-to-s8 {b}.
-    """
-    enabled: list[tuple[str, ...]] = []
-    prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
-    label: dict[tuple[int, str, int], frozenset[str]] = {}
-
-    for s in range(9):
-        if s == CORRIDOR:
-            actions = tuple(f"to_s{i}" for i in range(9) if i != CORRIDOR)
-            for a in actions:
-                target = int(a[4:])
-                prob[(s, a)] = tuple(sorted(((target, 0.9), (CORRIDOR, 0.1))))
-        else:
-            # action ids follow the environment's listing order
-            actions = ("right", "left", "up", "down")
-            for a in actions:
-                intended = _grid_move(s, a)
-                slip = _grid_move(s, _OPPOSITE[a])
-                dist: dict[int, float] = {intended: 0.9}
-                dist[slip] = dist.get(slip, 0.0) + 0.1
-                prob[(s, a)] = tuple(sorted(dist.items()))
-        enabled.append(actions)
-
-    for (s, a), row in prob.items():
-        for dst, _ in row:
-            if dst in UNSAFE_ROOMS:
-                label[(s, a, dst)] = frozenset({"c"})
-    label[(CORRIDOR, "to_s0", 0)] = frozenset({"a"})
-    label[(CORRIDOR, "to_s8", 8)] = frozenset({"b"})
-
-    return LabeledMdp(
-        num_states=9,
-        initial=7,
-        ap=frozenset({"a", "b", "c"}),
-        enabled=tuple(enabled),
-        prob=prob,
-        label=label,
-        state_names=tuple(f"s{i}" for i in range(9)),
-    )
-
-
-ENVIRONMENTS = {"grid9": build_gridworld}
-
-
 # --- text format ----------------------------------------------------------
 
 def serialize_mdp(m: LabeledMdp) -> str:
@@ -226,8 +184,15 @@ def _number(kind, token: str, lineno: int, what: str):
 
 
 def parse_mdp(text: str) -> LabeledMdp:
+    """Parse the MDP text format of the module docstring.
+
+    Errors in the headers and in single lines name their line; a row that
+    does not sum to one or a misplaced label is rejected by
+    :class:`LabeledMdp`.
+    """
     headers: dict[str, tuple[int, str]] = {}
     prob_rows: dict[tuple[int, str], dict[int, float]] = {}
+    sources: dict[int, int] = {}  # each source state's first prob line
     labels: dict[tuple[int, str, int], frozenset[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -247,6 +212,7 @@ def parse_mdp(text: str) -> LabeledMdp:
         dst = _number(int, tokens[3], lineno, "state id")
         if tokens[0] == "prob":
             p = _number(float, tokens[4], lineno, "probability")
+            sources.setdefault(s, lineno)
             row = prob_rows.setdefault((s, a), {})
             row[dst] = row.get(dst, 0.0) + p
         else:
@@ -259,18 +225,33 @@ def parse_mdp(text: str) -> LabeledMdp:
     for key in ("states", "initial"):
         if key not in headers:
             raise MdpError(f"missing header {key!r}")
-    num_states = _number(int, headers["states"][1], headers["states"][0], "state count")
+    lineno, value = headers["states"]
+    num_states = _number(int, value, lineno, "state count")
+    if num_states < 1:
+        raise MdpError(f"line {lineno}: an MDP needs at least one state")
+    for s, line in sources.items():
+        if not 0 <= s < num_states:
+            raise MdpError(f"line {line}: prob line references undeclared state {s}")
+    # every state needs a prob line, so the count is bounded before anything
+    # of that size is allocated
+    if num_states > len(sources):
+        missing = min(set(range(len(sources) + 1)).difference(sources))
+        raise MdpError(
+            f"line {lineno}: {num_states} states declared, but state {missing} has no prob line"
+        )
+    lineno, value = headers["initial"]
+    initial = _number(int, value, lineno, "initial state")
+    if not 0 <= initial < num_states:
+        raise MdpError(f"line {lineno}: initial state {initial} out of range")
     enabled: list[list[str]] = [[] for _ in range(num_states)]
     prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
     # action ids per state follow first appearance in the file
     for (s, a), row in prob_rows.items():
-        if not 0 <= s < num_states:
-            raise MdpError(f"prob line references undeclared state {s}")
         enabled[s].append(a)
         prob[(s, a)] = tuple(sorted(row.items()))
     return LabeledMdp(
         num_states=num_states,
-        initial=_number(int, headers["initial"][1], headers["initial"][0], "initial state"),
+        initial=initial,
         ap=frozenset(headers.get("ap", (0, ""))[1].split()),
         enabled=tuple(tuple(actions) for actions in enabled),
         prob=prob,
@@ -282,6 +263,13 @@ def parse_mdp(text: str) -> LabeledMdp:
 def load_mdp(path) -> LabeledMdp:
     with open(path, encoding="utf-8") as fh:
         return parse_mdp(fh.read())
+
+
+# each packaged fixtures/<name>.mdp, by name, as a zero-argument loader
+ENVIRONMENTS = {
+    path.stem: partial(load_mdp, path)
+    for path in sorted(Path(__file__).with_name("fixtures").glob("*.mdp"))
+}
 
 
 # --- analysis --------------------------------------------------------------

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import augment, merge_unaccepting
-from .automata import TGba, degeneralize, fixture_gfa_gfb_gnc, lasso_acceptor
+from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
 from .ltl import LassoWord, formula_evaluator, parse_ltl
-from .mdp import ROW_SUM_TOL, PositionalPolicy, build_gridworld
+from .mdp import ENVIRONMENTS, ROW_SUM_TOL, PositionalPolicy
 from .product import build_product, check_positional_impossibility, evaluate_policy
 
 SPEC_FORMULA = "G F a & G F b & G !c"
@@ -56,6 +56,12 @@ def all_lassos(ap=("a", "b", "c"), max_prefix: int = 2, max_cycle: int = 3):
             yield LassoWord(prefix, cycle)
 
 
+def _base(automaton: TGba | None) -> TGba:
+    """The automaton under test: the given one, or the packaged automaton
+    for :data:`SPEC_FORMULA`."""
+    return automaton if automaton is not None else named_fixture("gfa_gfb_gnc")
+
+
 def _timed(name: str, run) -> CheckResult:
     start = time.monotonic()
     passed, detail = run()
@@ -77,7 +83,7 @@ def _lasso_agreement(name, automaton, max_prefix, max_cycle, acceptors) -> Check
     """
 
     def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
+        base = _base(automaton)
         prefixes, cycles = lasso_parts(sorted(base.ap), max_prefix, max_cycle)
         base_accepts = lasso_acceptor(base, cycles)
         candidates = acceptors(base, cycles)
@@ -154,8 +160,8 @@ def check_recurrence_dichotomy(
     """
 
     def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        product = build_product(build_gridworld(), merge_unaccepting(augment(base)))
+        base = _base(automaton)
+        product = build_product(ENVIRONMENTS["grid9"](), merge_unaccepting(augment(base)))
         rng = np.random.default_rng(seed)
         enabled = product.mdp.enabled
         lens = np.array([len(acts) for acts in enabled])
@@ -179,8 +185,8 @@ def check_stochasticity(automaton: TGba | None = None) -> CheckResult:
     """Row sums of every constructed model must equal one to 1e-12."""
 
     def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        grid = build_gridworld()
+        base = _base(automaton)
+        grid = ENVIRONMENTS["grid9"]()
         models = {
             "grid9": grid,
             "augmented-product": build_product(grid, merge_unaccepting(augment(base))).mdp,
@@ -204,8 +210,8 @@ def check_impossibility_certificate(automaton: TGba | None = None) -> CheckResul
     product must not."""
 
     def run():
-        base = automaton if automaton is not None else fixture_gfa_gfb_gnc()
-        grid = build_gridworld()
+        base = _base(automaton)
+        grid = ENVIRONMENTS["grid9"]()
         raw = build_product(grid, base)
         aug = build_product(grid, merge_unaccepting(augment(base)))
         if not check_positional_impossibility(raw):
@@ -220,11 +226,12 @@ def check_impossibility_certificate(automaton: TGba | None = None) -> CheckResul
 def run_battery(quick: bool = False, automaton: TGba | None = None) -> list[CheckResult]:
     max_prefix, max_cycle = (1, 2) if quick else (2, 3)
     n_policies = 100 if quick else 1000
+    base = _base(automaton)
     return [
-        check_language_preservation(automaton, max_prefix, max_cycle),
-        check_formula_agreement(automaton, max_prefix, max_cycle),
-        check_degeneralization(automaton, max_prefix, max_cycle),
-        check_recurrence_dichotomy(n_policies, automaton=automaton),
-        check_stochasticity(automaton),
-        check_impossibility_certificate(automaton),
+        check_language_preservation(base, max_prefix, max_cycle),
+        check_formula_agreement(base, max_prefix, max_cycle),
+        check_degeneralization(base, max_prefix, max_cycle),
+        check_recurrence_dichotomy(n_policies, automaton=base),
+        check_stochasticity(base),
+        check_impossibility_certificate(base),
     ]

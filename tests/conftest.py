@@ -2,28 +2,27 @@ import pytest
 
 from omegarl import (
     augment,
-    build_gridworld,
     build_product,
     degeneralize,
-    fixture_fg_a,
-    fixture_gfa_gfb_gnc,
     merge_unaccepting,
+    named_fixture,
 )
+from omegarl.mdp import ENVIRONMENTS
 
 
 @pytest.fixture(scope="session")
 def fig_automaton():
-    return fixture_gfa_gfb_gnc()
+    return named_fixture("gfa_gfb_gnc")
 
 
 @pytest.fixture(scope="session")
 def eps_automaton():
-    return fixture_fg_a()
+    return named_fixture("fg_a")
 
 
 @pytest.fixture(scope="session")
 def grid():
-    return build_gridworld()
+    return ENVIRONMENTS["grid9"]()
 
 
 @pytest.fixture(scope="session")

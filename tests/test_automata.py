@@ -1,8 +1,8 @@
+import hashlib
 import itertools
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,6 @@ from omegarl import (
     check_limit_deterministic,
     degeneralize,
     eval_lasso,
-    fixture_fg_a,
-    fixture_gfa_gfb_gnc,
     lasso,
     lasso_acceptor,
     merge_unaccepting,
@@ -220,10 +218,26 @@ def test_check_ld_names_the_first_violation_in_every_process():
 # --- text format -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["gfa_gfb_gnc", "fg_a"])
-def test_fixture_files_match_builtins(name):
-    text = (resources.files("omegarl") / "fixtures" / f"{name}.tgba").read_text()
-    assert parse_automaton(text) == named_fixture(name)
+# sha256 of each packaged automaton's canonical text: an edit to a file's
+# comments or guard shorthand must leave the automaton it defines as it is
+FIXTURE_SHA256 = {
+    "fg_a": "0c1fce026639c8a65a9dc60740eb1768ce27df5561098839eaa30c40ef8d6833",
+    "gfa_gfb_gnc": "80e4b2fa364c7aa6f5fe350e9c2bdb3bca97dfaf67be79732a393d6050054fff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SHA256))
+def test_fixture_canonical_text_is_pinned(name):
+    text = serialize_automaton(named_fixture(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_SHA256[name]
+
+
+def test_unknown_fixture_lists_the_packaged_automata():
+    stems = sorted(p.stem for p in Path(omegarl.__file__).with_name("fixtures").glob("*.tgba"))
+    assert stems == sorted(FIXTURE_SHA256)
+    with pytest.raises(AutomatonError) as exc:
+        named_fixture("nope")
+    assert str(exc.value) == f"unknown fixture 'nope'; available: {', '.join(stems)}"
 
 
 @pytest.mark.parametrize("name", ["gfa_gfb_gnc", "fg_a"])
@@ -284,7 +298,7 @@ def test_parse_rejects_accepting_epsilon():
 
 def test_moves_hold_every_transition_once_in_serialized_order():
     rng = np.random.default_rng(27)
-    automata = [fixture_gfa_gfb_gnc(), fixture_fg_a()]
+    automata = [named_fixture("gfa_gfb_gnc"), named_fixture("fg_a")]
     automata += [random_tgba(rng, n_states=4, allow_eps=True) for _ in range(30)]
     assert any(EPSILON in row for b in automata for row in b.moves)
     for b in automata:
@@ -449,8 +463,13 @@ def test_scc_and_deterministic_paths_agree(fig_automaton):
         ("initial: 0", "initial: x0", "line 3: bad initial value 'x0'"),
         ("acceptance-sets: 1", "acceptance-sets: ?", "line 4: bad acceptance-sets value"),
         ("acc: 1", "acc: 1,x", "line 5: bad acceptance index 'x'"),
+        ("initial: 0", "initial: 5", "line 3: initial state 5 out of range"),
+        ("states: 1", "states: 0", "line 2: automaton needs at least one state"),
+        ("acceptance-sets: 1", "acceptance-sets: 0", "line 4: acceptance-sets must be at least 1"),
+        ("ap: a", "ap: a a", "line 1: duplicate atomic proposition in 'ap' header"),
     ],
-    ids=["states", "initial", "acceptance-sets", "acc-index"],
+    ids=["states", "initial", "acceptance-sets", "acc-index", "initial-range", "no-states",
+         "no-acceptance-sets", "duplicate-ap"],
 )
 def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
     good = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n0 !a 0\n"

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from omegarl import LassoWord, Transition, fixture_gfa_gfb_gnc
+import omegarl
+from omegarl import LassoWord, Transition, named_fixture
 from omegarl.cli import main
 from omegarl.verify import check_formula_agreement
 from omegarl.automata import TGba
@@ -68,6 +70,17 @@ def test_automaton_merge_requires_augment(capsys):
 def test_unknown_fixture_is_validation_error(capsys):
     assert main(["automaton", "no_such_fixture"]) == 1
     assert "unknown fixture" in capsys.readouterr().err
+
+
+def test_unknown_environment_lists_the_packaged_mdps(tmp_path, capsys):
+    stems = sorted(p.stem for p in Path(omegarl.__file__).with_name("fixtures").glob("*.mdp"))
+    assert stems
+    out = tmp_path / "run"
+    assert main(["train", "--env", "nope", "--spec", "gfa_gfb_gnc", "--method", "augmented",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown environment 'nope'; available: {', '.join(stems)}\n"
+    assert not out.exists()
 
 
 def test_bad_arguments_exit_code():
@@ -283,7 +296,7 @@ def test_verify_finds_disagreement_that_needs_a_prefix():
     """Redirecting the trap's {a,b} self-loop to x0 lets a run leave the
     trap; the first bounded word that tells the automaton from the formula
     must first enter the trap with c."""
-    good = fixture_gfa_gfb_gnc()
+    good = named_fixture("gfa_gfb_gnc")
     ab = frozenset(("a", "b"))
     escaped = TGba(
         num_states=good.num_states,
@@ -300,7 +313,7 @@ def test_verify_finds_disagreement_that_needs_a_prefix():
 
 
 def test_verify_names_failing_check_for_corrupted_automaton():
-    good = fixture_gfa_gfb_gnc()
+    good = named_fixture("gfa_gfb_gnc")
     corrupted = TGba(
         num_states=good.num_states,
         initial=good.initial,

@@ -18,17 +18,16 @@ from helpers import product_acceptance, product_aut_edge
 from omegarl import (
     TrainConfig,
     augment,
-    build_gridworld,
     degeneralize,
-    fixture_fg_a,
-    fixture_gfa_gfb_gnc,
     merge_unaccepting,
+    named_fixture,
     parse_mdp,
     serialize_automaton,
     train,
     value_iteration,
 )
 from omegarl.cli import METHODS, main, method_product_and_scheme
+from omegarl.mdp import ENVIRONMENTS
 
 GRID9_CONFIG = {"episodes": 100, "steps_per_episode": 1000, "sessions": 2, "rng_seed": 2}
 SLIP_CONFIG = {"episodes": 25, "steps_per_episode": 200, "sessions": 2, "rng_seed": 5}
@@ -127,7 +126,7 @@ def test_golden_cli_run(tmp_path, capsys, env, method):
 @pytest.mark.parametrize("method", METHODS)
 def test_golden_library_session_scope(method):
     product, scheme = method_product_and_scheme(
-        build_gridworld(), fixture_gfa_gfb_gnc(), method, 2.0
+        ENVIRONMENTS["grid9"](), named_fixture("gfa_gfb_gnc"), method, 2.0
     )
     cfg = TrainConfig(episodes=15, steps_per_episode=250, sessions=2, rng_seed=23,
                       epsilon_scope="session")
@@ -144,7 +143,6 @@ TRANSFORMS = {
     "degeneralize": degeneralize,
     "augment_degeneralize": lambda b: augment(degeneralize(b)),
 }
-FIXTURES = {"gfa_gfb_gnc": fixture_gfa_gfb_gnc, "fg_a": fixture_fg_a}
 GAMMAS = (0.0, 0.5, 0.95, 0.99)
 
 GOLDEN_TRANSFORMS = {
@@ -198,7 +196,7 @@ GOLDEN_ORACLE = {
 
 
 def environment(env: str):
-    return build_gridworld() if env == "grid9" else parse_mdp(slip_mdp_text())
+    return ENVIRONMENTS["grid9"]() if env == "grid9" else parse_mdp(slip_mdp_text())
 
 
 def text_sha256(*parts) -> str:
@@ -207,14 +205,14 @@ def text_sha256(*parts) -> str:
 
 @pytest.mark.parametrize("fixture,transform", sorted(GOLDEN_TRANSFORMS))
 def test_golden_transform(fixture, transform):
-    b = TRANSFORMS[transform](FIXTURES[fixture]())
+    b = TRANSFORMS[transform](named_fixture(fixture))
     assert text_sha256(serialize_automaton(b), b.names) == GOLDEN_TRANSFORMS[(fixture, transform)]
 
 
 @pytest.mark.parametrize("env,method", sorted(GOLDEN))
 def test_golden_product(env, method):
     base = environment(env)
-    product, _ = method_product_and_scheme(base, fixture_gfa_gfb_gnc(), method, 2.0)
+    product, _ = method_product_and_scheme(base, named_fixture("gfa_gfb_gnc"), method, 2.0)
     m = product.mdp
     aut_edge = [
         (t, e.src, "eps" if e.is_epsilon() else sorted(e.letter), e.dst)
@@ -234,7 +232,9 @@ def test_golden_product(env, method):
 
 @pytest.mark.parametrize("env,method", sorted(GOLDEN))
 def test_golden_value_iteration(env, method):
-    product, _ = method_product_and_scheme(environment(env), fixture_gfa_gfb_gnc(), method, 2.0)
+    product, _ = method_product_and_scheme(
+        environment(env), named_fixture("gfa_gfb_gnc"), method, 2.0
+    )
     runs = []
     for gamma in GAMMAS:
         values, policy = value_iteration(product, gamma, 2.0)

@@ -18,19 +18,18 @@ from omegarl import (
     TrainConfig,
     Transition,
     alpha,
-    build_gridworld,
     build_product,
     epsilon,
     evaluate_policy,
-    fixture_fg_a,
-    fixture_gfa_gfb_gnc,
     greedy_policy,
+    named_fixture,
     train,
     value_iteration,
 )
 from omegarl import learn
 from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import _generator_array, _lib, _pointers
+from omegarl.mdp import ENVIRONMENTS
 from omegarl.product import AcceptingReward, FrontierReward
 
 
@@ -190,21 +189,23 @@ def test_value_iteration_matches_scalar_reference_on_random_mdps(seed):
     rng = np.random.default_rng(seed)
     m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)), letters=letters_over("ab"))
     for method in METHODS:
-        product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), method, 2.0)
+        product, _ = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), method, 2.0)
         assert_same_as_scalar(product, GAMMAS[seed % len(GAMMAS)])
 
 
-@pytest.mark.parametrize("spec", [fixture_gfa_gfb_gnc, fixture_fg_a])
+@pytest.mark.parametrize("spec", ["gfa_gfb_gnc", "fg_a"],
+                         ids=["fixture_gfa_gfb_gnc", "fixture_fg_a"])
 @pytest.mark.parametrize("method", METHODS)
 def test_value_iteration_matches_scalar_reference_on_fixtures(spec, method):
-    product, _ = method_product_and_scheme(build_gridworld(), spec(), method, 2.0)
+    grid = ENVIRONMENTS["grid9"]()
+    product, _ = method_product_and_scheme(grid, named_fixture(spec), method, 2.0)
     for gamma in GAMMAS:
         assert_same_as_scalar(product, gamma)
 
 
 def test_value_iteration_matches_scalar_reference_on_a_large_product():
     m = random_labeled_mdp(np.random.default_rng(7), n_states=60, letters=letters_over("ab"))
-    product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), "augmented", 2.0)
+    product, _ = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), "augmented", 2.0)
     assert product.num_states > 150
     assert_same_as_scalar(product, 0.99)
 
@@ -213,7 +214,7 @@ def small_random_product():
     """An augmented product of 11 states and 22 pairs with rows of up to
     four successors."""
     m = random_labeled_mdp(np.random.default_rng(3), n_states=4, letters=letters_over("ab"))
-    product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), "augmented", 2.0)
+    product, _ = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), "augmented", 2.0)
     assert len(product.keys) == 22
     return product
 
@@ -389,9 +390,9 @@ def test_train_matches_python_reference_on_random_mdps(seed):
     # c-free labels, so that most sessions reach sat 1 and the episode counts mean something
     m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 10)), letters=letters_over("ab"))
     one_action_states = 0
-    for spec in (fixture_gfa_gfb_gnc, fixture_fg_a):
+    for spec in ("gfa_gfb_gnc", "fg_a"):
         for method in METHODS:
-            product, scheme = method_product_and_scheme(m, spec(), method, 2.0)
+            product, scheme = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
             widths = np.diff(product.first)
             one_action_states += int((widths == 1).sum())
             for scope in ("episode", "session"):

@@ -1,4 +1,5 @@
-from importlib import resources
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from omegarl import (
     MdpError,
     PositionalPolicy,
     UndefinedChoice,
-    build_gridworld,
     decompose,
     induce_chain,
     parse_mdp,
     reach_probability,
     serialize_mdp,
 )
-from omegarl.mdp import ROW_SUM_TOL
+from omegarl.mdp import ENVIRONMENTS, ROW_SUM_TOL
 
 
 def test_gridworld_structure(grid):
@@ -180,9 +180,11 @@ def test_mdp_file_round_trip(grid):
     assert serialize_mdp(again) == text
 
 
-def test_grid9_fixture_file_matches_builtin(grid):
-    text = (resources.files("omegarl") / "fixtures" / "grid9.mdp").read_text()
-    assert parse_mdp(text) == grid
+def test_grid9_canonical_text_is_pinned():
+    """An edit to the file's comments must leave the grid it defines as it is."""
+    text = serialize_mdp(ENVIRONMENTS["grid9"]())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4d0eddfa72cc888545cae4fb640ce98b001d88cf7a408cdcd3cd53eb79d7b005"
 
 
 def test_parse_mdp_rejects_label_on_zero_probability():
@@ -212,13 +214,31 @@ GOOD_MDP = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\nlabe
         ("prob 0 go 1 1.0", "prob 0 go 1 x", "line 4: bad probability 'x'"),
         ("label 0 go 1", "label 0 go one", "line 6: bad state id 'one'"),
         ("initial: 0\n", "initial: 0\nstates: 3\n", "line 3: duplicate header 'states'"),
+        ("prob 0 go 1 1.0", "prob 5 go 1 1.0", "line 4: prob line references undeclared state 5"),
+        ("initial: 0", "initial: 3", "line 2: initial state 3 out of range"),
+        ("states: 2", "states: 0", "line 1: an MDP needs at least one state"),
+        ("states: 2", "states: 5", "line 1: 5 states declared, but state 2 has no prob line"),
     ],
-    ids=["states", "initial", "prob-state", "prob-probability", "label-state", "duplicate-header"],
+    ids=["states", "initial", "prob-state", "prob-probability", "label-state", "duplicate-header",
+         "prob-undeclared-state", "initial-range", "no-states", "states-without-rows"],
 )
 def test_parse_mdp_malformed_lines_raise_line_numbered_errors(old, new, match):
     assert parse_mdp(GOOD_MDP).num_states == 2
     with pytest.raises(MdpError, match=match):
         parse_mdp(GOOD_MDP.replace(old, new, 1))
+
+
+def test_parse_mdp_checks_the_state_count_before_allocating():
+    """A mistyped state count is an error, not a table of that many rows."""
+    text = GOOD_MDP.replace("states: 2", "states: 1000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MdpError, match="line 1: 1000000 states declared"):
+            parse_mdp(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_parse_mdp_rejects_nan_probability():

@@ -21,18 +21,18 @@ from omegarl import (
     TGba,
     Transition,
     augment,
-    build_gridworld,
     build_product,
     check_positional_impossibility,
     decompose,
     evaluate_policy,
-    fixture_gfa_gfb_gnc,
     induce_chain,
+    named_fixture,
     parse_mdp,
     value_iteration,
 )
 from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import _padded_tables
+from omegarl.mdp import ENVIRONMENTS
 from omegarl.product import AcceptingReward, FrontierReward
 from test_golden import slip_mdp_text
 
@@ -165,8 +165,8 @@ def test_product_rows_stochastic(augmented_product, raw_product, degeneralized_p
 @pytest.mark.parametrize("env", ["grid9", "slip"])
 @pytest.mark.parametrize("method", METHODS)
 def test_product_tables_match_prob_and_acceptance(env, method):
-    m = build_gridworld() if env == "grid9" else parse_mdp(slip_mdp_text())
-    product, _ = method_product_and_scheme(m, fixture_gfa_gfb_gnc(), method, 2.0)
+    m = ENVIRONMENTS["grid9"]() if env == "grid9" else parse_mdp(slip_mdp_text())
+    product, _ = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), method, 2.0)
     prob = product.mdp.prob
     # acceptance rebuilt from the automaton, not a view derived from the masks
     acceptance = product_acceptance(m, product)

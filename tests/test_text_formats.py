@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 from omegarl import (
     AutomatonError,
     MdpError,
-    build_gridworld,
     named_fixture,
     parse_automaton,
     parse_mdp,
     serialize_automaton,
     serialize_mdp,
 )
+from omegarl.mdp import ENVIRONMENTS
 from test_golden import slip_mdp_text
 
 AUTOMATON_TEXTS = [serialize_automaton(named_fixture(name)) for name in ("gfa_gfb_gnc", "fg_a")]
-MDP_TEXTS = [serialize_mdp(build_gridworld()), serialize_mdp(parse_mdp(slip_mdp_text()))]
+MDP_TEXTS = [serialize_mdp(ENVIRONMENTS["grid9"]()), serialize_mdp(parse_mdp(slip_mdp_text()))]
 
 # pieces of both grammars and near misses; none holds more than one digit,
 # so a mutated header declares few enough states to build

@@ -11,8 +11,8 @@ from omegarl import (
     TGba,
     Transition,
     augment,
-    fixture_gfa_gfb_gnc,
     merge_unaccepting,
+    named_fixture,
     parse_ltl,
     verify,
 )
@@ -135,14 +135,14 @@ def check_and_reference(name, base):
                          ids=["fixture", "emptied-set", "escaped-trap"])
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_lasso_check_matches_word_by_word_reference(name, corrupt):
-    got, reference = check_and_reference(name, corrupt(fixture_gfa_gfb_gnc()))
+    got, reference = check_and_reference(name, corrupt(named_fixture("gfa_gfb_gnc")))
     assert got == reference
 
 
 def test_lasso_check_names_the_earlier_of_two_candidates_on_one_word(monkeypatch):
     """Both candidates accept nothing, so both first disagree on the first
     word the fixture accepts; the augmented automaton is named."""
-    good = fixture_gfa_gfb_gnc()
+    good = named_fixture("gfa_gfb_gnc")
     monkeypatch.setattr(verify, "augment", lambda b: augment(emptied(b)))
     got, reference = check_and_reference("language-preservation", good)
     witness = LassoWord((), (AB,))
@@ -154,7 +154,7 @@ def test_lasso_check_names_the_lowest_cycle_of_one_prefix(monkeypatch):
     """On the empty prefix the augmented candidate first disagrees on the
     cycle (a,b) and the merged one, which accepts every word, on the lower
     cycle (); the merged one is named."""
-    good = fixture_gfa_gfb_gnc()
+    good = named_fixture("gfa_gfb_gnc")
     monkeypatch.setattr(verify, "augment", lambda b: augment(emptied(b)))
     monkeypatch.setattr(verify, "merge_unaccepting", lambda aug: augment(saturated(good)))
     got, reference = check_and_reference("language-preservation", good)
