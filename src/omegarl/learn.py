@@ -75,7 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from .mdp import PositionalPolicy
-from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_policy, require_positive
+from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_pairs, require_positive
 
 _KERNEL_CDEF = """
 double run_episode(
@@ -321,7 +321,8 @@ def train(
 
     ``scheme`` is a reward scheme of the product module; the kernel applies
     its bitmask rule to the product's masks.  After each episode the greedy
-    policy is evaluated exactly, unless it equals the last one evaluated, to
+    policy, one pair id per state, is evaluated exactly on the product's
+    tables (``evaluate_pairs``), unless it equals the last one evaluated, to
     record when it first positively satisfies the specification and when its
     satisfaction probability first reaches one; the evaluation never feeds
     back into learning.
@@ -336,9 +337,6 @@ def train(
         cfg.gamma, scheme.r_p, cfg.epsilon_numerator, -cfg.alpha_exponent,
         succ.shape[1], *_pointers(first, succ, cuts, masks, empty),
     )
-
-    def policy(greedy: np.ndarray) -> PositionalPolicy:
-        return PositionalPolicy({s: keys[p][1] for s, p in enumerate(greedy.tolist())})
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.sessions)
     curves = np.zeros((cfg.sessions, cfg.episodes))
@@ -365,18 +363,18 @@ def train(
                 state_visits.fill(0)
             curves[si, ep] = _lib.run_episode(*tables, *session) / cfg.steps_per_episode
             if track_satisfaction and sat1_ep is None and best.tobytes() != evaluated:
-                evaluated, ev = best.tobytes(), evaluate_policy(product, policy(best))
+                evaluated, ev = best.tobytes(), evaluate_pairs(product, best.tolist())
                 if pos_ep is None and ev.positively_satisfies:
                     pos_ep = ep + 1
                 if ev.sat_probability == 1.0:
                     sat1_ep = ep + 1
         if track_satisfaction and best.tobytes() != evaluated:
-            ev = evaluate_policy(product, policy(best))
+            ev = evaluate_pairs(product, best.tolist())
         q = QTable(product)
         q.values, q.pair_visits = values.tolist(), pair_visits.tolist()
         q.state_visits = state_visits.tolist()
         qtables.append(q)
-        policies.append(policy(best))
+        policies.append(PositionalPolicy({s: keys[p][1] for s, p in enumerate(best.tolist())}))
         first_pos.append(pos_ep)
         first_sat1.append(sat1_ep)
         evaluations.append(ev if track_satisfaction else None)

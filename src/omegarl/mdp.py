@@ -186,14 +186,15 @@ def _number(kind, token: str, lineno: int, what: str):
 def parse_mdp(text: str) -> LabeledMdp:
     """Parse the MDP text format of the module docstring.
 
-    Errors in the headers and in single lines name their line; a row that
-    does not sum to one or a misplaced label is rejected by
-    :class:`LabeledMdp`.
+    Errors name their line, except a missing header and what
+    :class:`LabeledMdp` rejects: a nonpositive probability or a row that
+    does not sum to one.
     """
     headers: dict[str, tuple[int, str]] = {}
     prob_rows: dict[tuple[int, str], dict[int, float]] = {}
     sources: dict[int, int] = {}  # each source state's first prob line
-    labels: dict[tuple[int, str, int], frozenset[str]] = {}
+    targets: dict[int, int] = {}  # each target state's first prob line
+    labels: dict[tuple[int, str, int], tuple[int, frozenset[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,6 +214,7 @@ def parse_mdp(text: str) -> LabeledMdp:
         if tokens[0] == "prob":
             p = _number(float, tokens[4], lineno, "probability")
             sources.setdefault(s, lineno)
+            targets.setdefault(dst, lineno)
             row = prob_rows.setdefault((s, a), {})
             row[dst] = row.get(dst, 0.0) + p
         else:
@@ -221,7 +223,7 @@ def parse_mdp(text: str) -> LabeledMdp:
                 raise MdpError(f"line {lineno}: label must be written as {{a,b}}")
             inner = body[1:-1].strip()
             letter = frozenset(x.strip() for x in inner.split(",") if x.strip())
-            labels[(s, a, dst)] = letter
+            labels[(s, a, dst)] = (lineno, letter)
     for key in ("states", "initial"):
         if key not in headers:
             raise MdpError(f"missing header {key!r}")
@@ -243,6 +245,15 @@ def parse_mdp(text: str) -> LabeledMdp:
     initial = _number(int, value, lineno, "initial state")
     if not 0 <= initial < num_states:
         raise MdpError(f"line {lineno}: initial state {initial} out of range")
+    for dst, line in targets.items():
+        if not 0 <= dst < num_states:
+            raise MdpError(f"line {line}: prob line targets undeclared state {dst}")
+    ap = frozenset(headers.get("ap", (0, ""))[1].split())
+    for key, (line, letter) in labels.items():
+        if key[2] not in prob_rows.get(key[:2], ()):
+            raise MdpError(f"line {line}: label on zero-probability triple {key}")
+        if not letter <= ap:
+            raise MdpError(f"line {line}: label {sorted(letter)} uses undeclared propositions")
     enabled: list[list[str]] = [[] for _ in range(num_states)]
     prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
     # action ids per state follow first appearance in the file
@@ -252,10 +263,10 @@ def parse_mdp(text: str) -> LabeledMdp:
     return LabeledMdp(
         num_states=num_states,
         initial=initial,
-        ap=frozenset(headers.get("ap", (0, ""))[1].split()),
+        ap=ap,
         enabled=tuple(tuple(actions) for actions in enabled),
         prob=prob,
-        label=labels,
+        label={key: letter for key, (_, letter) in labels.items()},
         state_names=tuple(f"s{i}" for i in range(num_states)),
     )
 
@@ -275,7 +286,10 @@ ENVIRONMENTS = {
 # --- analysis --------------------------------------------------------------
 
 def induce_chain(m: LabeledMdp, pi: PositionalPolicy) -> MarkovChain:
-    """Markov chain over the states reachable from the initial state under ``pi``."""
+    """Markov chain over the states reachable from the initial state under
+    ``pi``.  With :func:`decompose`, the name-keyed path to recurrent classes
+    (products use ``product.recurrent_classes``), kept for library callers,
+    the tests' reference and the benchmark's probes."""
     prob: dict[int, tuple[tuple[int, float], ...]] = {}
 
     def successors(s: int):
@@ -297,7 +311,8 @@ def induce_chain(m: LabeledMdp, pi: PositionalPolicy) -> MarkovChain:
 
 
 def decompose(mc: MarkovChain) -> RecurrenceDecomposition:
-    """Recurrent classes are the bottom SCCs of the positive-probability digraph."""
+    """Recurrent classes are the bottom SCCs of the positive-probability
+    digraph, on the name-keyed path (see :func:`induce_chain`)."""
     succ = {s: tuple(dst for dst, _ in mc.prob[s]) for s in mc.states}
     comps = strongly_connected_components(mc.states, lambda v: succ[v])
     classes = []

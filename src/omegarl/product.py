@@ -5,7 +5,7 @@ produced labels and adds a probability-one action for each automaton
 epsilon transition.  Accepting transition sets lift to product transitions
 and drive the two reward schemes: the memoryless accepting-transition
 reward and the working-set ("frontier") baseline.  Policies are evaluated
-exactly through recurrence decomposition of the induced chain.
+exactly on the chosen pairs' rows of the integer tables below.
 
 ``build_product`` also lays the product out as the integer tables that
 training and value iteration run on.  Pair ``p`` is the p-th enabled
@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .automata import EPSILON, TGba
-from .graphs import explore
+from .graphs import explore, strongly_connected_components
 from .mdp import (
     LabeledMdp,
+    MarkovChain,
+    MdpError,
     PositionalPolicy,
-    decompose,
-    induce_chain,
+    UndefinedChoice,
     reach_probability,
 )
 
@@ -276,6 +277,79 @@ class PolicyEvaluation:
         }
 
 
+def recurrent_classes(p: ProductMdp, chosen) -> tuple[tuple[int, ...], tuple]:
+    """Transient states and recurrent classes of the chain that pair
+    ``chosen[s]`` at each state ``s`` induces from state 0, reading
+    ``chosen`` at reached states only.  A class is a bottom strongly
+    connected component: its ascending states and the OR of its pairs'
+    ``masks``, lowest state first."""
+    succ, masks = p.succ, p.masks
+    transient, classes = [], []
+    for comp in strongly_connected_components((0,), lambda s: succ[chosen[s]]):
+        rows = [chosen[s] for s in comp]
+        members = set(comp)
+        if all(dst in members for pair in rows for dst in succ[pair]):
+            covered = 0
+            for mask in chain.from_iterable(masks[pair] for pair in rows):
+                covered |= mask
+            classes.append((tuple(sorted(comp)), covered))
+        else:
+            transient += comp
+    return tuple(sorted(transient)), tuple(sorted(classes))
+
+
+def evaluate_pairs(p: ProductMdp, chosen) -> PolicyEvaluation:
+    """:func:`evaluate_policy` of the policy that takes pair ``chosen[s]`` at
+    each state ``s``."""
+    transient, found = recurrent_classes(p, chosen)
+    n_sets = len(p.automaton.acceptance)
+    classes, accepting_states = [], set()
+    for states, covered in found:
+        # states ascend and so does each row's succ, so a set's witness is
+        # its lowest transition
+        witnesses: dict[int, ProductTransition] = {}
+        seen = 0
+        for s in states:
+            pair = chosen[s]
+            for dst, mask in zip(p.succ[pair], p.masks[pair]):
+                new = mask & ~seen
+                if new:
+                    seen |= new
+                    for j in range(n_sets):
+                        if new >> j & 1:
+                            witnesses[j] = (s, p.keys[pair][1], dst)
+        coverage = tuple(bool(covered >> j & 1) for j in range(n_sets))
+        if all(coverage):
+            accepting_states.update(states)
+        witnesses = dict(sorted(witnesses.items()))
+        classes.append(ClassReport(states, coverage, all(coverage), witnesses))
+    if not accepting_states:
+        sat = 0.0
+    elif all(c.accepting for c in classes):
+        sat = 1.0
+    else:
+        reached = sorted(chain(transient, *(c.states for c in classes)))
+        rows = {s: tuple(zip(p.succ[chosen[s]], p.probs[chosen[s]])) for s in reached}
+        sat = reach_probability(MarkovChain(tuple(reached), rows, 0), accepting_states)[0]
+    return PolicyEvaluation(sat, sat > 0.0, transient, tuple(classes))
+
+
+class _ChosenPairs(dict):
+    """A name-keyed policy's pair id at each state, looked up when first read."""
+
+    def __init__(self, p: ProductMdp, pi: PositionalPolicy):
+        self.first, self.enabled, self.choice = p.first, p.mdp.enabled, pi.choice
+
+    def __missing__(self, s: int) -> int:
+        a, actions = self.choice.get(s), self.enabled[s]
+        if a is None:
+            raise UndefinedChoice(s)
+        if a not in actions:
+            raise MdpError(f"policy chooses disabled action {a!r} at state {s}")
+        self[s] = pair = self.first[s] + actions.index(a)
+        return pair
+
+
 def evaluate_policy(p: ProductMdp, pi: PositionalPolicy) -> PolicyEvaluation:
     """Exact satisfaction analysis of a positional policy on the product.
 
@@ -284,53 +358,10 @@ def evaluate_policy(p: ProductMdp, pi: PositionalPolicy) -> PolicyEvaluation:
     is the probability of reaching the union of accepting classes.  The
     all-accepting and no-accepting cases short-circuit to exact 1.0/0.0
     (a finite chain enters its recurrent part with probability one).
+    Names map to pair ids once, at reached states only: there a missing
+    choice raises :class:`UndefinedChoice`, a disabled one :class:`MdpError`.
     """
-    chain = induce_chain(p.mdp, pi)
-    dec = decompose(chain)
-    n_sets = len(p.automaton.acceptance)
-
-    classes: list[ClassReport] = []
-    accepting_states: set[int] = set()
-    for members in dec.recurrent_classes:
-        # OR the chosen pairs' masks over the class; states ascend and so
-        # does each row's succ, so a set's witness is its lowest transition
-        covered = 0
-        witnesses: dict[int, ProductTransition] = {}
-        for s in sorted(members):
-            a = pi.choice[s]
-            pair = p.first[s] + p.mdp.enabled[s].index(a)
-            for dst, mask in zip(p.succ[pair], p.masks[pair]):
-                new = mask & ~covered
-                if new:
-                    covered |= new
-                    for j in range(n_sets):
-                        if new >> j & 1:
-                            witnesses[j] = (s, a, dst)
-        coverage = tuple(bool(covered >> j & 1) for j in range(n_sets))
-        accepting = all(coverage)
-        if accepting:
-            accepting_states.update(members)
-        classes.append(
-            ClassReport(
-                states=tuple(sorted(members)),
-                coverage=coverage,
-                accepting=accepting,
-                witnesses=dict(sorted(witnesses.items())),
-            )
-        )
-
-    if not accepting_states:
-        sat = 0.0
-    elif all(c.accepting for c in classes):
-        sat = 1.0
-    else:
-        sat = reach_probability(chain, accepting_states)[chain.initial]
-    return PolicyEvaluation(
-        sat_probability=sat,
-        positively_satisfies=sat > 0.0,
-        transient=tuple(sorted(dec.transient)),
-        classes=tuple(classes),
-    )
+    return evaluate_pairs(p, _ChosenPairs(p, pi))
 
 
 def check_positional_impossibility(p: ProductMdp) -> bool:

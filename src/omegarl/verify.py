@@ -1,8 +1,8 @@
 """Self-check battery wiring the independent oracles against each other.
 
 Each check returns a named pass/fail result so the command line can print a
-machine-readable summary.  Checks accept an optional automaton override,
-which keeps failures attributable when an input is corrupted.
+machine-readable summary.  Checks accept optional automaton and grid
+overrides, which keep failures attributable when an input is corrupted.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from .augment import augment, merge_unaccepting
 from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
 from .ltl import LassoWord, formula_evaluator, parse_ltl
-from .mdp import ENVIRONMENTS, ROW_SUM_TOL, PositionalPolicy
-from .product import build_product, check_positional_impossibility, evaluate_policy
+from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
+from .product import build_product, check_positional_impossibility, recurrent_classes
 
 SPEC_FORMULA = "G F a & G F b & G !c"
 
@@ -60,6 +60,11 @@ def _base(automaton: TGba | None) -> TGba:
     """The automaton under test: the given one, or the packaged automaton
     for :data:`SPEC_FORMULA`."""
     return automaton if automaton is not None else named_fixture("gfa_gfb_gnc")
+
+
+def _grid(grid: LabeledMdp | None) -> LabeledMdp:
+    """The MDP under test: the given one, or the packaged nine-room grid."""
+    return grid if grid is not None else ENVIRONMENTS["grid9"]()
 
 
 def _timed(name: str, run) -> CheckResult:
@@ -144,34 +149,31 @@ def check_degeneralization(
 
 
 def check_recurrence_dichotomy(
-    n_policies: int = 1000, seed: int = 2024, automaton: TGba | None = None
+    n_policies: int = 1000, seed: int = 2024, automaton: TGba | None = None,
+    grid: LabeledMdp | None = None,
 ) -> CheckResult:
     """On the augmented product every recurrent class must intersect all
     accepting sets or none of them.
 
-    Each policy is one broadcast ``integers`` call over the states' action
-    counts.  Policy after policy, those calls draw the same stream as one
-    scalar ``rng.integers(len(acts))`` per state, where a state with a
-    single action draws nothing;
-    ``tests/test_verify.py::test_row_draws_match_scalar_stream`` pins that,
-    so the policies tested do not depend on how they are drawn.  A single
-    ``(n_policies, n_states)`` draw is the same stream too, but that array
-    and its list raised the battery's peak memory by about 0.5 MB.
+    All policies are one ``(n_policies, n_states)`` int32 ``integers`` call
+    over the states' action counts.  Row after row, it draws the same stream
+    as one scalar ``rng.integers(len(acts))`` per state, where a state with
+    a single action draws nothing; ``tests/test_verify.py`` pins that.  The
+    int32 array, listed one row at a time, adds about 0.1 MB to the
+    battery's peak memory; an int64 array listed whole added 0.5 MB.
     """
 
     def run():
-        base = _base(automaton)
-        product = build_product(ENVIRONMENTS["grid9"](), merge_unaccepting(augment(base)))
-        rng = np.random.default_rng(seed)
-        enabled = product.mdp.enabled
-        lens = np.array([len(acts) for acts in enabled])
+        product = build_product(_grid(grid), merge_unaccepting(augment(_base(automaton))))
+        first = np.array(product.first, dtype=np.int32)
         n_sets = len(product.automaton.acceptance)
-        for trial in range(n_policies):
-            row = rng.integers(0, lens).tolist()
-            pi = PositionalPolicy({s: acts[i] for s, (acts, i) in enumerate(zip(enabled, row))})
-            ev = evaluate_policy(product, pi)
-            for c in ev.classes:
-                hits = sum(c.coverage)
+        draws = np.random.default_rng(seed).integers(
+            0, np.diff(first), size=(n_policies, product.num_states), dtype=np.int32
+        )
+        draws += first[:-1]
+        for trial, row in enumerate(draws):
+            for _, covered in recurrent_classes(product, row.tolist())[1]:
+                hits = covered.bit_count()
                 if hits not in (0, n_sets):
                     return False, (
                         f"policy {trial} has a class covering {hits}/{n_sets} sets"
@@ -181,21 +183,23 @@ def check_recurrence_dichotomy(
     return _timed("recurrence-dichotomy", run)
 
 
-def check_stochasticity(automaton: TGba | None = None) -> CheckResult:
+def check_stochasticity(
+    automaton: TGba | None = None, grid: LabeledMdp | None = None
+) -> CheckResult:
     """Row sums of every constructed model must equal one to 1e-12."""
 
     def run():
         base = _base(automaton)
-        grid = ENVIRONMENTS["grid9"]()
+        m = _grid(grid)
         models = {
-            "grid9": grid,
-            "augmented-product": build_product(grid, merge_unaccepting(augment(base))).mdp,
-            "degeneralized-product": build_product(grid, augment(degeneralize(base))).mdp,
-            "raw-product": build_product(grid, base).mdp,
+            "grid9": m,
+            "augmented-product": build_product(m, merge_unaccepting(augment(base))).mdp,
+            "degeneralized-product": build_product(m, augment(degeneralize(base))).mdp,
+            "raw-product": build_product(m, base).mdp,
         }
         worst = 0.0
-        for name, m in models.items():
-            for (s, a), row in m.prob.items():
+        for name, model in models.items():
+            for (s, a), row in model.prob.items():
                 err = abs(sum(p for _, p in row) - 1.0)
                 worst = max(worst, err)
                 if err > ROW_SUM_TOL:
@@ -205,15 +209,17 @@ def check_stochasticity(automaton: TGba | None = None) -> CheckResult:
     return _timed("stochasticity", run)
 
 
-def check_impossibility_certificate(automaton: TGba | None = None) -> CheckResult:
+def check_impossibility_certificate(
+    automaton: TGba | None = None, grid: LabeledMdp | None = None
+) -> CheckResult:
     """The raw product must certify positional impossibility; the augmented
     product must not."""
 
     def run():
         base = _base(automaton)
-        grid = ENVIRONMENTS["grid9"]()
-        raw = build_product(grid, base)
-        aug = build_product(grid, merge_unaccepting(augment(base)))
+        m = _grid(grid)
+        raw = build_product(m, base)
+        aug = build_product(m, merge_unaccepting(augment(base)))
         if not check_positional_impossibility(raw):
             return False, "raw product lacks the impossibility certificate"
         if check_positional_impossibility(aug):
@@ -226,12 +232,12 @@ def check_impossibility_certificate(automaton: TGba | None = None) -> CheckResul
 def run_battery(quick: bool = False, automaton: TGba | None = None) -> list[CheckResult]:
     max_prefix, max_cycle = (1, 2) if quick else (2, 3)
     n_policies = 100 if quick else 1000
-    base = _base(automaton)
+    base, grid = _base(automaton), ENVIRONMENTS["grid9"]()
     return [
         check_language_preservation(base, max_prefix, max_cycle),
         check_formula_agreement(base, max_prefix, max_cycle),
         check_degeneralization(base, max_prefix, max_cycle),
-        check_recurrence_dichotomy(n_policies, automaton=base),
-        check_stochasticity(base),
-        check_impossibility_certificate(base),
+        check_recurrence_dichotomy(n_policies, automaton=base, grid=grid),
+        check_stochasticity(base, grid),
+        check_impossibility_certificate(base, grid),
     ]

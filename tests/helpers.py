@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own decision procedures:
 formula evaluation walks suffixes directly, automaton acceptance searches
 for accepting closed walks with a layered DP, the reference lasso check
 compares those two word by word, reachability is estimated
-by vectorized simulation, the reference value iteration backs up one
+by vectorized simulation, the reference policy evaluation works on the
+product's name-keyed chain, the reference value iteration backs up one
 pair at a time with a scalar loop over its successors, the reference
 training loop steps in Python on numpy's raw generator words, the reference
 frontier reward keeps its working set as a set of transitions, and a
@@ -19,10 +20,11 @@ from bisect import bisect_right
 
 import numpy as np
 
-from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, evaluate_policy, ltl
+from omegarl import EPSILON, LassoWord, PositionalPolicy, Transition, ltl
 from omegarl.graphs import closure
 from omegarl.learn import LearningCurve, QTable, TrainResult
-from omegarl.product import PolicyEvaluation
+from omegarl.mdp import decompose, induce_chain, reach_probability
+from omegarl.product import ClassReport, PolicyEvaluation
 from omegarl.verify import all_lassos
 
 AP3 = ("a", "b", "c")
@@ -197,6 +199,60 @@ def reference_lasso_agreement(base, candidates, max_prefix: int, max_cycle: int)
                 return False, f"{disagreement} on {w}"
         count += 1
     return True, f"{count} lasso words agree"
+
+
+# --- policy-evaluation oracle -----------------------------------------------------
+
+def reference_evaluate_policy(p, pi) -> PolicyEvaluation:
+    """Reference for ``product.evaluate_policy``: the induced chain of the
+    product's name-keyed MDP view, its recurrence decomposition and, when
+    some classes accept and others do not, the reachability solve on it."""
+    chain = induce_chain(p.mdp, pi)
+    dec = decompose(chain)
+    n_sets = len(p.automaton.acceptance)
+
+    classes: list[ClassReport] = []
+    accepting_states: set[int] = set()
+    for members in dec.recurrent_classes:
+        # OR the chosen pairs' masks over the class; states ascend and so
+        # does each row's succ, so a set's witness is its lowest transition
+        covered = 0
+        witnesses = {}
+        for s in sorted(members):
+            a = pi.choice[s]
+            pair = p.first[s] + p.mdp.enabled[s].index(a)
+            for dst, mask in zip(p.succ[pair], p.masks[pair]):
+                new = mask & ~covered
+                if new:
+                    covered |= new
+                    for j in range(n_sets):
+                        if new >> j & 1:
+                            witnesses[j] = (s, a, dst)
+        coverage = tuple(bool(covered >> j & 1) for j in range(n_sets))
+        accepting = all(coverage)
+        if accepting:
+            accepting_states.update(members)
+        classes.append(
+            ClassReport(
+                states=tuple(sorted(members)),
+                coverage=coverage,
+                accepting=accepting,
+                witnesses=dict(sorted(witnesses.items())),
+            )
+        )
+
+    if not accepting_states:
+        sat = 0.0
+    elif all(c.accepting for c in classes):
+        sat = 1.0
+    else:
+        sat = reach_probability(chain, accepting_states)[chain.initial]
+    return PolicyEvaluation(
+        sat_probability=sat,
+        positively_satisfies=sat > 0.0,
+        transient=tuple(sorted(dec.transient)),
+        classes=tuple(classes),
+    )
 
 
 # --- value-iteration oracle ------------------------------------------------------
@@ -383,13 +439,13 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
             draws.pos = pos
             curves[si, ep] = total / steps
             if track_satisfaction and sat1_ep is None and best != evaluated:
-                evaluated, ev = best[:], evaluate_policy(product, policy(best))
+                evaluated, ev = best[:], reference_evaluate_policy(product, policy(best))
                 if pos_ep is None and ev.positively_satisfies:
                     pos_ep = ep + 1
                 if ev.sat_probability == 1.0:
                     sat1_ep = ep + 1
         if track_satisfaction and best != evaluated:
-            ev = evaluate_policy(product, policy(best))
+            ev = reference_evaluate_policy(product, policy(best))
         q = QTable(product)
         q.values, q.pair_visits, q.state_visits = values, pair_visits, state_visits
         qtables.append(q)

@@ -30,7 +30,7 @@ from omegarl import learn
 from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import _generator_array, _lib, _pointers
 from omegarl.mdp import ENVIRONMENTS
-from omegarl.product import AcceptingReward, FrontierReward
+from omegarl.product import AcceptingReward, FrontierReward, evaluate_pairs
 
 
 def two_state_loop_product():
@@ -448,14 +448,14 @@ def test_train_evaluates_each_greedy_policy_change_once(raw_product, monkeypatch
 
     seen = []
 
-    def counting(product, policy):
-        seen.append(policy.choice)
-        return evaluate_policy(product, policy)
+    def counting(product, chosen):
+        seen.append(list(chosen))
+        return evaluate_pairs(product, chosen)
 
-    monkeypatch.setattr(learn_mod, "evaluate_policy", counting)
+    monkeypatch.setattr(learn_mod, "evaluate_pairs", counting)
     cfg = TrainConfig(episodes=40, steps_per_episode=300, sessions=1, rng_seed=6)
     result = train(raw_product, FrontierReward(raw_product, 2.0), cfg)
     assert result.first_sat1_episode == (None,)  # every episode's policy is checked
     assert all(a != b for a, b in zip(seen, seen[1:]))
-    assert seen[-1] == result.policies[0].choice
+    assert [raw_product.keys[p] for p in seen[-1]] == sorted(result.policies[0].choice.items())
     assert len(seen) < cfg.episodes

@@ -218,9 +218,14 @@ GOOD_MDP = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\nlabe
         ("initial: 0", "initial: 3", "line 2: initial state 3 out of range"),
         ("states: 2", "states: 0", "line 1: an MDP needs at least one state"),
         ("states: 2", "states: 5", "line 1: 5 states declared, but state 2 has no prob line"),
+        ("prob 0 go 1 1.0", "prob 0 go 7 1.0", "line 4: prob line targets undeclared state 7"),
+        ("label 0 go 1", "label 0 go 0",
+         r"line 6: label on zero-probability triple \(0, 'go', 0\)"),
+        ("{a}", "{z}", r"line 6: label \['z'\] uses undeclared propositions"),
     ],
     ids=["states", "initial", "prob-state", "prob-probability", "label-state", "duplicate-header",
-         "prob-undeclared-state", "initial-range", "no-states", "states-without-rows"],
+         "prob-undeclared-state", "initial-range", "no-states", "states-without-rows",
+         "prob-undeclared-target", "label-zero-probability", "label-undeclared-proposition"],
 )
 def test_parse_mdp_malformed_lines_raise_line_numbered_errors(old, new, match):
     assert parse_mdp(GOOD_MDP).num_states == 2

@@ -10,16 +10,20 @@ from helpers import (
     mc_absorption_estimate,
     product_acceptance,
     product_aut_edge,
+    random_labeled_mdp,
+    reference_evaluate_policy,
     split_augmented,
 )
 from omegarl import (
     EPSILON,
     AlphabetMismatch,
+    MdpError,
     MissingAutomatonMove,
     NondeterministicMove,
     PositionalPolicy,
     TGba,
     Transition,
+    UndefinedChoice,
     augment,
     build_product,
     check_positional_impossibility,
@@ -33,7 +37,7 @@ from omegarl import (
 from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import _padded_tables
 from omegarl.mdp import ENVIRONMENTS
-from omegarl.product import AcceptingReward, FrontierReward
+from omegarl.product import AcceptingReward, FrontierReward, evaluate_pairs
 from test_golden import slip_mdp_text
 
 A = frozenset({"a"})
@@ -371,6 +375,57 @@ def test_loiter_policy_never_satisfies(augmented_product):
     assert ev.sat_probability == 0.0
     assert ev.positively_satisfies is False
     assert all(not any(c.coverage) for c in ev.classes)
+
+
+def random_choices(product, rng, n):
+    """``n`` random positional policies, each as a name-keyed choice and
+    as its pair ids."""
+    for _ in range(n):
+        pairs = [int(rng.integers(lo, hi)) for lo, hi in zip(product.first, product.first[1:])]
+        yield dict(product.keys[p] for p in pairs), pairs
+
+
+def raised(evaluate, product, choice):
+    try:
+        evaluate(product, PositionalPolicy(choice))
+    except MdpError as e:
+        return type(e), str(e)
+    return None
+
+
+def test_evaluation_on_tables_matches_name_keyed_reference():
+    """Field for field, on random MDPs under both fixtures and every method:
+    the class pass on the tables against the induced chain's decomposition
+    and solve.  A bad choice raises as the reference does at a reached
+    state and is never read at an unreached one.  Rows of at most two
+    successors on half the MDPs give several recurrent classes, some
+    accepting and some not, so the solve runs."""
+    mixed = unreached = 0
+    kinds = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)),
+                               letters=letters_over("ab"), max_succ=(2, 4)[seed % 2])
+        for spec in ("gfa_gfb_gnc", "fg_a"):
+            for method in METHODS:
+                product, _ = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
+                for choice, pairs in random_choices(product, rng, 30):
+                    ev = evaluate_policy(product, PositionalPolicy(choice))
+                    assert ev == reference_evaluate_policy(product, PositionalPolicy(choice))
+                    assert ev == evaluate_pairs(product, pairs)
+                    mixed += 0.0 < ev.sat_probability < 1.0
+                    reached = {*ev.transient, *(s for c in ev.classes for s in c.states)}
+                    unseen = sorted(set(range(product.num_states)) - reached)
+                    for s in (max(reached), *unseen[:1]):
+                        for bad in ({k: a for k, a in choice.items() if k != s},
+                                    {**choice, s: "nope"}):
+                            got = raised(evaluate_policy, product, bad)
+                            assert got == raised(reference_evaluate_policy, product, bad)
+                            assert (got is None) == (s not in reached)
+                            unreached += got is None
+                            kinds.add(got and got[0])
+    assert mixed > 20 and unreached > 0, (mixed, unreached)
+    assert kinds == {None, UndefinedChoice, MdpError}
 
 
 def test_every_raw_product_policy_fails(raw_product):

@@ -25,30 +25,46 @@ def scalar_rows(enabled, n_policies, seed):
 
 
 def row_draws(enabled, n_policies, seed):
-    """One broadcast draw per policy, as recurrence-dichotomy draws them."""
+    """One broadcast draw per policy."""
     lens = np.array([len(acts) for acts in enabled])
     rng = np.random.default_rng(seed)
     rows = [rng.integers(0, lens).tolist() for _ in range(n_policies)]
     return [[acts[i] for acts, i in zip(enabled, row)] for row in rows]
 
 
+def block_draws(enabled, n_policies, seed):
+    """Every policy in one int32 draw, as recurrence-dichotomy draws them."""
+    lens = np.array([len(acts) for acts in enabled])
+    rows = np.random.default_rng(seed).integers(
+        0, lens, size=(n_policies, len(enabled)), dtype=np.int32
+    )
+    return [[acts[i] for acts, i in zip(enabled, row)] for row in rows.tolist()]
+
+
 @pytest.mark.parametrize("n_policies", [100, 1000])
 def test_row_draws_match_scalar_stream(augmented_product, n_policies):
-    """If numpy's broadcast path ever draws differently, recurrence-dichotomy
-    would silently test other policies; this fails instead."""
+    """If numpy's broadcast or block path ever draws differently,
+    recurrence-dichotomy would silently test other policies; this fails
+    instead."""
     enabled = augmented_product.mdp.enabled
     assert {len(acts) for acts in enabled} == {4, 8}
-    assert row_draws(enabled, n_policies, 2024) == scalar_rows(enabled, n_policies, 2024)
+    scalar = scalar_rows(enabled, n_policies, 2024)
+    assert row_draws(enabled, n_policies, 2024) == scalar
+    assert block_draws(enabled, n_policies, 2024) == scalar
 
 
 def test_row_draws_match_scalar_stream_on_random_counts():
-    """Counts of 1, for which the scalar loop draws nothing, included."""
+    """Counts of 1, for which the scalar loop draws nothing, included, and
+    a single policy as well as many."""
     rng = np.random.default_rng(3)
     for seed in range(30):
         counts = rng.integers(1, 7, size=rng.integers(1, 40))
         counts[rng.integers(len(counts))] = 1
         enabled = [tuple(range(c)) for c in counts]
-        assert row_draws(enabled, 50, seed) == scalar_rows(enabled, 50, seed)
+        for n_policies in (1, 50):
+            scalar = scalar_rows(enabled, n_policies, seed)
+            assert row_draws(enabled, n_policies, seed) == scalar
+            assert block_draws(enabled, n_policies, seed) == scalar
 
 
 def test_recurrence_dichotomy_fails_without_augmentation(monkeypatch):
@@ -165,3 +181,11 @@ def test_lasso_check_names_the_lowest_cycle_of_one_prefix(monkeypatch):
     aug = augment(emptied(good))
     assert enum_accepts(aug, witness) == enum_accepts(good, witness)
     assert enum_accepts(aug, LassoWord((), (AB,))) != enum_accepts(good, LassoWord((), (AB,)))
+
+
+def test_battery_parses_the_grid_once(monkeypatch):
+    loads = []
+    load = verify.ENVIRONMENTS["grid9"]
+    monkeypatch.setitem(verify.ENVIRONMENTS, "grid9", lambda: loads.append(1) or load())
+    assert all(result.passed for result in verify.run_battery(quick=True))
+    assert len(loads) == 1
