@@ -4,9 +4,9 @@ The augmentation pairs each automaton state with a memory, one bit per
 accepting set, recording which sets have been visited since the last time
 all of them were.  The memory is an accepting-set bitmask, like the masks
 of ``TGba``: a transition ORs its mask in, and a full memory resets to 0.
-Accepting sets of the augmented automaton keep only the "first visit since
-reset" transitions, which spreads accepting transitions over distinct
-memory-tagged states while preserving the accepted language.
+The augmented automaton's masks keep only the "first visit since reset"
+bits, which spreads accepting transitions over distinct memory-tagged
+states while preserving the accepted language.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ def augment(b: TGba) -> TGba:
 
     Transitions update memory ``v`` to ``v | mask``, reset to 0 when every
     bit is set; an epsilon move's mask is 0, so it carries the memory
-    through unchanged.  Accepting set j of the result keeps exactly the
-    set-j transitions leaving a state whose memory bit j is 0.  A state is
-    named ``base@bits`` with the bit of set 1 first.
+    through unchanged.  A result transition's mask is ``mask & ~v``: it
+    keeps exactly the accepting sets whose memory bit is still 0 at its
+    source.  A state is named ``base@bits`` with the bit of set 1 first.
     """
-    n = len(b.acceptance)
+    n = b.n_sets
     full = (1 << n) - 1
 
     def successors(node):
@@ -36,28 +36,15 @@ def augment(b: TGba) -> TGba:
             yield (t.dst, 0 if w == full else w), t
 
     order, rows = explore((b.initial, 0), successors)
-    transitions: list[Transition] = []
-    accepting: list[list[Transition]] = [[] for _ in range(n)]
-    for i_src, ((_, v), row) in enumerate(zip(order, rows)):
-        for t, i_dst in row:
-            nt = Transition(i_src, t.letter, i_dst)
-            transitions.append(nt)
-            fresh = b.masks[t] & ~v
-            for j in range(n):
-                if fresh >> j & 1:
-                    accepting[j].append(nt)
-
+    masks = {
+        Transition(i_src, t.letter, i_dst): b.masks[t] & ~v
+        for i_src, ((_, v), row) in enumerate(zip(order, rows))
+        for t, i_dst in row
+    }
     names = tuple(
         f"{b.name_of(x)}@{''.join(str(v >> j & 1) for j in range(n))}" for (x, v) in order
     )
-    return TGba(
-        num_states=len(order),
-        initial=0,
-        ap=b.ap,
-        transitions=frozenset(transitions),
-        acceptance=tuple(frozenset(acc) for acc in accepting),
-        names=names,
-    )
+    return TGba(num_states=len(order), initial=0, ap=b.ap, masks=masks, n_sets=n, names=names)
 
 
 def merge_unaccepting(b_aug: TGba) -> TGba:
@@ -73,7 +60,7 @@ def merge_unaccepting(b_aug: TGba) -> TGba:
     base_names = tuple(name.split("@", 1)[0] for name in b_aug.names)
 
     preds: list[set[int]] = [set() for _ in range(b_aug.num_states)]
-    for t in b_aug.transitions:
+    for t in b_aug.masks:
         preds[t.dst].add(t.src)
     live = closure({t.src for t, mask in b_aug.masks.items() if mask}, lambda v: preds[v])
     dead = [s for s in b_aug.states() if s not in live]
@@ -94,19 +81,15 @@ def merge_unaccepting(b_aug: TGba) -> TGba:
             new_names.append(f"{base}@*")
         new_index[s] = rep_of_base[base]
 
-    transitions = frozenset(
-        Transition(new_index[t.src], t.letter, new_index[t.dst])
-        for t in b_aug.transitions
-    )
-    acceptance = tuple(
-        frozenset(Transition(new_index[t.src], t.letter, new_index[t.dst]) for t in acc)
-        for acc in b_aug.acceptance
-    )
+    masks: dict[Transition, int] = {}  # transitions that collapse to one union their sets
+    for t, mask in b_aug.masks.items():
+        nt = Transition(new_index[t.src], t.letter, new_index[t.dst])
+        masks[nt] = masks.get(nt, 0) | mask
     return TGba(
         num_states=len(new_names),
         initial=new_index[b_aug.initial],
         ap=b_aug.ap,
-        transitions=transitions,
-        acceptance=acceptance,
+        masks=masks,
+        n_sets=b_aug.n_sets,
         names=tuple(new_names),
     )

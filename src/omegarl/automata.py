@@ -4,9 +4,11 @@ Provides the data model, a line-oriented text format, limit-determinism
 checking, degeneralization to a single accepting set, an exact acceptance
 test for ultimately periodic words, and the packaged example automata
 (:func:`named_fixture`).  Transitions carry explicit letters (subsets of
-the AP universe).  Every walk over an automaton's moves, here and in the
-augmentation and the product, reads the one per-state index
-``TGba.moves``.
+the AP universe).  An automaton stores its transitions once, in
+``TGba.masks``, each with its accepting-set bitmask; ``TGba.acceptance``
+is a per-set view derived from it.  Every walk over an automaton's moves,
+here and in the augmentation and the product, reads the one per-state
+index ``TGba.moves``.
 
 Text format
 -----------
@@ -29,7 +31,8 @@ shorthand for one transition per letter that satisfies it, so over
 ``ap: a b c`` the line ``0 !c 0`` stands for the four c-free letters.
 Transitions with the same source, letter and target merge, and their
 accepting sets are unioned: ``0 !c 0`` and ``0 a & !c 0 acc: 1`` together
-put the a-loops, and only those, in set 1.
+put the a-loops, and only those, in set 1.  ``states:`` may declare no
+state above the highest id that ``initial:`` or a transition line names.
 :func:`serialize_automaton` writes the canonical form: one line per
 transition with its full-conjunction guard, in ``TGba.moves`` order.  A
 proposition name must match ``[a-z][a-z0-9_]*`` and be none of ``true``,
@@ -84,15 +87,16 @@ class Transition:
 class TGba:
     """Generalized Buchi automaton with transition-based acceptance.
 
-    States are the integers ``0..num_states-1``.  ``acceptance`` is the
-    ordered list of accepting transition sets; a run is accepting when it
-    takes transitions from every set infinitely often.  ``masks`` maps each
-    transition to its accepting-set bitmask (bit ``j`` set iff the
-    transition lies in ``acceptance[j]``), computed once at construction;
-    it is the form every other module reads acceptance in.  Epsilon moves
-    consume no letter, so none may be accepting: their mask is always 0.
+    States are the integers ``0..num_states-1``.  ``masks`` is the one
+    store of transitions: it maps each transition to its accepting-set
+    bitmask, whose bit ``j`` says that the transition lies in accepting set
+    ``j + 1`` of ``n_sets`` (0: in none).  A run is accepting when it takes
+    transitions from every set infinitely often.  An accepting set may be
+    empty, but there is at least one.  Epsilon moves consume no letter, so
+    none may be accepting: their mask is always 0.  ``acceptance`` derives
+    the per-set view from ``masks``.
 
-    ``moves[x]``, also computed at construction, maps each letter of state
+    ``moves[x]``, computed at construction, maps each letter of state
     ``x`` (``EPSILON`` included) to the tuple of its transitions on it.
     Letters follow :func:`letter_key` order and each tuple ascends by target,
     so walking ``moves`` visits every transition once, in the order of
@@ -103,10 +107,9 @@ class TGba:
     num_states: int
     initial: int
     ap: frozenset[str]
-    transitions: frozenset[Transition]
-    acceptance: tuple[frozenset[Transition], ...]
+    masks: dict[Transition, int] = field(hash=False)  # compared, but a dict has no hash
+    n_sets: int
     names: tuple[str, ...] | None = None
-    masks: dict[Transition, int] = field(init=False, repr=False, compare=False)
     moves: tuple[dict[object, tuple[Transition, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -116,33 +119,39 @@ class TGba:
             raise AutomatonError("automaton needs at least one state")
         if not 0 <= self.initial < self.num_states:
             raise AutomatonError(f"initial state {self.initial} out of range")
-        if len(self.acceptance) < 1:
+        if self.n_sets < 1:
             raise AutomatonError("automaton needs at least one accepting set")
-        for t in self.transitions:
+        for t, mask in self.masks.items():
             if not (0 <= t.src < self.num_states and 0 <= t.dst < self.num_states):
                 raise AutomatonError(f"transition {t} references an undeclared state")
             if t.letter is not EPSILON and not frozenset(t.letter) <= self.ap:
                 raise AutomatonError(f"transition {t} uses undeclared propositions")
+            if not 0 <= mask < 1 << self.n_sets:
+                raise AutomatonError(
+                    f"transition {t} has mask {mask}, not in 0..{(1 << self.n_sets) - 1}"
+                )
         if self.names is not None and len(self.names) != self.num_states:
             raise AutomatonError("state name list does not match state count")
-        masks = dict.fromkeys(self.transitions, 0)
-        for j, acc in enumerate(self.acceptance):
-            if not acc <= self.transitions:
-                raise AutomatonError(f"accepting set {j + 1} contains unknown transitions")
-            for t in acc:
-                masks[t] |= 1 << j
-        # name the lowest offender: EPSILON hashes by identity, so set order
-        # differs from process to process
-        accepting_eps = [t for t, mask in masks.items() if mask and t.is_epsilon()]
+        # name the lowest offender: masks built from a set iterate in an order
+        # that differs from process to process (EPSILON hashes by identity)
+        accepting_eps = [t for t, mask in self.masks.items() if mask and t.is_epsilon()]
         if accepting_eps:
             t = min(accepting_eps, key=lambda t: (t.src, t.dst))
             raise AutomatonError(f"epsilon transition {_render(self, t)} is accepting")
-        object.__setattr__(self, "masks", masks)
         ap = tuple(sorted(self.ap))
         moves = tuple({} for _ in self.states())
-        for t in sorted(self.transitions, key=lambda t: (t.src, letter_key(t.letter, ap), t.dst)):
+        for t in sorted(self.masks, key=lambda t: (t.src, letter_key(t.letter, ap), t.dst)):
             moves[t.src][t.letter] = moves[t.src].get(t.letter, ()) + (t,)
         object.__setattr__(self, "moves", moves)
+
+    @property
+    def acceptance(self) -> tuple[frozenset[Transition], ...]:
+        """Accepting set ``j + 1`` as a set of transitions at index ``j``,
+        derived from ``masks`` on every read."""
+        return tuple(
+            frozenset(t for t, mask in self.masks.items() if mask >> j & 1)
+            for j in range(self.n_sets)
+        )
 
     def name_of(self, state: int) -> str:
         return self.names[state] if self.names else f"x{state}"
@@ -225,10 +234,10 @@ def serialize_automaton(b: TGba) -> str:
         f"ap: {' '.join(ap_sorted)}".rstrip(),
         f"states: {b.num_states}",
         f"initial: {b.initial}",
-        f"acceptance-sets: {len(b.acceptance)}",
+        f"acceptance-sets: {b.n_sets}",
     ]
     for t in itertools.chain.from_iterable(ts for row in b.moves for ts in row.values()):
-        accs = [str(j + 1) for j in range(len(b.acceptance)) if b.masks[t] >> j & 1]
+        accs = [str(j + 1) for j in range(b.n_sets) if b.masks[t] >> j & 1]
         line = f"{t.src} {_guard_text(t.letter, ap_sorted)} {t.dst}"
         if accs:
             line += f" acc: {','.join(accs)}"
@@ -294,12 +303,13 @@ def parse_automaton(text: str) -> TGba:
         for bits in itertools.product((False, True), repeat=len(ap_sorted))
     ]
 
-    membership: dict[Transition, set[int]] = {}
+    masks: dict[Transition, int] = {}
+    top = initial  # the highest state id any line names
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) < 3:
             raise AutomatonError(f"line {lineno}: expected 'src <guard> dst [acc: ...]'")
-        acc_indices: list[int] = []
+        acc = 0
         if "acc:" in tokens:
             k = tokens.index("acc:")
             acc_text = "".join(tokens[k + 1 :])
@@ -317,7 +327,7 @@ def parse_automaton(text: str) -> TGba:
                     raise AutomatonError(
                         f"line {lineno}: acceptance index {j} out of range 1..{n_sets}"
                     )
-                acc_indices.append(j - 1)
+                acc |= 1 << (j - 1)
         if len(tokens) < 3:
             raise AutomatonError(f"line {lineno}: expected 'src <guard> dst'")
         try:
@@ -327,9 +337,10 @@ def parse_automaton(text: str) -> TGba:
             raise AutomatonError(f"line {lineno}: bad state id ({exc})") from None
         if not (0 <= src < num_states and 0 <= dst < num_states):
             raise AutomatonError(f"line {lineno}: state id out of range")
+        top = max(top, src, dst)
         guard = " ".join(tokens[1:-1])
         if guard == "eps":
-            if acc_indices:
+            if acc:
                 raise AutomatonError(f"line {lineno}: an epsilon move cannot be accepting")
             expanded = [Transition(src, EPSILON, dst)]
         else:
@@ -352,18 +363,21 @@ def parse_automaton(text: str) -> TGba:
                 if holds >> j & 1
             ]
         for t in expanded:
-            membership.setdefault(t, set()).update(acc_indices)
+            masks[t] = masks.get(t, 0) | acc
 
-    transitions = frozenset(membership)
-    acceptance = tuple(
-        frozenset(t for t, js in membership.items() if j in js) for j in range(n_sets)
-    )
+    # a state no line names is unreachable and has no moves, so a count past
+    # the highest named id is a typo; catch it before tables of that size exist
+    if num_states > top + 1:
+        raise AutomatonError(
+            f"line {headers['states'][0]}: {num_states} states declared, "
+            f"but no line names a state above {top}"
+        )
     return TGba(
         num_states=num_states,
         initial=initial,
         ap=ap,
-        transitions=transitions,
-        acceptance=acceptance,
+        masks=masks,
+        n_sets=n_sets,
         names=tuple(f"x{i}" for i in range(num_states)),
     )
 
@@ -383,7 +397,7 @@ def degeneralize(b: TGba) -> TGba:
     back to 1).  The single accepting set holds the wrap transitions, so the
     language is preserved while the order of visits becomes fixed.
     """
-    n = len(b.acceptance)
+    n = b.n_sets
 
     def successors(node):
         x, j = node
@@ -391,23 +405,13 @@ def degeneralize(b: TGba) -> TGba:
             yield (t.dst, j % n + 1 if b.masks[t] >> (j - 1) & 1 else j), t
 
     order, rows = explore((b.initial, 1), successors)
-    new_transitions: list[Transition] = []
-    accepting: list[Transition] = []
-    for i_src, ((_, j), row) in enumerate(zip(order, rows)):
-        for t, i_dst in row:
-            nt = Transition(i_src, t.letter, i_dst)
-            new_transitions.append(nt)
-            if j == n and b.masks[t] >> (n - 1) & 1:
-                accepting.append(nt)
+    masks = {
+        Transition(i_src, t.letter, i_dst): b.masks[t] >> (n - 1) & 1 if j == n else 0
+        for i_src, ((_, j), row) in enumerate(zip(order, rows))
+        for t, i_dst in row
+    }
     names = tuple(f"{b.name_of(x)}.{j}" for (x, j) in order)
-    return TGba(
-        num_states=len(order),
-        initial=0,
-        ap=b.ap,
-        transitions=frozenset(new_transitions),
-        acceptance=(frozenset(accepting),),
-        names=names,
-    )
+    return TGba(num_states=len(order), initial=0, ap=b.ap, masks=masks, n_sets=1, names=names)
 
 
 # --- acceptance of lasso words -------------------------------------------
@@ -508,7 +512,7 @@ def _run_verdict(b: TGba, x: int, cycle: tuple) -> bool:
     acc = 0
     for m in masks[seen[(pos, x)] :]:
         acc |= m
-    return acc == (1 << len(b.acceptance)) - 1
+    return acc == (1 << b.n_sets) - 1
 
 
 def _scc_verdict(b: TGba, x: int, cycle: tuple) -> bool:
@@ -535,7 +539,7 @@ def _scc_verdict(b: TGba, x: int, cycle: tuple) -> bool:
         for mask, u in row:
             if comp_of[u] == ci:
                 comp_mask[ci] = (comp_mask[ci] or 0) | mask
-    full_mask = (1 << len(b.acceptance)) - 1
+    full_mask = (1 << b.n_sets) - 1
     return any(m == full_mask for m in comp_mask if m is not None)
 
 

@@ -100,8 +100,8 @@ def cmd_automaton(args) -> int:
         raise CliError("--merge requires --augment")
     b, _ = _load_spec_automaton(args.input)
     print(
-        f"input: {b.num_states} states, {len(b.transitions)} transitions, "
-        f"{len(b.acceptance)} accepting sets"
+        f"input: {b.num_states} states, {len(b.masks)} transitions, "
+        f"{b.n_sets} accepting sets"
     )
     if args.check_ld:
         try:
@@ -119,18 +119,18 @@ def cmd_automaton(args) -> int:
     if args.degeneralize:
         b = degeneralize(b)
         print(
-            f"degeneralized: {b.num_states} states, {len(b.transitions)} transitions, "
-            f"{len(b.acceptance)} accepting set"
+            f"degeneralized: {b.num_states} states, {len(b.masks)} transitions, "
+            f"{b.n_sets} accepting set"
         )
     if args.do_augment:
         b = augment(b)
-        print(f"augmented: {b.num_states} reachable states, {len(b.acceptance)} accepting sets")
+        print(f"augmented: {b.num_states} reachable states, {b.n_sets} accepting sets")
         if args.merge:
             b = merge_unaccepting(b)
-            print(f"merged: {b.num_states} states, {len(b.acceptance)} accepting sets")
+            print(f"merged: {b.num_states} states, {b.n_sets} accepting sets")
     print(
-        f"result: {b.num_states} states, {len(b.transitions)} transitions, "
-        f"{len(b.acceptance)} accepting sets"
+        f"result: {b.num_states} states, {len(b.masks)} transitions, "
+        f"{b.n_sets} accepting sets"
     )
     if args.out:
         Path(args.out).write_text(serialize_automaton(b), encoding="utf-8")

@@ -2,10 +2,11 @@
 
 The product synchronizes MDP transitions with automaton moves on the
 produced labels and adds a probability-one action for each automaton
-epsilon transition.  Accepting transition sets lift to product transitions
-and drive the two reward schemes: the memoryless accepting-transition
-reward and the working-set ("frontier") baseline.  Policies are evaluated
-exactly on the chosen pairs' rows of the integer tables below.
+epsilon transition.  Each product transition carries the accepting-set
+mask of the automaton move it synchronizes with, and these masks drive the
+two reward schemes: the memoryless accepting-transition reward and the
+working-set ("frontier") baseline.  Policies are evaluated exactly on the
+chosen pairs' rows of the integer tables below.
 
 ``build_product`` also lays the product out as the integer tables that
 training and value iteration run on.  Pair ``p`` is the p-th enabled
@@ -13,12 +14,14 @@ training and value iteration run on.  Pair ``p`` is the p-th enabled
 the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]`` names
 the pair.  Each pair has a tuple of successor states, a tuple of their
 probabilities (training derives the cuts a uniform draw bisects from these;
-none are stored), and a tuple of bitmasks: each is the mask the automaton
-(``TGba.masks``) gives the move it synchronizes with, whose bit ``k`` says that the move lies in accepting
-set ``k``.  An epsilon guess carries mask 0, since the automaton has no
-accepting epsilon move.  Acceptance lives only in these masks: both reward
-schemes are one rule over them (``RewardScheme``), and policy evaluation
-and the positional impossibility certificate read them too.
+none are stored), and a tuple of bitmasks: each is the mask that
+``TGba.masks`` stores for the move it synchronizes with, whose bit ``k``
+says that the move lies in accepting set ``k + 1``.  An epsilon guess
+carries mask 0, since the automaton has no accepting epsilon move.
+Acceptance lives only in these masks and in the automaton's ``n_sets``,
+the number of accepting sets and so of mask bits: both reward schemes are
+one rule over them (``RewardScheme``), and policy evaluation and the
+positional impossibility certificate read them too.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class ProductMdp:
 
     def name_of(self, i: int) -> str:
         return self.mdp.name_of(i)
-
-    def render_transition(self, t: ProductTransition) -> str:
-        src, a, dst = t
-        return f"{self.name_of(src)} -{a}-> {self.name_of(dst)}"
 
 
 def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
@@ -219,7 +218,7 @@ class RewardScheme:
 def AcceptingReward(product: ProductMdp, r_p: float) -> RewardScheme:
     """Reward of the memory-augmented method: every hit empties the working
     set, so every accepting transition scores ``r_p``."""
-    n_sets = len(product.automaton.acceptance)
+    n_sets = product.automaton.n_sets
     return RewardScheme(product, r_p, (False,) + (True,) * ((1 << n_sets) - 1))
 
 
@@ -229,7 +228,7 @@ def FrontierReward(product: ProductMdp, r_p: float) -> RewardScheme:
     b = product.automaton
     masks = set(b.masks.values()) - {0}
     empty = tuple(
-        all(mask & done for mask in masks) for done in range(1 << len(b.acceptance))
+        all(mask & done for mask in masks) for done in range(1 << b.n_sets)
     )
     return RewardScheme(product, r_p, empty)
 
@@ -268,8 +267,8 @@ class PolicyEvaluation:
                     "coverage": [int(x) for x in c.coverage],
                     "accepting": c.accepting,
                     "witnesses": {
-                        str(j + 1): product.render_transition(t)
-                        for j, t in sorted(c.witnesses.items())
+                        str(j + 1): f"{product.name_of(src)} -{a}-> {product.name_of(dst)}"
+                        for j, (src, a, dst) in sorted(c.witnesses.items())
                     },
                 }
                 for c in self.classes
@@ -302,7 +301,7 @@ def evaluate_pairs(p: ProductMdp, chosen) -> PolicyEvaluation:
     """:func:`evaluate_policy` of the policy that takes pair ``chosen[s]`` at
     each state ``s``."""
     transient, found = recurrent_classes(p, chosen)
-    n_sets = len(p.automaton.acceptance)
+    n_sets = p.automaton.n_sets
     classes, accepting_states = [], set()
     for states, covered in found:
         # states ascend and so does each row's succ, so a set's witness is
@@ -372,7 +371,7 @@ def check_positional_impossibility(p: ProductMdp) -> bool:
     policy fixes a single action there, so it can intersect at most one of
     the two sets.
     """
-    sources: list[set[tuple[int, str]]] = [set() for _ in p.automaton.acceptance]
+    sources: list[set[tuple[int, str]]] = [set() for _ in range(p.automaton.n_sets)]
     for key, masks in zip(p.keys, p.masks):
         for j, acc in enumerate(sources):
             if any(m >> j & 1 for m in masks):

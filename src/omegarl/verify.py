@@ -166,7 +166,7 @@ def check_recurrence_dichotomy(
     def run():
         product = build_product(_grid(grid), merge_unaccepting(augment(_base(automaton))))
         first = np.array(product.first, dtype=np.int32)
-        n_sets = len(product.automaton.acceptance)
+        n_sets = product.automaton.n_sets
         draws = np.random.default_rng(seed).integers(
             0, np.diff(first), size=(n_policies, product.num_states), dtype=np.int32
         )
@@ -186,21 +186,27 @@ def check_recurrence_dichotomy(
 def check_stochasticity(
     automaton: TGba | None = None, grid: LabeledMdp | None = None
 ) -> CheckResult:
-    """Row sums of every constructed model must equal one to 1e-12."""
+    """Row sums of the grid's ``prob`` rows, and of each product's ``probs``
+    rows that training samples, must equal one to 1e-12."""
 
     def run():
         base = _base(automaton)
         m = _grid(grid)
+
+        def rows(b):
+            p = build_product(m, b)
+            return zip(p.keys, p.probs)
+
         models = {
-            "grid9": m,
-            "augmented-product": build_product(m, merge_unaccepting(augment(base))).mdp,
-            "degeneralized-product": build_product(m, augment(degeneralize(base))).mdp,
-            "raw-product": build_product(m, base).mdp,
+            "grid9": ((key, [p for _, p in row]) for key, row in m.prob.items()),
+            "augmented-product": rows(merge_unaccepting(augment(base))),
+            "degeneralized-product": rows(augment(degeneralize(base))),
+            "raw-product": rows(base),
         }
         worst = 0.0
         for name, model in models.items():
-            for (s, a), row in model.prob.items():
-                err = abs(sum(p for _, p in row) - 1.0)
+            for (s, a), ps in model:
+                err = abs(sum(ps) - 1.0)
                 worst = max(worst, err)
                 if err > ROW_SUM_TOL:
                     return False, f"{name} row ({s}, {a}) off by {err}"

@@ -103,12 +103,13 @@ def enum_accepts(b, w: LassoWord) -> bool:
     accepting set.  The bound (#sets + 1) * #nodes suffices: inside one
     strongly connected region each set needs at most a #nodes-long detour.
     """
-    n_sets = len(b.acceptance)
+    acceptance = b.acceptance
+    n_sets = len(acceptance)
     full = (1 << n_sets) - 1
     mask_of = {}
-    for t in b.transitions:
+    for t in b.masks:
         mask_of[t] = 0
-        for j, acc in enumerate(b.acceptance):
+        for j, acc in enumerate(acceptance):
             if t in acc:
                 mask_of[t] |= 1 << j
 
@@ -126,7 +127,7 @@ def enum_accepts(b, w: LassoWord) -> bool:
         node = stack.pop()
         pos, x = node
         out = []
-        for t in b.transitions:
+        for t in b.masks:
             if t.src != x:
                 continue
             if t.letter is EPSILON:
@@ -481,7 +482,7 @@ def product_aut_edge(m, product) -> dict:
     index = {pair: i for i, pair in enumerate(product.pairs)}
     edges = {}
     for i, (s, x) in enumerate(product.pairs):
-        out = [t for t in b.transitions if t.src == x]
+        out = [t for t in b.masks if t.src == x]
         for a in m.enabled[s]:
             for dst, _ in m.prob[(s, a)]:
                 letter = m.label_of(s, a, dst) & b.ap
@@ -618,8 +619,8 @@ def random_tgba(rng, n_states=3, ap=("a", "b"), n_sets=2, allow_eps=True):
         num_states=n_states,
         initial=0,
         ap=frozenset(ap),
-        transitions=frozenset(transitions),
-        acceptance=tuple(acceptance),
+        masks={t: sum(1 << j for j, acc in enumerate(acceptance) if t in acc) for t in transitions},
+        n_sets=n_sets,
     )
 
 

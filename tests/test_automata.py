@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def serialized_order(b: TGba) -> list[Transition]:
     then target."""
     ap_sorted = tuple(sorted(b.ap))
     return sorted(
-        b.transitions,
+        b.masks,
         key=lambda t: (
             t.src,
             (0, "") if t.letter is EPSILON else (1, "".join("1" if x in t.letter else "0" for x in ap_sorted)),
@@ -84,11 +85,8 @@ def canonical_form(b: TGba) -> str:
         num_states=len(order),
         initial=0,
         ap=b.ap,
-        transitions=frozenset(remap(t) for t in b.transitions if t.src in index and t.dst in index),
-        acceptance=tuple(
-            frozenset(remap(t) for t in acc if t.src in index and t.dst in index)
-            for acc in b.acceptance
-        ),
+        masks={remap(t): mask for t, mask in b.masks.items() if t.src in index and t.dst in index},
+        n_sets=b.n_sets,
     )
     return serialize_automaton(relabeled)
 
@@ -98,16 +96,17 @@ def canonical_form(b: TGba) -> str:
 
 def test_fixture_structure(fig_automaton):
     b = fig_automaton
+    assert b == named_fixture("gfa_gfb_gnc") and hash(b) == hash(named_fixture("gfa_gfb_gnc"))
     assert b.num_states == 2
-    assert len(b.acceptance) == 2
-    assert len(b.transitions) == 16
+    assert b.n_sets == 2
+    assert len(b.masks) == 16
     assert b.acceptance[0] == frozenset({Transition(0, A, 0), Transition(0, AB, 0)})
     assert b.acceptance[1] == frozenset({Transition(0, B, 0), Transition(0, AB, 0)})
     # every letter containing c traps; x1 absorbs everything
     for letter in letters_over(("a", "b", "c")):
         dst = 1 if "c" in letter else 0
-        assert Transition(0, letter, dst) in b.transitions
-        assert Transition(1, letter, 1) in b.transitions
+        assert Transition(0, letter, dst) in b.masks
+        assert Transition(1, letter, 1) in b.masks
 
 
 def test_fixture_acceptance_examples(fig_automaton):
@@ -136,7 +135,7 @@ def test_check_ld_fixture_all_final(fig_automaton):
 def test_check_ld_single_state_total():
     letters = letters_over(("a",))
     trans = frozenset(Transition(0, letter, 0) for letter in letters)
-    b = TGba(1, 0, frozenset({"a"}), trans, (trans,))
+    b = TGba(1, 0, frozenset({"a"}), dict.fromkeys(trans, 1), 1)
     part = check_limit_deterministic(b)
     assert part.x_initial == frozenset()
     assert part.x_final == frozenset({0})
@@ -151,7 +150,7 @@ def test_check_ld_epsilon_fixture(eps_automaton):
 def test_check_ld_allows_nondeterminism_in_initial_part():
     # the branching state stays outside the final part, which is legal
     t1, t2, t3 = Transition(0, A, 0), Transition(0, A, 1), Transition(1, A, 1)
-    b = TGba(2, 0, frozenset({"a"}), frozenset({t1, t2, t3}), (frozenset({t3}),))
+    b = TGba(2, 0, frozenset({"a"}), {t1: 0, t2: 0, t3: 1}, 1)
     part = check_limit_deterministic(b)
     assert part.x_initial == frozenset({0})
     assert part.x_final == frozenset({1})
@@ -162,7 +161,7 @@ def test_check_ld_rejects_nondeterminism_in_final_part():
     # two a-successors violate per-letter determinism
     t0 = Transition(0, A, 0)
     t1, t2, t3 = Transition(0, A, 1), Transition(1, A, 1), Transition(1, EMPTY, 1)
-    b = TGba(2, 0, frozenset({"a"}), frozenset({t0, t1, t2, t3}), (frozenset({t0}),))
+    b = TGba(2, 0, frozenset({"a"}), {t0: 1, t1: 0, t2: 0, t3: 0}, 1)
     with pytest.raises(NotLimitDeterministic, match="per-letter"):
         check_limit_deterministic(b)
 
@@ -171,7 +170,7 @@ def test_check_ld_rejects_epsilon_inside_final_part():
     t1 = Transition(0, A, 0)
     te = Transition(0, EPSILON, 1)
     t2 = Transition(1, A, 1)
-    b = TGba(2, 0, frozenset({"a"}), frozenset({t1, te, t2}), (frozenset({t1}),))
+    b = TGba(2, 0, frozenset({"a"}), {t1: 1, te: 0, t2: 0}, 1)
     # state 0 carries an accepting transition, so it sits in the final part
     with pytest.raises(NotLimitDeterministic, match="epsilon"):
         check_limit_deterministic(b)
@@ -181,7 +180,7 @@ def test_tgba_rejects_accepting_epsilon():
     te = Transition(0, EPSILON, 1)
     t2 = Transition(1, A, 1)
     with pytest.raises(AutomatonError, match=r"epsilon transition \(x0,eps,x1\) is accepting"):
-        TGba(2, 0, frozenset({"a"}), frozenset({te, t2}), (frozenset({te, t2}),))
+        TGba(2, 0, frozenset({"a"}), {te: 1, t2: 1}, 1)
 
 
 FIRST_VIOLATION = """
@@ -191,7 +190,7 @@ from omegarl import EPSILON, NotLimitDeterministic, TGba, Transition, check_limi
 a = frozenset({"a"})
 loop = Transition(0, a, 0)
 rest = [Transition(0, a, 1)] + [Transition(0, EPSILON, d) for d in range(1, 6)]
-b = TGba(6, 0, frozenset({"a"}), frozenset([loop, *rest]), (frozenset({loop}),))
+b = TGba(6, 0, frozenset({"a"}), {**dict.fromkeys(frozenset(rest), 0), loop: 1}, 1)
 try:
     check_limit_deterministic(b)
 except NotLimitDeterministic as err:
@@ -249,9 +248,9 @@ def test_serialize_parse_identity_on_canonical_text(name):
 def test_parse_guard_shorthand_expansion():
     text = "ap: a b c\nstates: 2\ninitial: 0\nacceptance-sets: 1\n0 !c 1 acc: 1\n"
     b = parse_automaton(text)
-    assert len(b.transitions) == 4  # the four c-free subsets
-    assert all(t.src == 0 and t.dst == 1 and "c" not in t.letter for t in b.transitions)
-    assert b.acceptance[0] == b.transitions
+    assert len(b.masks) == 4  # the four c-free subsets
+    assert all(t.src == 0 and t.dst == 1 and "c" not in t.letter for t in b.masks)
+    assert b.acceptance[0] == set(b.masks)
 
 
 def test_parse_overlapping_guards_union_acceptance():
@@ -321,16 +320,31 @@ def test_masks_match_acceptance_on_random_automata():
     rng = np.random.default_rng(25)
     for k in range(30):
         b = random_tgba(rng, n_states=4, n_sets=1 + k % 4)
-        assert set(b.masks) == b.transitions
+        assert set(b.masks) == {t for row in b.moves for ts in row.values() for t in ts}
+        acceptance = b.acceptance
         for t, mask in b.masks.items():
-            assert mask >> len(b.acceptance) == 0
-            for j, acc in enumerate(b.acceptance):
+            assert mask >> b.n_sets == 0
+            for j, acc in enumerate(acceptance):
                 assert bool(mask >> j & 1) == (t in acc)
 
 
 def test_tgba_requires_accepting_set():
     with pytest.raises(AutomatonError, match="accepting set"):
-        TGba(1, 0, frozenset({"a"}), frozenset({Transition(0, A, 0)}), ())
+        TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 0}, 0)
+
+
+@pytest.mark.parametrize(
+    "mask,n_sets,match",
+    [
+        (0b100, 2, "has mask 4, not in 0..3"),
+        (0b10, 1, "has mask 2, not in 0..1"),
+        (-1, 2, "has mask -1, not in 0..3"),
+    ],
+    ids=["bit-above-sets", "bit-at-n-sets", "negative"],
+)
+def test_tgba_rejects_masks_outside_its_sets(mask, n_sets, match):
+    with pytest.raises(AutomatonError, match=match):
+        TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 1, Transition(0, EMPTY, 0): mask}, n_sets)
 
 
 # --- degeneralization ----------------------------------------------------------
@@ -339,7 +353,7 @@ def test_tgba_requires_accepting_set():
 def test_degeneralize_fixture_structure(fig_automaton):
     d = degeneralize(fig_automaton)
     assert d.num_states == 4
-    assert len(d.acceptance) == 1
+    assert d.n_sets == 1
     # accepting transitions wrap the counter: b-letters taken at (x0, 2)
     by_name = {d.names[i]: i for i in range(d.num_states)}
     x02 = by_name["x0.2"]
@@ -379,7 +393,7 @@ def test_epsilon_guess_acceptance(eps_automaton):
 
 def test_partial_automaton_rejects_missing_letter():
     t = Transition(0, A, 0)
-    b = TGba(1, 0, frozenset({"a"}), frozenset({t}), (frozenset({t}),))
+    b = TGba(1, 0, frozenset({"a"}), {t: 1}, 1)
     assert accepts_lasso(b, lasso([], [{"a"}])) is True
     assert accepts_lasso(b, lasso([], [set()])) is False
     assert accepts_lasso(b, lasso([set()], [{"a"}])) is False
@@ -389,7 +403,7 @@ def test_epsilon_cycle_rejected():
     t1 = Transition(0, EPSILON, 1)
     t2 = Transition(1, EPSILON, 0)
     ta = Transition(0, A, 0)
-    b = TGba(2, 0, frozenset({"a"}), frozenset({t1, t2, ta}), (frozenset({ta}),))
+    b = TGba(2, 0, frozenset({"a"}), {t1: 0, t2: 0, ta: 1}, 1)
     for _ in range(2):  # every call raises, not only the first
         with pytest.raises(AutomatonError, match="cycle"):
             accepts_lasso(b, lasso([], [{"a"}]))
@@ -400,7 +414,7 @@ def epsilon_automaton(eps_edges):
     a-loop of the last state is accepting."""
     loops = [Transition(x, A, x) for x in range(4)]
     eps = [Transition(src, EPSILON, dst) for src, dst in eps_edges]
-    return TGba(4, 0, frozenset({"a"}), frozenset(loops + eps), (frozenset({loops[3]}),))
+    return TGba(4, 0, frozenset({"a"}), {**dict.fromkeys(loops + eps, 0), loops[3]: 1}, 1)
 
 
 # test_epsilon_cycle_rejected covers the two-cycle
@@ -447,8 +461,8 @@ def test_scc_and_deterministic_paths_agree(fig_automaton):
         num_states=3,
         initial=0,
         ap=b.ap,
-        transitions=b.transitions | {Transition(2, EPSILON, 2 - 1)},
-        acceptance=b.acceptance,
+        masks={**b.masks, Transition(2, EPSILON, 2 - 1): 0},
+        n_sets=b.n_sets,
     )
     rng = np.random.default_rng(14)
     for _ in range(150):
@@ -467,15 +481,43 @@ def test_scc_and_deterministic_paths_agree(fig_automaton):
         ("states: 1", "states: 0", "line 2: automaton needs at least one state"),
         ("acceptance-sets: 1", "acceptance-sets: 0", "line 4: acceptance-sets must be at least 1"),
         ("ap: a", "ap: a a", "line 1: duplicate atomic proposition in 'ap' header"),
+        ("states: 1", "states: 3", "line 2: 3 states declared, but no line names a state above 0"),
     ],
     ids=["states", "initial", "acceptance-sets", "acc-index", "initial-range", "no-states",
-         "no-acceptance-sets", "duplicate-ap"],
+         "no-acceptance-sets", "duplicate-ap", "states-above-named"],
 )
 def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
     good = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n0 !a 0\n"
     assert parse_automaton(good).num_states == 1
     with pytest.raises(AutomatonError, match=match):
         parse_automaton(good.replace(old, new, 1))
+
+
+def test_parse_checks_the_state_count_before_allocating():
+    """A mistyped state count is an error, not an automaton of that many
+    states, as for ``parse_mdp``."""
+    text = "ap: a\nstates: 1000000\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            AutomatonError, match="line 2: 1000000 states declared, but no line names a state above 0"
+        ):
+            parse_automaton(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_parse_counts_initial_and_both_ends_of_a_transition_as_named():
+    for text in (
+        "states: 3\ninitial: 2\nacceptance-sets: 1\n0 true 0\n",
+        "states: 3\ninitial: 0\nacceptance-sets: 1\n2 true 0\n",
+        "states: 3\ninitial: 0\nacceptance-sets: 1\n0 eps 2\n",
+    ):
+        assert parse_automaton(text).num_states == 3
+    with pytest.raises(AutomatonError, match="line 1: 4 states declared, but no line names a state above 2"):
+        parse_automaton("states: 4\ninitial: 0\nacceptance-sets: 1\n0 eps 2\n")
 
 
 def test_reused_acceptor_matches_walk_enum_on_random_automata():
@@ -510,8 +552,8 @@ def test_acceptors_of_distinct_automata_share_no_verdicts(fig_automaton):
         num_states=fig_automaton.num_states,
         initial=fig_automaton.initial,
         ap=fig_automaton.ap,
-        transitions=fig_automaton.transitions,
-        acceptance=(fig_automaton.acceptance[0], frozenset()),
+        masks={t: mask & 1 for t, mask in fig_automaton.masks.items()},  # set 2 emptied
+        n_sets=2,
     )
     words = lassos_sharing_cycles(np.random.default_rng(17), n_cycles=12, per_cycle=6)
     cycles = list(dict.fromkeys(w.cycle for w in words))
@@ -542,7 +584,7 @@ def test_acceptor_bits_match_walk_enum_on_random_automata():
     with_eps = 0
     for _ in range(40):
         b = random_tgba(rng, n_states=3, n_sets=int(rng.integers(1, 3)), allow_eps=True)
-        with_eps += any(t.is_epsilon() for t in b.transitions)
+        with_eps += any(t.is_epsilon() for t in b.masks)
         accepts = lasso_acceptor(b, cycles)
         assert_table_matches(accepts, prefixes, cycles, lambda w: enum_accepts(b, w))
     assert with_eps >= 10

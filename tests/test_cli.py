@@ -302,8 +302,11 @@ def test_verify_finds_disagreement_that_needs_a_prefix():
         num_states=good.num_states,
         initial=good.initial,
         ap=good.ap,
-        transitions=(good.transitions - {Transition(1, ab, 1)}) | {Transition(1, ab, 0)},
-        acceptance=good.acceptance,
+        masks={
+            **{t: mask for t, mask in good.masks.items() if t != Transition(1, ab, 1)},
+            Transition(1, ab, 0): 0,
+        },
+        n_sets=good.n_sets,
         names=good.names,
     )
     result = check_formula_agreement(escaped, max_prefix=1, max_cycle=2)
@@ -318,8 +321,8 @@ def test_verify_names_failing_check_for_corrupted_automaton():
         num_states=good.num_states,
         initial=good.initial,
         ap=good.ap,
-        transitions=good.transitions,
-        acceptance=(good.acceptance[0], frozenset()),  # second set emptied
+        masks={t: mask & 1 for t, mask in good.masks.items()},  # second set emptied
+        n_sets=good.n_sets,
         names=good.names,
     )
     result = check_formula_agreement(corrupted, max_prefix=1, max_cycle=2)

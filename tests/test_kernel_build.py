@@ -22,7 +22,7 @@ m = LabeledMdp(num_states=2, initial=0, ap=frozenset({"a"}), enabled=(("go",), (
                prob={(0, "go"): ((1, 1.0),), (1, "go"): ((1, 1.0),)},
                label={(1, "go", 1): frozenset({"a"})})
 loop_a, loop_empty = Transition(0, frozenset({"a"}), 0), Transition(0, frozenset(), 0)
-b = TGba(1, 0, frozenset({"a"}), frozenset({loop_a, loop_empty}), (frozenset({loop_a}),))
+b = TGba(1, 0, frozenset({"a"}), {loop_a: 1, loop_empty: 0}, 1)
 product = build_product(m, b)
 assert value_iteration(product, gamma=0.5, r_p=1.0, tol=0.0)[0] == {0: 1.0, 1: 2.0}
 cfg = TrainConfig(episodes=1, steps_per_episode=2, sessions=1)

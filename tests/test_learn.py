@@ -50,7 +50,7 @@ def loop_automaton():
     """One state that loops on {a} and on {}; the {a} loop accepts."""
     loop_a = Transition(0, frozenset({"a"}), 0)
     loop_empty = Transition(0, frozenset(), 0)
-    return TGba(1, 0, frozenset({"a"}), frozenset({loop_a, loop_empty}), (frozenset({loop_a}),))
+    return TGba(1, 0, frozenset({"a"}), {loop_a: 1, loop_empty: 0}, 1)
 
 
 def test_epsilon_schedule():

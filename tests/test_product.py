@@ -88,7 +88,7 @@ def test_product_accepting_transition_example(augmented_product, grid):
 def test_product_with_trivial_automaton_is_isomorphic(grid):
     letters = letters_over(("a", "b", "c"))
     trans = frozenset(Transition(0, letter, 0) for letter in letters)
-    trivial = TGba(1, 0, frozenset({"a", "b", "c"}), trans, (trans,))
+    trivial = TGba(1, 0, frozenset({"a", "b", "c"}), dict.fromkeys(trans, 1), 1)
     product = build_product(grid, trivial)
     assert product.num_states == grid.num_states
     mapping = {i: s for i, (s, _) in enumerate(product.pairs)}
@@ -114,14 +114,14 @@ def test_product_epsilon_actions(grid, eps_automaton):
 
 def test_product_missing_move_fails_loudly(grid):
     t = Transition(0, A, 0)
-    partial = TGba(1, 0, frozenset({"a"}), frozenset({t}), (frozenset({t}),))
+    partial = TGba(1, 0, frozenset({"a"}), {t: 1}, 1)
     with pytest.raises(MissingAutomatonMove, match="no move"):
         build_product(grid, partial)
 
 
 def test_product_alphabet_mismatch(grid):
     t = Transition(0, frozenset({"d"}), 0)
-    b = TGba(1, 0, frozenset({"d"}), frozenset({t}), (frozenset({t}),))
+    b = TGba(1, 0, frozenset({"d"}), {t: 1}, 1)
     with pytest.raises(AlphabetMismatch):
         build_product(grid, b)
 
@@ -136,8 +136,8 @@ def test_product_rejects_letter_nondeterminism(grid):
         2,
         0,
         frozenset({"a", "b", "c"}),
-        frozenset(trans) | {Transition(0, frozenset({"a"}), 1)},
-        (frozenset({Transition(0, A, 0)}),),
+        {**dict.fromkeys(trans, 0), Transition(0, A, 0): 1, Transition(0, frozenset({"a"}), 1): 0},
+        1,
     )
     with pytest.raises(NondeterministicMove):
         build_product(grid, b)
@@ -148,9 +148,7 @@ def test_product_rejects_letter_nondeterminism_at_unreachable_state(grid):
     letters = letters_over(("a", "b", "c"))
     trans = {Transition(x, letter, x) for x in (0, 1) for letter in letters}
     trans.add(Transition(1, A, 0))
-    b = TGba(
-        2, 0, frozenset({"a", "b", "c"}), frozenset(trans), (frozenset({Transition(0, A, 0)}),)
-    )
+    b = TGba(2, 0, frozenset({"a", "b", "c"}), {**dict.fromkeys(trans, 0), Transition(0, A, 0): 1}, 1)
     with pytest.raises(NondeterministicMove, match=r"state x1 has 2 successors on letter \['a'\]"):
         build_product(grid, b)
 
@@ -195,8 +193,8 @@ def overlapping_sets_product(grid):
     """One-state automaton over {a, b} whose sets overlap: hitting the a-loop
     removes sets 1 and 2 and leaves the b-loop of set 3 pending."""
     loops = {letter: Transition(0, letter, 0) for letter in (frozenset(), A, B, AB)}
-    b = TGba(1, 0, AB, frozenset(loops.values()),
-             (frozenset({loops[A]}), frozenset({loops[A], loops[B]}), frozenset({loops[B]})))
+    # set 1 holds the a-loop, set 2 the a- and b-loops, set 3 the b-loop
+    b = TGba(1, 0, AB, {loops[frozenset()]: 0, loops[A]: 0b011, loops[B]: 0b110, loops[AB]: 0}, 3)
     return build_product(grid, b)
 
 
@@ -278,7 +276,7 @@ def test_frontier_empty_matches_set_emptiness(which, raw_product, grid, fig_auto
     else:
         b = fig_automaton
         product = build_product(grid, TGba(
-            b.num_states, b.initial, b.ap, b.transitions, (b.acceptance[0], frozenset())
+            b.num_states, b.initial, b.ap, {t: mask & 1 for t, mask in b.masks.items()}, b.n_sets
         ))
     acc = product.automaton.acceptance
     expect = tuple(

@@ -2,6 +2,8 @@
 recurrence-dichotomy tests, the order of the bounded lasso words, the word
 each lasso check names when it fails, and that the checks can fail."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,33 +113,33 @@ CHECKS = {
 }
 
 
-def with_acceptance(b, acceptance, transitions=None):
+def with_masks(b, masks):
     return TGba(
         num_states=b.num_states,
         initial=b.initial,
         ap=b.ap,
-        transitions=b.transitions if transitions is None else transitions,
-        acceptance=acceptance,
+        masks=masks,
+        n_sets=b.n_sets,
         names=b.names,
     )
 
 
 def emptied(b):
     """The second accepting set emptied: no word is accepted."""
-    return with_acceptance(b, (b.acceptance[0], frozenset()))
+    return with_masks(b, {t: mask & 1 for t, mask in b.masks.items()})
 
 
 def escaped(b):
     """The trap's {a,b} self-loop redirected to x0, so a run can leave the
     trap; telling it from the formula needs a prefix."""
-    moved = (b.transitions - {Transition(1, AB, 1)}) | {Transition(1, AB, 0)}
-    return with_acceptance(b, b.acceptance, moved)
+    kept = {t: mask for t, mask in b.masks.items() if t != Transition(1, AB, 1)}
+    return with_masks(b, {**kept, Transition(1, AB, 0): 0})
 
 
 def saturated(b):
     """Every transition in every accepting set: the trap makes every word
     accepted."""
-    return with_acceptance(b, (b.transitions,) * len(b.acceptance))
+    return with_masks(b, dict.fromkeys(b.masks, (1 << b.n_sets) - 1))
 
 
 def check_and_reference(name, base):
@@ -189,3 +191,22 @@ def test_battery_parses_the_grid_once(monkeypatch):
     monkeypatch.setitem(verify.ENVIRONMENTS, "grid9", lambda: loads.append(1) or load())
     assert all(result.passed for result in verify.run_battery(quick=True))
     assert len(loads) == 1
+
+
+def test_stochasticity_sums_the_rows_training_samples(monkeypatch):
+    """One drifted row of a product's ``probs`` table fails the check, named
+    by its ``keys`` entry, although the product's ``mdp.prob`` view still
+    sums to one."""
+    build, drifted = verify.build_product, []
+
+    def build_drifted(m, b):
+        p = build(m, b)
+        row = (p.probs[3][0] + 1e-9, *p.probs[3][1:])
+        drifted.append((p.keys[3], abs(sum(row) - 1.0)))
+        return dataclasses.replace(p, probs=(*p.probs[:3], row, *p.probs[4:]))
+
+    monkeypatch.setattr(verify, "build_product", build_drifted)
+    result = verify.check_stochasticity()
+    (s, a), err = drifted[0]  # the augmented product is built first
+    assert result.passed is False
+    assert result.detail == f"augmented-product row ({s}, {a}) off by {err}"
