@@ -2,13 +2,14 @@
 
 Provides the data model, a line-oriented text format, limit-determinism
 checking, degeneralization to a single accepting set, an exact acceptance
-test for ultimately periodic words, and the packaged example automata
-(:func:`named_fixture`).  Transitions carry explicit letters (subsets of
-the AP universe).  An automaton stores its transitions once, in
-``TGba.masks``, each with its accepting-set bitmask; ``TGba.acceptance``
-is a per-set view derived from it.  Every walk over an automaton's moves,
-here and in the augmentation and the product, reads the one per-state
-index ``TGba.moves``.
+test for ultimately periodic words that decides every state against many
+cycles in one numpy pass over bitset relations (:func:`lasso_acceptor`),
+and the packaged example automata (:func:`named_fixture`).  Transitions
+carry explicit letters (subsets of the AP universe).  An automaton stores
+its transitions once, in ``TGba.masks``, each with its accepting-set
+bitmask; ``TGba.acceptance`` is a per-set view derived from it.  Every walk
+over an automaton's moves, here and in the augmentation and the product,
+reads the one per-state index ``TGba.moves``.
 
 Text format
 -----------
@@ -48,8 +49,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import ltl
-from .graphs import closure, explore, strongly_connected_components
+from .graphs import close_rows, closure, explore, holding, pack_rows, unpack_rows
 from .ltl import LassoWord
 
 
@@ -430,125 +433,94 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     at once: the returned function maps a prefix (a tuple of letters) to an
     int whose bit ``j`` is set iff ``prefix . cycles[j]^w`` is accepted.
 
-    Epsilon transitions consume no letter.  The run graph has one node per
-    (word position, state).  The prefix is walked letter by letter to the
-    set of states that enter the first cycle position (a single state when
-    the automaton is epsilon free and deterministic per letter); a word is
-    accepted iff one of them, say ``x``, accepts ``cycle^w`` alone.  That
-    verdict depends only on ``(x, cycle)``, so the answer for a prefix is the
-    OR of one bitset per entering state, holding that state's verdict on
-    every cycle.  A deterministic automaton's verdict follows its unique
-    run; otherwise the run graph of the cycle started at ``(0, x)`` is
-    analysed by SCC, and some reachable SCC's internal transitions must
-    meet every accepting set.
+    Epsilon transitions consume no letter.  The prefix is walked letter by
+    letter, each step an epsilon closure and then the letter's moves, to
+    the set of states that enter the first cycle position; a word is
+    accepted iff one of them accepts ``cycle^w`` alone, so the answer for a
+    prefix is the OR of one bitset per entering state.
 
-    This is exact: a prefix position is never revisited and epsilon cycles
-    are rejected, so every SCC with an internal edge lies at cycle
-    positions, and the cycle nodes reachable from the start are exactly
-    those reachable from the ``(len(prefix), x)`` nodes of the entering
-    states.
+    Those bitsets come from one array pass over all cycles, on relations
+    stored as bitset rows (:func:`~omegarl.graphs.pack_rows`).  Per letter
+    ``l``, ``D_l`` relates a state to those that an epsilon closure and then
+    an ``l`` move reach, and ``D_l^j`` is its part whose ``l`` move lies in
+    accepting set ``j``.  Per cycle, ``T`` composes the ``D`` of its letters,
+    relating the states that enter the cycle to those that enter it again,
+    and ``T^j`` does the same through a set-``j`` move somewhere along it.
+    State ``x`` accepts ``cycle^w`` iff some ``y`` in ``T*(x)`` has, for every
+    ``j``, a ``T^j`` pair inside the strongly connected component of ``y``
+    under ``T``.
 
-    The acceptor is the unit of reuse: it reads ``b.moves`` and ``b.masks``
-    and computes a state's bitset the first time a prefix enters the cycle
-    there, in a table that lives only as long as the returned function.
-    Raises ``AutomatonError`` here, before any prefix is read, if epsilon
-    transitions form a cycle (such a cycle would allow runs that never
-    consume the word).
+    This is exact for epsilon moves, nondeterminism and missing moves.  In
+    the run graph, with one node per cycle position and state, epsilon
+    cycles are rejected and letters only advance the position, so every
+    cycle passes position 0.  An SCC of the run graph with an internal edge
+    therefore meets position 0 in one ``T``-component, and its internal
+    transitions meet set ``j`` iff ``T^j`` has a pair inside that component.
+
+    The acceptor reads ``b.moves`` and ``b.masks`` once; the bitsets live
+    only as long as the returned function.  Raises ``AutomatonError`` here,
+    before any prefix is read, if epsilon transitions form a cycle (such a
+    cycle would allow runs that never consume the word).
     """
-    moves = b.moves
+    moves, n = b.moves, b.num_states
     eps_out = [[t.dst for t in row.get(EPSILON, ())] for row in moves]
-    has_eps = any(eps_out)
-    if has_eps:
-        _assert_no_epsilon_cycles(b, eps_out)
-    deterministic = not has_eps and all(len(ts) == 1 for row in moves for ts in row.values())
-    verdict = _run_verdict if deterministic else _scc_verdict
-    table: list[int | None] = [None] * b.num_states
+    eps = np.zeros((n, n), dtype=bool)
+    if any(eps_out):  # no closure pass, and no epsilon cycle, without epsilon moves
+        for x, targets in enumerate(eps_out):
+            eps[x, targets] = True
+        eps = unpack_rows(close_rows(pack_rows(eps)), n)
+        if eps.diagonal().any():
+            raise AutomatonError("epsilon transitions form a cycle")
+    eps |= np.eye(n, dtype=bool)
+    index = {letter: i for i, letter in enumerate(dict.fromkeys(itertools.chain(*cycles)))}
+    # step[l, 0] holds the moves on letter l and step[l, 1 + j] those in set
+    # j; the extra last letter pads short cycles with the identity relation
+    step = np.zeros((len(index) + 1, 1 + b.n_sets, n, n), dtype=bool)
+    l, src, dst, mask = np.array(
+        [(index[t.letter], t.src, t.dst, m) for t, m in b.masks.items() if t.letter in index],
+        dtype=int,
+    ).reshape(-1, 4).T
+    step[l, 0, src, dst] = True
+    step[l, 1:, src, dst] = mask[:, None] >> np.arange(b.n_sets) & 1
+    d = eps @ step
+    d[-1, 0] = np.eye(n, dtype=bool)
+    d = pack_rows(d)
+    lengths = np.array([len(cycle) for cycle in cycles], dtype=int)
+    letters = np.full((len(cycles), lengths.max(initial=1)), len(index))
+    letters[np.arange(letters.shape[1]) < lengths[:, None]] = [
+        index[letter] for letter in itertools.chain(*cycles)
+    ]
+    rel = d[letters[:, 0]]  # per cycle: [T, T^1, ..., T^n_sets] of its letters so far
+    for column in letters.T[1:]:
+        d_next, before = d[column], rel
+        rel = np.zeros_like(before)
+        for z in range(n):  # compose through z: the rows holding z take on z's row
+            via = holding(before, z)[..., None]
+            rel |= via & d_next[:, None, 0, z : z + 1]
+            rel[:, 1:] |= via[:, :1] & d_next[:, 1:, z : z + 1]
+    reach = unpack_rows(close_rows(rel[:, 0] | d[-1, 0]), n)  # T*: the padding is the identity
+    back = reach.transpose(0, 2, 1)
+    # a T^j pair (u, v) lies inside u's component when v reaches u
+    inside = (unpack_rows(rel[:, 1:], n) & back[:, None]) @ np.ones(n, dtype=bool)
+    good = ((reach & back) @ inside.transpose(0, 2, 1)).all(-1)
+    verdicts = (reach @ good[..., None])[..., 0].T
+    table = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+             for row in verdicts]
 
     def accepts(prefix) -> int:
-        if deterministic:
-            x = b.initial
-            for letter in prefix:
-                step = moves[x].get(letter)
-                if not step:
-                    return 0
-                x = step[0].dst
-            entering = (x,)
-        else:
-            entering = {b.initial}
-            for letter in prefix:
-                entering = {
-                    t.dst
-                    for y in closure(entering, lambda s: eps_out[s])
-                    for t in moves[y].get(letter, ())
-                }
+        entering = {b.initial}
+        for letter in prefix:
+            entering = {
+                t.dst
+                for y in closure(entering, lambda s: eps_out[s])
+                for t in moves[y].get(letter, ())
+            }
         bits = 0
         for x in entering:
-            got = table[x]
-            if got is None:
-                got = table[x] = sum(
-                    1 << j for j, cycle in enumerate(cycles) if verdict(b, x, cycle)
-                )
-            bits |= got
+            bits |= table[x]
         return bits
 
     return accepts
-
-
-def _run_verdict(b: TGba, x: int, cycle: tuple) -> bool:
-    """Whether the unique run from ``x`` on ``cycle^w`` is accepting."""
-    n = len(cycle)
-    pos = 0
-    seen: dict[tuple[int, int], int] = {}
-    masks: list[int] = []
-    while (pos, x) not in seen:
-        seen[(pos, x)] = len(masks)
-        step = b.moves[x].get(cycle[pos])
-        if not step:
-            return False
-        t = step[0]
-        x = t.dst
-        masks.append(b.masks[t])
-        pos = pos + 1 if pos + 1 < n else 0
-    acc = 0
-    for m in masks[seen[(pos, x)] :]:
-        acc |= m
-    return acc == (1 << b.n_sets) - 1
-
-
-def _scc_verdict(b: TGba, x: int, cycle: tuple) -> bool:
-    """Whether some SCC reachable from ``(0, x)`` in the run graph of
-    ``cycle^w`` has internal transitions meeting every accepting set."""
-    n = len(cycle)
-
-    def successors(node):
-        pos, y = node
-        for t in b.moves[y].get(cycle[pos], ()):
-            yield (pos + 1 if pos + 1 < n else 0, t.dst), b.masks[t]
-        for t in b.moves[y].get(EPSILON, ()):
-            yield (pos, t.dst), 0
-
-    _, rows = explore((0, x), successors)
-    comps = strongly_connected_components(range(len(rows)), lambda v: (u for _, u in rows[v]))
-    comp_of = [0] * len(rows)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    comp_mask = [None] * len(comps)  # None = no internal edge yet
-    for v, row in enumerate(rows):
-        ci = comp_of[v]
-        for mask, u in row:
-            if comp_of[u] == ci:
-                comp_mask[ci] = (comp_mask[ci] or 0) | mask
-    full_mask = (1 << b.n_sets) - 1
-    return any(m == full_mask for m in comp_mask if m is not None)
-
-
-def _assert_no_epsilon_cycles(b: TGba, eps_out) -> None:
-    """An epsilon cycle is an epsilon component of several states, or a
-    state with an epsilon self-loop."""
-    for comp in strongly_connected_components(b.states(), lambda x: eps_out[x]):
-        if len(comp) > 1 or comp[0] in eps_out[comp[0]]:
-            raise AutomatonError("epsilon transitions form a cycle")
 
 
 def _render(b: TGba, t: Transition) -> str:

@@ -1,8 +1,11 @@
-"""Small graph utilities shared by the automata and Markov-chain analyses."""
+"""Small graph utilities shared by the automata and Markov-chain analyses,
+and batches of relations stored as numpy bitset rows."""
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
+
+import numpy as np
 
 Node = Hashable
 
@@ -98,3 +101,30 @@ def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]])
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows ``(..., n)`` as bitsets ``(..., ceil(n / 64))`` of uint64
+    words, column ``i`` at bit ``i % 64`` of word ``i // 64``."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    pad = np.zeros(packed.shape[:-1] + (-packed.shape[-1] % 8,), dtype=np.uint8)
+    return np.concatenate((packed, pad), axis=-1).view("<u8")
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` columns of :func:`pack_rows` bitsets, as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def holding(words: np.ndarray, m: int) -> np.ndarray:
+    """Per bitset row, a word of ones if it holds column ``m``, else zero."""
+    return 0 - (words[..., m >> 6] >> np.uint64(m & 63) & np.uint64(1))
+
+
+def close_rows(words: np.ndarray) -> np.ndarray:
+    """Warshall's algorithm, in place, on ``(..., n, W)`` bitset rows: row
+    ``x`` comes to hold every column reachable from ``x`` in one or more
+    steps; columns past ``n`` lead nowhere.  Returns ``words``."""
+    for m in range(words.shape[-2]):
+        words |= holding(words, m)[..., None] & words[..., m : m + 1, :]
+    return words

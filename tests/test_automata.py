@@ -39,7 +39,6 @@ from omegarl import (
     parse_ltl,
     serialize_automaton,
 )
-from omegarl import automata
 from omegarl.verify import lasso_parts
 
 A = frozenset({"a"})
@@ -453,9 +452,9 @@ def test_acceptance_agrees_with_walk_enum_on_fixtures(fig_automaton, eps_automat
             assert accepts_lasso(b, w) == enum_accepts(b, w)
 
 
-def test_scc_and_deterministic_paths_agree(fig_automaton):
-    """Adding an unreachable epsilon edge forces the SCC path; the language
-    is unchanged, so both code paths must agree."""
+def test_unreachable_epsilon_edge_keeps_the_language(fig_automaton):
+    """An unreachable state with an epsilon edge into the automaton changes
+    the relations of the acceptor's array pass but not the language."""
     b = fig_automaton
     padded = TGba(
         num_states=3,
@@ -577,24 +576,37 @@ def test_acceptor_bits_match_walk_enum_on_battery_automata(fig_automaton):
 
 
 def test_acceptor_bits_match_walk_enum_on_random_automata():
-    """Nondeterministic and partial automata with epsilon edges take the
-    closure walk and the SCC verdict."""
+    """Nondeterministic and partial automata of 2 to 6 states and 1 to 3
+    accepting sets, most with epsilon edges, over every cycle of at most
+    three letters.  An empty tuple of cycles gives 0 at every prefix."""
     rng = np.random.default_rng(18)
-    prefixes, cycles = lasso_parts(("a", "b"), 2, 2)
-    with_eps = 0
-    for _ in range(40):
-        b = random_tgba(rng, n_states=3, n_sets=int(rng.integers(1, 3)), allow_eps=True)
+    prefixes, cycles = lasso_parts(("a", "b"), 1, 3)
+    with_eps, sizes = 0, set()
+    for _ in range(30):
+        b = random_tgba(rng, n_states=int(rng.integers(2, 7)), n_sets=int(rng.integers(1, 4)))
         with_eps += any(t.is_epsilon() for t in b.masks)
+        sizes.add((b.num_states, b.n_sets))
         accepts = lasso_acceptor(b, cycles)
         assert_table_matches(accepts, prefixes, cycles, lambda w: enum_accepts(b, w))
-    assert with_eps >= 10
+        assert {lasso_acceptor(b, ())(prefix) for prefix in prefixes} == {0}
+    assert with_eps >= 20
+    assert {n for n, _ in sizes} == set(range(2, 7)) and {k for _, k in sizes} == {1, 2, 3}
 
 
-def test_epsilon_free_acceptor_skips_the_epsilon_cycle_search(fig_automaton, monkeypatch):
-    """Without an epsilon move there is no epsilon cycle to look for."""
-    def no_scc(*args):
-        raise AssertionError("SCC pass on an epsilon-free automaton")
-
-    monkeypatch.setattr(automata, "strongly_connected_components", no_scc)
-    accepts = lasso_acceptor(fig_automaton, ((A, B),))
-    assert accepts(()) == 1
+@pytest.mark.parametrize(
+    "edges", [((2, 2),), ((1, 2), (2, 1)), ((0, 1), (1, 2), (2, 1))],
+    ids=["self-loop", "two-cycle", "behind-a-path"],
+)
+def test_acceptor_rejects_epsilon_cycles(edges):
+    """Before any prefix is read, also over no cycles."""
+    b = TGba(
+        num_states=3,
+        initial=0,
+        ap=frozenset("a"),
+        masks={**dict.fromkeys((Transition(x, EPSILON, y) for x, y in edges), 0),
+               Transition(0, A, 0): 1},
+        n_sets=1,
+    )
+    for cycles in ((), ((A,),)):
+        with pytest.raises(AutomatonError, match="epsilon transitions form a cycle"):
+            lasso_acceptor(b, cycles)

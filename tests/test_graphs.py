@@ -1,6 +1,8 @@
+import networkx as nx
+import numpy as np
 import pytest
 
-from omegarl.graphs import explore
+from omegarl.graphs import close_rows, explore, pack_rows, unpack_rows
 
 # "b" loops on itself, "a" lists "b" twice, and a depth-first walk would
 # number "d" before "c"
@@ -49,3 +51,19 @@ def test_explore_lets_a_successor_error_through():
     with pytest.raises(Boom) as caught:
         explore("a", successors)
     assert caught.value is error
+
+
+def test_bitset_rows_round_trip_and_close_as_networkx_does():
+    """Across one and several 64-bit words, and with extra columns that are
+    reached but lead nowhere: a state reaches itself only around a cycle."""
+    rng = np.random.default_rng(5)
+    for n, extra in ((1, 0), (7, 2), (64, 0), (65, 3), (130, 1)):
+        adj = rng.random((n, n + extra)) < 2 / n
+        words = pack_rows(adj)
+        assert words.shape == (n, (n + extra + 63) // 64)
+        assert np.array_equal(unpack_rows(words, n + extra), adj)
+        g = nx.DiGraph(zip(*np.nonzero(adj)))
+        g.add_nodes_from(range(n + extra))
+        expect = nx.transitive_closure(g, reflexive=False)
+        got = unpack_rows(close_rows(words), n + extra)
+        assert {(int(x), int(y)) for x, y in zip(*np.nonzero(got))} == set(expect.edges)

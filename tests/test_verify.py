@@ -1,23 +1,28 @@
 """The verify battery's own machinery: the random policies that
-recurrence-dichotomy tests, the order of the bounded lasso words, the word
-each lasso check names when it fails, and that the checks can fail."""
+recurrence-dichotomy tests and the classes it finds, the order of the
+bounded lasso words, the word each lasso check names when it fails, that
+the checks can fail, and that they refuse bounds that admit nothing."""
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import enum_accepts, reference_lasso_agreement
+from helpers import enum_accepts, letters_over, random_labeled_mdp, reference_lasso_agreement
 from omegarl import (
     LassoWord,
     TGba,
     Transition,
     augment,
+    build_product,
     merge_unaccepting,
     named_fixture,
     parse_ltl,
     verify,
 )
+from omegarl.cli import METHODS, method_product_and_scheme
+from omegarl.product import recurrent_classes
 
 
 def scalar_rows(enabled, n_policies, seed):
@@ -77,6 +82,106 @@ def test_recurrence_dichotomy_fails_without_augmentation(monkeypatch):
     for result in (verify.check_recurrence_dichotomy(), verify.check_recurrence_dichotomy(100)):
         assert result.passed is False
         assert result.detail == "policy 28 has a class covering 1/2 sets"
+
+
+def draw_pairs(product, n_policies, seed):
+    """Random chosen pairs, one policy per row, drawn as recurrence-dichotomy draws them."""
+    first = np.array(product.first, dtype=np.int32)
+    draws = np.random.default_rng(seed).integers(
+        0, np.diff(first), size=(n_policies, product.num_states), dtype=np.int32
+    )
+    return draws + first[:-1]
+
+
+def violation(product, row):
+    """The detail of the first class of ``recurrent_classes`` that covers
+    some but not all sets, or None."""
+    n_sets = product.automaton.n_sets
+    for _, covered in recurrent_classes(product, row)[1]:
+        if covered.bit_count() not in (0, n_sets):
+            return f"has a class covering {covered.bit_count()}/{n_sets} sets"
+    return None
+
+
+def random_products():
+    """Products of seeded random MDPs with both fixtures under every method;
+    the last MDP is large enough for products of more than 64 states."""
+    for seed, n_states in enumerate((4, 7, 11, 40)):
+        rng = np.random.default_rng(seed)
+        m = random_labeled_mdp(rng, n_states=n_states, letters=letters_over("ab"),
+                               max_succ=(2, 4)[seed % 2])
+        for spec in ("gfa_gfb_gnc", "fg_a"):
+            for method in METHODS:
+                yield spec, method, m, method_product_and_scheme(m, named_fixture(spec), method, 2.0)[0]
+
+
+def test_policy_classes_match_per_policy_decomposition():
+    """Per policy, the recurrent states and their class's coverage equal
+    ``recurrent_classes`` and networkx's attracting components of the part
+    reached from state 0."""
+    sizes = []
+    for i, (_, _, _, product) in enumerate(random_products()):
+        sizes.append(product.num_states)
+        chosen = draw_pairs(product, (1, 12)[i % 2], i)
+        recurrent, covered = verify.policy_classes(product, chosen)
+        assert recurrent.shape == chosen.shape
+        assert covered.shape == (*chosen.shape, product.automaton.n_sets)
+        for row, rec, cov in zip(chosen.tolist(), recurrent, covered):
+            got = {s: sum(int(bit) << j for j, bit in enumerate(cov[s])) for s in np.flatnonzero(rec)}
+            assert got == {s: mask for states, mask in recurrent_classes(product, row)[1] for s in states}
+            g = nx.DiGraph((s, dst) for s, pair in enumerate(row) for dst in product.succ[pair])
+            reached = g.subgraph(nx.descendants(g, 0) | {0})
+            assert set(got) == set().union(*nx.attracting_components(reached))
+    assert max(sizes) > 64 and min(sizes) < 8
+
+
+def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
+    """On raw products of the two-set fixture with random MDPs whose labels
+    hold at most one of a and b, many random policies have a class that
+    covers one set.  The batched check finds the same violating policies as
+    a per-policy ``recurrent_classes`` loop and names the first, also when
+    it lies past the first block of policies."""
+    monkeypatch.setattr(verify, "augment", lambda b: b)
+    monkeypatch.setattr(verify, "merge_unaccepting", lambda b: b)
+    monkeypatch.setattr(verify, "POLICY_BLOCK", 2)
+    fixture, firsts = named_fixture("gfa_gfb_gnc"), set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)), max_succ=2,
+                               letters=[frozenset(), frozenset("a"), frozenset("b")])
+        product = build_product(m, fixture)
+        chosen = draw_pairs(product, 40, seed)
+        recurrent, covered = verify.policy_classes(product, chosen)
+        hits = covered.sum(-1)
+        bad = (recurrent & (hits == 1)).any(-1)
+        expect = [(k, violation(product, row)) for k, row in enumerate(chosen.tolist())]
+        assert list(np.flatnonzero(bad)) == [k for k, detail in expect if detail]
+        result = verify.check_recurrence_dichotomy(40, seed=seed, automaton=fixture, grid=m)
+        first = next(((k, detail) for k, detail in expect if detail), None)
+        assert (result.passed, result.detail) == (
+            (True, "40 random positional policies, no violations") if first is None
+            else (False, f"policy {first[0]} {first[1]}")
+        )
+        firsts.add(first and first[0])
+    assert None in firsts and 0 in firsts and max(k for k in firsts if k is not None) >= 2
+
+
+@pytest.mark.parametrize(
+    "check,bounds,argument",
+    [
+        (verify.check_language_preservation, {"max_cycle": 0}, "max_cycle"),
+        (verify.check_formula_agreement, {"max_cycle": -1}, "max_cycle"),
+        (verify.check_degeneralization, {"max_cycle": 0}, "max_cycle"),
+        (verify.check_language_preservation, {"max_prefix": -1}, "max_prefix"),
+        (verify.check_recurrence_dichotomy, {"n_policies": 0}, "n_policies"),
+    ],
+    ids=["language-preservation", "formula-agreement", "degeneralization", "prefix",
+         "recurrence-dichotomy"],
+)
+def test_checks_refuse_bounds_that_admit_nothing(check, bounds, argument):
+    """A bound under which a check would decide nothing and pass is an error."""
+    with pytest.raises(ValueError, match=f"^{argument} must be at least"):
+        check(**bounds)
 
 
 def test_all_lassos_lists_each_prefix_against_every_cycle():
