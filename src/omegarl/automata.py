@@ -135,6 +135,8 @@ class TGba:
                 )
         if self.names is not None and len(self.names) != self.num_states:
             raise AutomatonError("state name list does not match state count")
+        if self.names is not None and len(set(self.names)) < self.num_states:
+            raise AutomatonError("state names must be distinct")
         # name the lowest offender: masks built from a set iterate in an order
         # that differs from process to process (EPSILON hashes by identity)
         accepting_eps = [t for t, mask in self.masks.items() if mask and t.is_epsilon()]

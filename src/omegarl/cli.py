@@ -254,18 +254,38 @@ def cmd_train(args) -> int:
 
 # --- compare subcommand -------------------------------------------------------
 
+def _field(path: Path, doc, *keys):
+    """``doc[keys[0]][keys[1]]...`` of the JSON file ``path``."""
+    try:
+        for key in keys:
+            doc = doc[key]
+    except (KeyError, IndexError, TypeError):
+        raise CliError(f"{path}: missing field {'.'.join(map(str, keys))}") from None
+    return doc
+
+
 def _read_run(run_dir: Path):
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    """A train run's method, compare summary and aggregate curve."""
+    mpath, rpath, apath = (run_dir / f for f in ("manifest.json", "report.json", "aggregate.csv"))
+    manifest, report = (json.loads(p.read_text(encoding="utf-8")) for p in (mpath, rpath))
+    if not isinstance(sessions := _field(rpath, report, "sessions"), list):
+        raise CliError(f"{rpath}: field sessions is not a list")
+    summary = {key: _field(rpath, report, "summary", key)
+               for key in ("median_first_sat1_episode", "satisfying_sessions", "sat1_sessions")}
+    summary["first_sat1_episodes"] = [_field(rpath, report, "sessions", i, "first_sat1_episode")
+                                      for i in range(len(sessions))]
     episodes, means, stds = [], [], []
-    for line in (run_dir / "aggregate.csv").read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(apath.read_text(encoding="utf-8").splitlines(), 1):
         if not line or line.startswith("#") or line.startswith("episode"):
             continue
-        ep, mean, std = line.split(",")
-        episodes.append(int(ep))
-        means.append(float(mean))
-        stds.append(float(std))
-    return manifest, report, episodes, means, stds
+        try:
+            ep, mean, std = line.split(",")
+            episodes.append(int(ep))
+            means.append(float(mean))
+            stds.append(float(std))
+        except ValueError:
+            raise CliError(f"{apath}:{n}: expected episode,mean,std, not {line!r}") from None
+    return str(_field(mpath, manifest, "method")), summary, episodes, means, stds
 
 
 def cmd_compare(args) -> int:
@@ -278,8 +298,7 @@ def cmd_compare(args) -> int:
     block = 50
     rows = []
     summary = {}
-    for manifest, report, episodes, means, stds in runs:
-        method = manifest["method"]
+    for method, run_summary, episodes, means, stds in runs:
         for start in range(0, n_episodes, block):
             chunk = slice(start, min(start + block, n_episodes))
             rows.append(
@@ -290,14 +309,7 @@ def cmd_compare(args) -> int:
                     "std": float(np.mean(stds[chunk])),
                 }
             )
-        summary[method] = {
-            "first_sat1_episodes": [
-                s["first_sat1_episode"] for s in report["sessions"]
-            ],
-            "median_first_sat1_episode": report["summary"]["median_first_sat1_episode"],
-            "satisfying_sessions": report["summary"]["satisfying_sessions"],
-            "sat1_sessions": report["summary"]["sat1_sessions"],
-        }
+        summary[method] = run_summary
 
     doc = {"per_50_episodes": rows, "episodes_to_first_satisfaction": summary}
     text = json.dumps(doc, indent=2, sort_keys=True)

@@ -2,30 +2,29 @@
 oracle for desk-scale verification.
 
 Training runs independent seeded sessions; each episode restarts the
-simulator at the product initial state while the Q-table and visit counts
-persist across episodes within a session.  Exploration follows a
+simulator at product state 0, the initial one, while the Q-table and visit
+counts persist across episodes within a session.  Exploration follows a
 visit-count epsilon schedule and the learning rate decays per state-action
 pair under a Robbins-Monro-compatible power law.  Value iteration is a
 test oracle only and takes no part in training.
 
-Both loops run in C (``_kernel.c``) on the same integer tables (built by
-``build_product``; layout in the product module), padded to the widest
-row by ``_padded_tables``: row ``p`` holds pair ``p``'s successors,
+Both loops run in C (``_kernel.c``) on the product's integer tables, its
+only store (layout in the product module), padded to the widest row by
+``_padded_tables``: row ``p`` holds pair ``p``'s successors,
 probabilities, cuts (derived there from the probabilities) and masks,
 padded with state 0, probability 0, cut ``+inf`` and mask 0.
-``run_episode`` runs one episode's step loop;
-Python seeds the sessions, resets the per-episode counts, evaluates greedy
-policies and assembles the result.  ``value_sweeps`` runs the synchronous
-sweeps of value iteration and hands back the final values and each pair's
-backup from them.  A ``QTable`` holds flat lists: Q-values and visit
-counts indexed by pair, state visits indexed by state, copied from the
-kernel's arrays.  Action names come back only in the returned policies,
-which ``greedy_policy`` and ``value_iteration`` extract by one rule: the
-first maximal pair of each state.  Per state, the training kernel also
-keeps its greedy pair and maximal value current through every update, so
-neither the greedy choice nor the bootstrap target scans the state's
-actions; only a drop in the greedy pair's value rescans the state for its
-first maximal pair.
+``run_episode`` runs one episode's step loop; Python seeds the sessions,
+resets the per-episode counts, evaluates greedy policies and assembles the
+result.  ``value_sweeps`` runs the synchronous sweeps of value iteration
+and hands back the final values and each pair's backup from them.  A
+``QTable`` holds flat lists: Q-values and visit counts indexed by pair,
+state visits indexed by state, copied from the kernel's arrays.  Action
+names come back only in the returned policies, which ``greedy_policy`` and
+``value_iteration`` extract by one rule: the first maximal pair of each
+state.  Per state, the training kernel also keeps its greedy pair and
+maximal value current through every update, so neither the greedy choice
+nor the bootstrap target scans the state's actions; only a drop in the
+greedy pair's value rescans the state for its first maximal pair.
 
 The training kernel replays numpy's PCG64 ``Generator`` exactly.  Each
 session's generator state is ``PCG64(seed).state``: the 128-bit ``state``
@@ -333,7 +332,7 @@ def train(
     empty = np.array(scheme.empty, dtype=np.uint8)
     n = product.num_states
     tables = (
-        cfg.steps_per_episode, product.mdp.initial,
+        cfg.steps_per_episode, 0,
         cfg.gamma, scheme.r_p, cfg.epsilon_numerator, -cfg.alpha_exponent,
         succ.shape[1], *_pointers(first, succ, cuts, masks, empty),
     )

@@ -8,11 +8,11 @@ two reward schemes: the memoryless accepting-transition reward and the
 working-set ("frontier") baseline.  Policies are evaluated exactly on the
 chosen pairs' rows of the integer tables below.
 
-``build_product`` also lays the product out as the integer tables that
-training and value iteration run on.  Pair ``p`` is the p-th enabled
-(state, action), in state order and then action-id order; state ``s`` owns
-the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]`` names
-the pair.  Each pair has a tuple of successor states, a tuple of their
+``build_product`` stores the product only as the integer tables that
+training, value iteration, evaluation and verify run on.  Pair ``p`` is the
+p-th enabled (state, action), in state order and then action-id order; state
+``s`` owns the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]``
+names the pair.  Each pair has a tuple of successor states, a tuple of their
 probabilities (training derives the cuts a uniform draw bisects from these;
 none are stored), and a tuple of bitmasks: each is the mask that
 ``TGba.masks`` stores for the move it synchronizes with, whose bit ``k``
@@ -21,14 +21,16 @@ carries mask 0, since the automaton has no accepting epsilon move.
 Acceptance lives only in these masks and in the automaton's ``n_sets``,
 the number of accepting sets and so of mask bits: both reward schemes are
 one rule over them (``RewardScheme``), and policy evaluation and the
-positional impossibility certificate read them too.
+positional impossibility certificate read them too.  Names are derived
+only on request: ``ProductMdp.name_of`` and the ``ProductMdp.mdp`` view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import chain
 
 from .automata import EPSILON, TGba
 from .graphs import explore, strongly_connected_components
@@ -62,14 +64,13 @@ class NondeterministicMove(ProductError):
 
 @dataclass(frozen=True)
 class ProductMdp:
-    """Reachable product, exposed as a labeled MDP plus the integer tables.
-
-    ``pairs[i]`` gives the (MDP state, automaton state) decomposition of
-    product state ``i``.  The remaining fields are the integer tables
-    (layout in the module docstring).
+    """Reachable product of the MDP ``base`` (referenced, not copied) with
+    ``automaton``, stored only as the integer tables (layout in the module
+    docstring).  ``pairs[i]`` gives the (MDP state, automaton state)
+    decomposition of product state ``i``; state 0 is the initial one.
     """
 
-    mdp: LabeledMdp
+    base: LabeledMdp
     pairs: tuple[tuple[int, int], ...]
     automaton: TGba
     keys: tuple[tuple[int, str], ...]  # pair -> (state, action name)
@@ -80,10 +81,27 @@ class ProductMdp:
 
     @property
     def num_states(self) -> int:
-        return self.mdp.num_states
+        return len(self.pairs)
 
     def name_of(self, i: int) -> str:
-        return self.mdp.name_of(i)
+        s, x = self.pairs[i]
+        return f"({self.base.name_of(s)}|{self.automaton.name_of(x)})"
+
+    @cached_property
+    def mdp(self) -> LabeledMdp:
+        """The product as a name-keyed labeled MDP, derived from the tables
+        with the base MDP's labels (an epsilon guess has none).  Only the
+        benchmark's probes and the tests read it, one probe ``enabled[s]`` at
+        every state, so it is kept; it goes once those probes read the tables."""
+        m, pairs, keys, first = self.base, self.pairs, self.keys, self.first
+        return LabeledMdp(
+            self.num_states, 0, m.ap,
+            tuple(tuple(a for _, a in keys[lo:hi]) for lo, hi in zip(first, first[1:])),
+            {key: tuple(zip(js, ps)) for key, js, ps in zip(keys, self.succ, self.probs)},
+            {(i, a, j): letter for (i, a), js in zip(keys, self.succ) for j in js
+             if (letter := m.label_of(pairs[i][0], a, pairs[j][0]))},
+            tuple(map(self.name_of, range(self.num_states))),
+        )
 
 
 def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
@@ -92,8 +110,9 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
     Labels are projected onto the automaton's AP universe before lookup.
     The automaton must be deterministic per letter (epsilon guesses model
     the allowed nondeterminism) and must offer a move for every label the
-    MDP can produce from a reachable pair; otherwise construction fails
-    with a diagnostic rather than dropping probability mass.
+    MDP can produce from a reachable pair, and no MDP action may share an
+    epsilon guess's name; otherwise construction fails with a diagnostic
+    rather than dropping or merging probability mass.
     """
     if not b.ap <= m.ap:
         raise AlphabetMismatch(
@@ -114,8 +133,7 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
         moves = b.moves[x]
         for a in m.enabled[s]:
             for dst, p in m.prob[(s, a)]:
-                full_label = m.label_of(s, a, dst)
-                letter = full_label & b.ap
+                letter = m.label_of(s, a, dst) & b.ap
                 step = moves.get(letter)
                 if step is None:
                     raise MissingAutomatonMove(
@@ -123,51 +141,29 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
                         f"{sorted(letter)} produced by ({m.name_of(s)}, {a}, {m.name_of(dst)})"
                     )
                 t = step[0]
-                yield (dst, t.dst), (a, p, t, full_label)
+                yield (dst, t.dst), (a, p, b.masks[t])
         # action ids keep the base MDP's ordering, epsilon guesses last
         for t in moves.get(EPSILON, ()):
-            yield (s, t.dst), (f"eps->{b.name_of(t.dst)}", 1.0, t, frozenset())
+            a = f"eps->{b.name_of(t.dst)}"
+            if (s, a) in m.prob:
+                raise ProductError(f"MDP action {a} at state {m.name_of(s)} clashes with "
+                                   f"the epsilon guess of automaton state {b.name_of(x)}")
+            yield (s, t.dst), (a, 1.0, b.masks[t])
 
     order, rows = explore((m.initial, b.initial), successors)
-    enabled: list[tuple[str, ...]] = []
-    prob: dict[tuple[int, str], tuple[tuple[int, float], ...]] = {}
-    label: dict[tuple[int, str, int], frozenset[str]] = {}
-    keys, succ, probs, masks = [], [], [], []
+    keys, first, succ, probs, masks = [], [0], [], [], []
     for i, row in enumerate(rows):
         dists: dict[str, list[tuple[int, float, int]]] = {}
-        for (a, p, t, full_label), j in row:
-            if full_label:
-                label[(i, a, j)] = full_label
-            dists.setdefault(a, []).append((j, p, b.masks[t]))
+        for (a, p, mask), j in row:
+            dists.setdefault(a, []).append((j, p, mask))
         for a, dist in dists.items():
             js, ps, ms = zip(*sorted(dist))
             keys.append((i, a))
-            prob[(i, a)] = tuple(zip(js, ps))
             succ.append(js)
             probs.append(ps)
             masks.append(ms)
-        enabled.append(tuple(dists))
-
-    names = tuple(f"({m.name_of(s)}|{b.name_of(x)})" for (s, x) in order)
-    product_mdp = LabeledMdp(
-        num_states=len(order),
-        initial=0,
-        ap=m.ap,
-        enabled=tuple(enabled),
-        prob=prob,
-        label=label,
-        state_names=names,
-    )
-    return ProductMdp(
-        mdp=product_mdp,
-        pairs=tuple(order),
-        automaton=b,
-        keys=tuple(keys),
-        first=(0, *accumulate(map(len, enabled))),
-        succ=tuple(succ),
-        probs=tuple(probs),
-        masks=tuple(masks),
-    )
+        first.append(len(keys))
+    return ProductMdp(m, tuple(order), b, *map(tuple, (keys, first, succ, probs, masks)))
 
 
 # --- rewards ---------------------------------------------------------------
@@ -210,7 +206,7 @@ class RewardScheme:
     def __call__(self, t: ProductTransition) -> float:
         s, a, dst = t
         product = self.product
-        p = product.first[s] + product.mdp.enabled[s].index(a)
+        p = product.keys.index((s, a), product.first[s], product.first[s + 1])
         r, self.done = self.step(self.done, product.masks[p][product.succ[p].index(dst)])
         return r
 
@@ -337,15 +333,16 @@ class _ChosenPairs(dict):
     """A name-keyed policy's pair id at each state, looked up when first read."""
 
     def __init__(self, p: ProductMdp, pi: PositionalPolicy):
-        self.first, self.enabled, self.choice = p.first, p.mdp.enabled, pi.choice
+        self.keys, self.first, self.choice = p.keys, p.first, pi.choice
 
     def __missing__(self, s: int) -> int:
-        a, actions = self.choice.get(s), self.enabled[s]
+        a = self.choice.get(s)
         if a is None:
             raise UndefinedChoice(s)
-        if a not in actions:
-            raise MdpError(f"policy chooses disabled action {a!r} at state {s}")
-        self[s] = pair = self.first[s] + actions.index(a)
+        try:
+            self[s] = pair = self.keys.index((s, a), self.first[s], self.first[s + 1])
+        except ValueError:
+            raise MdpError(f"policy chooses disabled action {a!r} at state {s}") from None
         return pair
 
 

@@ -493,6 +493,37 @@ def product_aut_edge(m, product) -> dict:
     return edges
 
 
+def product_view(m, product):
+    """The product's name-keyed ``LabeledMdp``, rebuilt from the base MDP
+    ``m`` and :func:`product_aut_edge`: each product transition carries its
+    base transition's probability and label, an epsilon guess probability
+    one and no label."""
+    from omegarl import LabeledMdp
+
+    b, pairs = product.automaton, product.pairs
+    enabled = [[] for _ in pairs]
+    prob, label = {}, {}
+    for (i, a, j), t in product_aut_edge(m, product).items():
+        s, dst = pairs[i][0], pairs[j][0]
+        if a not in enabled[i]:
+            enabled[i].append(a)
+        if t.is_epsilon():
+            prob[(i, a)] = [(j, 1.0)]
+            continue
+        prob.setdefault((i, a), []).append((j, dict(m.prob[(s, a)])[dst]))
+        if m.label_of(s, a, dst):
+            label[(i, a, j)] = m.label_of(s, a, dst)
+    return LabeledMdp(
+        num_states=len(pairs),
+        initial=0,
+        ap=m.ap,
+        enabled=tuple(map(tuple, enabled)),
+        prob={key: tuple(sorted(row)) for key, row in prob.items()},
+        label=label,
+        state_names=tuple(f"({m.name_of(s)}|{b.name_of(x)})" for s, x in pairs),
+    )
+
+
 def product_acceptance(m, product) -> tuple[frozenset, ...]:
     """The product transitions in each accepting set of the product's
     automaton; epsilon moves never accept."""

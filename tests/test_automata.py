@@ -332,6 +332,14 @@ def test_tgba_requires_accepting_set():
         TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 0}, 0)
 
 
+def test_tgba_rejects_duplicate_state_names():
+    # a name labels product states and epsilon-guess actions: two guesses of
+    # equally named states would share one product row
+    masks = {Transition(0, A, 1): 0, Transition(1, A, 0): 1}
+    with pytest.raises(AutomatonError, match="state names must be distinct"):
+        TGba(2, 0, frozenset({"a"}), masks, 1, names=("y", "y"))
+
+
 @pytest.mark.parametrize(
     "mask,n_sets,match",
     [

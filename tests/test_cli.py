@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,49 @@ def test_compare_mismatched_episode_counts(tmp_path, capsys):
         runs.append(str(out))
     assert main(["compare", *runs]) == 1
     assert "mismatched" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    out = tmp / "run"
+    assert main(
+        [
+            "train", "--env", "grid9", "--spec", "gfa_gfb_gnc", "--method", "augmented",
+            "--config", str(write_config(tmp / "cfg.json")), "--out", str(out),
+        ]
+    ) == 0
+    return out
+
+
+def _without_first_sat1(text):
+    report = json.loads(text)
+    del report["sessions"][0]["first_sat1_episode"]
+    return json.dumps(report)
+
+
+@pytest.mark.parametrize(
+    "name,edit,suffix",
+    [
+        ("manifest.json", lambda text: "{}", ": missing field method"),
+        ("manifest.json", lambda text: "[1]", ": missing field method"),
+        ("report.json", _without_first_sat1, ": missing field sessions.0.first_sat1_episode"),
+        ("report.json", lambda text: '{"sessions": 2}', ": field sessions is not a list"),
+        ("aggregate.csv", lambda text: text + "9,0.5,0.1,0.2\n",
+         ":11: expected episode,mean,std, not '9,0.5,0.1,0.2'"),
+    ],
+    ids=["empty-manifest", "list-manifest", "session-field", "sessions-type", "csv-row"],
+)
+def test_compare_malformed_run_names_file_and_field(
+    trained_run, tmp_path, capsys, name, edit, suffix
+):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = run / name
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["compare", str(run)]) == 1
+    assert capsys.readouterr().err == f"error: {path}{suffix}\n"
 
 
 def test_verify_quick(capsys):

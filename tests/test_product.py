@@ -10,6 +10,7 @@ from helpers import (
     mc_absorption_estimate,
     product_acceptance,
     product_aut_edge,
+    product_view,
     random_labeled_mdp,
     reference_evaluate_policy,
     split_augmented,
@@ -30,14 +31,15 @@ from omegarl import (
     decompose,
     evaluate_policy,
     induce_chain,
+    merge_unaccepting,
     named_fixture,
     parse_mdp,
     value_iteration,
 )
 from omegarl.cli import METHODS, method_product_and_scheme
-from omegarl.learn import _padded_tables
+from omegarl.learn import TrainConfig, _padded_tables, train
 from omegarl.mdp import ENVIRONMENTS
-from omegarl.product import AcceptingReward, FrontierReward, evaluate_pairs
+from omegarl.product import AcceptingReward, FrontierReward, ProductError, evaluate_pairs
 from test_golden import slip_mdp_text
 
 A = frozenset({"a"})
@@ -112,6 +114,36 @@ def test_product_epsilon_actions(grid, eps_automaton):
             assert product.masks[p] == (0,)
 
 
+def test_product_rejects_an_action_named_like_an_epsilon_guess(eps_automaton):
+    """An MDP action ``eps->x1`` where the automaton guesses x1 would share
+    one row with the guess, of mass two; an ``eps->`` action that names no
+    guess made at its state builds."""
+    text = "states: 1\ninitial: 0\nap: a\nprob 0 {} 0 1.0\n"
+    clash = r"^MDP action eps->x1 at state s0 clashes with the epsilon guess of automaton state x0"
+    with pytest.raises(ProductError, match=clash):
+        build_product(parse_mdp(text.format("eps->x1")), eps_automaton)
+    product = build_product(parse_mdp(text.format("eps->x2")), eps_automaton)
+    assert product.mdp.prob[(0, "eps->x2")] == ((0, 1.0),)
+    assert product.mdp.prob[(0, "eps->x1")] == ((1, 1.0),)
+
+
+def test_library_never_builds_the_name_keyed_view(grid, fig_automaton):
+    """The tables are the product's one store: building, training with and
+    without tracking, the oracle, evaluation and its report, the certificate
+    and both reward schemes leave the ``mdp`` view underived."""
+    product = build_product(grid, merge_unaccepting(augment(fig_automaton)))
+    cfg = TrainConfig(episodes=3, steps_per_episode=50, sessions=2)
+    for track in (True, False):
+        train(product, AcceptingReward(product, 2.0), cfg, track_satisfaction=track)
+    _, policy = value_iteration(product, 0.95, 2.0)
+    evaluate_policy(product, policy).to_dict(product, policy)
+    check_positional_impossibility(product)
+    t = (0, product.keys[0][1], product.succ[0][0])
+    for scheme in (AcceptingReward, FrontierReward):
+        scheme(product, 2.0)(t)
+    assert "mdp" not in product.__dict__
+
+
 def test_product_missing_move_fails_loudly(grid):
     t = Transition(0, A, 0)
     partial = TGba(1, 0, frozenset({"a"}), {t: 1}, 1)
@@ -164,26 +196,35 @@ def test_product_rows_stochastic(augmented_product, raw_product, degeneralized_p
 # --- tables ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("env", ["grid9", "slip"])
+@pytest.mark.parametrize("env", ["grid9", "slip", "random-1", "random-2", "random-3"])
 @pytest.mark.parametrize("method", METHODS)
 def test_product_tables_match_prob_and_acceptance(env, method):
-    m = ENVIRONMENTS["grid9"]() if env == "grid9" else parse_mdp(slip_mdp_text())
-    product, _ = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), method, 2.0)
-    prob = product.mdp.prob
-    # acceptance rebuilt from the automaton, not a view derived from the masks
-    acceptance = product_acceptance(m, product)
-    assert any(acceptance)
-    assert list(product.keys) == list(prob)
-    assert product.first == (0, *accumulate(map(len, product.mdp.enabled)))
-    _, _, cuts, _ = _padded_tables(product)
-    for p, (s, a) in enumerate(product.keys):
-        assert product.first[s] <= p < product.first[s + 1]
-        assert tuple(zip(product.succ[p], product.probs[p])) == prob[(s, a)]
-        row = list(accumulate(product.probs[p][:-1]))
-        assert cuts[p].tolist() == row + [np.inf] * (cuts.shape[1] - len(row))
-        for dst, mask in zip(product.succ[p], product.masks[p]):
-            t = (s, a, dst)
-            assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
+    """Under both fixtures, the tables against rows, labels and acceptance
+    rebuilt from the base MDP and the automaton, and the derived ``mdp``
+    view against the rebuilt one, epsilon guesses included."""
+    if env.startswith("random"):
+        rng = np.random.default_rng(int(env.split("-")[1]))
+        m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)), letters=letters_over("ab"))
+    else:
+        m = ENVIRONMENTS["grid9"]() if env == "grid9" else parse_mdp(slip_mdp_text())
+    for spec in ("gfa_gfb_gnc", "fg_a"):
+        product, _ = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
+        view = product_view(m, product)
+        assert product.mdp == view
+        # acceptance rebuilt from the automaton, not a view derived from the masks
+        acceptance = product_acceptance(m, product)
+        assert any(acceptance)
+        assert list(product.keys) == list(view.prob)
+        assert product.first == (0, *accumulate(map(len, view.enabled)))
+        _, _, cuts, _ = _padded_tables(product)
+        for p, (s, a) in enumerate(product.keys):
+            assert product.first[s] <= p < product.first[s + 1]
+            assert tuple(zip(product.succ[p], product.probs[p])) == view.prob[(s, a)]
+            row = list(accumulate(product.probs[p][:-1]))
+            assert cuts[p].tolist() == row + [np.inf] * (cuts.shape[1] - len(row))
+            for dst, mask in zip(product.succ[p], product.masks[p]):
+                t = (s, a, dst)
+                assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
 
 
 # --- rewards -----------------------------------------------------------------------
