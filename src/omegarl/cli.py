@@ -264,10 +264,17 @@ def _field(path: Path, doc, *keys):
     return doc
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})") from None
+
+
 def _read_run(run_dir: Path):
     """A train run's method, compare summary and aggregate curve."""
     mpath, rpath, apath = (run_dir / f for f in ("manifest.json", "report.json", "aggregate.csv"))
-    manifest, report = (json.loads(p.read_text(encoding="utf-8")) for p in (mpath, rpath))
+    manifest, report = _read_json(mpath), _read_json(rpath)
     if not isinstance(sessions := _field(rpath, report, "sessions"), list):
         raise CliError(f"{rpath}: field sessions is not a list")
     summary = {key: _field(rpath, report, "summary", key)

@@ -26,11 +26,17 @@ maximal value current through every update, so neither the greedy choice
 nor the bootstrap target scans the state's actions; only a drop in the
 greedy pair's value rescans the state for its first maximal pair.
 
-The training kernel replays numpy's PCG64 ``Generator`` exactly.  Each
-session's generator state is ``PCG64(seed).state``: the 128-bit ``state``
-and ``inc``, handed over as four 64-bit halves, plus the buffered high
-half-word of the last 32-bit draw, which starts empty in each session and
-lives in the caller's array, never in the kernel.  Each 64-bit word is the
+The kernel replays numpy's PCG64 ``Generator`` exactly, for training and
+for ``draw_indices``, without importing ``numpy.random``.  Session ``si``
+of ``n`` starts from the state of ``PCG64(SeedSequence(seed).spawn(n)[si])``,
+that is of ``SeedSequence(seed, spawn_key=(si,))``; ``_generator_array``
+computes it in Python by numpy's documented seeding (SeedSequence's hash
+mixing of the seed and spawn-key words into a pool of four uint32 words,
+``generate_state(4, uint64)``, then PCG64's set-seq seeding), and the
+tests check it against numpy.  The state goes to the kernel as the 128-bit
+``state`` and ``inc`` in four 64-bit halves, plus the buffered high
+half-word of the last 32-bit draw, which starts empty and lives in the
+caller's array, never in the kernel.  Each 64-bit word is the
 XSL-RR output of the advanced state; ``random()`` is ``(w >> 11) *
 2**-53``; ``integers(n)`` is Lemire's method on 32-bit halves, the low
 half of a word first with its high half kept for the next 32-bit draw,
@@ -68,7 +74,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import chain
+from itertools import chain, permutations
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +184,8 @@ class TrainConfig:
                 "sum to infinity while their squares stay summable"
             )
         require_positive("epsilon_numerator", self.epsilon_numerator)
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.epsilon_scope not in ("episode", "session"):
             raise ValueError("epsilon_scope must be 'episode' or 'session'")
 
@@ -249,13 +257,61 @@ def greedy_policy(q: QTable) -> PositionalPolicy:
     return _first_maximal(q.product, q.values)
 
 
-def _generator_array(bit_generator: np.random.PCG64) -> np.ndarray:
-    """The kernel's generator state for ``bit_generator``: its 128-bit
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+# numpy SeedSequence's hash constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as little-endian uint32 words, ``[0]`` for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 words; its hash constant starts
+    at ``h`` and is multiplied by ``mult`` on every call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _generator_array(seed: int, spawn_key: tuple[int, ...] = ()) -> np.ndarray:
+    """The kernel's generator state for
+    ``PCG64(SeedSequence(seed, spawn_key=spawn_key))``: its 128-bit
     ``state`` and ``inc`` as high and low 64-bit halves, then an empty
     buffered half-word (a has-half flag and the half)."""
-    pcg = bit_generator.state["state"]
-    halves = (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64))
-    return np.array([*halves, 0, 0], dtype=np.uint64)
+    entropy, key = _words(seed), [w for k in spawn_key for w in _words(k)]
+    if key:  # a spawned sequence pads the run entropy to the pool size
+        entropy += [0] * (4 - len(entropy))
+    entropy += key
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
+    for src, dst in permutations(range(4), 2):  # mix every word into every other
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]) for i in range(8)]  # generate_state(4, uint64)
+    s64 = [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+    initstate, initseq = s64[0] << 64 | s64[1], s64[2] << 64 | s64[3]
+    inc = (initseq << 1 | 1) & _M128  # PCG64's set-seq seeding
+    state = ((inc + initstate) * _PCG_MULT + inc) & _M128  # step from 0, add, step
+    return np.array([state >> 64, state & _M64, inc >> 64, inc & _M64, 0, 0], dtype=np.uint64)
 
 
 def _padded_tables(product: ProductMdp) -> tuple[np.ndarray, ...]:
@@ -285,6 +341,17 @@ _CTYPES = {np.dtype(t): c for t, c in (
 def _pointers(*arrays: np.ndarray) -> tuple:
     """Typed cffi views of C-contiguous arrays; each keeps its array alive."""
     return tuple(_ffi.from_buffer(_CTYPES[a.dtype], a) for a in arrays)
+
+
+def draw_indices(rng: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """An index below each of ``counts``, in C order, from the kernel's
+    generator array ``rng``, which advances in place: the int32 array that
+    numpy's ``Generator.integers(0, counts)`` draws from the same state.  A
+    count of 1 draws nothing; every count must lie in [1, 2**31)."""
+    ops = np.ascontiguousarray(counts, dtype=np.int64)
+    out = np.empty(ops.shape, dtype=np.uint64)
+    _lib.draw(*_pointers(rng, ops), ops.size, *_pointers(out))
+    return out.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -337,7 +404,6 @@ def train(
         succ.shape[1], *_pointers(first, succ, cuts, masks, empty),
     )
 
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.sessions)
     curves = np.zeros((cfg.sessions, cfg.episodes))
     qtables: list[QTable] = []
     policies: list[PositionalPolicy] = []
@@ -346,7 +412,7 @@ def train(
     evaluations: list[PolicyEvaluation | None] = []
 
     for si in range(cfg.sessions):
-        rng = _generator_array(np.random.PCG64(seeds[si]))
+        rng = _generator_array(cfg.rng_seed, (si,))  # SeedSequence(seed).spawn(n)[si]
         values = np.zeros(len(keys))
         pair_visits = np.zeros(len(keys), dtype=np.int64)
         state_visits = np.zeros(n, dtype=np.int64)

@@ -2,7 +2,9 @@
 
 Each check returns a named pass/fail result so the command line can print a
 machine-readable summary.  Checks accept optional automaton and grid
-overrides, which keep failures attributable when an input is corrupted.
+overrides, which keep failures attributable when an input is corrupted, and
+optional overrides of the automata and products they derive, which the
+battery builds once and shares.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .augment import augment, merge_unaccepting
 from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
 from .graphs import close_rows, pack_rows, unpack_rows
+from .learn import _generator_array, draw_indices
 from .ltl import LassoWord, formula_evaluator, parse_ltl
 from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
 from .product import ProductMdp, build_product, check_positional_impossibility
@@ -69,6 +72,19 @@ def _grid(grid: LabeledMdp | None) -> LabeledMdp:
     return grid if grid is not None else ENVIRONMENTS["grid9"]()
 
 
+def _augmented_product(product: ProductMdp | None, base: TGba, grid: LabeledMdp) -> ProductMdp:
+    """The given augmented product, or the product of ``grid`` with the
+    merged augmentation of ``base``."""
+    if product is None:
+        product = build_product(grid, merge_unaccepting(augment(base)))
+    return product
+
+
+def _raw_product(product: ProductMdp | None, base: TGba, grid: LabeledMdp) -> ProductMdp:
+    """The given raw product, or the product of ``grid`` with ``base``."""
+    return product if product is not None else build_product(grid, base)
+
+
 def _timed(name: str, run) -> CheckResult:
     start = time.monotonic()
     passed, detail = run()
@@ -120,17 +136,21 @@ def _automaton(kind: str, b: TGba, cycles):
 
 
 def check_language_preservation(
-    automaton: TGba | None = None, max_prefix: int = 2, max_cycle: int = 3
+    automaton: TGba | None = None, max_prefix: int = 2, max_cycle: int = 3,
+    augmented: TGba | None = None, merged: TGba | None = None,
 ) -> CheckResult:
     """Raw automaton, its augmentation, and the merged augmentation must
-    agree on every bounded lasso word."""
-    return _lasso_agreement(
-        "language-preservation", automaton, max_prefix, max_cycle,
-        lambda b, cycles: [
-            _automaton("augmented", aug := augment(b), cycles),
-            _automaton("merged", merge_unaccepting(aug), cycles),
-        ],
-    )
+    agree on every bounded lasso word.  ``augmented`` and ``merged``, when
+    given, stand for ``augment(automaton)`` and its merge."""
+
+    def candidates(b, cycles):
+        aug = augmented if augmented is not None else augment(b)
+        return [
+            _automaton("augmented", aug, cycles),
+            _automaton("merged", merged if merged is not None else merge_unaccepting(aug), cycles),
+        ]
+
+    return _lasso_agreement("language-preservation", automaton, max_prefix, max_cycle, candidates)
 
 
 def check_formula_agreement(
@@ -180,34 +200,34 @@ def policy_classes(p: ProductMdp, chosen) -> tuple[np.ndarray, np.ndarray]:
 
 def check_recurrence_dichotomy(
     n_policies: int = 1000, seed: int = 2024, automaton: TGba | None = None,
-    grid: LabeledMdp | None = None,
+    grid: LabeledMdp | None = None, augmented_product: ProductMdp | None = None,
 ) -> CheckResult:
     """On the augmented product every recurrent class must intersect all
     accepting sets or none of them.
 
-    All policies are one ``(n_policies, n_states)`` int32 ``integers`` call
-    over the states' action counts.  Row after row, it draws the same stream
-    as one scalar ``rng.integers(len(acts))`` per state, where a state with
-    a single action draws nothing; ``tests/test_verify.py`` pins that.
-    :func:`policy_classes` classifies them :data:`POLICY_BLOCK` at a time;
-    a failure names the first policy with a violating class and in it the
-    class of the lowest state.  After the numpy.random import, the check
-    adds about 0.55 MB to the battery's peak memory: 0.13 MB product, 0.17
-    MB draws, 0.25 MB policy blocks.
+    Each policy is a row of indices below the states' action counts, drawn
+    :data:`POLICY_BLOCK` rows at a time by the kernel's PCG64 seeded as
+    ``default_rng(seed)`` (:func:`~omegarl.learn.draw_indices`).  Row after
+    row, they are the stream of numpy's int32 ``default_rng(seed).integers(
+    0, counts, size=(n_policies, n_states))`` and of one scalar
+    ``rng.integers(len(acts))`` per state, where a state with a single
+    action draws nothing; ``tests/test_verify.py`` pins that.
+    :func:`policy_classes` classifies each block; a failure names the first
+    policy with a violating class and in it the class of the lowest state.
+    The check adds about 0.4 MB to the battery's peak memory: a block's
+    draws peak at 0.14 MB and its classes at 0.32 MB.
     """
     if n_policies < 1:
         raise ValueError(f"n_policies must be at least 1, got {n_policies}")
 
     def run():
-        product = build_product(_grid(grid), merge_unaccepting(augment(_base(automaton))))
+        product = _augmented_product(augmented_product, _base(automaton), _grid(grid))
         first = np.array(product.first, dtype=np.int32)
         n_sets = product.automaton.n_sets
-        draws = np.random.default_rng(seed).integers(
-            0, np.diff(first), size=(n_policies, product.num_states), dtype=np.int32
-        )
-        draws += first[:-1]
+        counts, rng = np.diff(first), _generator_array(seed)
         for start in range(0, n_policies, POLICY_BLOCK):
-            recurrent, covered = policy_classes(product, draws[start : start + POLICY_BLOCK])
+            rows = np.tile(counts, (min(POLICY_BLOCK, n_policies - start), 1))
+            recurrent, covered = policy_classes(product, draw_indices(rng, rows) + first[:-1])
             hits = covered.sum(-1)
             trial, state = np.nonzero(recurrent & (hits != 0) & (hits != n_sets))
             if len(trial):
@@ -221,7 +241,8 @@ def check_recurrence_dichotomy(
 
 
 def check_stochasticity(
-    automaton: TGba | None = None, grid: LabeledMdp | None = None
+    automaton: TGba | None = None, grid: LabeledMdp | None = None,
+    augmented_product: ProductMdp | None = None, raw_product: ProductMdp | None = None,
 ) -> CheckResult:
     """Row sums of the grid's ``prob`` rows, and of each product's ``probs``
     rows that training samples, must equal one to 1e-12."""
@@ -230,15 +251,14 @@ def check_stochasticity(
         base = _base(automaton)
         m = _grid(grid)
 
-        def rows(b):
-            p = build_product(m, b)
+        def rows(p):
             return zip(p.keys, p.probs)
 
         models = {
             "grid9": ((key, [p for _, p in row]) for key, row in m.prob.items()),
-            "augmented-product": rows(merge_unaccepting(augment(base))),
-            "degeneralized-product": rows(augment(degeneralize(base))),
-            "raw-product": rows(base),
+            "augmented-product": rows(_augmented_product(augmented_product, base, m)),
+            "degeneralized-product": rows(build_product(m, augment(degeneralize(base)))),
+            "raw-product": rows(_raw_product(raw_product, base, m)),
         }
         worst = 0.0
         for name, model in models.items():
@@ -253,7 +273,8 @@ def check_stochasticity(
 
 
 def check_impossibility_certificate(
-    automaton: TGba | None = None, grid: LabeledMdp | None = None
+    automaton: TGba | None = None, grid: LabeledMdp | None = None,
+    augmented_product: ProductMdp | None = None, raw_product: ProductMdp | None = None,
 ) -> CheckResult:
     """The raw product must certify positional impossibility; the augmented
     product must not."""
@@ -261,8 +282,8 @@ def check_impossibility_certificate(
     def run():
         base = _base(automaton)
         m = _grid(grid)
-        raw = build_product(m, base)
-        aug = build_product(m, merge_unaccepting(augment(base)))
+        raw = _raw_product(raw_product, base, m)
+        aug = _augmented_product(augmented_product, base, m)
         if not check_positional_impossibility(raw):
             return False, "raw product lacks the impossibility certificate"
         if check_positional_impossibility(aug):
@@ -273,14 +294,21 @@ def check_impossibility_certificate(
 
 
 def run_battery(quick: bool = False, automaton: TGba | None = None) -> list[CheckResult]:
+    """Every check on ``automaton`` (the packaged one by default) and the
+    nine-room grid.  The inputs that several checks share are built once,
+    before the first check, so no check's ``seconds`` includes them."""
     max_prefix, max_cycle = (1, 2) if quick else (2, 3)
     n_policies = 100 if quick else 1000
     base, grid = _base(automaton), ENVIRONMENTS["grid9"]()
+    augmented = augment(base)
+    merged = merge_unaccepting(augmented)
+    product, raw = build_product(grid, merged), build_product(grid, base)
     return [
-        check_language_preservation(base, max_prefix, max_cycle),
+        check_language_preservation(base, max_prefix, max_cycle, augmented, merged),
         check_formula_agreement(base, max_prefix, max_cycle),
         check_degeneralization(base, max_prefix, max_cycle),
-        check_recurrence_dichotomy(n_policies, automaton=base, grid=grid),
-        check_stochasticity(base, grid),
-        check_impossibility_certificate(base, grid),
+        check_recurrence_dichotomy(n_policies, automaton=base, grid=grid,
+                                   augmented_product=product),
+        check_stochasticity(base, grid, product, raw),
+        check_impossibility_certificate(base, grid, product, raw),
     ]

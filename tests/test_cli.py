@@ -195,9 +195,10 @@ def test_train_mdp_file_input(tmp_path):
         ({"r_p": float("inf")}, "r_p must be positive and finite, not inf"),
         ({"epsilon_numerator": float("nan")},
          "epsilon_numerator must be positive and finite, not nan"),
+        ({"rng_seed": -1}, "rng_seed must be non-negative"),
     ],
     ids=["unknown-key", "string-count", "list", "float-count", "nan-r_p", "inf-r_p",
-         "nan-epsilon"],
+         "nan-epsilon", "negative-seed"],
 )
 def test_train_malformed_config_is_validation_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -291,8 +292,11 @@ def _without_first_sat1(text):
         ("report.json", lambda text: '{"sessions": 2}', ": field sessions is not a list"),
         ("aggregate.csv", lambda text: text + "9,0.5,0.1,0.2\n",
          ":11: expected episode,mean,std, not '9,0.5,0.1,0.2'"),
+        ("manifest.json", lambda text: '{\n  "method":', ": not valid JSON (line 2, column 12)"),
+        ("report.json", lambda text: text[:2], ": not valid JSON (line 2, column 1)"),
     ],
-    ids=["empty-manifest", "list-manifest", "session-field", "sessions-type", "csv-row"],
+    ids=["empty-manifest", "list-manifest", "session-field", "sessions-type", "csv-row",
+         "truncated-manifest", "truncated-report"],
 )
 def test_compare_malformed_run_names_file_and_field(
     trained_run, tmp_path, capsys, name, edit, suffix

@@ -3,9 +3,15 @@
 scipy, sympy, networkx and hypothesis may be installed for the tests, which
 use them as independent second checks; the package must not depend on them.
 Every import statement counts, at module level or inside a function.
+
+The package also never touches ``numpy.random``: the training kernel seeds
+and steps its own PCG64, and importing ``numpy.random`` would cost every
+``omegarl`` process its import time and memory.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +45,54 @@ def test_import_scan_sees_function_level_imports():
     assert {("learn.py", "cffi"), ("learn.py", "subprocess"), ("cli.py", "hashlib")} <= found
     nested = "import numpy as np\n\ndef f():\n    from scipy import linalg\n    import networkx\n"
     assert foreign_imports(nested) == [(4, "scipy"), (5, "networkx")]
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """Lines that import ``numpy.random`` or read ``np.random``/``numpy.random``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            names = ["numpy.random"] if numpy else []
+        else:
+            continue
+        if any(n == "numpy.random" or n.startswith("numpy.random.") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_never_uses_numpy_random():
+    found = {p.name: numpy_random_uses(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    uses = (
+        "import numpy.random\nfrom numpy.random import PCG64\nfrom numpy import random\n"
+        "import numpy as np\nx = np.random.default_rng(1)\ny = numpy.random\nz = rng.random()\n"
+    )
+    assert numpy_random_uses(uses) == [1, 2, 3, 5, 6]
+
+
+FRESH_RUN = """
+import json, sys
+from omegarl.cli import main
+out = sys.argv[1]
+with open(out + ".json", "w") as fh:
+    json.dump({"episodes": 3, "steps_per_episode": 40, "sessions": 2}, fh)
+train = ["train", "--env", "grid9", "--spec", "gfa_gfb_gnc", "--method", "augmented",
+         "--config", out + ".json", "--out", out]
+assert main(train) == 0 and main(["verify", "--quick"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_train_and_verify_never_load_numpy_random(tmp_path):
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(tmp_path / "run")], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

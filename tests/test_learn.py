@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     RawDraws,
@@ -87,6 +89,15 @@ def test_train_config_validation():
     cfg = TrainConfig()
     assert cfg.gamma == 0.95 and cfg.r_p == 2.0 and cfg.alpha_exponent == 0.85
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_train_config_rejects_a_negative_seed_by_name():
+    """A negative seed fails when the config is made, not when training
+    seeds its sessions; seeds past 64 bits, which numpy's SeedSequence
+    takes, stay valid."""
+    with pytest.raises(ValueError, match="^rng_seed must be non-negative$"):
+        TrainConfig(rng_seed=-1)
+    assert TrainConfig(rng_seed=2**70).rng_seed == 2**70
 
 
 def test_q_update_fixed_point_of_optimal_values(augmented_product, grid):
@@ -308,6 +319,49 @@ def test_raw_draws_replay_numpy_generator(seed):
             assert draws.integers(n) == gen.integers(n)
 
 
+def state_array(bit_generator: np.random.PCG64) -> np.ndarray:
+    """The kernel's generator array for a numpy PCG64's current state, with
+    no buffered half-word."""
+    pcg = bit_generator.state["state"]
+    halves = (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64))
+    return np.array([*halves, 0, 0], dtype=np.uint64)
+
+
+def numpy_array(seed: int, spawn_key=()) -> list[int]:
+    return state_array(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))).tolist()
+
+
+SPAWN_KEYS = [(), *((i,) for i in range(12)), (3, 1), (0, 0, 0, 0, 5), (2**32, 7), (2**70 + 1, 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3])
+def test_generator_array_is_numpy_seeding(seed):
+    """The Python port of SeedSequence and PCG64's seeding gives numpy's
+    state for one- to five-word seeds, with no spawn key, each key that
+    ``spawn`` hands out and multi-word keys; session ``si`` of ``train``
+    is ``SeedSequence(seed).spawn(n)[si]``."""
+    for key in SPAWN_KEYS:
+        assert _generator_array(seed, key).tolist() == numpy_array(seed, key)
+    children = np.random.SeedSequence(seed).spawn(12)
+    spawned = [state_array(np.random.PCG64(child)).tolist() for child in children]
+    assert spawned == [_generator_array(seed, (si,)).tolist() for si in range(12)]
+    assert numpy_array(seed) == state_array(np.random.PCG64(seed)).tolist()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**256 - 1), st.lists(st.integers(0, 2**64), max_size=3).map(tuple))
+def test_generator_array_is_numpy_seeding_on_sampled_seeds(seed, key):
+    assert _generator_array(seed, key).tolist() == numpy_array(seed, key)
+
+
+@pytest.mark.parametrize("seed,key", [(-1, ()), (-(2**70), ()), (5, (-1,)), (5, (0, -3))])
+def test_generator_array_rejects_negative_words_like_numpy(seed, key):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(seed, spawn_key=key)
+    with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+        _generator_array(seed, key)
+
+
 def kernel_draws(rng: np.ndarray, ops) -> list[int]:
     """The compiled generator's draws for ``ops`` (0: a raw word, n: an
     index below n), advancing ``rng`` in place."""
@@ -323,7 +377,7 @@ def test_kernel_generator_replays_numpy_stream(seed):
     saved and restored mid-stream, and decodes interleaved random() and
     integers(n) draws as numpy's Generator does, the buffered half-word
     surviving between calls."""
-    rng = _generator_array(np.random.PCG64(seed))
+    rng = _generator_array(seed)
     words = []
     for size in (1, 999, 5000, 4000):  # each call loads and stores the state
         words += kernel_draws(rng, [0] * size)
@@ -331,7 +385,7 @@ def test_kernel_generator_replays_numpy_stream(seed):
     assert words == np.random.PCG64(seed).random_raw(10000).tolist()
 
     ops = np.random.default_rng(seed + 100).integers(0, 10, size=3000).tolist()
-    rng = _generator_array(np.random.PCG64(seed))
+    rng = _generator_array(seed)
     drawn = [x for chunk in range(0, 3000, 7) for x in kernel_draws(rng, ops[chunk:chunk + 7])]
     gen = np.random.default_rng(seed)
     for n, x in zip(ops, drawn, strict=True):
@@ -360,12 +414,12 @@ def test_kernel_generator_rejects_like_lemire():
         return bg
 
     assert bit_generator().random_raw(1).tolist() == [0]
-    rng = _generator_array(bit_generator())
+    rng = state_array(bit_generator())
     expected = np.random.Generator(bit_generator()).integers(3)
     assert kernel_draws(rng, [3]) == [expected] == [RawDraws(bit_generator()).integers(3)]
     two_on = bit_generator()
     two_on.random_raw(2)
-    assert rng[:4].tolist() == _generator_array(two_on)[:4].tolist()
+    assert rng[:4].tolist() == state_array(two_on)[:4].tolist()
     assert rng[4] == 1  # the accepted word's high half is buffered
 
 

@@ -22,6 +22,7 @@ from omegarl import (
     verify,
 )
 from omegarl.cli import METHODS, method_product_and_scheme
+from omegarl.learn import _generator_array, draw_indices
 from omegarl.product import recurrent_classes
 
 
@@ -48,16 +49,29 @@ def block_draws(enabled, n_policies, seed):
     return [[acts[i] for acts, i in zip(enabled, row)] for row in rows.tolist()]
 
 
+def kernel_block_draws(enabled, n_policies, seed, block):
+    """The policies in kernel draws of ``block`` policies from one
+    generator, as recurrence-dichotomy draws them."""
+    lens = np.array([len(acts) for acts in enabled])
+    rng, rows = _generator_array(seed), []
+    for start in range(0, n_policies, block):
+        drawn = draw_indices(rng, np.tile(lens, (min(block, n_policies - start), 1)))
+        assert drawn.dtype == np.int32
+        rows += drawn.tolist()
+    return [[acts[i] for acts, i in zip(enabled, row)] for row in rows]
+
+
 @pytest.mark.parametrize("n_policies", [100, 1000])
 def test_row_draws_match_scalar_stream(augmented_product, n_policies):
-    """If numpy's broadcast or block path ever draws differently,
-    recurrence-dichotomy would silently test other policies; this fails
-    instead."""
+    """If numpy's broadcast or block path, or the kernel's draws, ever
+    differed, recurrence-dichotomy would silently test other policies; this
+    fails instead."""
     enabled = augmented_product.mdp.enabled
     assert {len(acts) for acts in enabled} == {4, 8}
     scalar = scalar_rows(enabled, n_policies, 2024)
     assert row_draws(enabled, n_policies, 2024) == scalar
     assert block_draws(enabled, n_policies, 2024) == scalar
+    assert kernel_block_draws(enabled, n_policies, 2024, verify.POLICY_BLOCK) == scalar
 
 
 def test_row_draws_match_scalar_stream_on_random_counts():
@@ -72,6 +86,7 @@ def test_row_draws_match_scalar_stream_on_random_counts():
             scalar = scalar_rows(enabled, n_policies, seed)
             assert row_draws(enabled, n_policies, seed) == scalar
             assert block_draws(enabled, n_policies, seed) == scalar
+            assert kernel_block_draws(enabled, n_policies, seed, 7) == scalar
 
 
 def test_recurrence_dichotomy_fails_without_augmentation(monkeypatch):
@@ -296,6 +311,19 @@ def test_battery_parses_the_grid_once(monkeypatch):
     monkeypatch.setitem(verify.ENVIRONMENTS, "grid9", lambda: loads.append(1) or load())
     assert all(result.passed for result in verify.run_battery(quick=True))
     assert len(loads) == 1
+
+
+def test_battery_builds_each_shared_input_once(monkeypatch):
+    """The merged augmentation and the raw and augmented products serve four
+    checks but are built once; only stochasticity's degeneralized product
+    adds a product and an augmentation."""
+    calls = []
+    for name in ("augment", "merge_unaccepting", "build_product"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert all(result.passed for result in verify.run_battery(quick=True))
+    assert sorted(calls) == ["augment"] * 2 + ["build_product"] * 3 + ["merge_unaccepting"]
 
 
 def test_stochasticity_sums_the_rows_training_samples(monkeypatch):
