@@ -1,6 +1,6 @@
 /* The compiled loops of omegarl.learn: one episode of tabular Q-learning
  * (run_episode, which steps numpy's PCG64 generator; draw exposes that
- * generator to the tests) and the synchronous sweeps of value iteration
+ * generator to draw_indices) and the synchronous sweeps of value iteration
  * (value_sweeps), both on a product's padded integer tables.
  *
  * The module docstring of omegarl.learn states the contract (layout,
@@ -84,7 +84,7 @@ static void store_draws(const draws *d, uint64_t *rng)
 }
 
 /* The draws ops[i] asks for: op 0 the next raw word, op n > 0 integers(n).
- * The tests compare the kernel's generator with numpy's through it. */
+ * verify draws its random policies through it; the tests compare it with numpy. */
 void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out)
 {
     draws d = load_draws(rng);

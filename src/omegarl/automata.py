@@ -20,7 +20,7 @@ most once::
     ap: a b c            # atomic propositions; optional, default none
     states: 2            # states 0..1, named x0 and x1
     initial: 0
-    acceptance-sets: 2   # accepting sets 1..2; at least one
+    acceptance-sets: 2   # accepting sets 1..2; at least 1, at most 16
 
 Each other line is a transition ``src guard dst``, optionally followed by
 ``acc: j,k`` to put it in accepting sets ``j`` and ``k``.  A guard is
@@ -66,6 +66,7 @@ class _Epsilon:
 
 
 EPSILON = _Epsilon()
+MAX_SETS = 16  # accepting sets; each reward scheme tabulates 2**n_sets working sets
 
 
 class AutomatonError(ValueError):
@@ -95,9 +96,9 @@ class TGba:
     bitmask, whose bit ``j`` says that the transition lies in accepting set
     ``j + 1`` of ``n_sets`` (0: in none).  A run is accepting when it takes
     transitions from every set infinitely often.  An accepting set may be
-    empty, but there is at least one.  Epsilon moves consume no letter, so
-    none may be accepting: their mask is always 0.  ``acceptance`` derives
-    the per-set view from ``masks``.
+    empty; there is at least one and at most :data:`MAX_SETS`.  Epsilon
+    moves consume no letter, so none may be accepting: their mask is always
+    0.  ``acceptance`` derives the per-set view from ``masks``.
 
     ``moves[x]``, computed at construction, maps each letter of state
     ``x`` (``EPSILON`` included) to the tuple of its transitions on it.
@@ -124,6 +125,10 @@ class TGba:
             raise AutomatonError(f"initial state {self.initial} out of range")
         if self.n_sets < 1:
             raise AutomatonError("automaton needs at least one accepting set")
+        if self.n_sets > MAX_SETS:
+            raise AutomatonError(
+                f"automaton has {self.n_sets} accepting sets, more than {MAX_SETS}"
+            )
         for t, mask in self.masks.items():
             if not (0 <= t.src < self.num_states and 0 <= t.dst < self.num_states):
                 raise AutomatonError(f"transition {t} references an undeclared state")
@@ -298,6 +303,7 @@ def parse_automaton(text: str) -> TGba:
         ("states", num_states < 1, "automaton needs at least one state"),
         ("initial", not 0 <= initial < num_states, f"initial state {initial} out of range"),
         ("acceptance-sets", n_sets < 1, "acceptance-sets must be at least 1"),
+        ("acceptance-sets", n_sets > MAX_SETS, f"acceptance-sets must be at most {MAX_SETS}"),
     ):
         if bad:
             raise AutomatonError(f"line {headers[key][0]}: {problem}")

@@ -29,14 +29,11 @@ from .automata import (
 from .learn import TrainConfig, train
 from .mdp import ENVIRONMENTS, MdpError, load_mdp, serialize_mdp
 from .product import (
-    AcceptingReward,
-    FrontierReward,
+    METHODS,
     ProductError,
-    build_product,
     check_positional_impossibility,
+    method_product_and_scheme,
 )
-
-METHODS = ("augmented", "degeneralized", "frontier")
 
 CONFIG_PRESETS = {
     # desk scale finishes in minutes; paper scale reproduces the full run
@@ -75,22 +72,6 @@ def _load_config(spec: str | None) -> TrainConfig:
     if spec in CONFIG_PRESETS:
         return CONFIG_PRESETS[spec]
     return TrainConfig.from_json(spec)
-
-
-def method_product_and_scheme(m, b_raw, method: str, r_p: float):
-    """Apply the method's automaton transformation and pick its reward scheme."""
-    if method == "augmented":
-        b = merge_unaccepting(augment(b_raw))
-        product = build_product(m, b)
-        return product, AcceptingReward(product, r_p)
-    if method == "degeneralized":
-        b = augment(degeneralize(b_raw))
-        product = build_product(m, b)
-        return product, AcceptingReward(product, r_p)
-    if method == "frontier":
-        product = build_product(m, b_raw)
-        return product, FrontierReward(product, r_p)
-    raise CliError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
 
 
 # --- automaton subcommand ---------------------------------------------------
@@ -301,6 +282,12 @@ def cmd_compare(args) -> int:
     if len(lengths) != 1:
         raise CliError(f"mismatched episode counts across runs: {sorted(lengths)}")
     n_episodes = lengths.pop()
+    run_of = {}  # method -> its run directory; rows and summaries are keyed by method
+    for run_dir, (method, *_) in zip(args.runs, runs):
+        if method in run_of:
+            raise CliError(f"{run_of[method]} and {run_dir} are both {method} runs; "
+                           "compare takes one run per method")
+        run_of[method] = run_dir
 
     block = 50
     rows = []
@@ -381,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare", help="align finished runs")
-    p_cmp.add_argument("runs", nargs="+", help="run directories")
+    p_cmp.add_argument("runs", nargs="+", help="run directories, one per method")
     p_cmp.add_argument("--out", help="write compare.csv / compare.json here")
     p_cmp.set_defaults(func=cmd_compare)
 

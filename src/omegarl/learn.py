@@ -178,6 +178,8 @@ class TrainConfig:
         for name in ("episodes", "steps_per_episode", "sessions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.steps_per_episode >= 1 << 63:  # the kernel counts steps in an int64
+            raise ValueError("steps_per_episode must be below 2**63")
         if not 0.5 < self.alpha_exponent <= 1.0:
             raise ValueError(
                 "alpha_exponent must lie in (0.5, 1] so that the step sizes "

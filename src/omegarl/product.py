@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .automata import EPSILON, TGba
+from .augment import augment, merge_unaccepting
+from .automata import EPSILON, TGba, degeneralize
 from .graphs import explore, strongly_connected_components
 from .mdp import (
     LabeledMdp,
@@ -227,6 +228,32 @@ def FrontierReward(product: ProductMdp, r_p: float) -> RewardScheme:
         all(mask & done for mask in masks) for done in range(1 << b.n_sets)
     )
     return RewardScheme(product, r_p, empty)
+
+
+# --- methods ---------------------------------------------------------------
+
+METHODS = ("augmented", "degeneralized", "frontier")
+
+
+def method_product(m: LabeledMdp, b: TGba, method: str) -> ProductMdp:
+    """The product that ``method`` trains on: ``m`` with the merged
+    augmentation of ``b`` (augmented), with the augmentation of its
+    degeneralization (degeneralized), or with ``b`` itself (frontier)."""
+    if method == "augmented":
+        b = merge_unaccepting(augment(b))
+    elif method == "degeneralized":
+        b = augment(degeneralize(b))
+    elif method != "frontier":
+        raise ProductError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    return build_product(m, b)
+
+
+def method_product_and_scheme(m: LabeledMdp, b: TGba, method: str, r_p: float):
+    """:func:`method_product` and the method's reward scheme: the working-set
+    baseline for frontier, the accepting-transition reward otherwise."""
+    product = method_product(m, b, method)
+    scheme = FrontierReward if method == "frontier" else AcceptingReward
+    return product, scheme(product, r_p)
 
 
 # --- exact policy evaluation -------------------------------------------------

@@ -332,6 +332,19 @@ def test_tgba_requires_accepting_set():
         TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 0}, 0)
 
 
+def test_tgba_bounds_its_accepting_sets():
+    """Both reward schemes tabulate all 2**n_sets working sets, so more
+    than 16 sets are refused up front rather than exhausting memory; 16
+    sets still build and parse."""
+    assert TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 1 << 15}, 16).n_sets == 16
+    text = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 16\n0 a 0 acc: 1,16\n0 !a 0\n"
+    assert parse_automaton(text).n_sets == 16
+    for n_sets in (17, 40):
+        with pytest.raises(AutomatonError, match=f"^automaton has {n_sets} accepting sets, "
+                                                 "more than 16$"):
+            TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 1}, n_sets)
+
+
 def test_tgba_rejects_duplicate_state_names():
     # a name labels product states and epsilon-guess actions: two guesses of
     # equally named states would share one product row
@@ -487,11 +500,14 @@ def test_unreachable_epsilon_edge_keeps_the_language(fig_automaton):
         ("initial: 0", "initial: 5", "line 3: initial state 5 out of range"),
         ("states: 1", "states: 0", "line 2: automaton needs at least one state"),
         ("acceptance-sets: 1", "acceptance-sets: 0", "line 4: acceptance-sets must be at least 1"),
+        ("acceptance-sets: 1", "acceptance-sets: 17", "line 4: acceptance-sets must be at most 16"),
+        ("acceptance-sets: 1", "acceptance-sets: 40", "line 4: acceptance-sets must be at most 16"),
         ("ap: a", "ap: a a", "line 1: duplicate atomic proposition in 'ap' header"),
         ("states: 1", "states: 3", "line 2: 3 states declared, but no line names a state above 0"),
     ],
     ids=["states", "initial", "acceptance-sets", "acc-index", "initial-range", "no-states",
-         "no-acceptance-sets", "duplicate-ap", "states-above-named"],
+         "no-acceptance-sets", "17-acceptance-sets", "40-acceptance-sets", "duplicate-ap",
+         "states-above-named"],
 )
 def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
     good = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n0 !a 0\n"

@@ -7,7 +7,7 @@ import pytest
 import omegarl
 from omegarl import LassoWord, Transition, named_fixture
 from omegarl.cli import main
-from omegarl.verify import check_formula_agreement
+from omegarl.verify import CHECKS, Battery, check_formula_agreement
 from omegarl.automata import TGba
 from test_automata import ACCEPTING_EPSILON
 
@@ -196,9 +196,10 @@ def test_train_mdp_file_input(tmp_path):
         ({"epsilon_numerator": float("nan")},
          "epsilon_numerator must be positive and finite, not nan"),
         ({"rng_seed": -1}, "rng_seed must be non-negative"),
+        ({"steps_per_episode": 2**63}, "steps_per_episode must be below 2**63"),
     ],
     ids=["unknown-key", "string-count", "list", "float-count", "nan-r_p", "inf-r_p",
-         "nan-epsilon", "negative-seed"],
+         "nan-epsilon", "negative-seed", "int64-steps"],
 )
 def test_train_malformed_config_is_validation_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -262,6 +263,29 @@ def test_compare_mismatched_episode_counts(tmp_path, capsys):
         runs.append(str(out))
     assert main(["compare", *runs]) == 1
     assert "mismatched" in capsys.readouterr().err
+
+
+def test_compare_rejects_two_runs_of_one_method(tmp_path, capsys):
+    """Rows and summaries are keyed by method, so two runs of one method
+    would merge; compare names both run directories instead."""
+    config = write_config(tmp_path / "cfg.json")
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert main(
+            [
+                "train", "--env", "grid9", "--spec", "gfa_gfb_gnc", "--method", "augmented",
+                "--config", str(config), "--seed", seed, "--out", str(out),
+            ]
+        ) == 0
+        runs.append(str(out))
+    capsys.readouterr()
+    assert main(["compare", *runs, "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {runs[0]} and {runs[1]} are both augmented runs; "
+        "compare takes one run per method\n"
+    )
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.fixture(scope="module")
@@ -357,10 +381,10 @@ def test_verify_finds_disagreement_that_needs_a_prefix():
         n_sets=good.n_sets,
         names=good.names,
     )
-    result = check_formula_agreement(escaped, max_prefix=1, max_cycle=2)
-    assert result.passed is False
+    passed, detail = check_formula_agreement(Battery(escaped, max_prefix=1, max_cycle=2))
+    assert passed is False
     witness = LassoWord((frozenset(("c",)),), (ab,))
-    assert result.detail == f"automaton and formula disagree on {witness}"
+    assert detail == f"automaton and formula disagree on {witness}"
 
 
 def test_verify_names_failing_check_for_corrupted_automaton():
@@ -373,7 +397,7 @@ def test_verify_names_failing_check_for_corrupted_automaton():
         n_sets=good.n_sets,
         names=good.names,
     )
-    result = check_formula_agreement(corrupted, max_prefix=1, max_cycle=2)
-    assert result.passed is False
-    assert result.name == "formula-agreement"
-    assert "disagree" in result.detail
+    passed, detail = check_formula_agreement(Battery(corrupted, max_prefix=1, max_cycle=2))
+    assert passed is False
+    assert CHECKS["formula-agreement"] is check_formula_agreement
+    assert "disagree" in detail

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from omegarl.verify import CHECKS
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -56,3 +58,11 @@ def test_measure_reports_declared_per_layer_metrics(grid9):
     for name, (value, unit) in out.items():
         assert units.get(name) == unit, name
         assert math.isfinite(value) and value >= 0.0, name
+
+
+def test_verify_checks_are_the_battery_checks():
+    """Every check the benchmark's verify-battery workload requires to pass
+    is a check of the battery, in the battery's order, so renaming a check
+    fails here instead of failing the benchmark's operations."""
+    required = list(workloads.VERIFY_CHECKS)
+    assert [name for name in CHECKS if name in required] == required

@@ -21,6 +21,7 @@ from omegarl import (
     parse_ltl,
     verify,
 )
+from omegarl import product as product_module
 from omegarl.cli import METHODS, method_product_and_scheme
 from omegarl.learn import _generator_array, draw_indices
 from omegarl.product import recurrent_classes
@@ -89,14 +90,25 @@ def test_row_draws_match_scalar_stream_on_random_counts():
             assert kernel_block_draws(enabled, n_policies, seed, 7) == scalar
 
 
+def patch_transforms(monkeypatch, **transforms):
+    """Replace functions of the method recipe wherever the battery reads
+    them: in the product module, whose recipe builds the battery's
+    products, and ``augment`` also in verify, which augments for language
+    preservation."""
+    for name, fn in transforms.items():
+        for module in (product_module, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+
+
 def test_recurrence_dichotomy_fails_without_augmentation(monkeypatch):
     """On the raw product some recurrent class covers one of the two sets;
     the first such policy pins the sequence of policies drawn."""
-    monkeypatch.setattr(verify, "augment", lambda b: b)
-    monkeypatch.setattr(verify, "merge_unaccepting", lambda b: b)
-    for result in (verify.check_recurrence_dichotomy(), verify.check_recurrence_dichotomy(100)):
-        assert result.passed is False
-        assert result.detail == "policy 28 has a class covering 1/2 sets"
+    patch_transforms(monkeypatch, augment=lambda b: b, merge_unaccepting=lambda b: b)
+    for battery in (verify.Battery(), verify.Battery(n_policies=100)):
+        assert verify.check_recurrence_dichotomy(battery) == (
+            False, "policy 28 has a class covering 1/2 sets"
+        )
 
 
 def draw_pairs(product, n_policies, seed):
@@ -156,8 +168,7 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
     covers one set.  The batched check finds the same violating policies as
     a per-policy ``recurrent_classes`` loop and names the first, also when
     it lies past the first block of policies."""
-    monkeypatch.setattr(verify, "augment", lambda b: b)
-    monkeypatch.setattr(verify, "merge_unaccepting", lambda b: b)
+    patch_transforms(monkeypatch, augment=lambda b: b, merge_unaccepting=lambda b: b)
     monkeypatch.setattr(verify, "POLICY_BLOCK", 2)
     fixture, firsts = named_fixture("gfa_gfb_gnc"), set()
     for seed in range(8):
@@ -171,9 +182,9 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
         bad = (recurrent & (hits == 1)).any(-1)
         expect = [(k, violation(product, row)) for k, row in enumerate(chosen.tolist())]
         assert list(np.flatnonzero(bad)) == [k for k, detail in expect if detail]
-        result = verify.check_recurrence_dichotomy(40, seed=seed, automaton=fixture, grid=m)
+        battery = verify.Battery(fixture, m, n_policies=40, seed=seed)
         first = next(((k, detail) for k, detail in expect if detail), None)
-        assert (result.passed, result.detail) == (
+        assert verify.check_recurrence_dichotomy(battery) == (
             (True, "40 random positional policies, no violations") if first is None
             else (False, f"policy {first[0]} {first[1]}")
         )
@@ -182,21 +193,27 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check,bounds,argument",
+    "check,bounds,message",
     [
-        (verify.check_language_preservation, {"max_cycle": 0}, "max_cycle"),
-        (verify.check_formula_agreement, {"max_cycle": -1}, "max_cycle"),
-        (verify.check_degeneralization, {"max_cycle": 0}, "max_cycle"),
-        (verify.check_language_preservation, {"max_prefix": -1}, "max_prefix"),
-        (verify.check_recurrence_dichotomy, {"n_policies": 0}, "n_policies"),
+        (verify.check_language_preservation, {"max_cycle": 0},
+         "max_cycle must be at least 1, got 0"),
+        (verify.check_formula_agreement, {"max_cycle": -1},
+         "max_cycle must be at least 1, got -1"),
+        (verify.check_degeneralization, {"max_cycle": 0},
+         "max_cycle must be at least 1, got 0"),
+        (verify.check_language_preservation, {"max_prefix": -1},
+         "max_prefix must be at least 0, got -1"),
+        (verify.check_recurrence_dichotomy, {"n_policies": 0},
+         "n_policies must be at least 1, got 0"),
     ],
     ids=["language-preservation", "formula-agreement", "degeneralization", "prefix",
          "recurrence-dichotomy"],
 )
-def test_checks_refuse_bounds_that_admit_nothing(check, bounds, argument):
-    """A bound under which a check would decide nothing and pass is an error."""
-    with pytest.raises(ValueError, match=f"^{argument} must be at least"):
-        check(**bounds)
+def test_checks_refuse_bounds_that_admit_nothing(check, bounds, message):
+    """A bound under which a check would decide nothing and pass is an
+    error, raised by the battery before the check can run on it."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(verify.Battery(**bounds))
 
 
 def test_all_lassos_lists_each_prefix_against_every_cycle():
@@ -212,12 +229,13 @@ def test_all_lassos_lists_each_prefix_against_every_cycle():
 
 AB = frozenset(("a", "b"))
 
-# each check's candidates as the battery builds them, read through the module
+# each check's candidates as the battery builds them, read through the modules
 # so that a monkeypatched transform reaches the reference too
 CANDIDATES = {
     "language-preservation": lambda b: [
         (verify.augment(b), "augmented automaton disagrees"),
-        (verify.merge_unaccepting(verify.augment(b)), "merged automaton disagrees"),
+        (product_module.merge_unaccepting(product_module.augment(b)),
+         "merged automaton disagrees"),
     ],
     "formula-agreement": lambda b: [
         (parse_ltl(verify.SPEC_FORMULA), "automaton and formula disagree"),
@@ -226,11 +244,7 @@ CANDIDATES = {
         (verify.degeneralize(b), "degeneralized automaton disagrees"),
     ],
 }
-CHECKS = {
-    "language-preservation": verify.check_language_preservation,
-    "formula-agreement": verify.check_formula_agreement,
-    "degeneralization": verify.check_degeneralization,
-}
+LASSO_CHECKS = ("language-preservation", "formula-agreement", "degeneralization")
 
 
 def with_masks(b, masks):
@@ -263,15 +277,14 @@ def saturated(b):
 
 
 def check_and_reference(name, base):
-    result = CHECKS[name](base, max_prefix=1, max_cycle=2)
-    assert result.name == name
+    got = verify.CHECKS[name](verify.Battery(base, max_prefix=1, max_cycle=2))
     reference = reference_lasso_agreement(base, CANDIDATES[name](base), 1, 2)
-    return (result.passed, result.detail), reference
+    return got, reference
 
 
 @pytest.mark.parametrize("corrupt", [lambda b: b, emptied, escaped],
                          ids=["fixture", "emptied-set", "escaped-trap"])
-@pytest.mark.parametrize("name", list(CHECKS))
+@pytest.mark.parametrize("name", LASSO_CHECKS)
 def test_lasso_check_matches_word_by_word_reference(name, corrupt):
     got, reference = check_and_reference(name, corrupt(named_fixture("gfa_gfb_gnc")))
     assert got == reference
@@ -281,7 +294,7 @@ def test_lasso_check_names_the_earlier_of_two_candidates_on_one_word(monkeypatch
     """Both candidates accept nothing, so both first disagree on the first
     word the fixture accepts; the augmented automaton is named."""
     good = named_fixture("gfa_gfb_gnc")
-    monkeypatch.setattr(verify, "augment", lambda b: augment(emptied(b)))
+    patch_transforms(monkeypatch, augment=lambda b: augment(emptied(b)))
     got, reference = check_and_reference("language-preservation", good)
     witness = LassoWord((), (AB,))
     assert got == reference == (False, f"augmented automaton disagrees on {witness}")
@@ -293,8 +306,8 @@ def test_lasso_check_names_the_lowest_cycle_of_one_prefix(monkeypatch):
     cycle (a,b) and the merged one, which accepts every word, on the lower
     cycle (); the merged one is named."""
     good = named_fixture("gfa_gfb_gnc")
-    monkeypatch.setattr(verify, "augment", lambda b: augment(emptied(b)))
-    monkeypatch.setattr(verify, "merge_unaccepting", lambda aug: augment(saturated(good)))
+    patch_transforms(monkeypatch, augment=lambda b: augment(emptied(b)),
+                     merge_unaccepting=lambda aug: augment(saturated(good)))
     got, reference = check_and_reference("language-preservation", good)
     witness = LassoWord((), (frozenset(),))
     assert got == reference == (False, f"merged automaton disagrees on {witness}")
@@ -314,23 +327,43 @@ def test_battery_parses_the_grid_once(monkeypatch):
 
 
 def test_battery_builds_each_shared_input_once(monkeypatch):
-    """The merged augmentation and the raw and augmented products serve four
-    checks but are built once; only stochasticity's degeneralized product
-    adds a product and an augmentation."""
+    """The augmentation and the raw and augmented products serve four checks
+    but are built once; stochasticity's degeneralized product adds a
+    product and an augmentation.  The augmented product's recipe augments
+    on its own, so the battery augments three times and merges once."""
     calls = []
     for name in ("augment", "merge_unaccepting", "build_product"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name,
-                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        real = getattr(product_module, name)
+        patch_transforms(monkeypatch, **{
+            name: lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        })
     assert all(result.passed for result in verify.run_battery(quick=True))
-    assert sorted(calls) == ["augment"] * 2 + ["build_product"] * 3 + ["merge_unaccepting"]
+    assert sorted(calls) == ["augment"] * 3 + ["build_product"] * 3 + ["merge_unaccepting"]
+
+
+def test_battery_products_are_the_ones_train_runs():
+    """Each product of the default battery has the tables, and the
+    automaton, of the product that ``train`` runs for its method, so verify
+    checks what is trained."""
+    battery = verify.Battery()
+    products = {"augmented": battery.augmented_product,
+                "degeneralized": battery.degeneralized_product,
+                "frontier": battery.raw_product}
+    assert list(products) == list(METHODS)
+    for method, got in products.items():
+        want = method_product_and_scheme(battery.grid, battery.automaton, method, 2.0)[0]
+        assert got.automaton == want.automaton
+        assert (got.pairs, got.keys, got.first, got.succ, got.probs, got.masks) == (
+            want.pairs, want.keys, want.first, want.succ, want.probs, want.masks
+        )
+    assert battery.augmented_product.automaton == merge_unaccepting(battery.augmented)
 
 
 def test_stochasticity_sums_the_rows_training_samples(monkeypatch):
     """One drifted row of a product's ``probs`` table fails the check, named
     by its ``keys`` entry, although the product's ``mdp.prob`` view still
     sums to one."""
-    build, drifted = verify.build_product, []
+    build, drifted = product_module.build_product, []
 
     def build_drifted(m, b):
         p = build(m, b)
@@ -338,8 +371,8 @@ def test_stochasticity_sums_the_rows_training_samples(monkeypatch):
         drifted.append((p.keys[3], abs(sum(row) - 1.0)))
         return dataclasses.replace(p, probs=(*p.probs[:3], row, *p.probs[4:]))
 
-    monkeypatch.setattr(verify, "build_product", build_drifted)
-    result = verify.check_stochasticity()
+    monkeypatch.setattr(product_module, "build_product", build_drifted)
+    passed, detail = verify.check_stochasticity(verify.Battery())
     (s, a), err = drifted[0]  # the augmented product is built first
-    assert result.passed is False
-    assert result.detail == f"augmented-product row ({s}, {a}) off by {err}"
+    assert passed is False
+    assert detail == f"augmented-product row ({s}, {a}) off by {err}"
