@@ -150,6 +150,8 @@ def _build_kernel(name: str, source: str, path: Path) -> None:
 # Built at import, so that no train call pays the one-time compile.
 _ffi, _lib = _load_kernel()
 
+MAX_CURVE_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -159,6 +161,10 @@ class TrainConfig:
     schedule: "episode" restarts them with every episode (the default;
     exploration survives long enough for the trap-heavy products to be
     learned), "session" accumulates them across a whole session.
+
+    ``episodes * sessions`` is at most ``MAX_CURVE_CELLS`` (2**24, far above
+    the paper preset's 10**5): training keeps one learning-curve value per
+    episode of every session, a float64 table of 128 MiB at the bound.
     """
 
     gamma: float = 0.95
@@ -180,6 +186,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.steps_per_episode >= 1 << 63:  # the kernel counts steps in an int64
             raise ValueError("steps_per_episode must be below 2**63")
+        cells = self.episodes * self.sessions  # the learning curve's size
+        if cells > MAX_CURVE_CELLS:
+            raise ValueError(f"episodes * sessions must be at most 2**24, not {cells}")
         if not 0.5 < self.alpha_exponent <= 1.0:
             raise ValueError(
                 "alpha_exponent must lie in (0.5, 1] so that the step sizes "

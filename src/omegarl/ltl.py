@@ -1,35 +1,23 @@
 """Linear temporal logic: syntax trees, a small concrete grammar, and exact
 evaluation on ultimately periodic words.
 
-An infinite word is represented as a :class:`LassoWord` ``prefix . cycle^w``
-whose letters are sets of atomic-proposition names.  A formula is compiled
-once into a post-order program, one instruction per subformula, together
-with a list of cycles; the compiled evaluator then answers one prefix
-against every cycle at once, as an int whose bit ``j`` is the verdict on
-``prefix . cycles[j]^w``.  Each word is decided in two exact steps.  The
-truth values of every subformula at the cycle's entry depend only on the
-cycle, since the suffix there is ``cycle^w``; they are found by running the
-program on the cycle's positions as bitsets, with the temporal operators
-decided by fixpoint iteration.  Each earlier position's values depend only
-on its letter and on the values one position later, so the prefix is walked
-backwards one letter at a time, once per distinct set of entry values
-rather than once per cycle.  The evaluator therefore serves as a
-ground-truth oracle for the automata in this package.
+An infinite word is a :class:`LassoWord` ``prefix . cycle^w`` whose letters
+are sets of atomic-proposition names.  :func:`formula_evaluator` decides a
+formula exactly on many such words at once, as its docstring explains, so
+it serves as a ground-truth oracle for the automata in this package.
 
-Grammar (tightest binding first)::
-
-    unary   !  X  F  G
-    until   U            (right-associative)
-    and     &            (left-associative)
-    or      |            (left-associative)
-    implies ->           (right-associative)
-
-Atoms match ``[a-z][a-z0-9_]*``; ``true`` and ``false`` are constants;
-parentheses group.
+Syntax: atoms match ``[a-z][a-z0-9_]*``, ``true`` and ``false`` are
+constants, and parentheses group.  An operator's syntax lives in one place,
+the tables ``_UNARY`` (prefix symbol to class) and ``_BINARY`` (infix symbol
+to class, precedence and whether it groups right); every unary operator
+binds tighter than every binary one.  The token pattern ``_TOKEN``, the
+parser, the printer and the walk ``_operands`` read them, so a new operator
+needs its class, one table row, an opcode and one ``_values`` case.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,25 +94,59 @@ class Until(Formula):
     right: Formula
 
 
+_CONSTANTS = {"true": TrueBool, "false": FalseBool}
+_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
+_BINARY = {  # symbol: (class, precedence, groups right)
+    "U": (Until, 3, True),
+    "&": (And, 2, False),
+    "|": (Or, 1, False),
+    "->": (Implies, 0, True),
+}
+_PREFIX = 1 + max(level for _, level, _ in _BINARY.values())  # the unary operators' level
+# class: (symbol, level, groups right) for the printer; a constant binds tightest of all
+_SYNTAX = {cls: (word, _PREFIX + 1, False) for word, cls in _CONSTANTS.items()}
+_SYNTAX |= {cls: (symbol, _PREFIX, False) for symbol, cls in _UNARY.items()}
+_SYNTAX |= {cls: (symbol, level, right) for symbol, (cls, level, right) in _BINARY.items()}
+_UNARY_CLASSES = frozenset(_UNARY.values())
+_BINARY_CLASSES = frozenset(cls for cls, _, _ in _BINARY.values())
+_BOOLEAN = frozenset([*_CONSTANTS.values(), Atom, Not, And, Or, Implies])
+
+
+def _operands(phi: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``phi``, left to right."""
+    if type(phi) in _UNARY_CLASSES:
+        return (phi.operand,)
+    if type(phi) in _BINARY_CLASSES:
+        return (phi.left, phi.right)
+    return ()
+
+
+def _subformulas(phi: Formula) -> list[Formula]:
+    """``phi`` and each occurrence of a subformula in it, breadth first."""
+    found = [phi]
+    for f in found:  # grows while it is read
+        found.extend(_operands(f))
+    return found
+
+
 def atoms(phi: Formula) -> frozenset[str]:
     """Set of atomic-proposition names occurring in the formula."""
-    if isinstance(phi, Atom):
-        return frozenset([phi.name])
-    if isinstance(phi, (Not, Next, Eventually, Globally)):
-        return atoms(phi.operand)
-    if isinstance(phi, (And, Or, Implies, Until)):
-        return atoms(phi.left) | atoms(phi.right)
-    return frozenset()
+    names, found = [], [phi]
+    for f in found:  # the _subformulas walk, without asking a leaf for operands
+        if type(f) is Atom:
+            names.append(f.name)
+        else:
+            found.extend(_operands(f))
+    return frozenset(names)
 
 
 def is_propositional(phi: Formula) -> bool:
     """True when the formula contains no temporal operator."""
-    if isinstance(phi, (Next, Eventually, Globally, Until)):
-        return False
-    if isinstance(phi, Not):
-        return is_propositional(phi.operand)
-    if isinstance(phi, (And, Or, Implies)):
-        return is_propositional(phi.left) and is_propositional(phi.right)
+    found = [phi]
+    for f in found:  # the _subformulas walk, up to the first temporal operator
+        if type(f) not in _BOOLEAN:
+            return False
+        found.extend(_operands(f))
     return True
 
 
@@ -162,131 +184,57 @@ def lasso(prefix, cycle) -> LassoWord:
 
 # --- parsing -----------------------------------------------------------
 
-_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("OP", "->", i))
-            i += 2
-        elif ch in "!&|()":
-            tokens.append(("OP", ch, i))
-            i += 1
-        elif ch in "XUFG":
-            tokens.append(("OP", ch, i))
-            i += 1
-        elif "a" <= ch <= "z":
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "_" or "a" <= text[j] <= "z"):
-                j += 1
-            word = text[i:j]
-            if word == "true":
-                tokens.append(("CONST", "true", i))
-            elif word == "false":
-                tokens.append(("CONST", "false", i))
-            else:
-                tokens.append(("IDENT", word, i))
-            i = j
-        elif ch.isupper():
-            raise ParseError(f"unknown operator {ch!r}", i)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("EOF", "", self.length)
-
-    def _take(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        phi = self.implies()
-        kind, value, at = self._peek()
-        if kind != "EOF":
-            raise ParseError(f"unexpected {value!r}", at)
-        return phi
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        kind, value, _ = self._peek()
-        if kind == "OP" and value == "->":
-            self._take()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        phi = self.conjunction()
-        while True:
-            kind, value, _ = self._peek()
-            if kind == "OP" and value == "|":
-                self._take()
-                phi = Or(phi, self.conjunction())
-            else:
-                return phi
-
-    def conjunction(self) -> Formula:
-        phi = self.until()
-        while True:
-            kind, value, _ = self._peek()
-            if kind == "OP" and value == "&":
-                self._take()
-                phi = And(phi, self.until())
-            else:
-                return phi
-
-    def until(self) -> Formula:
-        left = self.unary()
-        kind, value, _ = self._peek()
-        if kind == "OP" and value == "U":
-            self._take()
-            return Until(left, self.until())
-        return left
-
-    def unary(self) -> Formula:
-        kind, value, at = self._peek()
-        if kind == "OP" and value in _UNARY:
-            self._take()
-            return _UNARY[value](self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, at = self._take()
-        if kind == "CONST":
-            return TrueBool() if value == "true" else FalseBool()
-        if kind == "IDENT":
-            return Atom(value)
-        if kind == "OP" and value == "(":
-            phi = self.implies()
-            kind2, value2, at2 = self._take()
-            if not (kind2 == "OP" and value2 == ")"):
-                raise ParseError("expected ')'", at2)
-            return phi
-        if kind == "EOF":
-            raise ParseError("unexpected end of input", at)
-        raise ParseError(f"unexpected {value!r}", at)
+_SYMBOLS = sorted([*_UNARY, *_BINARY, "(", ")"], key=len, reverse=True)  # longest match first
+_TOKEN = re.compile(r"\s*(?:([a-z][a-z0-9_]*|%s)|(\S))" % "|".join(map(re.escape, _SYMBOLS)))
 
 
 def parse_ltl(text: str) -> Formula:
-    """Parse formula text. Raises :class:`ParseError` with a position."""
-    return _Parser(_tokenize(text), len(text)).parse()
+    """Parse formula text. Raises :class:`ParseError` with a position.
+
+    Precedence climbing: ``infix(least)`` folds into an ``operand`` each binary
+    operator of precedence ``least`` or more, whose right side binds one
+    tighter unless the operator groups right."""
+    tokens = []  # (token, position), then ("", len(text)) for the end
+    for m in _TOKEN.finditer(text):
+        token, bad = m.groups()
+        if bad is not None:
+            what = "unknown operator" if "A" <= bad <= "Z" else "unexpected character"
+            raise ParseError(f"{what} {bad!r}", m.start(2))
+        tokens.append((token, m.start(1)))
+    tokens.append(("", len(text)))
+    i = 0
+
+    def operand() -> Formula:
+        nonlocal i
+        token, at = tokens[i]
+        i += 1
+        if token in _UNARY:
+            return _UNARY[token](operand())
+        if token == "(":
+            phi = infix(0)
+            token, at = tokens[i]
+            if token != ")":
+                raise ParseError("expected ')'", at)
+            i += 1
+            return phi
+        if token[:1].islower():  # an atom or a constant
+            return _CONSTANTS[token]() if token in _CONSTANTS else Atom(token)
+        raise ParseError(f"unexpected {token!r}" if token else "unexpected end of input", at)
+
+    def infix(least: int) -> Formula:
+        nonlocal i
+        phi = operand()
+        while (row := _BINARY.get(tokens[i][0])) is not None and row[1] >= least:
+            cls, level, right = row
+            i += 1
+            phi = cls(phi, infix(level if right else level + 1))
+        return phi
+
+    phi = infix(0)
+    token, at = tokens[i]
+    if token:
+        raise ParseError(f"unexpected {token!r}", at)
+    return phi
 
 
 def load_formula(path) -> Formula:
@@ -298,61 +246,41 @@ def load_formula(path) -> Formula:
 
 # --- printing ----------------------------------------------------------
 
-_LEVEL_ATOM = 5
-_LEVEL_UNARY = 4
-_LEVEL_UNTIL = 3
-_LEVEL_AND = 2
-_LEVEL_OR = 1
-_LEVEL_IMPLIES = 0
 
-
-def _fmt(phi: Formula) -> tuple[str, int]:
-    if isinstance(phi, TrueBool):
-        return "true", _LEVEL_ATOM
-    if isinstance(phi, FalseBool):
-        return "false", _LEVEL_ATOM
+def _fmt(phi: Formula, least: int = 0) -> str:
+    """``phi`` as text, in parentheses if it binds looser than ``least``; an operand
+    binds as tight as its operator on the side it groups to, one tighter on the other."""
     if isinstance(phi, Atom):
-        return phi.name, _LEVEL_ATOM
-    if isinstance(phi, Not):
-        return "!" + _wrap(phi.operand, _LEVEL_UNARY), _LEVEL_UNARY
-    if isinstance(phi, Next):
-        return "X " + _wrap(phi.operand, _LEVEL_UNARY), _LEVEL_UNARY
-    if isinstance(phi, Eventually):
-        return "F " + _wrap(phi.operand, _LEVEL_UNARY), _LEVEL_UNARY
-    if isinstance(phi, Globally):
-        return "G " + _wrap(phi.operand, _LEVEL_UNARY), _LEVEL_UNARY
-    if isinstance(phi, Until):
-        return _wrap(phi.left, _LEVEL_UNARY) + " U " + _wrap(phi.right, _LEVEL_UNTIL), _LEVEL_UNTIL
-    if isinstance(phi, And):
-        return _wrap(phi.left, _LEVEL_AND) + " & " + _wrap(phi.right, _LEVEL_AND + 1), _LEVEL_AND
-    if isinstance(phi, Or):
-        return _wrap(phi.left, _LEVEL_OR) + " | " + _wrap(phi.right, _LEVEL_OR + 1), _LEVEL_OR
-    if isinstance(phi, Implies):
-        return _wrap(phi.left, _LEVEL_IMPLIES + 1) + " -> " + _wrap(phi.right, _LEVEL_IMPLIES), _LEVEL_IMPLIES
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _wrap(phi: Formula, min_level: int) -> str:
-    text, level = _fmt(phi)
-    return f"({text})" if level < min_level else text
+        return phi.name
+    syntax = _SYNTAX.get(type(phi))
+    if syntax is None:
+        raise TypeError(f"not a formula: {phi!r}")
+    symbol, level, right = syntax
+    operands = _operands(phi)
+    if not operands:
+        text = symbol
+    elif level == _PREFIX:
+        text = symbol + " " * symbol.isalpha() + _fmt(operands[0], level)
+    else:
+        a, b = operands
+        text = f"{_fmt(a, level + right)} {symbol} {_fmt(b, level + (not right))}"
+    return f"({text})" if level < least else text
 
 
 def format_ltl(phi: Formula) -> str:
     """Render with minimal parentheses; re-parses to an equal tree."""
-    return _fmt(phi)[0]
+    return _fmt(phi)
 
 
 # --- evaluation --------------------------------------------------------
 
 # A compiled formula is a post-order list of (opcode, x, y) instructions; x and
 # y index earlier instructions (an atom's x is its name, unused operands are 0).
-# ``F f`` compiles as ``true U f``.
-_TRUE, _FALSE, _ATOM, _NOT, _AND, _OR, _IMPLIES, _NEXT, _UNTIL, _GLOBALLY = range(10)
+_TRUE, _FALSE, _ATOM, _NOT, _AND, _OR, _IMPLIES, _NEXT, _UNTIL, _EVENTUALLY, _GLOBALLY = range(11)
 _OPCODE = {
     TrueBool: _TRUE, FalseBool: _FALSE, Atom: _ATOM, Not: _NOT, And: _AND, Or: _OR,
-    Implies: _IMPLIES, Next: _NEXT, Until: _UNTIL, Eventually: _UNTIL, Globally: _GLOBALLY,
+    Implies: _IMPLIES, Next: _NEXT, Until: _UNTIL, Eventually: _EVENTUALLY, Globally: _GLOBALLY,
 }
-_TRUE_NODE = TrueBool()
 
 
 def _values(program, letters, later: int | None = None) -> int:
@@ -394,8 +322,8 @@ def _values(program, letters, later: int | None = None) -> int:
             val = (full ^ v[x]) | v[y]
         elif op == _NEXT:
             val = shift(v[x], x)
-        elif op == _UNTIL:  # least fixpoint of  r | (l & X s), from s = r
-            left, r = v[x], v[y]
+        elif op == _UNTIL or op == _EVENTUALLY:  # least fixpoint of  r | (l & X s), from s = r
+            left, r = (v[x], v[y]) if op == _UNTIL else (full, v[x])  # F r is true U r
             val = r
             while True:
                 nxt = r | (left & shift(val, k))
@@ -455,18 +383,9 @@ def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
         op = _OPCODE.get(type(f))
         if op is None:
             raise TypeError(f"not a formula: {f!r}")
-        if op == _ATOM:
-            ins = (op, f.name, 0)
-        elif op in (_TRUE, _FALSE):
-            ins = (op, 0, 0)
-        elif isinstance(f, Eventually):
-            ins = (op, emit(_TRUE_NODE), emit(f.operand))
-        elif op in (_AND, _OR, _IMPLIES, _UNTIL):
-            ins = (op, emit(f.left), emit(f.right))
-        else:
-            ins = (op, emit(f.operand), 0)
+        x, y = (f.name, 0) if op == _ATOM else (*map(emit, _operands(f)), 0, 0)[:2]
         slot[id(f)] = len(program)
-        program.append(ins)
+        program.append((op, x, y))
         return len(program) - 1
 
     emit(phi)

@@ -197,9 +197,13 @@ def test_train_mdp_file_input(tmp_path):
          "epsilon_numerator must be positive and finite, not nan"),
         ({"rng_seed": -1}, "rng_seed must be non-negative"),
         ({"steps_per_episode": 2**63}, "steps_per_episode must be below 2**63"),
+        ({"episodes": 10**13, "sessions": 1},
+         "episodes * sessions must be at most 2**24, not 10000000000000"),
+        ({"episodes": 10**7, "sessions": 10**7},
+         "episodes * sessions must be at most 2**24, not 100000000000000"),
     ],
     ids=["unknown-key", "string-count", "list", "float-count", "nan-r_p", "inf-r_p",
-         "nan-epsilon", "negative-seed", "int64-steps"],
+         "nan-epsilon", "negative-seed", "int64-steps", "huge-curve", "huge-curve-sessions"],
 )
 def test_train_malformed_config_is_validation_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

@@ -2,7 +2,9 @@
 
 scipy, sympy, networkx and hypothesis may be installed for the tests, which
 use them as independent second checks; the package must not depend on them.
-Every import statement counts, at module level or inside a function.
+Every import statement counts, at module level or inside a function.  What
+the tests import must be declared in ``pyproject.toml``, as a dependency of
+the package or in its ``test`` extra.
 
 The package also never touches ``numpy.random``: the training kernel seeds
 and steps its own PCG64, and importing ``numpy.random`` would cost every
@@ -11,11 +13,15 @@ and steps its own PCG64, and importing ``numpy.random`` would cost every
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "omegarl").glob("*.py"))
+import pytest
+
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "omegarl").glob("*.py"))
 ALLOWED = sys.stdlib_module_names | {"numpy", "cffi", "omegarl"}
 
 
@@ -45,6 +51,21 @@ def test_import_scan_sees_function_level_imports():
     assert {("learn.py", "cffi"), ("learn.py", "subprocess"), ("cli.py", "hashlib")} <= found
     nested = "import numpy as np\n\ndef f():\n    from scipy import linalg\n    import networkx\n"
     assert foreign_imports(nested) == [(4, "scipy"), (5, "networkx")]
+
+
+def test_test_imports_are_declared_in_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower().replace("-", "_") for r in requirements}
+    local = {p.stem for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")}
+    imported = {
+        module for p in sorted((ROOT / "tests").glob("*.py"))
+        for _, module in imported_modules(p.read_text(encoding="utf-8"))
+    }
+    assert {"helpers", "numpy", "pytest", "networkx"} <= imported
+    undeclared = imported - sys.stdlib_module_names - {"omegarl"} - local - declared
+    assert undeclared == set()
 
 
 def numpy_random_uses(source: str) -> list[int]:

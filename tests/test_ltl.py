@@ -25,11 +25,18 @@ from omegarl.ltl import (
     And,
     Atom,
     Eventually,
+    FalseBool,
     Globally,
+    Implies,
     Next,
     Not,
+    Or,
     TrueBool,
     Until,
+    _operands,
+    _subformulas,
+    atoms,
+    is_propositional,
 )
 from omegarl.verify import lasso_parts
 
@@ -73,6 +80,77 @@ def test_parse_unknown_operator():
         parse_ltl("a $ b")
 
 
+@pytest.mark.parametrize(
+    "text,message,pos",
+    [
+        ("", "unexpected end of input", 0),
+        ("a U", "unexpected end of input", 3),
+        ("(a", "expected ')'", 2),
+        ("(a b", "expected ')'", 3),
+        ("a & )", "unexpected ')'", 4),
+        ("a b", "unexpected 'b'", 2),
+        ("a R b", "unknown operator 'R'", 2),
+        ("a - b", "unexpected character '-'", 2),
+    ],
+)
+def test_parse_error_message_and_position(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_ltl(text)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+@pytest.mark.parametrize(
+    "text,pos", [("a²", 1), ("b٣", 1), ("É", 0)], ids=["superscript", "arabic-digit", "capital"]
+)
+def test_atoms_and_operators_are_ascii(text, pos):
+    """Atoms match ``[a-z][a-z0-9_]*``: a non-ASCII digit does not continue
+    one, and a non-ASCII capital is no operator."""
+    with pytest.raises(ParseError) as err:
+        parse_ltl(text)
+    assert (str(err.value), err.value.pos) == (
+        f"unexpected character {text[pos]!r} (at position {pos})", pos)
+
+
+# symbol: (class, precedence, groups right), tightest binding first
+BINARY = {"U": (Until, 3, True), "&": (And, 2, False), "|": (Or, 1, False),
+          "->": (Implies, 0, True)}
+UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
+a, b, c = Atom("a"), Atom("b"), Atom("c")
+
+
+@pytest.mark.parametrize("op1", BINARY)
+@pytest.mark.parametrize("op2", BINARY)
+def test_binary_pairs_group_by_precedence(op1, op2):
+    """``a op1 b op2 c`` groups as the precedence table says, and each of its
+    two groupings prints with parentheses only where the bare text would
+    group the other way."""
+    (cls1, prec1, right1), (cls2, prec2, _) = BINARY[op1], BINARY[op2]
+    bare = f"a {op1} b {op2} c"
+    left_first = cls2(cls1(a, b), c)
+    right_first = cls1(a, cls2(b, c))
+    first_binds_tighter = prec1 > prec2 or (prec1 == prec2 and not right1)
+    assert parse_ltl(bare) == (left_first if first_binds_tighter else right_first)
+    for phi, wrapped in ((left_first, f"(a {op1} b) {op2} c"),
+                         (right_first, f"a {op1} (b {op2} c)")):
+        text = format_ltl(phi)
+        assert text == (bare if parse_ltl(bare) == phi else wrapped)
+        assert parse_ltl(text) == phi
+
+
+@pytest.mark.parametrize("op", BINARY)
+@pytest.mark.parametrize("un", UNARY)
+def test_unary_binds_tighter_than_every_binary(un, op):
+    cls, binary = UNARY[un], BINARY[op][0]
+    gap = "" if un == "!" else " "
+    assert parse_ltl(f"{un} a {op} b") == binary(cls(a), b)
+    assert parse_ltl(f"a {op} {un} b") == binary(a, cls(b))
+    for phi, text in ((binary(cls(a), b), f"{un}{gap}a {op} b"),
+                      (cls(binary(a, b)), f"{un}{gap}(a {op} b)"),
+                      (binary(a, cls(b)), f"a {op} {un}{gap}b")):
+        assert format_ltl(phi) == text
+        assert parse_ltl(text) == phi
+
+
 def test_parse_unbalanced_and_trailing():
     with pytest.raises(ParseError):
         parse_ltl("(a & b")
@@ -101,6 +179,19 @@ def test_load_formula_with_comments(tmp_path):
     path = tmp_path / "spec.ltl"
     path.write_text("# the steady alternation property\nG F a &  # visit a\n G F b & G !c\n")
     assert load_formula(path) == parse_ltl(SPEC)
+
+
+def test_subformulas_walk_every_occurrence_breadth_first():
+    phi = parse_ltl("a U !b & a")
+    assert _subformulas(phi) == [phi, Until(a, Not(b)), a, a, Not(b), b]
+    rng = np.random.default_rng(15)
+    boolean = (TrueBool, FalseBool, Atom, Not, And, Or, Implies)
+    for _ in range(200):
+        phi = random_formula(rng, depth=4)
+        subs = _subformulas(phi)
+        assert len(subs) == 1 + sum(len(_operands(f)) for f in subs)
+        assert atoms(phi) == {f.name for f in subs if isinstance(f, Atom)}
+        assert is_propositional(phi) == all(isinstance(f, boolean) for f in subs)
 
 
 def test_lasso_requires_nonempty_cycle():
