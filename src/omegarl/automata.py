@@ -3,7 +3,7 @@
 Provides the data model, a line-oriented text format, limit-determinism
 checking, degeneralization to a single accepting set, an exact acceptance
 test for ultimately periodic words that decides every state against many
-cycles in one numpy pass over bitset relations (:func:`lasso_acceptor`),
+cycles at once on relations bit-sliced into ints (:func:`lasso_acceptor`),
 and the packaged example automata (:func:`named_fixture`).  Transitions
 carry explicit letters (subsets of the AP universe).  An automaton stores
 its transitions once, in ``TGba.masks``, each with its accepting-set
@@ -36,23 +36,22 @@ put the a-loops, and only those, in set 1.  ``states:`` may declare no
 state above the highest id that ``initial:`` or a transition line names.
 :func:`serialize_automaton` writes the canonical form: one line per
 transition with its full-conjunction guard, in ``TGba.moves`` order.  A
-proposition name must match ``[a-z][a-z0-9_]*`` and be none of ``true``,
-``false`` and ``eps``, so that the canonical text reads back as the same
-automaton.
+proposition name must be one that :func:`~omegarl.ltl.parse_ltl` reads as
+that atom, and not ``eps``, so that the canonical text reads back as the
+same automaton; ``ap:`` names at most :data:`MAX_AP` of them.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import ltl
-from .graphs import close_rows, closure, explore, holding, pack_rows, unpack_rows
+from .graphs import close_rows, closure, explore
 from .ltl import LassoWord
 
 
@@ -67,6 +66,7 @@ class _Epsilon:
 
 EPSILON = _Epsilon()
 MAX_SETS = 16  # accepting sets; each reward scheme tabulates 2**n_sets working sets
+MAX_AP = 16  # propositions in a parsed automaton; a guard expands to 2**len(ap) letters
 
 
 class AutomatonError(ValueError):
@@ -232,9 +232,27 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
 def _guard_text(letter, ap_sorted) -> str:
     if letter is EPSILON:
         return "eps"
-    if not ap_sorted:
-        return "true"
-    return " & ".join(a if a in letter else f"!{a}" for a in ap_sorted)
+    literals = [ltl.Atom(a) if a in letter else ltl.Not(ltl.Atom(a)) for a in ap_sorted]
+    return ltl.format_ltl(reduce(ltl.And, literals) if literals else ltl.TrueBool())
+
+
+def proposition_names(lineno: int, value: str, error: type[ValueError]) -> frozenset[str]:
+    """The names of the ``ap:`` header ``value`` on line ``lineno``.  Raises
+    ``error`` at a duplicate, or at a name that a guard cannot write: one
+    that :func:`~omegarl.ltl.parse_ltl` does not read as that atom, or eps."""
+    names: set[str] = set()
+    for name in value.split():
+        if name in names:
+            raise error(f"line {lineno}: duplicate atomic proposition in 'ap' header")
+        try:
+            atom = name != "eps" and ltl.parse_ltl(name) == ltl.Atom(name)
+        except ltl.ParseError:
+            atom = False
+        if not atom:
+            raise error(f"line {lineno}: {name!r} is not a proposition name "
+                        "(need an LTL atom other than eps)")
+        names.add(name)
+    return frozenset(names)
 
 
 def serialize_automaton(b: TGba) -> str:
@@ -284,22 +302,11 @@ def parse_automaton(text: str) -> TGba:
     for key in ("states", "initial", "acceptance-sets"):
         if key not in headers:
             raise AutomatonError(f"missing header {key!r}")
-    ap_list = headers.get("ap", (0, ""))[1].split()
-    if len(set(ap_list)) != len(ap_list):
-        raise AutomatonError(
-            f"line {headers['ap'][0]}: duplicate atomic proposition in 'ap' header"
-        )
-    for name in ap_list:
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", name) or name in ("true", "false", "eps"):
-            raise AutomatonError(
-                f"line {headers['ap'][0]}: {name!r} is not a proposition name "
-                "(need [a-z][a-z0-9_]*, not true, false or eps)"
-            )
-    ap = frozenset(ap_list)
-    num_states = number("states")
-    initial = number("initial")
-    n_sets = number("acceptance-sets")
+    ap = proposition_names(*headers.get("ap", (0, "")), AutomatonError)
+    num_states, initial, n_sets = map(number, ("states", "initial", "acceptance-sets"))
     for key, bad, problem in (
+        ("ap", len(ap) > MAX_AP, f"at most {MAX_AP} atomic propositions "
+         "(each guard expands to one transition per letter)"),
         ("states", num_states < 1, "automaton needs at least one state"),
         ("initial", not 0 <= initial < num_states, f"initial state {initial} out of range"),
         ("acceptance-sets", n_sets < 1, "acceptance-sets must be at least 1"),
@@ -323,17 +330,12 @@ def parse_automaton(text: str) -> TGba:
         acc = 0
         if "acc:" in tokens:
             k = tokens.index("acc:")
-            acc_text = "".join(tokens[k + 1 :])
-            tokens = tokens[:k]
-            for part in acc_text.split(","):
-                if not part:
-                    continue
+            tokens, acc_text = tokens[:k], "".join(tokens[k + 1 :])
+            for part in filter(None, acc_text.split(",")):
                 try:
                     j = int(part)
                 except ValueError:
-                    raise AutomatonError(
-                        f"line {lineno}: bad acceptance index {part!r}"
-                    ) from None
+                    raise AutomatonError(f"line {lineno}: bad acceptance index {part!r}") from None
                 if not 1 <= j <= n_sets:
                     raise AutomatonError(
                         f"line {lineno}: acceptance index {j} out of range 1..{n_sets}"
@@ -368,11 +370,8 @@ def parse_automaton(text: str) -> TGba:
                 )
             # a propositional guard holds on letter^w iff it holds on letter
             holds = ltl.formula_evaluator(phi, [(letter,) for letter in letters])(())
-            expanded = [
-                Transition(src, letter, dst)
-                for j, letter in enumerate(letters)
-                if holds >> j & 1
-            ]
+            expanded = [Transition(src, letter, dst)
+                        for j, letter in enumerate(letters) if holds >> j & 1]
         for t in expanded:
             masks[t] = masks.get(t, 0) | acc
 
@@ -447,15 +446,16 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     accepted iff one of them accepts ``cycle^w`` alone, so the answer for a
     prefix is the OR of one bitset per entering state.
 
-    Those bitsets come from one array pass over all cycles, on relations
-    stored as bitset rows (:func:`~omegarl.graphs.pack_rows`).  Per letter
-    ``l``, ``D_l`` relates a state to those that an epsilon closure and then
-    an ``l`` move reach, and ``D_l^j`` is its part whose ``l`` move lies in
-    accepting set ``j``.  Per cycle, ``T`` composes the ``D`` of its letters,
+    Those bitsets come from relations bit-sliced across the cycles: bit
+    ``c`` of entry ``(x, y)`` says that the relation of ``cycles[c]``
+    relates ``x`` to ``y``.  Per letter ``l``, ``D_l`` relates a state to
+    those that an epsilon closure and then an ``l`` move reach, and
+    ``D_l^j`` is its part whose ``l`` move lies in accepting set ``j``.  Per
+    cycle, ``T`` composes the ``D`` of its letters, position by position,
     relating the states that enter the cycle to those that enter it again,
     and ``T^j`` does the same through a set-``j`` move somewhere along it.
-    State ``x`` accepts ``cycle^w`` iff some ``y`` in ``T*(x)`` has, for every
-    ``j``, a ``T^j`` pair inside the strongly connected component of ``y``
+    State ``x`` accepts ``cycle^w`` iff some ``y`` in ``T*(x)`` has, for
+    every ``j``, a ``T^j`` pair inside ``y``'s strongly connected component
     under ``T``.
 
     This is exact for epsilon moves, nondeterminism and missing moves.  In
@@ -465,55 +465,53 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     therefore meets position 0 in one ``T``-component, and its internal
     transitions meet set ``j`` iff ``T^j`` has a pair inside that component.
 
-    The acceptor reads ``b.moves`` and ``b.masks`` once; the bitsets live
-    only as long as the returned function.  Raises ``AutomatonError`` here,
-    before any prefix is read, if epsilon transitions form a cycle (such a
-    cycle would allow runs that never consume the word).
+    The acceptor reads ``b.moves`` and ``b.masks`` once.  Raises
+    ``AutomatonError`` here, before any prefix is read, if epsilon
+    transitions form a cycle (which would allow runs that consume nothing).
     """
     moves, n = b.moves, b.num_states
     eps_out = [[t.dst for t in row.get(EPSILON, ())] for row in moves]
-    eps = np.zeros((n, n), dtype=bool)
-    if any(eps_out):  # no closure pass, and no epsilon cycle, without epsilon moves
-        for x, targets in enumerate(eps_out):
-            eps[x, targets] = True
-        eps = unpack_rows(close_rows(pack_rows(eps)), n)
-        if eps.diagonal().any():
-            raise AutomatonError("epsilon transitions form a cycle")
-    eps |= np.eye(n, dtype=bool)
-    index = {letter: i for i, letter in enumerate(dict.fromkeys(itertools.chain(*cycles)))}
-    # step[l, 0] holds the moves on letter l and step[l, 1 + j] those in set
-    # j; the extra last letter pads short cycles with the identity relation
-    step = np.zeros((len(index) + 1, 1 + b.n_sets, n, n), dtype=bool)
-    l, src, dst, mask = np.array(
-        [(index[t.letter], t.src, t.dst, m) for t, m in b.masks.items() if t.letter in index],
-        dtype=int,
-    ).reshape(-1, 4).T
-    step[l, 0, src, dst] = True
-    step[l, 1:, src, dst] = mask[:, None] >> np.arange(b.n_sets) & 1
-    d = eps @ step
-    d[-1, 0] = np.eye(n, dtype=bool)
-    d = pack_rows(d)
-    lengths = np.array([len(cycle) for cycle in cycles], dtype=int)
-    letters = np.full((len(cycles), lengths.max(initial=1)), len(index))
-    letters[np.arange(letters.shape[1]) < lengths[:, None]] = [
-        index[letter] for letter in itertools.chain(*cycles)
-    ]
-    rel = d[letters[:, 0]]  # per cycle: [T, T^1, ..., T^n_sets] of its letters so far
-    for column in letters.T[1:]:
-        d_next, before = d[column], rel
-        rel = np.zeros_like(before)
-        for z in range(n):  # compose through z: the rows holding z take on z's row
-            via = holding(before, z)[..., None]
-            rel |= via & d_next[:, None, 0, z : z + 1]
-            rel[:, 1:] |= via[:, :1] & d_next[:, 1:, z : z + 1]
-    reach = unpack_rows(close_rows(rel[:, 0] | d[-1, 0]), n)  # T*: the padding is the identity
-    back = reach.transpose(0, 2, 1)
-    # a T^j pair (u, v) lies inside u's component when v reaches u
-    inside = (unpack_rows(rel[:, 1:], n) & back[:, None]) @ np.ones(n, dtype=bool)
-    good = ((reach & back) @ inside.transpose(0, 2, 1)).all(-1)
-    verdicts = (reach @ good[..., None])[..., 0].T
-    table = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-             for row in verdicts]
+    eps = close_rows([[int(y in targets) for y in range(n)] for targets in eps_out])
+    if any(eps[x][x] for x in range(n)):
+        raise AutomatonError("epsilon transitions form a cycle")
+    into = [[z for z in range(n) if z == w or eps[z][w]] for w in range(n)]
+    # per letter, D_l as triples (z, y, mask): an epsilon closure from z and a
+    # move in the sets of mask reach y; None, which pads short cycles, is the identity
+    steps = {None: [(z, z, 0) for z in range(n)]}
+    for letter in dict.fromkeys(itertools.chain(*cycles)):
+        steps[letter] = [(z, t.dst, b.masks[t]) for row in moves
+                         for t in row.get(letter, ()) for z in into[t.src]]
+    # per position, each letter's cycles: those that read it there
+    columns = [{} for _ in range(max(map(len, cycles), default=1))]
+    for c, cycle in enumerate(cycles):
+        bit = 1 << c
+        for column, letter in itertools.zip_longest(columns, cycle):
+            column[letter] = column.get(letter, 0) | bit
+
+    def compose(rel, column, j=None, out=None):  # out | rel D, or out | rel D^j
+        out = out or [[0] * n for _ in range(n)]
+        for letter, group in column.items():
+            for z, y, mask in steps[letter]:
+                if j is None or mask >> j & 1:
+                    for x, row in enumerate(rel):
+                        out[x][y] |= row[z] & group
+        return out
+
+    full = (1 << len(cycles)) - 1
+    identity = [[full * (x == y) for y in range(n)] for x in range(n)]
+    t = compose(identity, columns[0])  # T, and T^j at index j
+    t_sets = [compose(identity, columns[0], j) for j in range(b.n_sets)]
+    for column in columns[1:]:  # T D, and T^j D | T D^j
+        t, t_sets = compose(t, column), [compose(t, column, j, compose(tj, column))
+                                         for j, tj in enumerate(t_sets)]
+    # T*; a T^j pair (u, v) lies inside u's component when v reaches u, and y
+    # is good on the cycles where its component holds such a pair for every j
+    reach = close_rows([[a | i for a, i in zip(row, ones)] for row, ones in zip(t, identity)])
+    inside = [[reduce(or_, (bits & reach[v][u] for v, bits in enumerate(tj[u]))) for u in range(n)]
+              for tj in t_sets]
+    good = [reduce(and_, (reduce(or_, (reach[y][u] & reach[u][y] & pairs[u] for u in range(n)))
+                          for pairs in inside), full) for y in range(n)]
+    table = [reduce(or_, (bits & good[y] for y, bits in enumerate(row))) for row in reach]
 
     def accepts(prefix) -> int:
         entering = {b.initial}
@@ -523,10 +521,7 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
                 for y in closure(entering, lambda s: eps_out[s])
                 for t in moves[y].get(letter, ())
             }
-        bits = 0
-        for x in entering:
-            bits |= table[x]
-        return bits
+        return reduce(or_, (table[x] for x in entering), 0)
 
     return accepts
 

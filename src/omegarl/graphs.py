@@ -1,11 +1,9 @@
 """Small graph utilities shared by the automata and Markov-chain analyses,
-and batches of relations stored as numpy bitset rows."""
+and the transitive closure of relations bit-sliced into Python ints."""
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
-
-import numpy as np
 
 Node = Hashable
 
@@ -103,28 +101,15 @@ def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]])
     return seen
 
 
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows ``(..., n)`` as bitsets ``(..., ceil(n / 64))`` of uint64
-    words, column ``i`` at bit ``i % 64`` of word ``i // 64``."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = np.zeros(packed.shape[:-1] + (-packed.shape[-1] % 8,), dtype=np.uint8)
-    return np.concatenate((packed, pad), axis=-1).view("<u8")
-
-
-def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` columns of :func:`pack_rows` bitsets, as booleans."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
-
-
-def holding(words: np.ndarray, m: int) -> np.ndarray:
-    """Per bitset row, a word of ones if it holds column ``m``, else zero."""
-    return 0 - (words[..., m >> 6] >> np.uint64(m & 63) & np.uint64(1))
-
-
-def close_rows(words: np.ndarray) -> np.ndarray:
-    """Warshall's algorithm, in place, on ``(..., n, W)`` bitset rows: row
-    ``x`` comes to hold every column reachable from ``x`` in one or more
-    steps; columns past ``n`` lead nowhere.  Returns ``words``."""
-    for m in range(words.shape[-2]):
-        words |= holding(words, m)[..., None] & words[..., m : m + 1, :]
-    return words
+def close_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Warshall's algorithm, in place, on relations bit-sliced into ints: bit
+    ``j`` of ``rows[x][y]`` says that relation ``j`` relates ``x`` to ``y``.
+    Row ``x`` comes to hold, per relation, every column reachable from ``x``
+    in one or more steps; columns past ``len(rows)`` lead nowhere.  Returns ``rows``."""
+    for m, through in enumerate(rows):
+        leads = [(y, bits) for y, bits in enumerate(through) if bits]
+        for row in rows:
+            if via := row[m]:
+                for y, bits in leads:
+                    row[y] |= via & bits
+    return rows

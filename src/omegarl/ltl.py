@@ -7,12 +7,14 @@ formula exactly on many such words at once, as its docstring explains, so
 it serves as a ground-truth oracle for the automata in this package.
 
 Syntax: atoms match ``[a-z][a-z0-9_]*``, ``true`` and ``false`` are
-constants, and parentheses group.  An operator's syntax lives in one place,
-the tables ``_UNARY`` (prefix symbol to class) and ``_BINARY`` (infix symbol
-to class, precedence and whether it groups right); every unary operator
-binds tighter than every binary one.  The token pattern ``_TOKEN``, the
-parser, the printer and the walk ``_operands`` read them, so a new operator
-needs its class, one table row, an opcode and one ``_values`` case.
+constants, and parentheses group.  A formula nests at most :data:`MAX_DEPTH`
+levels deep, counting each operator and pair of parentheses.  An operator's
+syntax lives in one place, the tables ``_UNARY`` (prefix symbol to class)
+and ``_BINARY`` (infix symbol to class, precedence and whether it groups
+right); every unary operator binds tighter than every binary one.  The
+token pattern ``_TOKEN``, the parser, the printer and the walk ``_operands``
+read them, so a new operator needs its class, one table row, an opcode and
+one ``_values`` case.
 """
 
 from __future__ import annotations
@@ -184,6 +186,7 @@ def lasso(prefix, cycle) -> LassoWord:
 
 # --- parsing -----------------------------------------------------------
 
+MAX_DEPTH = 200  # nesting levels: far below the stack limit of the recursive parser and walks
 _SYMBOLS = sorted([*_UNARY, *_BINARY, "(", ")"], key=len, reverse=True)  # longest match first
 _TOKEN = re.compile(r"\s*(?:([a-z][a-z0-9_]*|%s)|(\S))" % "|".join(map(re.escape, _SYMBOLS)))
 
@@ -191,9 +194,11 @@ _TOKEN = re.compile(r"\s*(?:([a-z][a-z0-9_]*|%s)|(\S))" % "|".join(map(re.escape
 def parse_ltl(text: str) -> Formula:
     """Parse formula text. Raises :class:`ParseError` with a position.
 
-    Precedence climbing: ``infix(least)`` folds into an ``operand`` each binary
-    operator of precedence ``least`` or more, whose right side binds one
-    tighter unless the operator groups right."""
+    Precedence climbing: ``infix(least, depth)`` folds into an ``operand``
+    each binary operator of precedence ``least`` or more, whose right side
+    binds one tighter unless the operator groups right.  Both return a
+    subformula and its height, and check that with the ``depth`` it sits at
+    it stays within :data:`MAX_DEPTH`: on the way down and after each fold."""
     tokens = []  # (token, position), then ("", len(text)) for the end
     for m in _TOKEN.finditer(text):
         token, bad = m.groups()
@@ -204,33 +209,40 @@ def parse_ltl(text: str) -> Formula:
     tokens.append(("", len(text)))
     i = 0
 
-    def operand() -> Formula:
+    def operand(depth: int) -> tuple[Formula, int]:
         nonlocal i
         token, at = tokens[i]
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} deep", at)
         i += 1
         if token in _UNARY:
-            return _UNARY[token](operand())
+            phi, height = operand(depth + 1)
+            return _UNARY[token](phi), height + 1
         if token == "(":
-            phi = infix(0)
+            phi, height = infix(0, depth + 1)
             token, at = tokens[i]
             if token != ")":
                 raise ParseError("expected ')'", at)
             i += 1
-            return phi
+            return phi, height + 1
         if token[:1].islower():  # an atom or a constant
-            return _CONSTANTS[token]() if token in _CONSTANTS else Atom(token)
+            return (_CONSTANTS[token]() if token in _CONSTANTS else Atom(token)), 1
         raise ParseError(f"unexpected {token!r}" if token else "unexpected end of input", at)
 
-    def infix(least: int) -> Formula:
+    def infix(least: int, depth: int) -> tuple[Formula, int]:
         nonlocal i
-        phi = operand()
+        phi, height = operand(depth)
         while (row := _BINARY.get(tokens[i][0])) is not None and row[1] >= least:
             cls, level, right = row
+            at = tokens[i][1]
             i += 1
-            phi = cls(phi, infix(level if right else level + 1))
-        return phi
+            rhs, rhs_height = infix(level if right else level + 1, depth + 1)
+            phi, height = cls(phi, rhs), 1 + max(height, rhs_height)
+            if depth + height > MAX_DEPTH:  # a left-grouping chain deepens its first operand
+                raise ParseError(f"formula nested more than {MAX_DEPTH} deep", at)
+        return phi, height
 
-    phi = infix(0)
+    phi, _ = infix(0, 0)
     token, at = tokens[i]
     if token:
         raise ParseError(f"unexpected {token!r}", at)

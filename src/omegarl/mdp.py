@@ -13,7 +13,7 @@ at most once::
 
     states: 9     # states 0..8, named s0..s8; required
     initial: 7    # required
-    ap: a b c     # atomic propositions; optional, default none
+    ap: a b c     # atomic propositions; optional, default none; named as in automata
 
 Each other line is one of::
 
@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .automata import proposition_names
 from .graphs import closure, strongly_connected_components
 
 ROW_SUM_TOL = 1e-12
@@ -248,7 +249,7 @@ def parse_mdp(text: str) -> LabeledMdp:
     for dst, line in targets.items():
         if not 0 <= dst < num_states:
             raise MdpError(f"line {line}: prob line targets undeclared state {dst}")
-    ap = frozenset(headers.get("ap", (0, ""))[1].split())
+    ap = proposition_names(*headers.get("ap", (0, "")), MdpError)
     for key, (line, letter) in labels.items():
         if key[2] not in prob_rows.get(key[:2], ()):
             raise MdpError(f"line {line}: label on zero-probability triple {key}")

@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 
 import numpy as np
 
 from .augment import augment
 from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
-from .graphs import close_rows, pack_rows, unpack_rows
+from .graphs import close_rows
 from .learn import _generator_array, draw_indices
 from .ltl import LassoWord, formula_evaluator, parse_ltl
 from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
@@ -160,27 +161,33 @@ def check_degeneralization(battery: Battery) -> tuple[bool, str]:
     )
 
 
-def policy_classes(p: ProductMdp, chosen) -> tuple[np.ndarray, np.ndarray]:
+def policy_classes(p: ProductMdp, chosen) -> tuple[list[int], list[list[int]]]:
     """The recurrent classes of many positional policies, one per row of
-    ``chosen`` (pair ids).  Returns, in arrays of its shape, whether each
-    state is reached from state 0 and recurrent, and, along one more axis,
-    which accepting sets the chosen pairs meet over all the state reaches:
-    for a recurrent state, its class's coverage.  Reachability rows are
-    bitsets over the states and then the sets, closed by Warshall's
-    algorithm.  A state is recurrent when all it reaches reaches it back.
+    ``chosen`` (pair ids), as ints whose bit ``k`` speaks of policy ``k``.
+    Returns, per state, the policies under which it is reached from state 0
+    and recurrent, and, per state and accepting set, those under which the
+    chosen pairs meet the set somewhere the state reaches: for a recurrent
+    state, its class's coverage.  Reachability rows, a column per state and
+    then per set, are closed by :func:`~omegarl.graphs.close_rows`.  A state
+    is recurrent when all it reaches reaches it back.
     """
     n, n_sets = p.num_states, p.automaton.n_sets
-    pair = np.repeat(np.arange(len(p.succ)), [len(row) for row in p.succ])
-    transition, j = np.nonzero(np.concatenate(p.masks)[:, None] >> np.arange(n_sets) & 1)
-    edges = np.zeros((len(p.succ), n + n_sets), dtype=bool)
-    edges[pair, np.concatenate(p.succ)] = True
-    edges[pair[transition], n + j] = True  # a pair meeting set j leads to column n + j
-    reach = pack_rows(edges)[chosen] | pack_rows(np.eye(n, n + n_sets, dtype=bool))
-    reach = unpack_rows(close_rows(reach), n + n_sets)
-    states = reach[..., :n]
-    escapes = (states > states.transpose(0, 2, 1)) @ np.ones(n, dtype=bool)
-    recurrent = states[:, 0] & ~escapes
-    return recurrent, reach[..., n:]
+    chooses = np.zeros((len(p.succ), len(chosen)), dtype=bool)
+    chooses[chosen, np.arange(len(chosen))[:, None]] = True
+    picks = [int.from_bytes(row.tobytes(), "little")  # per pair, the policies that choose it
+             for row in np.packbits(chooses, axis=1, bitorder="little")]
+    reach = [[0] * (n + n_sets) for _ in range(n)]
+    for x, row in enumerate(reach):
+        row[x] = (1 << len(chosen)) - 1
+        for pair in range(p.first[x], p.first[x + 1]):
+            for y, mask in zip(p.succ[pair], p.masks[pair]):
+                row[y] |= picks[pair]
+                for j in range(n_sets):  # a pair meeting set j leads to column n + j
+                    row[n + j] |= picks[pair] * (mask >> j & 1)
+    close_rows(reach)
+    recurrent = [reach[0][x] & ~reduce(or_, (row[y] & ~back[x] for y, back in enumerate(reach)))
+                 for x, row in enumerate(reach)]
+    return recurrent, [row[n:] for row in reach]
 
 
 def check_recurrence_dichotomy(battery: Battery) -> tuple[bool, str]:
@@ -195,9 +202,8 @@ def check_recurrence_dichotomy(battery: Battery) -> tuple[bool, str]:
     ``rng.integers(len(acts))`` per state, where a state with a single
     action draws nothing; ``tests/test_verify.py`` pins that.
     :func:`policy_classes` classifies each block; a failure names the first
-    policy with a violating class and in it the class of the lowest state.
-    The check adds about 0.4 MB to the battery's peak memory: a block's
-    draws peak at 0.14 MB and its classes at 0.32 MB.
+    policy with a violating class, the lowest bit set among the states'
+    violating policies, and in it the class of the lowest state.
     """
     product, n_policies = battery.augmented_product, battery.n_policies
     first = np.array(product.first, dtype=np.int32)
@@ -206,13 +212,13 @@ def check_recurrence_dichotomy(battery: Battery) -> tuple[bool, str]:
     for start in range(0, n_policies, POLICY_BLOCK):
         rows = np.tile(counts, (min(POLICY_BLOCK, n_policies - start), 1))
         recurrent, covered = policy_classes(product, draw_indices(rng, rows) + first[:-1])
-        hits = covered.sum(-1)
-        trial, state = np.nonzero(recurrent & (hits != 0) & (hits != n_sets))
-        if len(trial):
-            return False, (
-                f"policy {start + trial[0]} has a class covering "
-                f"{hits[trial[0], state[0]]}/{n_sets} sets"
-            )
+        violating = [rec & reduce(or_, sets) & ~reduce(and_, sets)
+                     for rec, sets in zip(recurrent, covered)]
+        if bad := reduce(or_, violating):
+            k = (bad & -bad).bit_length() - 1
+            state = next(x for x, policies in enumerate(violating) if policies >> k & 1)
+            hits = sum(policies >> k & 1 for policies in covered[state])
+            return False, f"policy {start + k} has a class covering {hits}/{n_sets} sets"
     return True, f"{n_policies} random positional policies, no violations"
 
 

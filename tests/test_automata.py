@@ -308,7 +308,7 @@ def test_moves_hold_every_transition_once_in_serialized_order():
         assert flat == serialized_order(b)
 
 
-@pytest.mark.parametrize("name", ["eps", ":", "A", "true"])
+@pytest.mark.parametrize("name", ["eps", ":", "A", "true", "false", "G", "a-b"])
 def test_parse_rejects_proposition_names_guards_cannot_write(name):
     text = f"states: 1\nap: a {name}\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n"
     with pytest.raises(AutomatonError, match=rf"line 2: '{name}' is not a proposition name"):
@@ -504,16 +504,33 @@ def test_unreachable_epsilon_edge_keeps_the_language(fig_automaton):
         ("acceptance-sets: 1", "acceptance-sets: 40", "line 4: acceptance-sets must be at most 16"),
         ("ap: a", "ap: a a", "line 1: duplicate atomic proposition in 'ap' header"),
         ("states: 1", "states: 3", "line 2: 3 states declared, but no line names a state above 0"),
+        ("ap: a", "ap: a " + " ".join(f"p{i}" for i in range(16)),
+         r"line 1: at most 16 atomic propositions \(each guard expands to one transition per "
+         r"letter\)$"),
+        ("0 !a 0", "0 " + "!" * 1000 + "a 0",
+         "line 6: bad guard: formula nested more than 200 deep"),
+        ("0 !a 0", "0 " + "(" * 500 + "!a" + ")" * 500 + " 0",
+         "line 6: bad guard: formula nested more than 200 deep"),
     ],
     ids=["states", "initial", "acceptance-sets", "acc-index", "initial-range", "no-states",
          "no-acceptance-sets", "17-acceptance-sets", "40-acceptance-sets", "duplicate-ap",
-         "states-above-named"],
+         "states-above-named", "17-ap", "guard-not-1000", "guard-parentheses-500"],
 )
 def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):
     good = "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 a 0 acc: 1\n0 !a 0\n"
     assert parse_automaton(good).num_states == 1
     with pytest.raises(AutomatonError, match=match):
         parse_automaton(good.replace(old, new, 1))
+
+
+def test_parse_takes_up_to_max_ap_propositions(monkeypatch):
+    """The bound on ``ap:`` holds at exactly MAX_AP names, here lowered to 2
+    so that the letters stay few."""
+    monkeypatch.setattr(omegarl.automata, "MAX_AP", 2)
+    text = "ap: a b\nstates: 1\ninitial: 0\nacceptance-sets: 1\n0 true 0 acc: 1\n"
+    assert parse_automaton(text).ap == frozenset("ab")
+    with pytest.raises(AutomatonError, match="^line 1: at most 2 atomic propositions"):
+        parse_automaton(text.replace("ap: a b", "ap: a b c"))
 
 
 def test_parse_checks_the_state_count_before_allocating():

@@ -2,7 +2,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from omegarl.graphs import close_rows, explore, pack_rows, unpack_rows
+from omegarl.graphs import close_rows, explore
 
 # "b" loops on itself, "a" lists "b" twice, and a depth-first walk would
 # number "d" before "c"
@@ -53,17 +53,25 @@ def test_explore_lets_a_successor_error_through():
     assert caught.value is error
 
 
-def test_bitset_rows_round_trip_and_close_as_networkx_does():
-    """Across one and several 64-bit words, and with extra columns that are
-    reached but lead nowhere: a state reaches itself only around a cycle."""
+def test_close_rows_closes_each_bit_slice_as_networkx_does():
+    """A batch of 70 relations, wider than one 64-bit word, bit-sliced into
+    ints, over up to 130 states and with extra columns that are reached but
+    lead nowhere: each relation checked, the lowest two and highest one and
+    those on either side of bit 64, closes to networkx's transitive
+    closure, so a state reaches itself only around a cycle."""
     rng = np.random.default_rng(5)
+    width = 70
     for n, extra in ((1, 0), (7, 2), (64, 0), (65, 3), (130, 1)):
-        adj = rng.random((n, n + extra)) < 2 / n
-        words = pack_rows(adj)
-        assert words.shape == (n, (n + extra + 63) // 64)
-        assert np.array_equal(unpack_rows(words, n + extra), adj)
-        g = nx.DiGraph(zip(*np.nonzero(adj)))
-        g.add_nodes_from(range(n + extra))
-        expect = nx.transitive_closure(g, reflexive=False)
-        got = unpack_rows(close_rows(words), n + extra)
-        assert {(int(x), int(y)) for x, y in zip(*np.nonzero(got))} == set(expect.edges)
+        adj = rng.random((width, n, n + extra)) < 2 / n
+        packed = np.packbits(adj, axis=0, bitorder="little")
+        rows = [[int.from_bytes(packed[:, x, y].tobytes(), "little") for y in range(n + extra)]
+                for x in range(n)]
+        got = close_rows(rows)
+        assert len(got) == n and {len(row) for row in got} == {n + extra}
+        for j in (0, 1, 63, 64, width - 1):
+            g = nx.DiGraph(zip(*np.nonzero(adj[j])))
+            g.add_nodes_from(range(n + extra))
+            expect = nx.transitive_closure(g, reflexive=False)
+            closed = {(x, y) for x, row in enumerate(got)
+                      for y, bits in enumerate(row) if bits >> j & 1}
+            assert closed == set(expect.edges)

@@ -68,6 +68,24 @@ def test_test_imports_are_declared_in_pyproject():
     assert undeclared == set()
 
 
+NUMPY_FREE = ("ltl.py", "automata.py", "augment.py", "graphs.py", "product.py")
+
+
+def numpy_imports(source: str) -> list[int]:
+    return [line for line, module in imported_modules(source) if module == "numpy"]
+
+
+def test_formula_automaton_and_product_layers_import_no_numpy():
+    """These modules keep their bitsets as Python ints; ROADMAP item 11
+    takes numpy out of the rest of the package, so none may bring it back."""
+    found = {p.name: numpy_imports(p.read_text(encoding="utf-8"))
+             for p in SOURCES if p.name in NUMPY_FREE}
+    assert sorted(found) == sorted(NUMPY_FREE)
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    uses = "import numpy as np\nfrom numpy import ones\ndef f():\n    import numpy.linalg\n"
+    assert numpy_imports(uses) == [1, 2, 4]
+
+
 def numpy_random_uses(source: str) -> list[int]:
     """Lines that import ``numpy.random`` or read ``np.random``/``numpy.random``."""
     lines = []

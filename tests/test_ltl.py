@@ -22,6 +22,7 @@ from omegarl import (
     parse_ltl,
 )
 from omegarl.ltl import (
+    MAX_DEPTH,
     And,
     Atom,
     Eventually,
@@ -109,6 +110,42 @@ def test_atoms_and_operators_are_ascii(text, pos):
         parse_ltl(text)
     assert (str(err.value), err.value.pos) == (
         f"unexpected character {text[pos]!r} (at position {pos})", pos)
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [("!" * 1000 + "a", MAX_DEPTH), ("(" * 1000 + "a" + ")" * 1000, MAX_DEPTH),
+     ("(" * 500 + "a" + ")" * 500, MAX_DEPTH), (" & ".join(["a"] * 1000), 4 * MAX_DEPTH - 2)],
+    ids=["not-1000", "parentheses-1000", "parentheses-500", "and-chain-1000"],
+)
+def test_parse_rejects_formulas_nested_past_the_cap(text, pos):
+    """Deep nesting is a ParseError at the first token past the cap, not a
+    RecursionError; a left-grouping chain is deep on its left side and
+    fails at the operator that takes it past the cap."""
+    with pytest.raises(ParseError) as err:
+        parse_ltl(text)
+    assert (str(err.value), err.value.pos) == (
+        f"formula nested more than {MAX_DEPTH} deep (at position {pos})", pos)
+
+
+@pytest.mark.parametrize(
+    "nest,same",
+    [(lambda k: "!" * (k - 1) + "a", "a" if MAX_DEPTH % 2 else "!a"),
+     (lambda k: "(" * (k - 1) + "a" + ")" * (k - 1), "a"),
+     (lambda k: " & ".join(["a"] * k), "a"),
+     (lambda k: " -> ".join(["a"] * k), "true")],
+    ids=["not", "parentheses", "and-chain", "implies-chain"],
+)
+def test_formulas_at_the_nesting_cap_parse_walk_evaluate_and_print(nest, same):
+    """A formula exactly MAX_DEPTH deep parses, and the recursive evaluator
+    and printer and the walks handle it; one level more does not parse."""
+    phi = parse_ltl(nest(MAX_DEPTH))
+    cycles = [(frozenset("a"),), (frozenset(),)]
+    assert formula_evaluator(phi, cycles)(()) == formula_evaluator(parse_ltl(same), cycles)(())
+    assert (atoms(phi), is_propositional(phi)) == (frozenset("a"), True)
+    assert parse_ltl(format_ltl(phi)) == phi
+    with pytest.raises(ParseError, match=f"^formula nested more than {MAX_DEPTH} deep"):
+        parse_ltl(nest(MAX_DEPTH + 1))
 
 
 # symbol: (class, precedence, groups right), tightest binding first

@@ -222,10 +222,15 @@ GOOD_MDP = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\nlabe
         ("label 0 go 1", "label 0 go 0",
          r"line 6: label on zero-probability triple \(0, 'go', 0\)"),
         ("{a}", "{z}", r"line 6: label \['z'\] uses undeclared propositions"),
+        ("ap: a", "ap: a b a", "line 3: duplicate atomic proposition in 'ap' header"),
+        ("ap: a", "ap: A true A", "line 3: 'A' is not a proposition name"),
+        ("ap: a", "ap: a true", "line 3: 'true' is not a proposition name"),
+        ("ap: a", "ap: a eps", "line 3: 'eps' is not a proposition name"),
     ],
     ids=["states", "initial", "prob-state", "prob-probability", "label-state", "duplicate-header",
          "prob-undeclared-state", "initial-range", "no-states", "states-without-rows",
-         "prob-undeclared-target", "label-zero-probability", "label-undeclared-proposition"],
+         "prob-undeclared-target", "label-zero-probability", "label-undeclared-proposition",
+         "duplicate-ap", "capital-ap", "constant-ap", "eps-ap"],
 )
 def test_parse_mdp_malformed_lines_raise_line_numbered_errors(old, new, match):
     assert parse_mdp(GOOD_MDP).num_states == 2

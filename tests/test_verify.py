@@ -151,10 +151,12 @@ def test_policy_classes_match_per_policy_decomposition():
         sizes.append(product.num_states)
         chosen = draw_pairs(product, (1, 12)[i % 2], i)
         recurrent, covered = verify.policy_classes(product, chosen)
-        assert recurrent.shape == chosen.shape
-        assert covered.shape == (*chosen.shape, product.automaton.n_sets)
-        for row, rec, cov in zip(chosen.tolist(), recurrent, covered):
-            got = {s: sum(int(bit) << j for j, bit in enumerate(cov[s])) for s in np.flatnonzero(rec)}
+        assert len(recurrent) == len(covered) == product.num_states
+        assert {len(sets) for sets in covered} == {product.automaton.n_sets}
+        assert all(0 <= bits < 1 << len(chosen) for bits in recurrent + sum(covered, []))
+        for k, row in enumerate(chosen.tolist()):
+            got = {s: sum((bits >> k & 1) << j for j, bits in enumerate(covered[s]))
+                   for s, policies in enumerate(recurrent) if policies >> k & 1}
             assert got == {s: mask for states, mask in recurrent_classes(product, row)[1] for s in states}
             g = nx.DiGraph((s, dst) for s, pair in enumerate(row) for dst in product.succ[pair])
             reached = g.subgraph(nx.descendants(g, 0) | {0})
@@ -178,10 +180,12 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
         product = build_product(m, fixture)
         chosen = draw_pairs(product, 40, seed)
         recurrent, covered = verify.policy_classes(product, chosen)
-        hits = covered.sum(-1)
-        bad = (recurrent & (hits == 1)).any(-1)
+        bad = [k for k in range(len(chosen)) if any(
+            policies >> k & 1 and sum(bits >> k & 1 for bits in sets) == 1
+            for policies, sets in zip(recurrent, covered)
+        )]
         expect = [(k, violation(product, row)) for k, row in enumerate(chosen.tolist())]
-        assert list(np.flatnonzero(bad)) == [k for k, detail in expect if detail]
+        assert bad == [k for k, detail in expect if detail]
         battery = verify.Battery(fixture, m, n_policies=40, seed=seed)
         first = next(((k, detail) for k, detail in expect if detail), None)
         assert verify.check_recurrence_dichotomy(battery) == (
