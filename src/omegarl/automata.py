@@ -465,9 +465,12 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     therefore meets position 0 in one ``T``-component, and its internal
     transitions meet set ``j`` iff ``T^j`` has a pair inside that component.
 
+    A letter is read projected onto ``b.ap``, as :func:`~omegarl.product.
+    build_product` projects labels, so propositions outside it are ignored.
     The acceptor reads ``b.moves`` and ``b.masks`` once.  Raises
     ``AutomatonError`` here, before any prefix is read, if epsilon
-    transitions form a cycle (which would allow runs that consume nothing).
+    transitions form a cycle (which would allow runs that consume nothing),
+    and ``ValueError`` naming the first empty cycle.
     """
     moves, n = b.moves, b.num_states
     eps_out = [[t.dst for t in row.get(EPSILON, ())] for row in moves]
@@ -475,18 +478,17 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     if any(eps[x][x] for x in range(n)):
         raise AutomatonError("epsilon transitions form a cycle")
     into = [[z for z in range(n) if z == w or eps[z][w]] for w in range(n)]
+    # per position, each letter's cycles, a letter projected onto b.ap as
+    # build_product projects labels; None pads the cycles that have ended
+    for column in (columns := ltl.cycle_columns(cycles)):
+        for letter in [x for x in column if x is not None and not x <= b.ap]:
+            column[letter & b.ap] = column.get(letter & b.ap, 0) | column.pop(letter)
     # per letter, D_l as triples (z, y, mask): an epsilon closure from z and a
-    # move in the sets of mask reach y; None, which pads short cycles, is the identity
+    # move in the sets of mask reach y; None is the identity
     steps = {None: [(z, z, 0) for z in range(n)]}
-    for letter in dict.fromkeys(itertools.chain(*cycles)):
+    for letter in set().union(*columns) - {None}:
         steps[letter] = [(z, t.dst, b.masks[t]) for row in moves
                          for t in row.get(letter, ()) for z in into[t.src]]
-    # per position, each letter's cycles: those that read it there
-    columns = [{} for _ in range(max(map(len, cycles), default=1))]
-    for c, cycle in enumerate(cycles):
-        bit = 1 << c
-        for column, letter in itertools.zip_longest(columns, cycle):
-            column[letter] = column.get(letter, 0) | bit
 
     def compose(rel, column, j=None, out=None):  # out | rel D, or out | rel D^j
         out = out or [[0] * n for _ in range(n)]
@@ -519,7 +521,7 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
             entering = {
                 t.dst
                 for y in closure(entering, lambda s: eps_out[s])
-                for t in moves[y].get(letter, ())
+                for t in moves[y].get(letter & b.ap, ())
             }
         return reduce(or_, (table[x] for x in entering), 0)
 

@@ -8,17 +8,20 @@ it serves as a ground-truth oracle for the automata in this package.
 
 Syntax: atoms match ``[a-z][a-z0-9_]*``, ``true`` and ``false`` are
 constants, and parentheses group.  A formula nests at most :data:`MAX_DEPTH`
-levels deep, counting each operator and pair of parentheses.  An operator's
-syntax lives in one place, the tables ``_UNARY`` (prefix symbol to class)
-and ``_BINARY`` (infix symbol to class, precedence and whether it groups
-right); every unary operator binds tighter than every binary one.  The
-token pattern ``_TOKEN``, the parser, the printer and the walk ``_operands``
-read them, so a new operator needs its class, one table row, an opcode and
-one ``_values`` case.
+levels deep, counting each operator and pair of parentheses; a node built
+in code is held to the same cap, less parentheses, when it is made.  An
+operator's syntax lives in one place, the tables ``_UNARY`` (prefix symbol
+to class) and ``_BINARY`` (infix symbol to class, precedence and whether it
+groups right); every unary operator binds tighter than every binary one.
+The token pattern ``_TOKEN``, the parser, the printer, the walk
+``_operands`` and so each node's depth read them.  So a new operator needs
+its class, one table row, an opcode and one case of :func:`_step`: its
+value at a position from its operands' there and values one position later.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -32,9 +35,19 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+MAX_DEPTH = 200  # nesting levels: far below the stack limit of the recursive parser and walks
+
+
 @dataclass(frozen=True)
 class Formula:
-    pass
+    """A node; its ``depth`` counts levels as :func:`parse_ltl` does, less parentheses.
+    A node deeper than :data:`MAX_DEPTH` raises ``ValueError`` when it is made."""
+
+    def __post_init__(self):
+        depth = 1 + max([f.depth for f in operands]) if (operands := _operands(self)) else 1
+        if depth > MAX_DEPTH:
+            raise ValueError(f"formula nested more than {MAX_DEPTH} deep")
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -186,7 +199,6 @@ def lasso(prefix, cycle) -> LassoWord:
 
 # --- parsing -----------------------------------------------------------
 
-MAX_DEPTH = 200  # nesting levels: far below the stack limit of the recursive parser and walks
 _SYMBOLS = sorted([*_UNARY, *_BINARY, "(", ")"], key=len, reverse=True)  # longest match first
 _TOKEN = re.compile(r"\s*(?:([a-z][a-z0-9_]*|%s)|(\S))" % "|".join(map(re.escape, _SYMBOLS)))
 
@@ -237,9 +249,10 @@ def parse_ltl(text: str) -> Formula:
             at = tokens[i][1]
             i += 1
             rhs, rhs_height = infix(level if right else level + 1, depth + 1)
-            phi, height = cls(phi, rhs), 1 + max(height, rhs_height)
+            height = 1 + max(height, rhs_height)
             if depth + height > MAX_DEPTH:  # a left-grouping chain deepens its first operand
                 raise ParseError(f"formula nested more than {MAX_DEPTH} deep", at)
+            phi = cls(phi, rhs)
         return phi, height
 
     phi, _ = infix(0, 0)
@@ -295,66 +308,45 @@ _OPCODE = {
 }
 
 
-def _values(program, letters, later: int | None = None) -> int:
-    """Every instruction's truth value at the first of ``letters``, packed
-    into one int (bit ``k`` is instruction ``k``).
+def cycle_columns(cycles) -> list[dict]:
+    """Per position of the longest of ``cycles``, each letter's cycles as an
+    int: bit ``j`` of ``columns[i][letter]`` is set iff ``cycles[j]`` reads
+    ``letter`` at position ``i``, where a cycle that has ended reads
+    ``None``.  Raises ``ValueError`` naming the first empty cycle."""
+    columns = [{} for _ in range(max(map(len, cycles), default=1))]
+    for j, cycle in enumerate(cycles):
+        if not cycle:
+            raise ValueError(f"cycle {j} is empty")
+        for column, letter in itertools.zip_longest(columns, cycle):
+            column[letter] = column.get(letter, 0) | 1 << j
+    return columns
 
-    The positions are ``letters`` in order.  After the last one the word
-    goes back to the first when ``later`` is None, so the word is
-    ``letters^w``; otherwise it goes on to a position whose packed values
-    are ``later``.  Each instruction's value is a bitset over the positions:
-    bit ``i`` of a Python int is the truth value at position ``i``.
-    Boolean connectives are bit operations and ``X v`` shifts ``v`` down one
-    position, taking the last position's bit from the position after it.
-    Until/Eventually iterate their one-step expansion ``r | (l & X s)`` up
-    from ``r`` to the least fixpoint and Globally its ``g & X s`` down from
-    ``g`` to the greatest, which is exact on the finitely many positions.
-    """
-    top = len(letters) - 1
-    full = (1 << len(letters)) - 1
 
-    def shift(val: int, k: int) -> int:  # X of instruction k's bitset ``val``
-        after = val if later is None else later >> k
-        return (val >> 1) | ((after & 1) << top)
-
-    v: list[int] = []
-    for k, (op, x, y) in enumerate(program):
-        if op == _ATOM:
-            val = 0
-            for i, letter in enumerate(letters):
-                if x in letter:
-                    val |= 1 << i
-        elif op == _NOT:
-            val = full ^ v[x]
-        elif op == _AND:
-            val = v[x] & v[y]
-        elif op == _OR:
-            val = v[x] | v[y]
-        elif op == _IMPLIES:
-            val = (full ^ v[x]) | v[y]
-        elif op == _NEXT:
-            val = shift(v[x], x)
-        elif op == _UNTIL or op == _EVENTUALLY:  # least fixpoint of  r | (l & X s), from s = r
-            left, r = (v[x], v[y]) if op == _UNTIL else (full, v[x])  # F r is true U r
-            val = r
-            while True:
-                nxt = r | (left & shift(val, k))
-                if nxt == val:
-                    break
-                val = nxt
-        elif op == _GLOBALLY:  # greatest fixpoint of  g & X s, from s = g
-            g = val = v[x]
-            while True:
-                nxt = g & shift(val, k)
-                if nxt == val:
-                    break
-                val = nxt
-        elif op == _TRUE:
-            val = full
-        else:
-            val = 0
-        v.append(val)
-    return sum((val & 1) << k for k, val in enumerate(v))
+def _step(program, k: int, now: list[int], later: list[int], atoms: dict, full: int) -> int:
+    """Instruction ``k``'s value at one position, a bitset over cycles, by its
+    one-step rule: ``now`` holds the earlier instructions' values there and
+    ``later`` all of them one position later; ``atoms`` maps a name to the
+    cycles whose letter here holds it, and ``full`` has every cycle."""
+    op, x, y = program[k]
+    if op == _ATOM:
+        return atoms.get(x, 0)
+    if op == _NOT:
+        return full ^ now[x]
+    if op == _AND:
+        return now[x] & now[y]
+    if op == _OR:
+        return now[x] | now[y]
+    if op == _IMPLIES:
+        return (full ^ now[x]) | now[y]
+    if op == _NEXT:
+        return later[x]
+    if op == _UNTIL:  # l U r  is  r | (l & X (l U r))
+        return now[y] | (now[x] & later[k])
+    if op == _EVENTUALLY:  # F r  is  r | X F r
+        return now[x] | later[k]
+    if op == _GLOBALLY:  # G g  is  g & X G g
+        return now[x] & later[k]
+    return full if op == _TRUE else 0
 
 
 def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
@@ -364,24 +356,21 @@ def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
     ``prefix . cycles[j]^w`` satisfies ``phi``.
 
     Each subformula becomes one instruction, and a subformula object that
-    occurs twice is compiled once.  A position's values are packed into one
-    int, bit ``k`` being instruction ``k``'s truth value there.  The values
-    at a cycle's entry depend only on the cycle: they are
-    ``_values(program, cycle)``, computed here for every cycle, and cycles
-    with equal entry values form one group with one mask of cycle bits.
-    The values at an earlier position depend only on its letter and the
-    next position's values: they are ``_values(program, (letter,),
-    next_values)``, where an atom tests the letter, connectives combine bits
-    of the same position, ``X f`` reads ``f`` one position later, ``l U r``
-    is ``r | (l & X (l U r))`` and ``G g`` is ``g & X G g``.  A prefix
-    position is never revisited, so those one-step rules decide it exactly.
-    For each group the prefix is walked backwards from the entry values to
-    the values at position 0, and the masks of the groups whose top
-    instruction holds there are ORed together.
-
-    The returned function memoizes each backward step per
-    ``(letter, values)``; the memo belongs to it alone and lives as long as
-    it does.
+    occurs twice is compiled once.  Every value is bit-sliced across the
+    cycles: an int whose bit ``j`` speaks of ``cycles[j]``.  The cycles of
+    one length share their positions, and there each instruction's value
+    follows from its one-step rule (:func:`_step`): an atom ORs the cycles
+    whose letter holds it, connectives are bit operations, ``X f`` reads
+    ``f`` one position later, wrapping around, ``l U r`` is ``r | (l & X
+    (l U r))`` and ``G g`` is ``g & X G g``.  Until and Eventually sweep
+    those rules backwards round the positions from all-false to their least
+    fixpoint, Globally from all-true to its greatest, which is exact on the
+    finitely many positions.  The entry values are position 0's, ORed over
+    the lengths.  A prefix position is never revisited, so the same rules,
+    with an atom true on every cycle or on none, walk a prefix backwards
+    from the entry values to position 0, whose top instruction is the
+    verdict.  Raises ``ValueError`` on an empty cycle before any prefix is
+    read.
     """
     program: list[tuple[int, object, int]] = []
     # keyed on node identity: a frozen formula re-hashes its whole subtree on
@@ -401,25 +390,38 @@ def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
         return len(program) - 1
 
     emit(phi)
-    verdict_bit = 1 << (len(program) - 1)
-    groups: dict[int, int] = {}
+    columns, lengths = cycle_columns(cycles), {}
     for j, cycle in enumerate(cycles):
-        entry = _values(program, cycle)
-        groups[entry] = groups.get(entry, 0) | 1 << j
-    steps: dict[tuple, int] = {}
+        lengths[len(cycle)] = lengths.get(len(cycle), 0) | 1 << j
+    entry = [0] * len(program)
+    for length, full in lengths.items():
+        atoms = [{} for _ in range(length)]  # per position, each name's cycles
+        for names, column in zip(atoms, columns):
+            for letter, bits in column.items():
+                for name in letter or ():
+                    names[name] = names.get(name, 0) | bits & full
+        values = [[] for _ in range(length)]  # per position, each instruction's cycles
+        for k, (op, _, _) in enumerate(program):
+            for now in values:
+                now.append(full if op == _GLOBALLY else 0)
+            changed = True
+            while changed:
+                changed = False
+                for i in reversed(range(length)):
+                    val = _step(program, k, values[i], values[(i + 1) % length], atoms[i], full)
+                    changed |= val != values[i][k]
+                    values[i][k] = val
+        entry = [e | v for e, v in zip(entry, values[0])]
+    every = (1 << len(cycles)) - 1
 
     def holds(prefix) -> int:
-        bits = 0
-        for values, mask in groups.items():
-            for letter in reversed(prefix):
-                key = (letter, values)
-                got = steps.get(key)
-                if got is None:
-                    got = steps[key] = _values(program, (letter,), values)
-                values = got
-            if values & verdict_bit:
-                bits |= mask
-        return bits
+        later = entry
+        for letter in reversed(prefix):
+            atoms, now = dict.fromkeys(letter, every), []
+            for k in range(len(program)):
+                now.append(_step(program, k, now, later, atoms, every))
+            later = now
+        return later[-1]
 
     return holds
 

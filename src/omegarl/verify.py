@@ -28,7 +28,10 @@ from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
 from .product import ProductMdp, check_positional_impossibility, method_product
 
 SPEC_FORMULA = "G F a & G F b & G !c"
-POLICY_BLOCK = 256  # policies per recurrence-dichotomy pass: bounds its arrays
+# policies per recurrence-dichotomy pass, which bounds its arrays: on the battery's
+# 112-pair, 24-state augmented product a pass of 1024 peaks at 0.58 MB (tracemalloc):
+# 115 kB of choices, two 98 kB int32 draws and 24 x 26 reachability ints of 164 B
+POLICY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,15 @@ class Battery:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @cached_property
+    def base_verdicts(self) -> tuple[list, list, list[int]]:
+        """The prefixes and the cycles of the bounded lasso words, as
+        :func:`lasso_parts` lists them, and per prefix the automaton's
+        verdicts as a bitset over the cycles (:func:`lasso_acceptor`)."""
+        prefixes, cycles = lasso_parts(sorted(self.automaton.ap), self.max_prefix, self.max_cycle)
+        accepts = lasso_acceptor(self.automaton, cycles)
+        return prefixes, cycles, [accepts(prefix) for prefix in prefixes]
+
+    @cached_property
     def augmented(self) -> TGba:
         return augment(self.automaton)
 
@@ -109,23 +121,20 @@ def _lasso_agreement(battery: Battery, candidates) -> tuple[bool, str]:
     that reports its disagreement, must give the battery automaton's
     verdict on every bounded lasso word.
 
-    Every oracle, the battery automaton's :func:`lasso_acceptor` and each
-    candidate's acceptor or :func:`formula_evaluator`, is built once per
-    check over the whole list of cycles, in one array pass for an
-    acceptor, and answers a prefix with one bitset over them.  So each
-    prefix costs one XOR per candidate.  A failure names the word of the
-    first disagreement in :func:`all_lassos` order: the first prefix with
-    any, then the lowest cycle bit over all candidates, the earlier
-    candidate on a tie.
+    The automaton's verdicts are decided once per battery, for all three
+    lasso checks (:attr:`Battery.base_verdicts`).  Each candidate's oracle,
+    its :func:`lasso_acceptor` or :func:`formula_evaluator`, is built once
+    per check in one bit-sliced pass over all the cycles, and answers a
+    prefix with one bitset over them: one XOR per candidate and prefix.  A
+    failure names the word of the first disagreement in :func:`all_lassos`
+    order: the first prefix with any, then the lowest cycle bit over all
+    candidates, the earlier candidate on a tie.
     """
-    base = battery.automaton
-    prefixes, cycles = lasso_parts(sorted(base.ap), battery.max_prefix, battery.max_cycle)
-    base_accepts = lasso_acceptor(base, cycles)
+    prefixes, cycles, verdicts = battery.base_verdicts
     acceptors = [(lasso_acceptor(oracle, cycles) if isinstance(oracle, TGba)
                   else formula_evaluator(oracle, cycles), disagreement)
                  for oracle, disagreement in candidates]
-    for prefix in prefixes:
-        expect = base_accepts(prefix)
+    for prefix, expect in zip(prefixes, verdicts):
         first_bit, phrase = 0, None
         for accepts, disagreement in acceptors:
             diff = accepts(prefix) ^ expect
@@ -268,11 +277,12 @@ CHECKS = {
 def run_battery(quick: bool = False) -> list[CheckResult]:
     """Every check of :data:`CHECKS` on the packaged automaton and the
     nine-room grid, each timed; ``quick`` lowers the word bounds to 1 and 2
-    and the policies to 100.  The augmentation and the augmented and raw
-    products, which several checks share, are built before the first check,
-    so no check's ``seconds`` includes them."""
+    and the policies to 100.  What several checks share, the augmentation,
+    the augmented and raw products and :attr:`Battery.base_verdicts`, is
+    built before the first check, outside every check's ``seconds``; the
+    degeneralized product, which only stochasticity reads, inside its own."""
     battery = Battery(max_prefix=1, max_cycle=2, n_policies=100) if quick else Battery()
-    for shared in ("augmented", "augmented_product", "raw_product"):
+    for shared in ("augmented", "augmented_product", "raw_product", "base_verdicts"):
         getattr(battery, shared)  # built here, outside the checks' clocks
     results = []
     for name, check in CHECKS.items():

@@ -31,6 +31,7 @@ from omegarl import (
     check_limit_deterministic,
     degeneralize,
     eval_lasso,
+    formula_evaluator,
     lasso,
     lasso_acceptor,
     merge_unaccepting,
@@ -39,7 +40,7 @@ from omegarl import (
     parse_ltl,
     serialize_automaton,
 )
-from omegarl.verify import lasso_parts
+from omegarl.verify import SPEC_FORMULA, lasso_parts
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -651,3 +652,34 @@ def test_acceptor_rejects_epsilon_cycles(edges):
     for cycles in ((), ((A,),)):
         with pytest.raises(AutomatonError, match="epsilon transitions form a cycle"):
             lasso_acceptor(b, cycles)
+
+
+@pytest.mark.parametrize(
+    "oracle", [lambda cycles: lasso_acceptor(named_fixture("gfa_gfb_gnc"), cycles),
+               lambda cycles: formula_evaluator(parse_ltl(SPEC_FORMULA), cycles)],
+    ids=["acceptor", "evaluator"],
+)
+def test_oracles_reject_an_empty_cycle(oracle):
+    """Building the oracle raises, before any prefix is read, and names the
+    first empty cycle."""
+    for cycles, index in ([()], 0), ([(A,), (), (B, A), ()], 1):
+        with pytest.raises(ValueError, match=f"^cycle {index} is empty$"):
+            oracle(cycles)
+
+
+def test_acceptor_ignores_propositions_outside_its_ap(fig_automaton):
+    """Letters are projected onto the automaton's ap, as build_product
+    projects labels: with a proposition z that the fixture does not
+    declare, the acceptor agrees with the spec formula on every word, and
+    decides each word as it decides the word without z."""
+    prefixes, cycles = lasso_parts(("a", "b", "c", "z"), 1, 2)
+    accepts = lasso_acceptor(fig_automaton, cycles)
+    holds = formula_evaluator(parse_ltl(SPEC_FORMULA), cycles)
+    plain = lasso_acceptor(fig_automaton, [tuple(x - {"z"} for x in c) for c in cycles])
+    for prefix in prefixes:
+        assert accepts(prefix) == holds(prefix) == plain(tuple(x - {"z"} for x in prefix))
+    assert any(accepts(prefix) for prefix in prefixes if any("z" in x for x in prefix))
+    spec = parse_ltl(SPEC_FORMULA)
+    for prefix, verdict in ([{"c", "z"}], False), ([{"z"}], True):
+        w = lasso(prefix, [{"a", "z"}, {"b"}])
+        assert accepts_lasso(fig_automaton, w) is eval_lasso(spec, w) is verdict

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,30 @@ def test_formulas_at_the_nesting_cap_parse_walk_evaluate_and_print(nest, same):
     assert parse_ltl(format_ltl(phi)) == phi
     with pytest.raises(ParseError, match=f"^formula nested more than {MAX_DEPTH} deep"):
         parse_ltl(nest(MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda k: reduce(And, [Atom("a")] * k),
+     lambda k: reduce(lambda f, _: Not(f), range(k - 1), Atom("a")),
+     lambda k: reduce(lambda f, _: Until(Atom("a"), f), range(k - 1), Atom("a"))],
+    ids=["and-chain", "not", "until-right"],
+)
+def test_nodes_built_past_the_cap_raise(build):
+    """A tree built in code is held to the parser's cap, without a
+    RecursionError: one level past MAX_DEPTH raises ValueError when the node
+    is made, and a tree exactly MAX_DEPTH deep builds, prints, hashes,
+    compares and evaluates."""
+    for k in (MAX_DEPTH + 1, 2000):
+        with pytest.raises(ValueError, match=f"^formula nested more than {MAX_DEPTH} deep$"):
+            build(k)
+    phi = build(MAX_DEPTH)
+    assert phi.depth == MAX_DEPTH and (Atom("a").depth, Not(Atom("a")).depth) == (1, 2)
+    again = parse_ltl(format_ltl(phi))
+    assert again == phi and hash(again) == hash(phi) and again is not phi
+    cycles = [(frozenset("a"),), (frozenset(),), (frozenset(), frozenset("a"))]
+    w = LassoWord((), cycles[2])
+    assert formula_evaluator(phi, cycles)(()) >> 2 & 1 == bf_eval(phi, w) == eval_lasso(phi, w)
 
 
 # symbol: (class, precedence, groups right), tightest binding first
@@ -329,7 +355,7 @@ def test_evaluator_on_rotated_and_repeated_cycles():
             assert cycle_verdict(holds, cycles, w) == bf_eval(phi, w)
 
 
-def test_evaluators_keep_their_own_memos():
+def test_evaluators_built_back_to_back_give_their_own_verdicts():
     """Two evaluators built back to back over the same cycles and run on the
     same prefixes each give their own formula's verdicts."""
     rng = np.random.default_rng(13)
@@ -352,6 +378,25 @@ def test_spec_evaluator_on_every_short_lasso():
     phi = parse_ltl(SPEC)
     holds = formula_evaluator(phi, cycles)
     assert_table_matches(holds, prefixes, cycles, lambda w: bf_eval(phi, w))
+
+
+def test_evaluator_bits_match_suffix_walk_at_the_battery_bounds():
+    """Every bit of the table on the 42,632 words of the verify battery,
+    prefix <= 2 and cycle <= 3, for the spec formula and ten random depth-4
+    formulas that have a temporal operator."""
+    rng = np.random.default_rng(19)
+    prefixes, cycles = lasso_parts(AP3, 2, 3)
+    assert (len(prefixes), len(cycles)) == (73, 584)
+    words = [[LassoWord(prefix, cycle) for cycle in cycles] for prefix in prefixes]
+    phis = [parse_ltl(SPEC)]
+    while len(phis) < 11:
+        phi = random_formula(rng, depth=4)
+        if not is_propositional(phi):
+            phis.append(phi)
+    for phi in phis:
+        holds = formula_evaluator(phi, cycles)
+        for prefix, row in zip(prefixes, words):  # every bit, and none beyond the cycles
+            assert holds(prefix) == sum(bf_eval(phi, w) << j for j, w in enumerate(row)), prefix
 
 
 def test_evaluator_bits_match_suffix_walk_on_random_formulas():

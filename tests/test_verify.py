@@ -168,10 +168,11 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
     """On raw products of the two-set fixture with random MDPs whose labels
     hold at most one of a and b, many random policies have a class that
     covers one set.  The batched check finds the same violating policies as
-    a per-policy ``recurrent_classes`` loop and names the first, also when
-    it lies past the first block of policies."""
+    a per-policy ``recurrent_classes`` loop and names the first, with the
+    same verdict and detail whatever the block size: in blocks of 2, where
+    it may lie past the first block, of 7, and in one block of 256 or of
+    1024, the default."""
     patch_transforms(monkeypatch, augment=lambda b: b, merge_unaccepting=lambda b: b)
-    monkeypatch.setattr(verify, "POLICY_BLOCK", 2)
     fixture, firsts = named_fixture("gfa_gfb_gnc"), set()
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -186,12 +187,14 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
         )]
         expect = [(k, violation(product, row)) for k, row in enumerate(chosen.tolist())]
         assert bad == [k for k, detail in expect if detail]
-        battery = verify.Battery(fixture, m, n_policies=40, seed=seed)
         first = next(((k, detail) for k, detail in expect if detail), None)
-        assert verify.check_recurrence_dichotomy(battery) == (
-            (True, "40 random positional policies, no violations") if first is None
-            else (False, f"policy {first[0]} {first[1]}")
-        )
+        for block in (2, 7, 256, 1024):
+            monkeypatch.setattr(verify, "POLICY_BLOCK", block)
+            battery = verify.Battery(fixture, m, n_policies=40, seed=seed)
+            assert verify.check_recurrence_dichotomy(battery) == (
+                (True, "40 random positional policies, no violations") if first is None
+                else (False, f"policy {first[0]} {first[1]}")
+            ), block
         firsts.add(first and first[0])
     assert None in firsts and 0 in firsts and max(k for k in firsts if k is not None) >= 2
 
@@ -343,6 +346,19 @@ def test_battery_builds_each_shared_input_once(monkeypatch):
         })
     assert all(result.passed for result in verify.run_battery(quick=True))
     assert sorted(calls) == ["augment"] * 3 + ["build_product"] * 3 + ["merge_unaccepting"]
+
+
+def test_lasso_checks_share_the_automatons_verdicts(monkeypatch):
+    """The battery automaton's acceptor is built once for the three lasso
+    checks, each candidate's once in its own check, and the checks' details
+    count the words the shared verdicts cover."""
+    built, real = [], verify.lasso_acceptor
+    monkeypatch.setattr(verify, "lasso_acceptor",
+                        lambda b, cycles: built.append(b) or real(b, cycles))
+    battery = verify.Battery(max_prefix=1, max_cycle=2)
+    results = [verify.CHECKS[name](battery) for name in LASSO_CHECKS]
+    assert results == [(True, "648 lasso words agree")] * 3
+    assert [b is battery.automaton for b in built] == [True, False, False, False]
 
 
 def test_battery_products_are_the_ones_train_runs():
