@@ -1,7 +1,9 @@
-/* The compiled loops of omegarl.learn: one episode of tabular Q-learning
- * (run_episode, which steps numpy's PCG64 generator; draw exposes that
- * generator to draw_indices) and the synchronous sweeps of value iteration
- * (value_sweeps), both on a product's padded integer tables.
+/* The compiled loops of omegarl.learn: a training session's episodes of
+ * tabular Q-learning (run_session, which steps numpy's PCG64 generator; draw
+ * exposes that generator to draw_indices) and the synchronous sweeps of
+ * value iteration (value_sweeps), both on a product's padded integer tables.
+ * Training reads struct problem, which train fills once, and struct session,
+ * one session's state; a new kernel input is one more field of either.
  *
  * The module docstring of omegarl.learn states the contract (layout,
  * generator state, float order).  Every floating-point operation below is
@@ -93,64 +95,102 @@ void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out)
     store_draws(&d, rng);
 }
 
-double run_episode(
-    int64_t steps, int64_t initial,
-    double gamma, double r_p, double eps_num, double neg_exp,
-    int64_t width, const int64_t *first, const int64_t *succ,
-    const double *cuts, const int64_t *masks, const uint8_t *empty,
-    double *values, int64_t *pair_visits, int64_t *state_visits,
-    int64_t *best, double *top, uint64_t *rng)
+struct problem {
+    const int64_t *first, *succ;  /* state s's pairs are first[s]..first[s+1]-1 */
+    const double *cuts;
+    const int64_t *masks;
+    const uint8_t *empty;         /* empty[done]: no accepting set is left */
+    int64_t width, states, steps, initial;
+    double gamma, r_p, eps_num, neg_exp;
+    int64_t reset_visits;         /* restart state_visits with every episode */
+};
+
+struct session {
+    double *values;
+    int64_t *pair_visits, *state_visits, *best;
+    double *top;
+    uint64_t *rng;
+    double *curve;                /* the session's row, one cell per episode */
+    const int64_t *watch, *held;  /* held[i] was best[watch[i]] when last read */
+    int64_t n_watch;
+};
+
+/* One episode's step loop; returns the reward it collected.  The structs
+ * are copied so that no store through the tables can alias a field. */
+static double run_episode(const struct problem *problem, const struct session *session,
+                          draws *d)
 {
-    draws d = load_draws(rng);
-    int64_t s = initial, done = 0;
+    const struct problem pb = *problem;
+    const struct session se = *session;
+    int64_t s = pb.initial, done = 0;
     double total = 0.0;
-    for (int64_t step = 0; step < steps; step++) {
-        int64_t k = ++state_visits[s];
+    for (int64_t step = 0; step < pb.steps; step++) {
+        int64_t k = ++se.state_visits[s];
         int64_t p;
-        if (next_double(&d) < eps_num / (double)k) /* u < epsilon(k), as u < 1 */
-            p = first[s] + next_below(&d, (uint32_t)(first[s + 1] - first[s]));
+        if (next_double(d) < pb.eps_num / (double)k) /* u < epsilon(k), as u < 1 */
+            p = pb.first[s] + next_below(d, (uint32_t)(pb.first[s + 1] - pb.first[s]));
         else
-            p = best[s];
+            p = se.best[s];
         /* bisect_right: the cuts that are <= u; +inf pads the row */
-        double u = next_double(&d);
-        const double *cut = cuts + p * width;
+        double u = next_double(d);
+        const double *cut = pb.cuts + p * pb.width;
         int64_t j = 0;
         while (cut[j] <= u)
             j++;
-        int64_t dst = succ[p * width + j];
-        double target = gamma * top[dst]; /* adding a zero reward changes no bit */
-        int64_t m = masks[p * width + j];
+        int64_t dst = pb.succ[p * pb.width + j];
+        double target = pb.gamma * se.top[dst]; /* adding a zero reward changes no bit */
+        int64_t m = pb.masks[p * pb.width + j];
         if (m && !(m & done)) {
             done |= m;
-            if (empty[done])
+            if (pb.empty[done])
                 done = 0;
-            target = r_p + target;
-            total += r_p;
+            target = pb.r_p + target;
+            total += pb.r_p;
         }
-        k = ++pair_visits[p];
-        double v = values[p];
-        double new = v + pow((double)k, neg_exp) * (target - v); /* alpha(k) */
-        values[p] = new;
+        k = ++se.pair_visits[p];
+        double v = se.values[p];
+        double new = v + pow((double)k, pb.neg_exp) * (target - v); /* alpha(k) */
+        se.values[p] = new;
         /* keep best[s] and top[s] equal to a fresh first argmax and max */
-        if (new > top[s]) {
-            top[s] = new;
-            best[s] = p;
-        } else if (p == best[s]) {
+        if (new > se.top[s]) {
+            se.top[s] = new;
+            se.best[s] = p;
+        } else if (p == se.best[s]) {
             if (new < v) {
-                int64_t arg = first[s];
-                for (int64_t q = arg + 1; q < first[s + 1]; q++)
-                    if (values[q] > values[arg])
+                int64_t arg = pb.first[s];
+                for (int64_t q = arg + 1; q < pb.first[s + 1]; q++)
+                    if (se.values[q] > se.values[arg])
                         arg = q;
-                top[s] = values[arg];
-                best[s] = arg;
+                se.top[s] = se.values[arg];
+                se.best[s] = arg;
             }
-        } else if (new == top[s] && p < best[s]) {
-            best[s] = p;
+        } else if (new == se.top[s] && p < se.best[s]) {
+            se.best[s] = p;
         }
         s = dst;
     }
-    store_draws(&d, rng);
     return total;
+}
+
+/* Episodes episode..limit-1 of a session, each one's reward per step into
+ * its curve cell; returns the next episode's index, early after the first
+ * episode that leaves best[watch[i]] != held[i] for some i. */
+int64_t run_session(const struct problem *problem, struct session *session,
+                    int64_t episode, int64_t limit)
+{
+    draws d = load_draws(session->rng);
+    int changed = 0;
+    while (episode < limit && !changed) {
+        if (problem->reset_visits)
+            for (int64_t s = 0; s < problem->states; s++)
+                session->state_visits[s] = 0;
+        double total = run_episode(problem, session, &d);
+        session->curve[episode++] = total / (double)problem->steps;
+        for (int64_t i = 0; i < session->n_watch && !changed; i++)
+            changed = session->best[session->watch[i]] != session->held[i];
+    }
+    store_draws(&d, session->rng);
+    return episode;
 }
 
 /* Pair p's backup from the values v: each successor slot's probability

@@ -12,13 +12,17 @@ Both loops run in C (``_kernel.c``) on the product's integer tables, its
 only store (layout in the product module), padded to the widest row by
 ``_padded_tables``: row ``p`` holds pair ``p``'s successors,
 probabilities, cuts (derived there from the probabilities) and masks,
-padded with state 0, probability 0, cut ``+inf`` and mask 0.
-``run_episode`` runs one episode's step loop; Python seeds the sessions,
-resets the per-episode counts, evaluates greedy policies and assembles the
-result.  ``value_sweeps`` runs the synchronous sweeps of value iteration
-and hands back the final values and each pair's backup from them.  A
-``QTable`` holds flat lists: Q-values and visit counts indexed by pair,
-state visits indexed by state, copied from the kernel's arrays.  Action
+padded with state 0, probability 0, cut ``+inf`` and mask 0.  ``train``
+fills two kernel structs once: ``struct problem`` with the tables and the
+hyperparameters, ``struct session`` with one session's arrays (Q-values,
+counts, greedy pairs, generator, curve row; reset for each session) and the
+watched states, those the last evaluation reached, with their greedy pairs
+then.  ``run_session`` runs episodes until the greedy pair changes at a
+watched state or the session ends, so Python wakes only to evaluate.
+``value_sweeps`` runs the synchronous sweeps of value iteration and hands
+back the final values and each pair's backup from them.  A ``QTable``
+holds flat lists: Q-values and visit counts indexed by pair, state visits
+indexed by state, copied from the kernel's arrays.  Action
 names come back only in the returned policies, which ``greedy_policy`` and
 ``value_iteration`` extract by one rule: the first maximal pair of each
 state.  Per state, the training kernel also keeps its greedy pair and
@@ -82,14 +86,10 @@ import numpy as np
 from .mdp import PositionalPolicy
 from .product import PolicyEvaluation, ProductMdp, RewardScheme, evaluate_pairs, require_positive
 
+# The kernel's entry points; the cdef prepends the structs that _kernel.c defines.
 _KERNEL_CDEF = """
-double run_episode(
-    int64_t steps, int64_t initial,
-    double gamma, double r_p, double eps_num, double neg_exp,
-    int64_t width, const int64_t *first, const int64_t *succ,
-    const double *cuts, const int64_t *masks, const uint8_t *empty,
-    double *values, int64_t *pair_visits, int64_t *state_visits,
-    int64_t *best, double *top, uint64_t *rng);
+int64_t run_session(const struct problem *problem, struct session *session,
+                    int64_t episode, int64_t limit);
 void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out);
 int64_t value_sweeps(
     int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
@@ -119,6 +119,7 @@ def _build_kernel(name: str, source: str, path: Path) -> None:
     """Emit the cffi wrapper, compile it with gcc in a private directory and
     move the result to ``path`` in one step.  Its imports serve only this
     cold path."""
+    import re
     import subprocess
     import sysconfig
     import tempfile
@@ -126,7 +127,8 @@ def _build_kernel(name: str, source: str, path: Path) -> None:
     import cffi
 
     builder = cffi.FFI()
-    builder.cdef(_KERNEL_CDEF)
+    structs = re.findall(r"^struct \w+ \{.*?^\};", source, re.M | re.S)
+    builder.cdef("\n".join(structs) + _KERNEL_CDEF)
     builder.set_source(name, source, compiler_verbose=False)
     try:
         path.parent.mkdir(exist_ok=True)
@@ -378,7 +380,9 @@ class LearningCurve:
 @dataclass(frozen=True)
 class TrainResult:
     """``evaluations`` holds each final policy's exact evaluation, or None
-    when satisfaction was not tracked."""
+    when satisfaction was not tracked.  It may be that of an earlier
+    episode's greedy policy, which agrees with the final one at every state
+    it reached and so has the same evaluation."""
 
     qtables: tuple[QTable, ...]
     curve: LearningCurve
@@ -397,25 +401,38 @@ def train(
     """Q-learning over ``cfg.sessions`` independent seeded sessions.
 
     ``scheme`` is a reward scheme of the product module; the kernel applies
-    its bitmask rule to the product's masks.  After each episode the greedy
-    policy, one pair id per state, is evaluated exactly on the product's
-    tables (``evaluate_pairs``), unless it equals the last one evaluated, to
-    record when it first positively satisfies the specification and when its
-    satisfaction probability first reaches one; the evaluation never feeds
-    back into learning.
+    its bitmask rule to the product's masks.  The greedy policy, one pair id
+    per state, is evaluated exactly on the product's tables
+    (``evaluate_pairs``) after the first episode and after each episode that
+    changes it at a state the last evaluation reached; ``evaluate_pairs``
+    reads no other state's pair, so a skipped evaluation would repeat the
+    last one; the same rule decides the evaluation at the session's end.
+    This records when the policy first positively satisfies the
+    specification and when its satisfaction probability first reaches one;
+    the evaluation never feeds back into learning.
     """
     keys = product.keys
     succ, _, cuts, masks = _padded_tables(product)
     first = np.array(product.first, dtype=np.int64)
     empty = np.array(scheme.empty, dtype=np.uint8)
     n = product.num_states
-    tables = (
-        cfg.steps_per_episode, 0,
-        cfg.gamma, scheme.r_p, cfg.epsilon_numerator, -cfg.alpha_exponent,
-        succ.shape[1], *_pointers(first, succ, cuts, masks, empty),
-    )
-
     curves = np.zeros((cfg.sessions, cfg.episodes))
+    values, top = np.zeros(len(keys)), np.zeros(n)  # top: per state, its maximal value
+    pair_visits, state_visits = np.zeros(len(keys), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    best = first[:-1].copy()  # per state, its first pair of maximal value
+    rng, watch, held = np.zeros(6, dtype=np.uint64), np.zeros_like(best), np.zeros_like(best)
+    handles = _pointers(first, succ, cuts, masks, empty, values, pair_visits, state_visits,
+                        best, top, rng, curves, watch, held)  # alive while the structs are
+    problem = _ffi.new("struct problem *", {
+        **dict(zip(("first", "succ", "cuts", "masks", "empty"), handles)),
+        "width": succ.shape[1], "states": n, "steps": cfg.steps_per_episode, "initial": 0,
+        "gamma": cfg.gamma, "r_p": scheme.r_p, "eps_num": cfg.epsilon_numerator,
+        "neg_exp": -cfg.alpha_exponent, "reset_visits": cfg.epsilon_scope == "episode",
+    })
+    fields = ("values", "pair_visits", "state_visits", "best", "top", "rng", "curve", "watch",
+              "held")
+    session = _ffi.new("struct session *", dict(zip(fields, handles[5:])))
+
     qtables: list[QTable] = []
     policies: list[PositionalPolicy] = []
     first_pos: list[int | None] = []
@@ -423,28 +440,30 @@ def train(
     evaluations: list[PolicyEvaluation | None] = []
 
     for si in range(cfg.sessions):
-        rng = _generator_array(cfg.rng_seed, (si,))  # SeedSequence(seed).spawn(n)[si]
-        values = np.zeros(len(keys))
-        pair_visits = np.zeros(len(keys), dtype=np.int64)
-        state_visits = np.zeros(n, dtype=np.int64)
-        best = first[:-1].copy()  # per state, its first pair of maximal value
-        top = np.zeros(n)  # per state, that maximal value
-        session = _pointers(values, pair_visits, state_visits, best, top, rng)
+        for array in (values, top, pair_visits, state_visits):
+            array.fill(0)
+        best[:] = first[:-1]
+        rng[:] = _generator_array(cfg.rng_seed, (si,))  # SeedSequence(seed).spawn(n)[si]
+        session.curve, session.n_watch = handles[11] + si * cfg.episodes, 0
         pos_ep: int | None = None
         sat1_ep: int | None = None
-        evaluated: bytes | None = None
         ev: PolicyEvaluation | None = None
-        for ep in range(cfg.episodes):
-            if cfg.epsilon_scope == "episode":
-                state_visits.fill(0)
-            curves[si, ep] = _lib.run_episode(*tables, *session) / cfg.steps_per_episode
-            if track_satisfaction and sat1_ep is None and best.tobytes() != evaluated:
-                evaluated, ev = best.tobytes(), evaluate_pairs(product, best.tolist())
+        ep = k = 0  # watch[:k] holds the states that ev reached
+        while ep < cfg.episodes:
+            tracking = track_satisfaction and sat1_ep is None
+            limit = 1 if tracking and ev is None else cfg.episodes  # the first policy is due
+            ep = _lib.run_session(problem, session, ep, limit)
+            if tracking and (ev is None or (best[watch[:k]] != held[:k]).any()):
+                ev = evaluate_pairs(product, best.tolist())
+                reached = [*ev.transient, *chain.from_iterable(c.states for c in ev.classes)]
+                k = len(reached)
+                watch[:k], held[:k] = reached, best[reached]
                 if pos_ep is None and ev.positively_satisfies:
-                    pos_ep = ep + 1
+                    pos_ep = ep
                 if ev.sat_probability == 1.0:
-                    sat1_ep = ep + 1
-        if track_satisfaction and best.tobytes() != evaluated:
+                    sat1_ep = ep
+                session.n_watch = k if sat1_ep is None else 0
+        if track_satisfaction and (best[watch[:k]] != held[:k]).any():
             ev = evaluate_pairs(product, best.tolist())
         q = QTable(product)
         q.values, q.pair_visits = values.tolist(), pair_visits.tolist()
@@ -453,7 +472,7 @@ def train(
         policies.append(PositionalPolicy({s: keys[p][1] for s, p in enumerate(best.tolist())}))
         first_pos.append(pos_ep)
         first_sat1.append(sat1_ep)
-        evaluations.append(ev if track_satisfaction else None)
+        evaluations.append(ev)
 
     curve = LearningCurve(
         per_session=curves,

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     RawDraws,
     letters_over,
@@ -459,11 +461,33 @@ def test_train_matches_python_reference_on_random_mdps(seed):
 
 
 def test_train_matches_python_reference_with_one_action_everywhere():
-    """n = 1 draws nothing: a product whose states all have one action."""
+    """n = 1 draws nothing: a product whose states all have one action.  Its
+    only policy satisfies at once, so sat 1 comes after the first episode
+    and one kernel call runs the rest."""
     product = two_state_loop_product()
-    cfg = TrainConfig(episodes=5, steps_per_episode=40, sessions=3, rng_seed=1)
-    scheme = AcceptingReward(product, cfg.r_p)
-    assert_same_training(train(product, scheme, cfg), reference_train(product, scheme, cfg))
+    for scope in ("episode", "session"):
+        cfg = TrainConfig(episodes=5, steps_per_episode=40, sessions=3, rng_seed=1,
+                          epsilon_scope=scope)
+        scheme = AcceptingReward(product, cfg.r_p)
+        for track in (True, False):
+            result = train(product, scheme, cfg, track)
+            assert_same_training(result, reference_train(product, scheme, cfg, track))
+            assert result.first_sat1_episode == ((1,) * 3 if track else (None,) * 3)
+
+
+@pytest.mark.parametrize("track", [True, False])
+@pytest.mark.parametrize("scope", ["episode", "session"])
+def test_train_matches_python_reference_at_the_session_edges(augmented_product, scope, track):
+    """One-episode sessions, and in episode scope a first session that
+    reaches sat 1 in episode 5: as its last episode, and with 15 to go."""
+    scheme = AcceptingReward(augmented_product, 2.0)
+    for episodes in (1, 5, 20):
+        cfg = TrainConfig(episodes=episodes, steps_per_episode=300, sessions=2, rng_seed=1,
+                          epsilon_scope=scope)
+        result = train(augmented_product, scheme, cfg, track)
+        assert_same_training(result, reference_train(augmented_product, scheme, cfg, track))
+        if track and scope == "episode" and episodes > 1:
+            assert result.first_sat1_episode == (5, None)
 
 
 def test_train_matches_python_reference_when_a_rescan_ties():
@@ -497,19 +521,94 @@ def test_train_greedy_cache_and_evaluations_match_fresh_ones(augmented_product, 
             assert ev == evaluate_policy(product, pol)
 
 
-def test_train_evaluates_each_greedy_policy_change_once(raw_product, monkeypatch):
-    import omegarl.learn as learn_mod
+def reached_states(ev) -> list[int]:
+    """The states that an evaluation's chain reaches from state 0."""
+    return [*ev.transient, *(s for c in ev.classes for s in c.states)]
 
+
+def test_train_evaluates_only_changes_on_reached_states(raw_product, monkeypatch):
     seen = []
 
     def counting(product, chosen):
-        seen.append(list(chosen))
-        return evaluate_pairs(product, chosen)
+        seen.append((list(chosen), evaluate_pairs(product, chosen)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(learn_mod, "evaluate_pairs", counting)
+    monkeypatch.setattr(learn, "evaluate_pairs", counting)
     cfg = TrainConfig(episodes=40, steps_per_episode=300, sessions=1, rng_seed=6)
     result = train(raw_product, FrontierReward(raw_product, 2.0), cfg)
     assert result.first_sat1_episode == (None,)  # every episode's policy is checked
-    assert all(a != b for a, b in zip(seen, seen[1:]))
-    assert [raw_product.keys[p] for p in seen[-1]] == sorted(result.policies[0].choice.items())
+    for (before, ev), (after, _) in zip(seen, seen[1:]):
+        assert any(before[s] != after[s] for s in reached_states(ev))
+    assert result.evaluations[0] == evaluate_policy(raw_product, result.policies[0])
     assert len(seen) < cfg.episodes
+
+
+def test_train_skips_the_evaluations_the_reference_repeats(monkeypatch):
+    """Here the greedy pair also changes off the states that the last
+    evaluation reached.  The reference evaluates every change, train only
+    those on reached states, and the two agree on every result."""
+    m = random_labeled_mdp(np.random.default_rng(4), n_states=8, letters=letters_over("ab"))
+    product, scheme = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), "augmented", 2.0)
+    cfg = TrainConfig(episodes=40, steps_per_episode=30, sessions=1, rng_seed=4)
+    calls, ref_seen = [], []
+
+    def counting(product, chosen):
+        calls.append(chosen)
+        return evaluate_pairs(product, chosen)
+
+    def counting_ref(product, policy, reference=helpers.reference_evaluate_policy):
+        ref_seen.append((policy, reference(product, policy)))
+        return ref_seen[-1][1]
+
+    monkeypatch.setattr(learn, "evaluate_pairs", counting)
+    monkeypatch.setattr(helpers, "reference_evaluate_policy", counting_ref)
+    assert_same_training(train(product, scheme, cfg), reference_train(product, scheme, cfg))
+    assert any(all(before.choice[s] == after.choice[s] for s in reached_states(ev))
+               for (before, ev), (after, _) in zip(ref_seen, ref_seen[1:]))
+    assert len(calls) < len(ref_seen)
+
+
+class CountingKernel:
+    """``learn._lib`` that logs its ``run_session`` calls into ``log``."""
+
+    def __init__(self, lib, log: list):
+        self.lib, self.log = lib, log
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def run_session(self, problem, session, episode, limit):
+        self.log.append(("run", episode, limit))
+        return self.lib.run_session(problem, session, episode, limit)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_wakes_only_for_due_evaluations(grid, fig_automaton, method, monkeypatch):
+    """Without tracking one kernel call runs each session.  With it, the
+    first call runs one episode, every later call but the last ends in an
+    evaluation, and once sat 1 is reached one call runs the rest."""
+    product, scheme = method_product_and_scheme(grid, fig_automaton, method, 2.0)
+    cfg = TrainConfig(episodes=30, steps_per_episode=300, sessions=4, rng_seed=1)
+    log = []
+
+    def counting(product, chosen):
+        log.append(("eval",))
+        return evaluate_pairs(product, chosen)
+
+    monkeypatch.setattr(learn, "_lib", CountingKernel(learn._lib, log))
+    monkeypatch.setattr(learn, "evaluate_pairs", counting)
+    train(product, scheme, cfg, track_satisfaction=False)
+    assert log == [("run", 0, cfg.episodes)] * cfg.sessions
+    log.clear()
+    result = train(product, scheme, cfg)
+    starts = [i for i, event in enumerate(log) if event[:2] == ("run", 0)] + [len(log)]
+    assert len(starts) == cfg.sessions + 1
+    for lo, hi, sat1 in zip(starts, starts[1:], result.first_sat1_episode):
+        events = log[lo:hi]
+        assert events[0] == ("run", 0, 1)
+        kinds = "".join(event[0][0] for event in events)  # r: a kernel call, e: an evaluation
+        assert re.fullmatch("r(er)*e?", kinds)
+        if sat1 is not None and sat1 < cfg.episodes:
+            assert events[kinds.rindex("r")] == ("run", sat1, cfg.episodes)
+    if method == "augmented":
+        assert result.first_sat1_episode == (5, None, None, None)
