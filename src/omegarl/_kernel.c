@@ -1,7 +1,7 @@
 /* The compiled loops of omegarl.learn: a training session's episodes of
  * tabular Q-learning (run_session, which steps numpy's PCG64 generator; draw
- * exposes that generator to draw_indices) and the synchronous sweeps of
- * value iteration (value_sweeps), both on a product's padded integer tables.
+ * exposes that generator to the tests) and the synchronous sweeps of value
+ * iteration (value_sweeps), both on a product's padded integer tables.
  * Training reads struct problem, which train fills once, and struct session,
  * one session's state; a new kernel input is one more field of either.
  *
@@ -86,7 +86,7 @@ static void store_draws(const draws *d, uint64_t *rng)
 }
 
 /* The draws ops[i] asks for: op 0 the next raw word, op n > 0 integers(n).
- * verify draws its random policies through it; the tests compare it with numpy. */
+ * Only the tests call it, to compare the generator with numpy's. */
 void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out)
 {
     draws d = load_draws(rng);

@@ -31,7 +31,7 @@ nor the bootstrap target scans the state's actions; only a drop in the
 greedy pair's value rescans the state for its first maximal pair.
 
 The kernel replays numpy's PCG64 ``Generator`` exactly, for training and
-for ``draw_indices``, without importing ``numpy.random``.  Session ``si``
+for the tests' ``draw``, without importing ``numpy.random``.  Session ``si``
 of ``n`` starts from the state of ``PCG64(SeedSequence(seed).spawn(n)[si])``,
 that is of ``SeedSequence(seed, spawn_key=(si,))``; ``_generator_array``
 computes it in Python by numpy's documented seeding (SeedSequence's hash
@@ -98,6 +98,7 @@ int64_t value_sweeps(
 """
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off")
 _SWEEPS_PER_CALL = 4096
+_STEPS_PER_CALL = 1 << 24
 
 
 def _load_kernel():
@@ -356,17 +357,6 @@ def _pointers(*arrays: np.ndarray) -> tuple:
     return tuple(_ffi.from_buffer(_CTYPES[a.dtype], a) for a in arrays)
 
 
-def draw_indices(rng: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """An index below each of ``counts``, in C order, from the kernel's
-    generator array ``rng``, which advances in place: the int32 array that
-    numpy's ``Generator.integers(0, counts)`` draws from the same state.  A
-    count of 1 draws nothing; every count must lie in [1, 2**31)."""
-    ops = np.ascontiguousarray(counts, dtype=np.int64)
-    out = np.empty(ops.shape, dtype=np.uint64)
-    _lib.draw(*_pointers(rng, ops), ops.size, *_pointers(out))
-    return out.astype(np.int32)
-
-
 @dataclass(frozen=True)
 class LearningCurve:
     """Per-episode average reward (total reward / steps) per session, plus
@@ -409,7 +399,10 @@ def train(
     last one; the same rule decides the evaluation at the session's end.
     This records when the policy first positively satisfies the
     specification and when its satisfaction probability first reaches one;
-    the evaluation never feeds back into learning.
+    the evaluation never feeds back into learning.  One kernel call runs at
+    most ``_STEPS_PER_CALL`` steps in whole episodes, so a keyboard
+    interrupt lands between calls; an episode longer than that still runs
+    in one call.
     """
     keys = product.keys
     succ, _, cuts, masks = _padded_tables(product)
@@ -452,6 +445,7 @@ def train(
         while ep < cfg.episodes:
             tracking = track_satisfaction and sat1_ep is None
             limit = 1 if tracking and ev is None else cfg.episodes  # the first policy is due
+            limit = min(limit, ep + max(1, _STEPS_PER_CALL // cfg.steps_per_episode))
             ep = _lib.run_session(problem, session, ep, limit)
             if tracking and (ev is None or (best[watch[:k]] != held[:k]).any()):
                 ev = evaluate_pairs(product, best.tolist())

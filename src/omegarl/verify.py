@@ -1,12 +1,12 @@
 """Self-check battery wiring the independent oracles against each other.
 
 A :class:`Battery` holds what the checks run on: the automaton and the MDP
-under test, the bounds of the lasso words, the number and seed of the
-random policies, and the automata and products derived from them, each
-built on first use and then shared.  Every check is a function of one
-battery that returns ``(passed, detail)``, and :data:`CHECKS` names the
-checks in the order in which :func:`run_battery` runs and times them.  To
-add a check, write one such function and give it a :data:`CHECKS` entry.
+under test, the bounds of the lasso words, and the automata and products
+derived from them, each built on first use and then shared.  Every check
+is a function of one battery that returns ``(passed, detail)``, and
+:data:`CHECKS` names the checks in the order in which :func:`run_battery`
+runs and times them.  To add a check, write one such function and give it
+a :data:`CHECKS` entry.
 """
 
 from __future__ import annotations
@@ -15,23 +15,16 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_, or_
-
-import numpy as np
+from operator import or_
 
 from .augment import augment
 from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
-from .graphs import close_rows
-from .learn import _generator_array, draw_indices
+from .graphs import strongly_connected_components
 from .ltl import LassoWord, formula_evaluator, parse_ltl
 from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
 from .product import ProductMdp, check_positional_impossibility, method_product
 
 SPEC_FORMULA = "G F a & G F b & G !c"
-# policies per recurrence-dichotomy pass, which bounds its arrays: on the battery's
-# 112-pair, 24-state augmented product a pass of 1024 peaks at 0.58 MB (tracemalloc):
-# 115 kB of choices, two 98 kB int32 draws and 24 x 26 reachability ints of 164 B
-POLICY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -71,22 +64,19 @@ def all_lassos(ap=("a", "b", "c"), max_prefix: int = 2, max_cycle: int = 3):
 @dataclass(frozen=True)
 class Battery:
     """The automaton under test (by default the packaged one for
-    :data:`SPEC_FORMULA`), the MDP (by default the nine-room grid), the
-    bounds of :func:`all_lassos` and the number and seed of the random
-    policies; bounds that admit nothing raise ``ValueError``.  Each product
-    is the one ``train`` runs for its method (the raw one is frontier's).
-    ``augmented`` is the unmerged augmentation; the merged one is the
-    augmented product's automaton."""
+    :data:`SPEC_FORMULA`), the MDP (by default the nine-room grid) and the
+    bounds of :func:`all_lassos`; bounds that admit nothing raise
+    ``ValueError``.  Each product is the one ``train`` runs for its method
+    (the raw one is frontier's).  ``augmented`` is the unmerged
+    augmentation; the merged one is the augmented product's automaton."""
 
     automaton: TGba = field(default_factory=lambda: named_fixture("gfa_gfb_gnc"))
     grid: LabeledMdp = field(default_factory=lambda: ENVIRONMENTS["grid9"]())
     max_prefix: int = 2
     max_cycle: int = 3
-    n_policies: int = 1000
-    seed: int = 2024
 
     def __post_init__(self):
-        for name, least in (("max_prefix", 0), ("max_cycle", 1), ("n_policies", 1)):
+        for name, least in (("max_prefix", 0), ("max_cycle", 1)):
             if (value := getattr(self, name)) < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
@@ -170,65 +160,52 @@ def check_degeneralization(battery: Battery) -> tuple[bool, str]:
     )
 
 
-def policy_classes(p: ProductMdp, chosen) -> tuple[list[int], list[list[int]]]:
-    """The recurrent classes of many positional policies, one per row of
-    ``chosen`` (pair ids), as ints whose bit ``k`` speaks of policy ``k``.
-    Returns, per state, the policies under which it is reached from state 0
-    and recurrent, and, per state and accepting set, those under which the
-    chosen pairs meet the set somewhere the state reaches: for a recurrent
-    state, its class's coverage.  Reachability rows, a column per state and
-    then per set, are closed by :func:`~omegarl.graphs.close_rows`.  A state
-    is recurrent when all it reaches reaches it back.
-    """
-    n, n_sets = p.num_states, p.automaton.n_sets
-    chooses = np.zeros((len(p.succ), len(chosen)), dtype=bool)
-    chooses[chosen, np.arange(len(chosen))[:, None]] = True
-    picks = [int.from_bytes(row.tobytes(), "little")  # per pair, the policies that choose it
-             for row in np.packbits(chooses, axis=1, bitorder="little")]
-    reach = [[0] * (n + n_sets) for _ in range(n)]
-    for x, row in enumerate(reach):
-        row[x] = (1 << len(chosen)) - 1
-        for pair in range(p.first[x], p.first[x + 1]):
-            for y, mask in zip(p.succ[pair], p.masks[pair]):
-                row[y] |= picks[pair]
-                for j in range(n_sets):  # a pair meeting set j leads to column n + j
-                    row[n + j] |= picks[pair] * (mask >> j & 1)
-    close_rows(reach)
-    recurrent = [reach[0][x] & ~reduce(or_, (row[y] & ~back[x] for y, back in enumerate(reach)))
-                 for x, row in enumerate(reach)]
-    return recurrent, [row[n:] for row in reach]
-
-
 def check_recurrence_dichotomy(battery: Battery) -> tuple[bool, str]:
-    """On the augmented product every recurrent class must intersect all
-    accepting sets or none of them.
+    """On the augmented product every recurrent class of every positional
+    policy must cover all accepting sets or none of them.
 
-    Each policy is a row of indices below the states' action counts, drawn
-    :data:`POLICY_BLOCK` rows at a time by the kernel's PCG64 seeded as
-    ``default_rng(seed)`` (:func:`~omegarl.learn.draw_indices`).  Row after
-    row, they are the stream of numpy's int32 ``default_rng(seed).integers(
-    0, counts, size=(n_policies, n_states))`` and of one scalar
-    ``rng.integers(len(acts))`` per state, where a state with a single
-    action draws nothing; ``tests/test_verify.py`` pins that.
-    :func:`policy_classes` classifies each block; a failure names the first
-    policy with a violating class, the lowest bit set among the states'
-    violating policies, and in it the class of the lowest state.
+    For each set ``j``, keep the pairs whose transitions all avoid ``j``
+    and compute their maximal end components: find the SCCs of the kept
+    pairs' graph, drop every pair with a successor outside its state's
+    SCC, and repeat until nothing drops.  No component may hold a pair with
+    an accepting transition.  That decides the claim for every positional
+    policy (Baier & Katoen, *Principles of Model Checking*, §10.6.3):
+
+    - A class that covers set ``k`` but not ``j`` is closed and strongly
+      connected under its chosen pairs, none of which meets ``j``: an end
+      component of the pairs that avoid ``j``, inside a maximal one that
+      holds its set-``k`` pair.
+    - Conversely, given such a component and set-``k`` pair, a positional
+      policy can follow a shortest path from state 0, which reaches every
+      product state, into the component, then move toward the pair's state
+      inside it and take the pair there.  Closed under that policy, the
+      component holds a recurrent class, and every class inside it holds
+      that state: the class covers ``k`` and not ``j``.
+
+    Sets and components are walked in ascending order, a component by its
+    lowest state, so a failure names the first: the set it misses, its
+    coverage and its lowest state.
     """
-    product, n_policies = battery.augmented_product, battery.n_policies
-    first = np.array(product.first, dtype=np.int32)
-    n_sets = product.automaton.n_sets
-    counts, rng = np.diff(first), _generator_array(battery.seed)
-    for start in range(0, n_policies, POLICY_BLOCK):
-        rows = np.tile(counts, (min(POLICY_BLOCK, n_policies - start), 1))
-        recurrent, covered = policy_classes(product, draw_indices(rng, rows) + first[:-1])
-        violating = [rec & reduce(or_, sets) & ~reduce(and_, sets)
-                     for rec, sets in zip(recurrent, covered)]
-        if bad := reduce(or_, violating):
-            k = (bad & -bad).bit_length() - 1
-            state = next(x for x, policies in enumerate(violating) if policies >> k & 1)
-            hits = sum(policies >> k & 1 for policies in covered[state])
-            return False, f"policy {start + k} has a class covering {hits}/{n_sets} sets"
-    return True, f"{n_policies} random positional policies, no violations"
+    p = battery.augmented_product
+    n_sets = p.automaton.n_sets
+    for j in range(n_sets):
+        kept = [[q for q in range(p.first[x], p.first[x + 1])
+                 if not any(mask >> j & 1 for mask in p.masks[q])] for x in range(p.num_states)]
+        while True:  # maximal end components: drop pairs that may leave their SCC
+            edges = [[y for q in pairs for y in p.succ[q]] for pairs in kept]
+            comps = strongly_connected_components(range(p.num_states), edges.__getitem__)
+            scc = {x: i for i, comp in enumerate(comps) for x in comp}
+            inside = [[q for q in pairs if all(scc[y] == scc[x] for y in p.succ[q])]
+                      for x, pairs in enumerate(kept)]
+            if inside == kept:
+                break
+            kept = inside
+        for comp in sorted(comps, key=min):
+            covered = reduce(or_, (mask for x in comp for q in kept[x] for mask in p.masks[q]), 0)
+            if covered:
+                return False, (f"{len(comp)}-state end component at {p.name_of(min(comp))} "
+                               f"covers {covered.bit_count()}/{n_sets} sets but not set {j + 1}")
+    return True, f"every end component covers all {n_sets} sets or none"
 
 
 def check_stochasticity(battery: Battery) -> tuple[bool, str]:
@@ -276,12 +253,12 @@ CHECKS = {
 
 def run_battery(quick: bool = False) -> list[CheckResult]:
     """Every check of :data:`CHECKS` on the packaged automaton and the
-    nine-room grid, each timed; ``quick`` lowers the word bounds to 1 and 2
-    and the policies to 100.  What several checks share, the augmentation,
-    the augmented and raw products and :attr:`Battery.base_verdicts`, is
-    built before the first check, outside every check's ``seconds``; the
-    degeneralized product, which only stochasticity reads, inside its own."""
-    battery = Battery(max_prefix=1, max_cycle=2, n_policies=100) if quick else Battery()
+    nine-room grid, each timed; ``quick`` lowers the word bounds to 1 and
+    2.  What several checks share, the augmentation, the augmented and raw
+    products and :attr:`Battery.base_verdicts`, is built before the first
+    check, outside every check's ``seconds``; the degeneralized product,
+    which only stochasticity reads, inside its own."""
+    battery = Battery(max_prefix=1, max_cycle=2) if quick else Battery()
     for shared in ("augmented", "augmented_product", "raw_product", "base_verdicts"):
         getattr(battery, shared)  # built here, outside the checks' clocks
     results = []

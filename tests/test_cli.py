@@ -362,7 +362,7 @@ def test_verify_full_battery(capsys):
     assert doc["passed"] is True
     assert [(c["name"], c["passed"], c["detail"]) for c in doc["checks"]] == [
         *((name, True, "42632 lasso words agree") for name in LASSO_CHECKS),
-        ("recurrence-dichotomy", True, "1000 random positional policies, no violations"),
+        ("recurrence-dichotomy", True, "every end component covers all 2 sets or none"),
         ("stochasticity", True, "max row-sum error 0.00e+00"),
         ("impossibility-certificate", True, "raw product impossible, augmented product possible"),
     ]

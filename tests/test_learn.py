@@ -582,6 +582,24 @@ class CountingKernel:
         return self.lib.run_session(problem, session, episode, limit)
 
 
+@pytest.mark.parametrize("track", [True, False])
+def test_train_splits_sessions_into_calls_of_bounded_steps(augmented_product, track, monkeypatch):
+    """With a budget of 1000 steps a kernel call runs at most 3 episodes of
+    300 steps; with one of 100 steps, one episode, longer than the budget.
+    Either way every result equals the Python reference's."""
+    scheme = AcceptingReward(augmented_product, 2.0)
+    cfg = TrainConfig(episodes=20, steps_per_episode=300, sessions=2, rng_seed=1)
+    ref = reference_train(augmented_product, scheme, cfg, track)
+    for budget, most in ((1000, 3), (100, 1)):
+        log = []
+        monkeypatch.setattr(learn, "_STEPS_PER_CALL", budget)
+        monkeypatch.setattr(learn, "_lib", CountingKernel(learn._lib, log))
+        assert_same_training(train(augmented_product, scheme, cfg, track), ref)
+        monkeypatch.undo()
+        assert max(limit - episode for _, episode, limit in log) == most
+        assert len(log) >= cfg.sessions * cfg.episodes // most
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_train_wakes_only_for_due_evaluations(grid, fig_automaton, method, monkeypatch):
     """Without tracking one kernel call runs each session.  With it, the

@@ -1,9 +1,14 @@
-"""The verify battery's own machinery: the random policies that
-recurrence-dichotomy tests and the classes it finds, the order of the
-bounded lasso words, the word each lasso check names when it fails, that
-the checks can fail, and that they refuse bounds that admit nothing."""
+"""The verify battery's own machinery: recurrence-dichotomy against every
+positional policy of small products and against broken augmentations, the
+order of the bounded lasso words, the word each lasso check names when it
+fails, that the checks can fail, and that they refuse bounds that admit
+nothing."""
 
 import dataclasses
+import itertools
+import math
+from functools import reduce
+from operator import or_
 
 import networkx as nx
 import numpy as np
@@ -15,7 +20,6 @@ from omegarl import (
     TGba,
     Transition,
     augment,
-    build_product,
     merge_unaccepting,
     named_fixture,
     parse_ltl,
@@ -23,71 +27,8 @@ from omegarl import (
 )
 from omegarl import product as product_module
 from omegarl.cli import METHODS, method_product_and_scheme
-from omegarl.learn import _generator_array, draw_indices
-from omegarl.product import recurrent_classes
-
-
-def scalar_rows(enabled, n_policies, seed):
-    """One scalar draw per state, policy by policy; a single action draws nothing."""
-    rng = np.random.default_rng(seed)
-    return [[acts[rng.integers(len(acts))] for acts in enabled] for _ in range(n_policies)]
-
-
-def row_draws(enabled, n_policies, seed):
-    """One broadcast draw per policy."""
-    lens = np.array([len(acts) for acts in enabled])
-    rng = np.random.default_rng(seed)
-    rows = [rng.integers(0, lens).tolist() for _ in range(n_policies)]
-    return [[acts[i] for acts, i in zip(enabled, row)] for row in rows]
-
-
-def block_draws(enabled, n_policies, seed):
-    """Every policy in one int32 draw, as recurrence-dichotomy draws them."""
-    lens = np.array([len(acts) for acts in enabled])
-    rows = np.random.default_rng(seed).integers(
-        0, lens, size=(n_policies, len(enabled)), dtype=np.int32
-    )
-    return [[acts[i] for acts, i in zip(enabled, row)] for row in rows.tolist()]
-
-
-def kernel_block_draws(enabled, n_policies, seed, block):
-    """The policies in kernel draws of ``block`` policies from one
-    generator, as recurrence-dichotomy draws them."""
-    lens = np.array([len(acts) for acts in enabled])
-    rng, rows = _generator_array(seed), []
-    for start in range(0, n_policies, block):
-        drawn = draw_indices(rng, np.tile(lens, (min(block, n_policies - start), 1)))
-        assert drawn.dtype == np.int32
-        rows += drawn.tolist()
-    return [[acts[i] for acts, i in zip(enabled, row)] for row in rows]
-
-
-@pytest.mark.parametrize("n_policies", [100, 1000])
-def test_row_draws_match_scalar_stream(augmented_product, n_policies):
-    """If numpy's broadcast or block path, or the kernel's draws, ever
-    differed, recurrence-dichotomy would silently test other policies; this
-    fails instead."""
-    enabled = augmented_product.mdp.enabled
-    assert {len(acts) for acts in enabled} == {4, 8}
-    scalar = scalar_rows(enabled, n_policies, 2024)
-    assert row_draws(enabled, n_policies, 2024) == scalar
-    assert block_draws(enabled, n_policies, 2024) == scalar
-    assert kernel_block_draws(enabled, n_policies, 2024, verify.POLICY_BLOCK) == scalar
-
-
-def test_row_draws_match_scalar_stream_on_random_counts():
-    """Counts of 1, for which the scalar loop draws nothing, included, and
-    a single policy as well as many."""
-    rng = np.random.default_rng(3)
-    for seed in range(30):
-        counts = rng.integers(1, 7, size=rng.integers(1, 40))
-        counts[rng.integers(len(counts))] = 1
-        enabled = [tuple(range(c)) for c in counts]
-        for n_policies in (1, 50):
-            scalar = scalar_rows(enabled, n_policies, seed)
-            assert row_draws(enabled, n_policies, seed) == scalar
-            assert block_draws(enabled, n_policies, seed) == scalar
-            assert kernel_block_draws(enabled, n_policies, seed, 7) == scalar
+from omegarl.graphs import explore
+from omegarl.product import method_product
 
 
 def patch_transforms(monkeypatch, **transforms):
@@ -102,101 +43,129 @@ def patch_transforms(monkeypatch, **transforms):
 
 
 def test_recurrence_dichotomy_fails_without_augmentation(monkeypatch):
-    """On the raw product some recurrent class covers one of the two sets;
-    the first such policy pins the sequence of policies drawn."""
+    """On the raw product a policy can circle through the a-loops alone:
+    the first end component without set 1 covers set 2."""
     patch_transforms(monkeypatch, augment=lambda b: b, merge_unaccepting=lambda b: b)
-    for battery in (verify.Battery(), verify.Battery(n_policies=100)):
-        assert verify.check_recurrence_dichotomy(battery) == (
-            False, "policy 28 has a class covering 1/2 sets"
-        )
-
-
-def draw_pairs(product, n_policies, seed):
-    """Random chosen pairs, one policy per row, drawn as recurrence-dichotomy draws them."""
-    first = np.array(product.first, dtype=np.int32)
-    draws = np.random.default_rng(seed).integers(
-        0, np.diff(first), size=(n_policies, product.num_states), dtype=np.int32
+    assert verify.check_recurrence_dichotomy(verify.Battery()) == (
+        False, "4-state end component at (s7|x0) covers 1/2 sets but not set 1"
     )
-    return draws + first[:-1]
 
 
-def violation(product, row):
-    """The detail of the first class of ``recurrent_classes`` that covers
-    some but not all sets, or None."""
-    n_sets = product.automaton.n_sets
-    for _, covered in recurrent_classes(product, row)[1]:
-        if covered.bit_count() not in (0, n_sets):
-            return f"has a class covering {covered.bit_count()}/{n_sets} sets"
-    return None
+def dichotomy_on(product) -> tuple[bool, str]:
+    """recurrence-dichotomy with ``product`` as the battery's augmented product."""
+    battery = verify.Battery()
+    vars(battery)["augmented_product"] = product  # where the cached property keeps it
+    return verify.check_recurrence_dichotomy(battery)
 
 
-def random_products():
-    """Products of seeded random MDPs with both fixtures under every method;
-    the last MDP is large enough for products of more than 64 states."""
-    for seed, n_states in enumerate((4, 7, 11, 40)):
+def every_policy_dichotomy(product) -> bool:
+    """Whether, under every positional policy, each recurrent class reached
+    from state 0 covers all accepting sets or none: networkx's attracting
+    components of the part of the policy's graph reached from state 0."""
+    full = (1 << product.automaton.n_sets) - 1
+    for chosen in itertools.product(*map(range, product.first, product.first[1:])):
+        g = nx.DiGraph((s, dst) for s, pair in enumerate(chosen) for dst in product.succ[pair])
+        reached = g.subgraph(nx.descendants(g, 0) | {0})
+        for comp in nx.attracting_components(reached):
+            covered = reduce(or_, (mask for s in comp for mask in product.masks[chosen[s]]))
+            if covered not in (0, full):
+                return False
+    return True
+
+
+def random_deterministic_tgba(rng, n_states: int, n_sets: int) -> TGba:
+    """A complete deterministic automaton over a and b with random masks."""
+    masks = {Transition(s, letter, int(rng.integers(n_states))): int(rng.integers(1 << n_sets))
+             for s in range(n_states) for letter in letters_over("ab")}
+    return TGba(n_states, 0, frozenset("ab"), masks, n_sets)
+
+
+def test_recurrence_dichotomy_matches_every_positional_policy():
+    """On the augmented and raw products of seeded random MDPs, with the
+    fixture and with random deterministic automata of two and three sets,
+    the check passes exactly when no positional policy has a class that
+    covers some sets but not all.  Products with more than 500 policies are
+    skipped."""
+    verdicts = {"augmented": [], "frontier": []}
+    for seed in range(80):
         rng = np.random.default_rng(seed)
-        m = random_labeled_mdp(rng, n_states=n_states, letters=letters_over("ab"),
-                               max_succ=(2, 4)[seed % 2])
-        for spec in ("gfa_gfb_gnc", "fg_a"):
-            for method in METHODS:
-                yield spec, method, m, method_product_and_scheme(m, named_fixture(spec), method, 2.0)[0]
-
-
-def test_policy_classes_match_per_policy_decomposition():
-    """Per policy, the recurrent states and their class's coverage equal
-    ``recurrent_classes`` and networkx's attracting components of the part
-    reached from state 0."""
-    sizes = []
-    for i, (_, _, _, product) in enumerate(random_products()):
-        sizes.append(product.num_states)
-        chosen = draw_pairs(product, (1, 12)[i % 2], i)
-        recurrent, covered = verify.policy_classes(product, chosen)
-        assert len(recurrent) == len(covered) == product.num_states
-        assert {len(sets) for sets in covered} == {product.automaton.n_sets}
-        assert all(0 <= bits < 1 << len(chosen) for bits in recurrent + sum(covered, []))
-        for k, row in enumerate(chosen.tolist()):
-            got = {s: sum((bits >> k & 1) << j for j, bits in enumerate(covered[s]))
-                   for s, policies in enumerate(recurrent) if policies >> k & 1}
-            assert got == {s: mask for states, mask in recurrent_classes(product, row)[1] for s in states}
-            g = nx.DiGraph((s, dst) for s, pair in enumerate(row) for dst in product.succ[pair])
-            reached = g.subgraph(nx.descendants(g, 0) | {0})
-            assert set(got) == set().union(*nx.attracting_components(reached))
-    assert max(sizes) > 64 and min(sizes) < 8
-
-
-def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
-    """On raw products of the two-set fixture with random MDPs whose labels
-    hold at most one of a and b, many random policies have a class that
-    covers one set.  The batched check finds the same violating policies as
-    a per-policy ``recurrent_classes`` loop and names the first, with the
-    same verdict and detail whatever the block size: in blocks of 2, where
-    it may lie past the first block, of 7, and in one block of 256 or of
-    1024, the default."""
-    patch_transforms(monkeypatch, augment=lambda b: b, merge_unaccepting=lambda b: b)
-    fixture, firsts = named_fixture("gfa_gfb_gnc"), set()
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)), max_succ=2,
+        m = random_labeled_mdp(rng, n_states=int(rng.integers(2, 7)), max_succ=2,
                                letters=[frozenset(), frozenset("a"), frozenset("b")])
-        product = build_product(m, fixture)
-        chosen = draw_pairs(product, 40, seed)
-        recurrent, covered = verify.policy_classes(product, chosen)
-        bad = [k for k in range(len(chosen)) if any(
-            policies >> k & 1 and sum(bits >> k & 1 for bits in sets) == 1
-            for policies, sets in zip(recurrent, covered)
-        )]
-        expect = [(k, violation(product, row)) for k, row in enumerate(chosen.tolist())]
-        assert bad == [k for k, detail in expect if detail]
-        first = next(((k, detail) for k, detail in expect if detail), None)
-        for block in (2, 7, 256, 1024):
-            monkeypatch.setattr(verify, "POLICY_BLOCK", block)
-            battery = verify.Battery(fixture, m, n_policies=40, seed=seed)
-            assert verify.check_recurrence_dichotomy(battery) == (
-                (True, "40 random positional policies, no violations") if first is None
-                else (False, f"policy {first[0]} {first[1]}")
-            ), block
-        firsts.add(first and first[0])
-    assert None in firsts and 0 in firsts and max(k for k in firsts if k is not None) >= 2
+        b = (named_fixture("gfa_gfb_gnc") if seed % 2
+             else random_deterministic_tgba(rng, int(rng.integers(1, 3)), int(rng.integers(2, 4))))
+        for method, got in verdicts.items():
+            product = method_product(m, b, method)
+            if math.prod(hi - lo for lo, hi in zip(product.first, product.first[1:])) <= 500:
+                passed = every_policy_dichotomy(product)
+                assert dichotomy_on(product)[0] == passed, (seed, method)
+                got.append(passed)
+    assert len(verdicts["augmented"]) >= 40 and all(verdicts["augmented"])
+    assert len(verdicts["frontier"]) >= 40 and not all(verdicts["frontier"])
+    assert any(verdicts["frontier"])
+
+
+def augment_with(update, keep):
+    """``augment`` with the memory update ``update(v, mask, full)`` and the
+    transition masks ``keep(mask, v)`` in place of its own rules."""
+
+    def augmented(b):
+        n, full = b.n_sets, (1 << b.n_sets) - 1
+
+        def successors(node):
+            x, v = node
+            for t in itertools.chain.from_iterable(b.moves[x].values()):
+                yield (t.dst, update(v, b.masks[t], full)), t
+
+        order, rows = explore((b.initial, 0), successors)
+        masks = {Transition(i, t.letter, j): keep(b.masks[t], v)
+                 for i, ((_, v), row) in enumerate(zip(order, rows)) for t, j in row}
+        names = tuple(f"{b.name_of(x)}@{''.join(str(v >> j & 1) for j in range(n))}"
+                      for x, v in order)
+        return TGba(len(order), 0, b.ap, masks, n, names)
+
+    return augmented
+
+
+def reset_when_full(v, mask, full):
+    return 0 if v | mask == full else v | mask
+
+
+# each mutant of augment, and whether it keeps the language
+MUTANTS = {
+    "mask-and-v": (augment_with(reset_when_full, lambda mask, v: mask & v), False),
+    "unfiltered": (augment_with(reset_when_full, lambda mask, v: mask), True),
+    "reset-on-any-visit": (augment_with(lambda v, mask, full: 0 if mask else v,
+                                        lambda mask, v: mask & ~v), True),
+}
+
+
+def test_augment_with_its_own_rules_is_augment():
+    fixture = named_fixture("gfa_gfb_gnc")
+    assert augment_with(reset_when_full, lambda mask, v: mask & ~v)(fixture) == augment(fixture)
+
+
+@pytest.mark.parametrize("mutant,keeps_language", MUTANTS.values(), ids=MUTANTS.keys())
+def test_recurrence_dichotomy_catches_broken_augmentations(mutant, keeps_language, monkeypatch):
+    """Each mutant lets some end component of the battery's product cover
+    one set only; two of them keep the language, which language-preservation
+    checks."""
+    patch_transforms(monkeypatch, augment=mutant)
+    battery = verify.Battery()
+    passed, detail = verify.check_recurrence_dichotomy(battery)
+    assert not passed and "covers 1/2 sets but not set" in detail
+    assert verify.check_language_preservation(battery)[0] is keeps_language
+
+
+def test_memory_that_never_resets_fails_only_language_preservation(monkeypatch):
+    """Without a reset the memory fills up and no accepting transition is
+    left in any end component, so the dichotomy holds vacuously."""
+    patch_transforms(monkeypatch, augment=augment_with(lambda v, mask, full: v | mask,
+                                                       lambda mask, v: mask & ~v))
+    battery = verify.Battery()
+    assert verify.check_recurrence_dichotomy(battery) == (
+        True, "every end component covers all 2 sets or none"
+    )
+    assert not verify.check_language_preservation(battery)[0]
 
 
 @pytest.mark.parametrize(
@@ -210,11 +179,8 @@ def test_recurrence_dichotomy_names_the_first_violating_policy(monkeypatch):
          "max_cycle must be at least 1, got 0"),
         (verify.check_language_preservation, {"max_prefix": -1},
          "max_prefix must be at least 0, got -1"),
-        (verify.check_recurrence_dichotomy, {"n_policies": 0},
-         "n_policies must be at least 1, got 0"),
     ],
-    ids=["language-preservation", "formula-agreement", "degeneralization", "prefix",
-         "recurrence-dichotomy"],
+    ids=["language-preservation", "formula-agreement", "degeneralization", "prefix"],
 )
 def test_checks_refuse_bounds_that_admit_nothing(check, bounds, message):
     """A bound under which a check would decide nothing and pass is an
