@@ -15,7 +15,7 @@ Text format
 -----------
 One item per line.  ``#`` starts a comment that runs to the end of the
 line, and blank lines are skipped.  Four headers, in any order and each at
-most once::
+most once (:func:`read_text` reads these rules for the MDP format too)::
 
     ap: a b c            # atomic propositions; optional, default none
     states: 2            # states 0..1, named x0 and x1
@@ -232,8 +232,7 @@ def check_limit_deterministic(b: TGba) -> LimitDetPartition:
 def _guard_text(letter, ap_sorted) -> str:
     if letter is EPSILON:
         return "eps"
-    literals = [ltl.Atom(a) if a in letter else ltl.Not(ltl.Atom(a)) for a in ap_sorted]
-    return ltl.format_ltl(reduce(ltl.And, literals) if literals else ltl.TrueBool())
+    return " & ".join(a if a in letter else f"!{a}" for a in ap_sorted) or "true"
 
 
 def proposition_names(lineno: int, value: str, error: type[ValueError]) -> frozenset[str]:
@@ -253,6 +252,44 @@ def proposition_names(lineno: int, value: str, error: type[ValueError]) -> froze
                         "(need an LTL atom other than eps)")
         names.add(name)
     return frozenset(names)
+
+
+def number(kind, token: str, lineno: int, what: str, error: type[ValueError]):
+    """``kind(token)``, or else ``error`` naming line ``lineno`` and ``what``."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise error(f"line {lineno}: bad {what} {token!r}") from None
+
+
+def read_text(text: str, required: tuple[str, ...], error: type[ValueError]):
+    """Split ``text`` by the rules both text formats share: ``#`` comments and
+    blank lines are dropped, and a ``key: value`` line whose stripped key is
+    ``ap`` (read by :func:`proposition_names`, none if absent) or one of
+    ``required`` (an int, which must appear) is a header, at most once.
+    Returns ``(headers, body)``: ``headers`` maps ``ap``, then ``required``
+    in order, to ``(line, value)``; ``body`` holds the other lines as ``(line,
+    tokens)``.  Raises ``error``, naming the line unless a header is missing."""
+    keys = ("ap", *required)
+    found: dict[str, tuple[int, str]] = {}
+    body: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        key, colon, value = line.partition(":")
+        if colon and (key := key.strip()) in keys:
+            if key in found:
+                raise error(f"line {lineno}: duplicate header {key!r}")
+            found[key] = (lineno, value.strip())
+        elif tokens := line.split():
+            body.append((lineno, tokens))
+    lineno, value = found.get("ap", (0, ""))
+    headers = {"ap": (lineno, proposition_names(lineno, value, error))}
+    for key in required:
+        if key not in found:
+            raise error(f"missing header {key!r}")
+        lineno, value = found[key]
+        headers[key] = (lineno, number(int, value, lineno, f"{key} value", error))
+    return headers, body
 
 
 def serialize_automaton(b: TGba) -> str:
@@ -278,32 +315,8 @@ def parse_automaton(text: str) -> TGba:
 
     Every error but a missing header names the line that caused it.
     """
-    headers: dict[str, tuple[int, str]] = {}
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key = line.split(":", 1)[0].strip()
-        if key in ("ap", "states", "initial", "acceptance-sets") and ":" in line:
-            if key in headers:
-                raise AutomatonError(f"line {lineno}: duplicate header {key!r}")
-            headers[key] = (lineno, line.split(":", 1)[1].strip())
-        else:
-            body.append((lineno, line))
-
-    def number(key: str) -> int:
-        lineno, value = headers[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise AutomatonError(f"line {lineno}: bad {key} value {value!r}") from None
-
-    for key in ("states", "initial", "acceptance-sets"):
-        if key not in headers:
-            raise AutomatonError(f"missing header {key!r}")
-    ap = proposition_names(*headers.get("ap", (0, "")), AutomatonError)
-    num_states, initial, n_sets = map(number, ("states", "initial", "acceptance-sets"))
+    headers, body = read_text(text, ("states", "initial", "acceptance-sets"), AutomatonError)
+    (_, ap), (_, num_states), (_, initial), (_, n_sets) = headers.values()
     for key, bad, problem in (
         ("ap", len(ap) > MAX_AP, f"at most {MAX_AP} atomic propositions "
          "(each guard expands to one transition per letter)"),
@@ -323,31 +336,22 @@ def parse_automaton(text: str) -> TGba:
 
     masks: dict[Transition, int] = {}
     top = initial  # the highest state id any line names
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) < 3:
-            raise AutomatonError(f"line {lineno}: expected 'src <guard> dst [acc: ...]'")
+    for lineno, tokens in body:
         acc = 0
         if "acc:" in tokens:
             k = tokens.index("acc:")
             tokens, acc_text = tokens[:k], "".join(tokens[k + 1 :])
             for part in filter(None, acc_text.split(",")):
-                try:
-                    j = int(part)
-                except ValueError:
-                    raise AutomatonError(f"line {lineno}: bad acceptance index {part!r}") from None
+                j = number(int, part, lineno, "acceptance index", AutomatonError)
                 if not 1 <= j <= n_sets:
                     raise AutomatonError(
                         f"line {lineno}: acceptance index {j} out of range 1..{n_sets}"
                     )
                 acc |= 1 << (j - 1)
         if len(tokens) < 3:
-            raise AutomatonError(f"line {lineno}: expected 'src <guard> dst'")
-        try:
-            src = int(tokens[0])
-            dst = int(tokens[-1])
-        except ValueError as exc:
-            raise AutomatonError(f"line {lineno}: bad state id ({exc})") from None
+            raise AutomatonError(f"line {lineno}: expected 'src <guard> dst [acc: ...]'")
+        src = number(int, tokens[0], lineno, "state id", AutomatonError)
+        dst = number(int, tokens[-1], lineno, "state id", AutomatonError)
         if not (0 <= src < num_states and 0 <= dst < num_states):
             raise AutomatonError(f"line {lineno}: state id out of range")
         top = max(top, src, dst)
@@ -393,8 +397,11 @@ def parse_automaton(text: str) -> TGba:
 
 
 def load_automaton(path) -> TGba:
-    with open(path, encoding="utf-8") as fh:
-        return parse_automaton(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_automaton(fh.read())
+    except AutomatonError as exc:
+        raise AutomatonError(f"{path}: {exc}") from None
 
 
 # --- degeneralization ----------------------------------------------------

@@ -7,13 +7,12 @@ reachability probabilities via a direct linear solve.
 
 Text format
 -----------
-One item per line.  ``#`` starts a comment that runs to the end of the
-line, and blank lines are skipped.  Three headers, in any order and each
-at most once::
+Comments, blank lines and the headers below follow the rules that
+:func:`~omegarl.automata.read_text` shares with the automaton format::
 
     states: 9     # states 0..8, named s0..s8; required
     initial: 7    # required
-    ap: a b c     # atomic propositions; optional, default none; named as in automata
+    ap: a b c     # atomic propositions; optional, default none
 
 Each other line is one of::
 
@@ -39,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automata import proposition_names
+from .automata import number, read_text
 from .graphs import closure, strongly_connected_components
 
 ROW_SUM_TOL = 1e-12
@@ -177,79 +176,49 @@ def serialize_mdp(m: LabeledMdp) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _number(kind, token: str, lineno: int, what: str):
-    try:
-        return kind(token)
-    except ValueError:
-        raise MdpError(f"line {lineno}: bad {what} {token!r}") from None
-
-
 def parse_mdp(text: str) -> LabeledMdp:
     """Parse the MDP text format of the module docstring.
 
-    Errors name their line, except a missing header and what
-    :class:`LabeledMdp` rejects: a nonpositive probability or a row that
-    does not sum to one.
+    Every error but a missing header names the line that caused it.
     """
-    headers: dict[str, tuple[int, str]] = {}
+    headers, body = read_text(text, ("states", "initial"), MdpError)
+    (_, ap), (states_line, num_states), (initial_line, initial) = headers.values()
+    if num_states < 1:
+        raise MdpError(f"line {states_line}: an MDP needs at least one state")
+    if not 0 <= initial < num_states:
+        raise MdpError(f"line {initial_line}: initial state {initial} out of range")
     prob_rows: dict[tuple[int, str], dict[int, float]] = {}
-    sources: dict[int, int] = {}  # each source state's first prob line
-    targets: dict[int, int] = {}  # each target state's first prob line
     labels: dict[tuple[int, str, int], tuple[int, frozenset[str]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("states:", "initial:", "ap:")):
-            key, value = line.split(":", 1)
-            if key in headers:
-                raise MdpError(f"line {lineno}: duplicate header {key!r}")
-            headers[key] = (lineno, value.strip())
-            continue
-        tokens = line.split()
+    for lineno, tokens in body:
         if tokens[0] not in ("prob", "label") or len(tokens) != 5:
             raise MdpError(f"line {lineno}: expected 'prob s a s2 p' or 'label s a s2 {{..}}'")
-        s = _number(int, tokens[1], lineno, "state id")
+        s = number(int, tokens[1], lineno, "state id", MdpError)
         a = tokens[2]
-        dst = _number(int, tokens[3], lineno, "state id")
+        dst = number(int, tokens[3], lineno, "state id", MdpError)
         if tokens[0] == "prob":
-            p = _number(float, tokens[4], lineno, "probability")
-            sources.setdefault(s, lineno)
-            targets.setdefault(dst, lineno)
+            p = number(float, tokens[4], lineno, "probability", MdpError)
+            if not 0 <= s < num_states:
+                raise MdpError(f"line {lineno}: prob line references undeclared state {s}")
+            if not 0 <= dst < num_states:
+                raise MdpError(f"line {lineno}: prob line targets undeclared state {dst}")
+            if p <= 0:  # a NaN passes here and fails its row's sum
+                raise MdpError(f"line {lineno}: ({s}, {a}, {dst}) has nonpositive probability")
             row = prob_rows.setdefault((s, a), {})
             row[dst] = row.get(dst, 0.0) + p
         else:
-            body = tokens[4].strip()
-            if not (body.startswith("{") and body.endswith("}")):
+            if not (tokens[4].startswith("{") and tokens[4].endswith("}")):
                 raise MdpError(f"line {lineno}: label must be written as {{a,b}}")
-            inner = body[1:-1].strip()
-            letter = frozenset(x.strip() for x in inner.split(",") if x.strip())
+            letter = frozenset(x.strip() for x in tokens[4][1:-1].split(",") if x.strip())
             labels[(s, a, dst)] = (lineno, letter)
-    for key in ("states", "initial"):
-        if key not in headers:
-            raise MdpError(f"missing header {key!r}")
-    lineno, value = headers["states"]
-    num_states = _number(int, value, lineno, "state count")
-    if num_states < 1:
-        raise MdpError(f"line {lineno}: an MDP needs at least one state")
-    for s, line in sources.items():
-        if not 0 <= s < num_states:
-            raise MdpError(f"line {line}: prob line references undeclared state {s}")
     # every state needs a prob line, so the count is bounded before anything
     # of that size is allocated
+    sources = {s for s, _ in prob_rows}
     if num_states > len(sources):
         missing = min(set(range(len(sources) + 1)).difference(sources))
         raise MdpError(
-            f"line {lineno}: {num_states} states declared, but state {missing} has no prob line"
+            f"line {states_line}: {num_states} states declared, "
+            f"but state {missing} has no prob line"
         )
-    lineno, value = headers["initial"]
-    initial = _number(int, value, lineno, "initial state")
-    if not 0 <= initial < num_states:
-        raise MdpError(f"line {lineno}: initial state {initial} out of range")
-    for dst, line in targets.items():
-        if not 0 <= dst < num_states:
-            raise MdpError(f"line {line}: prob line targets undeclared state {dst}")
-    ap = proposition_names(*headers.get("ap", (0, "")), MdpError)
     for key, (line, letter) in labels.items():
         if key[2] not in prob_rows.get(key[:2], ()):
             raise MdpError(f"line {line}: label on zero-probability triple {key}")
@@ -260,7 +229,13 @@ def parse_mdp(text: str) -> LabeledMdp:
     # action ids per state follow first appearance in the file
     for (s, a), row in prob_rows.items():
         enabled[s].append(a)
-        prob[(s, a)] = tuple(sorted(row.items()))
+        prob[(s, a)] = pairs = tuple(sorted(row.items()))
+        total = 0.0  # summed in LabeledMdp's order, so that both agree
+        for _, p in pairs:
+            total += p
+        if not abs(total - 1.0) <= ROW_SUM_TOL:  # named at the row's first line
+            line = next(n for n, t in body if t[0] == "prob" and (int(t[1]), t[2]) == (s, a))
+            raise MdpError(f"line {line}: ({s}, {a}) probabilities sum to {total!r}, not 1")
     return LabeledMdp(
         num_states=num_states,
         initial=initial,
@@ -273,8 +248,11 @@ def parse_mdp(text: str) -> LabeledMdp:
 
 
 def load_mdp(path) -> LabeledMdp:
-    with open(path, encoding="utf-8") as fh:
-        return parse_mdp(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_mdp(fh.read())
+    except MdpError as exc:
+        raise MdpError(f"{path}: {exc}") from None
 
 
 # each packaged fixtures/<name>.mdp, by name, as a zero-argument loader

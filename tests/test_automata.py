@@ -498,6 +498,7 @@ def test_unreachable_epsilon_edge_keeps_the_language(fig_automaton):
         ("initial: 0", "initial: x0", "line 3: bad initial value 'x0'"),
         ("acceptance-sets: 1", "acceptance-sets: ?", "line 4: bad acceptance-sets value"),
         ("acc: 1", "acc: 1,x", "line 5: bad acceptance index 'x'"),
+        ("0 a 0", "x a 0", "line 5: bad state id 'x'$"),
         ("initial: 0", "initial: 5", "line 3: initial state 5 out of range"),
         ("states: 1", "states: 0", "line 2: automaton needs at least one state"),
         ("acceptance-sets: 1", "acceptance-sets: 0", "line 4: acceptance-sets must be at least 1"),
@@ -513,8 +514,8 @@ def test_unreachable_epsilon_edge_keeps_the_language(fig_automaton):
         ("0 !a 0", "0 " + "(" * 500 + "!a" + ")" * 500 + " 0",
          "line 6: bad guard: formula nested more than 200 deep"),
     ],
-    ids=["states", "initial", "acceptance-sets", "acc-index", "initial-range", "no-states",
-         "no-acceptance-sets", "17-acceptance-sets", "40-acceptance-sets", "duplicate-ap",
+    ids=["states", "initial", "acceptance-sets", "acc-index", "state-id", "initial-range",
+         "no-states", "no-acceptance-sets", "17-acceptance-sets", "40-acceptance-sets", "duplicate-ap",
          "states-above-named", "17-ap", "guard-not-1000", "guard-parentheses-500"],
 )
 def test_parse_malformed_numbers_raise_line_numbered_errors(old, new, match):

@@ -10,6 +10,7 @@ from omegarl.cli import main
 from omegarl.verify import CHECKS, Battery, check_formula_agreement
 from omegarl.automata import TGba
 from test_automata import ACCEPTING_EPSILON
+from test_mdp import GOOD_MDP
 
 
 def write_config(path, **overrides):
@@ -182,6 +183,30 @@ def test_train_mdp_file_input(tmp_path):
         ]
     ) == 0
     assert json.loads((out / "manifest.json").read_text())["env"] == str(mdp_file)
+
+
+@pytest.mark.parametrize(
+    "flag,name,text,message",
+    [
+        ("--mdp", "zero.mdp", GOOD_MDP.replace("prob 0 go 1 1.0", "prob 0 go 1 0"),
+         "line 4: (0, go, 1) has nonpositive probability"),
+        ("--mdp", "short.mdp", GOOD_MDP.replace("prob 0 go 1 1.0", "prob 0 go 1 0.5"),
+         "line 4: (0, go) probabilities sum to 0.5, not 1"),
+        ("--spec", "bad.tgba", "ap: a\nstates: 1\ninitial: 0\nacceptance-sets: 1\nx a 0 acc: 1\n",
+         "line 5: bad state id 'x'"),
+    ],
+    ids=["mdp-zero-probability", "mdp-short-row", "tgba-state-id"],
+)
+def test_train_malformed_input_file_names_path_and_line(tmp_path, capsys, flag, name, text,
+                                                        message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    inputs = ["--mdp", str(bad), "--spec", "gfa_gfb_gnc"] if flag == "--mdp" else [
+        "--env", "grid9", "--spec", str(bad)]
+    rc = main(["train", *inputs, "--method", "augmented", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

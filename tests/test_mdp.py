@@ -208,8 +208,8 @@ GOOD_MDP = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\nlabe
 @pytest.mark.parametrize(
     "old,new,match",
     [
-        ("states: 2", "states: two", "line 1: bad state count 'two'"),
-        ("initial: 0", "initial: x", "line 2: bad initial state 'x'"),
+        ("states: 2", "states: two", "line 1: bad states value 'two'"),
+        ("initial: 0", "initial: x", "line 2: bad initial value 'x'"),
         ("prob 0 go 1 1.0", "prob s0 go 1 1.0", "line 4: bad state id 's0'"),
         ("prob 0 go 1 1.0", "prob 0 go 1 x", "line 4: bad probability 'x'"),
         ("label 0 go 1", "label 0 go one", "line 6: bad state id 'one'"),
@@ -226,11 +226,24 @@ GOOD_MDP = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\nlabe
         ("ap: a", "ap: A true A", "line 3: 'A' is not a proposition name"),
         ("ap: a", "ap: a true", "line 3: 'true' is not a proposition name"),
         ("ap: a", "ap: a eps", "line 3: 'eps' is not a proposition name"),
+        ("prob 0 go 1 1.0", "prob 0 go 1 0", r"line 4: \(0, go, 1\) has nonpositive probability"),
+        ("prob 0 go 1 1.0", "prob 0 go 1 -0.5",
+         r"line 4: \(0, go, 1\) has nonpositive probability"),
+        ("prob 0 go 1 1.0", "prob 0 go 1 nan",
+         r"line 4: \(0, go\) probabilities sum to nan, not 1"),
+        ("prob 0 go 1 1.0", "prob 0 go 1 0.5",
+         r"line 4: \(0, go\) probabilities sum to 0.5, not 1"),
+        ("prob 0 go 1 1.0", "prob 0 go 1 0.25\nprob 0 go 1 0.25",
+         r"line 4: \(0, go\) probabilities sum to 0.5, not 1"),
+        ("prob 1 go 1 1.0", "prob 1 go 1 1.0\nprob 0 stay 0 0.5",
+         r"line 6: \(0, stay\) probabilities sum to 0.5, not 1"),
     ],
     ids=["states", "initial", "prob-state", "prob-probability", "label-state", "duplicate-header",
          "prob-undeclared-state", "initial-range", "no-states", "states-without-rows",
          "prob-undeclared-target", "label-zero-probability", "label-undeclared-proposition",
-         "duplicate-ap", "capital-ap", "constant-ap", "eps-ap"],
+         "duplicate-ap", "capital-ap", "constant-ap", "eps-ap", "zero-probability",
+         "negative-probability", "nan-probability", "short-row", "short-summed-row",
+         "short-second-row"],
 )
 def test_parse_mdp_malformed_lines_raise_line_numbered_errors(old, new, match):
     assert parse_mdp(GOOD_MDP).num_states == 2

@@ -1,8 +1,10 @@
-"""Property tests of the two text parsers on mutated canonical texts.
+"""Tests of the two text parsers: the rules they share, and properties on
+mutated canonical texts.
 
-A mutated text either parses or raises the parser's own error; when it
-parses, its canonical text reads back as the same canonical text.  The
-examples are derandomized, so every run checks the same texts.
+A mutated text either parses or raises the parser's own error, which names
+its line unless a header is missing; when it parses, its canonical text
+reads back as the same canonical text.  The examples are derandomized, so
+every run checks the same texts.
 """
 
 import re
@@ -70,6 +72,35 @@ def mutated(draw, texts):
 
 
 FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+LOCATED = re.compile(r"line \d+: |missing header '[^']*'$")
+
+# one small text per format, with the same three header lines first
+SHARED = {
+    "mdp": (parse_mdp, MdpError, "states: 2\ninitial: 0\nap: a\nprob 0 go 1 1.0\nprob 1 go 1 1.0\n"),
+    "tgba": (parse_automaton, AutomatonError,
+             "states: 2\ninitial: 0\nap: a\nacceptance-sets: 1\n0 a 1 acc: 1\n1 true 1\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SHARED))
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        ("states: 2", "states: 2  # two states", None),
+        ("states: 2", "states : 2", None),
+        ("ap: a\n", "ap: a\ninitial: 1\n", "^line 4: duplicate header 'initial'$"),
+        ("initial: 0\n", "", "^missing header 'initial'$"),
+        ("states: 2", "states: two", "^line 1: bad states value 'two'$"),
+    ],
+    ids=["mid-line-comment", "spaced-colon", "duplicate-header", "missing-header", "bad-int"],
+)
+def test_both_formats_share_comment_and_header_rules(fmt, old, new, match):
+    parse, error, text = SHARED[fmt]
+    if match is None:
+        assert parse(text.replace(old, new, 1)) == parse(text)
+    else:
+        with pytest.raises(error, match=match):
+            parse(text.replace(old, new, 1))
 
 
 @pytest.mark.parametrize("text", AUTOMATON_TEXTS + MDP_TEXTS)
@@ -85,7 +116,8 @@ def test_serialize_parse_is_identity_on_canonical_text(text):
 def test_mutated_automaton_text_parses_or_raises(text):
     try:
         b = parse_automaton(text)
-    except AutomatonError:
+    except AutomatonError as exc:
+        assert LOCATED.match(str(exc)), exc
         return
     canonical = serialize_automaton(b)
     assert serialize_automaton(parse_automaton(canonical)) == canonical
@@ -96,7 +128,8 @@ def test_mutated_automaton_text_parses_or_raises(text):
 def test_mutated_mdp_text_parses_or_raises(text):
     try:
         m = parse_mdp(text)
-    except MdpError:
+    except MdpError as exc:
+        assert LOCATED.match(str(exc)), exc
         return
     canonical = serialize_mdp(m)
     assert serialize_mdp(parse_mdp(canonical)) == canonical
