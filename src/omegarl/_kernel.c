@@ -100,6 +100,7 @@ struct problem {
     const double *cuts;
     const int64_t *masks;
     const uint8_t *empty;         /* empty[done]: no accepting set is left */
+    const uint8_t *dead;          /* dead[s]: no reward is reachable from s */
     int64_t width, states, steps, initial;
     double gamma, r_p, eps_num, neg_exp;
     int64_t reset_visits;         /* restart state_visits with every episode */
@@ -115,8 +116,11 @@ struct session {
     int64_t n_watch;
 };
 
-/* One episode's step loop; returns the reward it collected.  The structs
- * are copied so that no store through the tables can alias a field. */
+/* One episode's step loop; returns the reward it collected.  The episode
+ * ends after `steps` steps or on entering a dead state, where every further
+ * update would write 0 over 0 and move neither best nor top; a dead initial
+ * state runs no step.  The structs are copied so that no store through the
+ * tables can alias a field. */
 static double run_episode(const struct problem *problem, const struct session *session,
                           draws *d)
 {
@@ -124,7 +128,7 @@ static double run_episode(const struct problem *problem, const struct session *s
     const struct session se = *session;
     int64_t s = pb.initial, done = 0;
     double total = 0.0;
-    for (int64_t step = 0; step < pb.steps; step++) {
+    for (int64_t step = 0; step < pb.steps && !pb.dead[s]; step++) {
         int64_t k = ++se.state_visits[s];
         int64_t p;
         if (next_double(d) < pb.eps_num / (double)k) /* u < epsilon(k), as u < 1 */
@@ -172,9 +176,9 @@ static double run_episode(const struct problem *problem, const struct session *s
     return total;
 }
 
-/* Episodes episode..limit-1 of a session, each one's reward per step into
- * its curve cell; returns the next episode's index, early after the first
- * episode that leaves best[watch[i]] != held[i] for some i. */
+/* Episodes episode..limit-1 of a session, each one's reward per configured
+ * step into its curve cell; returns the next episode's index, early after
+ * the first episode that leaves best[watch[i]] != held[i] for some i. */
 int64_t run_session(const struct problem *problem, struct session *session,
                     int64_t episode, int64_t limit)
 {

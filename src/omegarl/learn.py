@@ -3,9 +3,11 @@ oracle for desk-scale verification.
 
 Training runs independent seeded sessions; each episode restarts the
 simulator at product state 0, the initial one, while the Q-table and visit
-counts persist across episodes within a session.  Exploration follows a
-visit-count epsilon schedule and the learning rate decays per state-action
-pair under a Robbins-Monro-compatible power law.  Value iteration is a
+counts persist across episodes within a session.  An episode ends after its
+configured steps or on entering a dead state (``ProductMdp.dead``), from
+which no reward is reachable: every update there would write 0 over 0.
+Exploration follows a visit-count epsilon schedule and the learning rate
+decays per state-action pair under a Robbins-Monro-compatible power law.  Value iteration is a
 test oracle only and takes no part in training.
 
 Both loops run in C (``_kernel.c``) on the product's integer tables, its
@@ -13,10 +15,10 @@ only store (layout in the product module), padded to the widest row by
 ``_padded_tables``: row ``p`` holds pair ``p``'s successors,
 probabilities, cuts (derived there from the probabilities) and masks,
 padded with state 0, probability 0, cut ``+inf`` and mask 0.  ``train``
-fills two kernel structs once: ``struct problem`` with the tables and the
-hyperparameters, ``struct session`` with one session's arrays (Q-values,
-counts, greedy pairs, generator, curve row; reset for each session) and the
-watched states, those the last evaluation reached, with their greedy pairs
+fills two kernel structs once: ``struct problem`` with the tables, the
+dead states and the hyperparameters, ``struct session`` with one session's
+arrays (Q-values, counts, greedy pairs, generator, curve row; reset for each
+session) and the watched states, those the last evaluation reached, with their greedy pairs
 then.  ``run_session`` runs episodes until the greedy pair changes at a
 watched state or the session ends, so Python wakes only to evaluate.
 ``value_sweeps`` runs the synchronous sweeps of value iteration and hands
@@ -359,8 +361,10 @@ def _pointers(*arrays: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class LearningCurve:
-    """Per-episode average reward (total reward / steps) per session, plus
-    the across-session mean and standard deviation per episode."""
+    """Per-episode reward per configured step (total reward /
+    ``steps_per_episode``, also for an episode that a dead state ended
+    early) per session, plus the across-session mean and standard deviation
+    per episode."""
 
     per_session: np.ndarray  # shape (sessions, episodes)
     mean: np.ndarray
@@ -391,9 +395,12 @@ def train(
     """Q-learning over ``cfg.sessions`` independent seeded sessions.
 
     ``scheme`` is a reward scheme of the product module; the kernel applies
-    its bitmask rule to the product's masks.  The greedy policy, one pair id
-    per state, is evaluated exactly on the product's tables
-    (``evaluate_pairs``) after the first episode and after each episode that
+    its bitmask rule to the product's masks.  An episode ends early on
+    entering a dead state; its steps there would change no Q-value, greedy
+    pair or curve cell, only dead states' visit counts and the draws.  A
+    curve cell is the episode's reward per configured step.  The greedy
+    policy, one pair id per state, is evaluated exactly on the product's
+    tables (``evaluate_pairs``) after the first episode and after each episode that
     changes it at a state the last evaluation reached; ``evaluate_pairs``
     reads no other state's pair, so a skipped evaluation would repeat the
     last one; the same rule decides the evaluation at the session's end.
@@ -407,24 +414,24 @@ def train(
     keys = product.keys
     succ, _, cuts, masks = _padded_tables(product)
     first = np.array(product.first, dtype=np.int64)
-    empty = np.array(scheme.empty, dtype=np.uint8)
+    empty, dead = np.array(scheme.empty, dtype=np.uint8), np.array(product.dead, dtype=np.uint8)
     n = product.num_states
     curves = np.zeros((cfg.sessions, cfg.episodes))
     values, top = np.zeros(len(keys)), np.zeros(n)  # top: per state, its maximal value
     pair_visits, state_visits = np.zeros(len(keys), dtype=np.int64), np.zeros(n, dtype=np.int64)
     best = first[:-1].copy()  # per state, its first pair of maximal value
     rng, watch, held = np.zeros(6, dtype=np.uint64), np.zeros_like(best), np.zeros_like(best)
-    handles = _pointers(first, succ, cuts, masks, empty, values, pair_visits, state_visits,
+    handles = _pointers(first, succ, cuts, masks, empty, dead, values, pair_visits, state_visits,
                         best, top, rng, curves, watch, held)  # alive while the structs are
     problem = _ffi.new("struct problem *", {
-        **dict(zip(("first", "succ", "cuts", "masks", "empty"), handles)),
+        **dict(zip(("first", "succ", "cuts", "masks", "empty", "dead"), handles)),
         "width": succ.shape[1], "states": n, "steps": cfg.steps_per_episode, "initial": 0,
         "gamma": cfg.gamma, "r_p": scheme.r_p, "eps_num": cfg.epsilon_numerator,
         "neg_exp": -cfg.alpha_exponent, "reset_visits": cfg.epsilon_scope == "episode",
     })
     fields = ("values", "pair_visits", "state_visits", "best", "top", "rng", "curve", "watch",
               "held")
-    session = _ffi.new("struct session *", dict(zip(fields, handles[5:])))
+    session = _ffi.new("struct session *", dict(zip(fields, handles[6:])))
 
     qtables: list[QTable] = []
     policies: list[PositionalPolicy] = []
@@ -437,7 +444,7 @@ def train(
             array.fill(0)
         best[:] = first[:-1]
         rng[:] = _generator_array(cfg.rng_seed, (si,))  # SeedSequence(seed).spawn(n)[si]
-        session.curve, session.n_watch = handles[11] + si * cfg.episodes, 0
+        session.curve, session.n_watch = handles[12] + si * cfg.episodes, 0
         pos_ep: int | None = None
         sat1_ep: int | None = None
         ev: PolicyEvaluation | None = None

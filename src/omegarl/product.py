@@ -34,7 +34,7 @@ from itertools import chain
 
 from .augment import augment, merge_unaccepting
 from .automata import EPSILON, TGba, degeneralize
-from .graphs import explore, strongly_connected_components
+from .graphs import closure, explore, strongly_connected_components
 from .mdp import (
     LabeledMdp,
     MarkovChain,
@@ -87,6 +87,19 @@ class ProductMdp:
     def name_of(self, i: int) -> str:
         s, x = self.pairs[i]
         return f"({self.base.name_of(s)}|{self.automaton.name_of(x)})"
+
+    @cached_property
+    def dead(self) -> tuple[bool, ...]:
+        """Per state, whether no pair with a non-zero mask is reachable from it
+        under any action, so that it can never earn reward again.  Every
+        successor of a dead state is dead."""
+        preds: list[list[int]] = [[] for _ in self.pairs]
+        for (s, _), js in zip(self.keys, self.succ):
+            for j in js:
+                preds[j].append(s)
+        live = closure({s for (s, _), ms in zip(self.keys, self.masks) if any(ms)},
+                       preds.__getitem__)
+        return tuple(s not in live for s in range(self.num_states))
 
     @cached_property
     def mdp(self) -> LabeledMdp:

@@ -352,11 +352,17 @@ class RawDraws:
         return m >> 32
 
 
-def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
+def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
+                    walk_seed: int | None = None):
     """Reference for ``learn.train``: the same sessions with the step loop in
     Python, drawing from ``RawDraws``; its floats are the ones the compiled
-    kernel must reproduce bit for bit."""
+    kernel must reproduce bit for bit.  An episode ends on entering a dead
+    state, as the kernel's does.  Given ``walk_seed``, it instead walks on
+    through the dead states to the episode's last step, drawing those steps
+    from a second generator seeded with ``walk_seed``, so that the session's
+    own stream is left where the stopping episode leaves it."""
     keys, first, succ, masks = product.keys, list(product.first), product.succ, product.masks
+    dead = product.dead
     cuts = [tuple(itertools.accumulate(ps[:-1])) for ps in product.probs]
     spans = tuple(zip(first, first[1:]))
     r_p, empty = scheme.r_p, scheme.empty
@@ -377,9 +383,9 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
     first_sat1: list[int | None] = []
     evaluations: list[PolicyEvaluation | None] = []
 
+    walk = None if walk_seed is None else RawDraws(np.random.PCG64(walk_seed), margin)
     for si in range(cfg.sessions):
         draws = RawDraws(np.random.PCG64(seeds[si]), margin)
-        doubles = draws.doubles
         values = [0.0] * len(keys)
         pair_visits = [0] * len(keys)
         state_visits = [0] * n
@@ -392,20 +398,27 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
         for ep in range(cfg.episodes):
             if cfg.epsilon_scope == "episode":
                 state_visits = [0] * n
-            draws.reserve(margin)
-            pos = draws.pos
+            source = draws
+            source.reserve(margin)
+            doubles, pos = source.doubles, source.pos
             s = initial
             done = 0
             total = 0.0
             for _ in range(steps):
+                if dead[s] and source is draws:  # dead states are closed: switch once
+                    if walk is None:
+                        break
+                    draws.pos, source = pos, walk
+                    source.reserve(margin)
+                    doubles, pos = source.doubles, source.pos
                 k = state_visits[s] + 1
                 state_visits[s] = k
                 pos += 1  # u < eps_num / k is u < epsilon(k), since u < 1
                 if doubles[pos - 1] < eps_num / k:
                     lo, hi = spans[s]
-                    draws.pos = pos
-                    p = lo + draws.integers(hi - lo)
-                    pos = draws.pos
+                    source.pos = pos
+                    p = lo + source.integers(hi - lo)
+                    pos = source.pos
                 else:
                     p = best[s]
                 j = bisect_right(cuts[p], doubles[pos])
@@ -437,7 +450,7 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True):
                 elif new == top[s] and p < best[s]:
                     best[s] = p
                 s = dst
-            draws.pos = pos
+            source.pos = pos
             curves[si, ep] = total / steps
             if track_satisfaction and sat1_ep is None and best != evaluated:
                 evaluated, ev = best[:], reference_evaluate_policy(product, policy(best))

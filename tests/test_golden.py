@@ -35,9 +35,9 @@ HASHED = ("curves.csv", "policies.json", "report.json")
 
 GOLDEN = {
     ("grid9", "augmented"): {
-        "curves.csv": "2dd6db8e48b4836907e97fae65260f41c2d0b82c1e6562b883bb0d943937c3a3",
-        "policies.json": "077f0f3b707e4605234c73097e41a952999f0932884d58bddb8737bd20b20310",
-        "report.json": "a38d2166f63bf785245294782634b1cf54b0b617a626c853125df71556140d57",
+        "curves.csv": "fa8b526b4a405a47a089b752e2bcba940c5d8039546717436cecb04289295f03",
+        "policies.json": "264504707850157c0d163c4674b3781c7c29d04fcca425fb773b8e154d3ba987",
+        "report.json": "d4019a16c86ef8b368ec48badfec1365707d0f03d02fde59cedaca8a1dda0517",
     },
     ("grid9", "degeneralized"): {
         "curves.csv": "dab102147906f89499f1eb7bc82dbab7921a58e92bbe6aa6bf4bc416bb565a65",
@@ -45,31 +45,31 @@ GOLDEN = {
         "report.json": "b320499d02e594f9fd224c3ff2990094249732a6868a54079ed71d580feab3df",
     },
     ("grid9", "frontier"): {
-        "curves.csv": "72d9f78454b58332267853b3b77da15f584d8606681c768cb2bc1762e5f34fa0",
-        "policies.json": "1947f66820d1550cd5a58c2fc463bb085873138288ab928448cc18c1abf7f63f",
-        "report.json": "e0b1c2118b24b155847f110e2eebd08bda70ce5484632d0c7569e9e0ae1660e6",
+        "curves.csv": "23dbb37c4e1fa8a3e1a02910cf2dede420f9e43f45e6abaccf9d7aefc8192e9c",
+        "policies.json": "0748ac5454120fbb8e417d65c48055e9115aa11f95e3731925b5140b03c74313",
+        "report.json": "14f7f5c5532fc36c4d29e029a186344f38a98841ab036b661d6f21c252f4eeb0",
     },
     ("slip", "augmented"): {
-        "curves.csv": "0a0c4a5b255058d74e296100770381c44303ca24d3758c2ca69c1970588a8044",
-        "policies.json": "6d00c2a25be39935cd58cea9978b4e17aec4ebb5456dff74a36a0dd68c8c82c0",
-        "report.json": "b162b12e635bdbb74dcde42beaee39ac8334aa4b9e78dd160072ad88f4e18a22",
+        "curves.csv": "372ab4fbca43755d929fd4b138b0ea4278ce192787c4017ef1448d0f1d1c1338",
+        "policies.json": "b80905a9cad30cd6bcbb15f286ea42814d64fd9ea8f7c9a6908b7453ff95b64f",
+        "report.json": "f60b61c387850340f7122e871b8a549cb7baa20de16f2e2f8a21e6b8db0644c0",
     },
     ("slip", "degeneralized"): {
-        "curves.csv": "4245fbc76f838ec2551e428c3045927b7ed63be556c2dc97ea6f5b9e9c4af8f5",
-        "policies.json": "28e1290b55d05e9e62f2fa6012c4c52e307166aa956f99c5edf1c4e75c30e840",
-        "report.json": "66891c37441108009dbdd13c3c7c97a5c706a0e0438913ad7982438de99b5640",
+        "curves.csv": "3bd044b6180612ca8874abb821c522d5ff53eea31028296f14f2256b0f3b5395",
+        "policies.json": "6e36df5298669fc303c225a2cecc38bffb84fd3196d173438855f3dc72889ba7",
+        "report.json": "2b94a83824b547cc6d0742d626402bd56e6dde1a3722c019f7abf38765806fde",
     },
     ("slip", "frontier"): {
-        "curves.csv": "e73db7cb61d50b67aeb65fe6a69d6a1c9a096ac2e9afa966ae9357e1fee12b0f",
-        "policies.json": "e2e708a2facba600d02cd4fa77e4f159dffa4368e997f56971a8865e9d88c5e2",
-        "report.json": "de3c0f3e8dc47b8f69cc0272f842cca0311eb5a5585237f30973910e590068d5",
+        "curves.csv": "0904fb98dd87f08344b086abe2fdee6f27135457ba86dad1221c1871fd39d60f",
+        "policies.json": "2c166502b6ab842ac76ad9c542fc070635fcc6b7b637e78e98272e0d194a1875",
+        "report.json": "889f6b64edba87b18adfc4d223256fde820448fe4547d23ec609a1577122da23",
     },
 }
 
 GOLDEN_LIBRARY = {
-    "augmented": "4ad47c308feaf886c1f9d02edbb8e72fdf862d18ab6f193abfda8caa8b08ba62",
+    "augmented": "451c088639fad584616bc849fcb1ffff1da64bcce59ba42a0651db84a20c1342",
     "degeneralized": "3d129ee1f5753950295a3a232fc421fd47d679bbf835e4d141bf106fb50cdf85",
-    "frontier": "0cd28d189e4182cfd9415ddce2ce39d3cba9dc7f12b9992bcea80ecc5179269d",
+    "frontier": "85d0cc3d630752667eac9500d89ead162071ef20b828ef7d991d124ff06a5d7a",
 }
 
 

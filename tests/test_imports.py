@@ -58,7 +58,7 @@ def test_test_imports_are_declared_in_pyproject():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     requirements = project["dependencies"] + project["optional-dependencies"]["test"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower().replace("-", "_") for r in requirements}
-    local = {p.stem for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")}
+    local = {p.stem for d in ("tests", "perfbench", "scripts") for p in (ROOT / d).glob("*.py")}
     imported = {
         module for p in sorted((ROOT / "tests").glob("*.py"))
         for _, module in imported_modules(p.read_text(encoding="utf-8"))

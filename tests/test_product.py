@@ -1,5 +1,6 @@
 from itertools import accumulate
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -225,6 +226,35 @@ def test_product_tables_match_prob_and_acceptance(env, method):
             for dst, mask in zip(product.succ[p], product.masks[p]):
                 t = (s, a, dst)
                 assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
+
+
+# --- dead states -------------------------------------------------------------------
+
+
+def test_dead_states_are_those_that_reach_no_accepting_transition():
+    """Against networkx on random MDPs with c-labels (so that G !c traps)
+    under both fixtures and every method: a state is dead exactly when no
+    path leads from it to the source of a transition in some accepting set,
+    rebuilt from the automaton.  Every successor of a dead state is dead."""
+    dead_states = live_states = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)))
+        for spec in ("gfa_gfb_gnc", "fg_a"):
+            for method in METHODS:
+                product, _ = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
+                g = nx.DiGraph()
+                g.add_nodes_from(range(product.num_states))
+                g.add_edges_from((s, dst) for (s, _), js in zip(product.keys, product.succ)
+                                 for dst in js)
+                sources = {s for acc in product_acceptance(m, product) for s, _, _ in acc}
+                live = sources.union(*(nx.ancestors(g, s) for s in sources))
+                assert product.dead == tuple(s not in live for s in g)
+                for s, t in g.edges:
+                    assert product.dead[t] or not product.dead[s]
+                dead_states += sum(product.dead)
+                live_states += product.num_states - sum(product.dead)
+    assert dead_states > 100 and live_states > 100, (dead_states, live_states)
 
 
 # --- rewards -----------------------------------------------------------------------
