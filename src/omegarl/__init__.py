@@ -29,8 +29,6 @@ from .learn import (
     QTable,
     TrainConfig,
     TrainResult,
-    alpha,
-    epsilon,
     greedy_policy,
     train,
     value_iteration,

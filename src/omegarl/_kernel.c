@@ -101,14 +101,13 @@ struct problem {
     const int64_t *masks;
     const uint8_t *empty;         /* empty[done]: no accepting set is left */
     const uint8_t *dead;          /* dead[s]: no reward is reachable from s */
-    int64_t width, states, steps, initial;
-    double gamma, r_p, eps_num, neg_exp;
-    int64_t reset_visits;         /* restart state_visits with every episode */
+    int64_t width, states, steps;
+    double gamma, r_p, eps_num, neg_exp; /* neg_exp: minus the alpha exponent */
 };
 
 struct session {
     double *values;
-    int64_t *pair_visits, *state_visits, *best;
+    int64_t *pair_visits, *state_visits, *best; /* state_visits: this episode's */
     double *top;
     uint64_t *rng;
     double *curve;                /* the session's row, one cell per episode */
@@ -116,22 +115,22 @@ struct session {
     int64_t n_watch;
 };
 
-/* One episode's step loop; returns the reward it collected.  The episode
- * ends after `steps` steps or on entering a dead state, where every further
- * update would write 0 over 0 and move neither best nor top; a dead initial
- * state runs no step.  The structs are copied so that no store through the
- * tables can alias a field. */
+/* One episode's step loop from product state 0, the initial one; returns the
+ * reward it collected.  The episode ends after `steps` steps or on entering a
+ * dead state, where every further update would write 0 over 0 and move
+ * neither best nor top; a dead initial state runs no step.  The structs are
+ * copied so that no store through the tables can alias a field. */
 static double run_episode(const struct problem *problem, const struct session *session,
                           draws *d)
 {
     const struct problem pb = *problem;
     const struct session se = *session;
-    int64_t s = pb.initial, done = 0;
+    int64_t s = 0, done = 0;
     double total = 0.0;
     for (int64_t step = 0; step < pb.steps && !pb.dead[s]; step++) {
         int64_t k = ++se.state_visits[s];
         int64_t p;
-        if (next_double(d) < pb.eps_num / (double)k) /* u < epsilon(k), as u < 1 */
+        if (next_double(d) < pb.eps_num / (double)k) /* u < min(1, eps_num / k), as u < 1 */
             p = pb.first[s] + next_below(d, (uint32_t)(pb.first[s + 1] - pb.first[s]));
         else
             p = se.best[s];
@@ -153,7 +152,7 @@ static double run_episode(const struct problem *problem, const struct session *s
         }
         k = ++se.pair_visits[p];
         double v = se.values[p];
-        double new = v + pow((double)k, pb.neg_exp) * (target - v); /* alpha(k) */
+        double new = v + pow((double)k, pb.neg_exp) * (target - v); /* k^-alpha_exponent */
         se.values[p] = new;
         /* keep best[s] and top[s] equal to a fresh first argmax and max */
         if (new > se.top[s]) {
@@ -176,18 +175,17 @@ static double run_episode(const struct problem *problem, const struct session *s
     return total;
 }
 
-/* Episodes episode..limit-1 of a session, each one's reward per configured
- * step into its curve cell; returns the next episode's index, early after
- * the first episode that leaves best[watch[i]] != held[i] for some i. */
+/* Episodes episode..limit-1 of a session, each from no state visits and with
+ * its reward per configured step into its curve cell; returns the next
+ * episode's index, early after the first that leaves best[watch[i]] != held[i]. */
 int64_t run_session(const struct problem *problem, struct session *session,
                     int64_t episode, int64_t limit)
 {
     draws d = load_draws(session->rng);
     int changed = 0;
     while (episode < limit && !changed) {
-        if (problem->reset_visits)
-            for (int64_t s = 0; s < problem->states; s++)
-                session->state_visits[s] = 0;
+        for (int64_t s = 0; s < problem->states; s++)
+            session->state_visits[s] = 0;
         double total = run_episode(problem, session, &d);
         session->curve[episode++] = total / (double)problem->steps;
         for (int64_t i = 0; i < session->n_watch && !changed; i++)

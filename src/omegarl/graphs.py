@@ -3,7 +3,7 @@ and the transitive closure of relations bit-sliced into Python ints."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 Node = Hashable
 
@@ -86,6 +86,29 @@ def strongly_connected_components(
                 if low[v] < low[u]:
                     low[u] = low[v]
     return comps
+
+
+def end_components(
+    allowed: list[list[int]], succ: Sequence[Sequence[int]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Maximal end components when state ``x`` may take only the pairs
+    ``allowed[x]`` and pair ``q`` moves to the states ``succ[q]``.  Find the
+    SCCs of the allowed pairs' graph, drop every pair with a successor
+    outside its state's SCC, and repeat until nothing drops.  Returns each
+    component that keeps a pair, as its ascending states and pairs, by
+    ascending lowest state."""
+    kept = allowed
+    while True:
+        edges = [[y for q in pairs for y in succ[q]] for pairs in kept]
+        comps = strongly_connected_components(range(len(kept)), edges.__getitem__)
+        scc = {x: i for i, comp in enumerate(comps) for x in comp}
+        inside = [[q for q in pairs if all(scc[y] == scc[x] for y in succ[q])]
+                  for x, pairs in enumerate(kept)]
+        if inside == kept:
+            break
+        kept = inside
+    return sorted((tuple(sorted(comp)), tuple(sorted(q for x in comp for q in kept[x])))
+                  for comp in comps if kept[comp[0]])
 
 
 def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]]) -> set[Node]:

@@ -1,14 +1,14 @@
 """Tabular Q-learning on product-MDP simulators, plus a value-iteration
 oracle for desk-scale verification.
 
-Training runs independent seeded sessions; each episode restarts the
-simulator at product state 0, the initial one, while the Q-table and visit
-counts persist across episodes within a session.  An episode ends after its
-configured steps or on entering a dead state (``ProductMdp.dead``), from
-which no reward is reachable: every update there would write 0 over 0.
-Exploration follows a visit-count epsilon schedule and the learning rate
-decays per state-action pair under a Robbins-Monro-compatible power law.  Value iteration is a
-test oracle only and takes no part in training.
+Training runs independent seeded sessions.  Each episode restarts the
+simulator at product state 0, the initial one, and its state visits, which
+set the exploration probability (``TrainConfig``); the Q-values and the pair
+visits, which set the step size, persist across a session's episodes.  An
+episode ends after its configured steps or on entering a dead state
+(``ProductMdp.dead``), from which no reward is reachable: every update there
+would write 0 over 0.  Value iteration is a test oracle only and takes no
+part in training.
 
 Both loops run in C (``_kernel.c``) on the product's integer tables, its
 only store (layout in the product module), padded to the widest row by
@@ -162,10 +162,10 @@ MAX_CURVE_CELLS = 1 << 24
 class TrainConfig:
     """Hyperparameters of one experiment.
 
-    ``epsilon_scope`` controls the visit counts behind the exploration
-    schedule: "episode" restarts them with every episode (the default;
-    exploration survives long enough for the trap-heavy products to be
-    learned), "session" accumulates them across a whole session.
+    The k-th visit to a state within an episode explores with probability
+    ``min(1, epsilon_numerator / k)``, and the k-th update of a pair within a
+    session has step size ``k ** -alpha_exponent``, a Robbins-Monro-compatible
+    power law.
 
     ``episodes * sessions`` is at most ``MAX_CURVE_CELLS`` (2**24, far above
     the paper preset's 10**5): training keeps one learning-curve value per
@@ -180,7 +180,6 @@ class TrainConfig:
     epsilon_numerator: float = 0.95
     alpha_exponent: float = 0.85
     rng_seed: int = 0
-    epsilon_scope: str = "episode"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -202,8 +201,6 @@ class TrainConfig:
         require_positive("epsilon_numerator", self.epsilon_numerator)
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.epsilon_scope not in ("episode", "session"):
-            raise ValueError("epsilon_scope must be 'episode' or 'session'")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,20 +226,6 @@ class TrainConfig:
     def from_json(cls, path) -> "TrainConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def epsilon(n: int, numerator: float = 0.95) -> float:
-    """Exploration probability after the n-th visit to a state (n >= 1)."""
-    if n < 1:
-        raise ValueError("visit count must include the current visit")
-    return min(1.0, numerator / n)
-
-
-def alpha(k: int, exponent: float = 0.85) -> float:
-    """Learning rate for the k-th update of a state-action pair (k >= 1)."""
-    if k < 1:
-        raise ValueError("update count must include the current update")
-    return float(k) ** (-exponent)
 
 
 class QTable:
@@ -425,9 +408,8 @@ def train(
                         best, top, rng, curves, watch, held)  # alive while the structs are
     problem = _ffi.new("struct problem *", {
         **dict(zip(("first", "succ", "cuts", "masks", "empty", "dead"), handles)),
-        "width": succ.shape[1], "states": n, "steps": cfg.steps_per_episode, "initial": 0,
-        "gamma": cfg.gamma, "r_p": scheme.r_p, "eps_num": cfg.epsilon_numerator,
-        "neg_exp": -cfg.alpha_exponent, "reset_visits": cfg.epsilon_scope == "episode",
+        "width": succ.shape[1], "states": n, "steps": cfg.steps_per_episode, "gamma": cfg.gamma,
+        "r_p": scheme.r_p, "eps_num": cfg.epsilon_numerator, "neg_exp": -cfg.alpha_exponent,
     })
     fields = ("values", "pair_visits", "state_visits", "best", "top", "rng", "curve", "watch",
               "held")
@@ -440,7 +422,7 @@ def train(
     evaluations: list[PolicyEvaluation | None] = []
 
     for si in range(cfg.sessions):
-        for array in (values, top, pair_visits, state_visits):
+        for array in (values, top, pair_visits):  # run_session clears state_visits per episode
             array.fill(0)
         best[:] = first[:-1]
         rng[:] = _generator_array(cfg.rng_seed, (si,))  # SeedSequence(seed).spawn(n)[si]

@@ -42,6 +42,7 @@ from .automata import number, read_text
 from .graphs import closure, strongly_connected_components
 
 ROW_SUM_TOL = 1e-12
+SOLVE_RESIDUAL_TOL = 1e-10  # the largest residual a reachability solve may leave
 
 
 class MdpError(ValueError):
@@ -128,7 +129,6 @@ class MarkovChain:
     states: tuple[int, ...]
     prob: dict[int, tuple[tuple[int, float], ...]]
     initial: int
-    state_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         members = set(self.states)
@@ -267,8 +267,8 @@ ENVIRONMENTS = {
 def induce_chain(m: LabeledMdp, pi: PositionalPolicy) -> MarkovChain:
     """Markov chain over the states reachable from the initial state under
     ``pi``.  With :func:`decompose`, the name-keyed path to recurrent classes
-    (products use ``product.recurrent_classes``), kept for library callers,
-    the tests' reference and the benchmark's probes."""
+    (products use ``product.evaluate_pairs``), kept for library callers, the
+    tests' reference and the benchmark's probes."""
     prob: dict[int, tuple[tuple[int, float], ...]] = {}
 
     def successors(s: int):
@@ -281,12 +281,7 @@ def induce_chain(m: LabeledMdp, pi: PositionalPolicy) -> MarkovChain:
         return (dst for dst, _ in row)
 
     seen = closure((m.initial,), successors)
-    return MarkovChain(
-        states=tuple(sorted(seen)),
-        prob=prob,
-        initial=m.initial,
-        state_names=m.state_names,
-    )
+    return MarkovChain(states=tuple(sorted(seen)), prob=prob, initial=m.initial)
 
 
 def decompose(mc: MarkovChain) -> RecurrenceDecomposition:
@@ -305,14 +300,12 @@ def decompose(mc: MarkovChain) -> RecurrenceDecomposition:
     return RecurrenceDecomposition(transient=transient, recurrent_classes=tuple(classes))
 
 
-def reach_probability(
-    mc: MarkovChain, target: set[int], residual_tol: float = 1e-10
-) -> dict[int, float]:
+def reach_probability(mc: MarkovChain, target: set[int]) -> dict[int, float]:
     """Exact per-state probability of ever reaching ``target``.
 
     States that cannot reach the target get 0, target states get 1, and the
     rest solve the standard linear system directly; the solution's residual
-    must stay below ``residual_tol``.
+    must stay below ``SOLVE_RESIDUAL_TOL``.
     """
     target = set(target) & set(mc.states)
     if not target:
@@ -341,8 +334,8 @@ def reach_probability(
                     a[i, pos[dst]] -= p
         x = np.linalg.solve(a, bvec)
         residual = float(np.max(np.abs(a @ x - bvec)))
-        if residual > residual_tol:
-            raise MdpError(f"reachability solve residual {residual} exceeds {residual_tol}")
+        if residual > SOLVE_RESIDUAL_TOL:
+            raise MdpError(f"reachability solve residual {residual} exceeds {SOLVE_RESIDUAL_TOL}")
         for s in unknown:
             result[s] = float(x[pos[s]])
     return result

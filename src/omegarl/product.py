@@ -5,8 +5,8 @@ produced labels and adds a probability-one action for each automaton
 epsilon transition.  Each product transition carries the accepting-set
 mask of the automaton move it synchronizes with, and these masks drive the
 two reward schemes: the memoryless accepting-transition reward and the
-working-set ("frontier") baseline.  Policies are evaluated exactly on the
-chosen pairs' rows of the integer tables below.
+working-set ("frontier") baseline.  ``evaluate_pairs`` evaluates a policy
+exactly in one pass over its chosen pairs' rows of the integer tables below.
 
 ``build_product`` stores the product only as the integer tables that
 training, value iteration, evaluation and verify run on.  Pair ``p`` is the
@@ -312,61 +312,45 @@ class PolicyEvaluation:
         }
 
 
-def recurrent_classes(p: ProductMdp, chosen) -> tuple[tuple[int, ...], tuple]:
-    """Transient states and recurrent classes of the chain that pair
-    ``chosen[s]`` at each state ``s`` induces from state 0, reading
-    ``chosen`` at reached states only.  A class is a bottom strongly
-    connected component: its ascending states and the OR of its pairs'
-    ``masks``, lowest state first."""
-    succ, masks = p.succ, p.masks
-    transient, classes = [], []
-    for comp in strongly_connected_components((0,), lambda s: succ[chosen[s]]):
-        rows = [chosen[s] for s in comp]
-        members = set(comp)
-        if all(dst in members for pair in rows for dst in succ[pair]):
-            covered = 0
-            for mask in chain.from_iterable(masks[pair] for pair in rows):
-                covered |= mask
-            classes.append((tuple(sorted(comp)), covered))
-        else:
-            transient += comp
-    return tuple(sorted(transient)), tuple(sorted(classes))
-
-
 def evaluate_pairs(p: ProductMdp, chosen) -> PolicyEvaluation:
     """:func:`evaluate_policy` of the policy that takes pair ``chosen[s]`` at
-    each state ``s``."""
-    transient, found = recurrent_classes(p, chosen)
-    n_sets = p.automaton.n_sets
-    classes, accepting_states = [], set()
-    for states, covered in found:
-        # states ascend and so does each row's succ, so a set's witness is
-        # its lowest transition
+    each state ``s``, read at the states reached from state 0 only.  Its
+    recurrent classes are the bottom strongly connected components of the
+    induced chain, lowest state first; one walk over a class's pairs gives
+    both its coverage and its witnesses."""
+    succ, masks, n_sets = p.succ, p.masks, p.automaton.n_sets
+    transient, classes = [], []
+    for comp in strongly_connected_components((0,), lambda s: succ[chosen[s]]):
+        members = set(comp)
+        if not all(dst in members for s in comp for dst in succ[chosen[s]]):
+            transient += comp
+            continue
+        states = tuple(sorted(comp))
+        # states and each row's succ ascend, so a set's witness is its lowest transition
         witnesses: dict[int, ProductTransition] = {}
-        seen = 0
+        covered = 0
         for s in states:
             pair = chosen[s]
-            for dst, mask in zip(p.succ[pair], p.masks[pair]):
-                new = mask & ~seen
-                if new:
-                    seen |= new
+            for dst, mask in zip(succ[pair], masks[pair]):
+                if new := mask & ~covered:
+                    covered |= new
                     for j in range(n_sets):
                         if new >> j & 1:
                             witnesses[j] = (s, p.keys[pair][1], dst)
         coverage = tuple(bool(covered >> j & 1) for j in range(n_sets))
-        if all(coverage):
-            accepting_states.update(states)
-        witnesses = dict(sorted(witnesses.items()))
-        classes.append(ClassReport(states, coverage, all(coverage), witnesses))
+        classes.append(ClassReport(states, coverage, all(coverage),
+                                   dict(sorted(witnesses.items()))))
+    classes.sort(key=lambda c: c.states)
+    accepting_states = {s for c in classes if c.accepting for s in c.states}
     if not accepting_states:
         sat = 0.0
     elif all(c.accepting for c in classes):
         sat = 1.0
     else:
         reached = sorted(chain(transient, *(c.states for c in classes)))
-        rows = {s: tuple(zip(p.succ[chosen[s]], p.probs[chosen[s]])) for s in reached}
+        rows = {s: tuple(zip(succ[chosen[s]], p.probs[chosen[s]])) for s in reached}
         sat = reach_probability(MarkovChain(tuple(reached), rows, 0), accepting_states)[0]
-    return PolicyEvaluation(sat, sat > 0.0, transient, tuple(classes))
+    return PolicyEvaluation(sat, sat > 0.0, tuple(sorted(transient)), tuple(classes))
 
 
 class _ChosenPairs(dict):

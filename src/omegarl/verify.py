@@ -19,7 +19,7 @@ from operator import or_
 
 from .augment import augment
 from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
-from .graphs import strongly_connected_components
+from .graphs import end_components
 from .ltl import LassoWord, formula_evaluator, parse_ltl
 from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
 from .product import ProductMdp, check_positional_impossibility, method_product
@@ -165,11 +165,10 @@ def check_recurrence_dichotomy(battery: Battery) -> tuple[bool, str]:
     policy must cover all accepting sets or none of them.
 
     For each set ``j``, keep the pairs whose transitions all avoid ``j``
-    and compute their maximal end components: find the SCCs of the kept
-    pairs' graph, drop every pair with a successor outside its state's
-    SCC, and repeat until nothing drops.  No component may hold a pair with
-    an accepting transition.  That decides the claim for every positional
-    policy (Baier & Katoen, *Principles of Model Checking*, §10.6.3):
+    and compute their maximal end components (``graphs.end_components``).
+    No component may hold a pair with an accepting transition.  That
+    decides the claim for every positional policy (Baier & Katoen,
+    *Principles of Model Checking*, §10.6.3):
 
     - A class that covers set ``k`` but not ``j`` is closed and strongly
       connected under its chosen pairs, none of which meets ``j``: an end
@@ -189,21 +188,12 @@ def check_recurrence_dichotomy(battery: Battery) -> tuple[bool, str]:
     p = battery.augmented_product
     n_sets = p.automaton.n_sets
     for j in range(n_sets):
-        kept = [[q for q in range(p.first[x], p.first[x + 1])
-                 if not any(mask >> j & 1 for mask in p.masks[q])] for x in range(p.num_states)]
-        while True:  # maximal end components: drop pairs that may leave their SCC
-            edges = [[y for q in pairs for y in p.succ[q]] for pairs in kept]
-            comps = strongly_connected_components(range(p.num_states), edges.__getitem__)
-            scc = {x: i for i, comp in enumerate(comps) for x in comp}
-            inside = [[q for q in pairs if all(scc[y] == scc[x] for y in p.succ[q])]
-                      for x, pairs in enumerate(kept)]
-            if inside == kept:
-                break
-            kept = inside
-        for comp in sorted(comps, key=min):
-            covered = reduce(or_, (mask for x in comp for q in kept[x] for mask in p.masks[q]), 0)
+        allowed = [[q for q in range(lo, hi) if not any(mask >> j & 1 for mask in p.masks[q])]
+                   for lo, hi in zip(p.first, p.first[1:])]
+        for states, pairs in end_components(allowed, p.succ):
+            covered = reduce(or_, (mask for q in pairs for mask in p.masks[q]), 0)
             if covered:
-                return False, (f"{len(comp)}-state end component at {p.name_of(min(comp))} "
+                return False, (f"{len(states)}-state end component at {p.name_of(states[0])} "
                                f"covers {covered.bit_count()}/{n_sets} sets but not set {j + 1}")
     return True, f"every end component covers all {n_sets} sets or none"
 

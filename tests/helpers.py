@@ -370,7 +370,6 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
     steps = cfg.steps_per_episode
     margin = 2 * steps + 1  # the most words the rest of an episode reads inline
     n = product.num_states
-    initial = product.mdp.initial
 
     def policy(greedy: list[int]) -> PositionalPolicy:
         return PositionalPolicy({s: keys[p][1] for s, p in enumerate(greedy)})
@@ -388,7 +387,6 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
         draws = RawDraws(np.random.PCG64(seeds[si]), margin)
         values = [0.0] * len(keys)
         pair_visits = [0] * len(keys)
-        state_visits = [0] * n
         best = first[:-1]  # per state, its first pair of maximal value
         top = [0.0] * n  # per state, that maximal value
         pos_ep: int | None = None
@@ -396,12 +394,11 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
         evaluated: list[int] | None = None
         ev: PolicyEvaluation | None = None
         for ep in range(cfg.episodes):
-            if cfg.epsilon_scope == "episode":
-                state_visits = [0] * n
+            state_visits = [0] * n  # the exploration schedule counts this episode's visits
             source = draws
             source.reserve(margin)
             doubles, pos = source.doubles, source.pos
-            s = initial
+            s = 0  # the initial product state
             done = 0
             total = 0.0
             for _ in range(steps):
@@ -413,7 +410,7 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
                     doubles, pos = source.doubles, source.pos
                 k = state_visits[s] + 1
                 state_visits[s] = k
-                pos += 1  # u < eps_num / k is u < epsilon(k), since u < 1
+                pos += 1  # u < eps_num / k is u < min(1, eps_num / k), since u < 1
                 if doubles[pos - 1] < eps_num / k:
                     lo, hi = spans[s]
                     source.pos = pos
@@ -435,7 +432,7 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
                 k = pair_visits[p] + 1
                 pair_visits[p] = k
                 v = values[p]
-                new = v + k**neg_exp * (target - v)  # k**neg_exp is alpha(k)
+                new = v + k**neg_exp * (target - v)  # k**neg_exp is k ** -alpha_exponent
                 values[p] = new
                 # keep best[s] and top[s] equal to a fresh argmax and max
                 if new > top[s]:
@@ -708,6 +705,31 @@ def random_labeled_mdp(rng, n_states=8, ap=AP3, letters=None, max_succ=4, twin=0
         prob=prob,
         label=label,
     )
+
+
+def random_deterministic_tgba(rng, n_states: int, n_sets: int):
+    """A complete deterministic automaton over a and b with random masks."""
+    from omegarl import TGba
+
+    masks = {Transition(s, letter, int(rng.integers(n_states))): int(rng.integers(1 << n_sets))
+             for s in range(n_states) for letter in letters_over("ab")}
+    return TGba(n_states, 0, frozenset("ab"), masks, n_sets)
+
+
+def random_dichotomy_instance(seed: int):
+    """The seeded MDP and automaton of the recurrence-dichotomy tests: two to
+    six states with rows of one or two successors labeled {}, {a} or {b},
+    and for an odd seed the packaged ``gfa_gfb_gnc`` automaton, else a
+    random complete deterministic one of one or two states and two or three
+    accepting sets."""
+    from omegarl import named_fixture
+
+    rng = np.random.default_rng(seed)
+    m = random_labeled_mdp(rng, n_states=int(rng.integers(2, 7)), max_succ=2,
+                           letters=[frozenset(), frozenset("a"), frozenset("b")])
+    b = (named_fixture("gfa_gfb_gnc") if seed % 2
+         else random_deterministic_tgba(rng, int(rng.integers(1, 3)), int(rng.integers(2, 4))))
+    return m, b
 
 
 def random_chain(rng, n_states=20, n_absorbing=3):

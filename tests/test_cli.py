@@ -106,7 +106,7 @@ def test_train_writes_artifacts_and_manifest(tmp_path, capsys):
     assert manifest["method"] == "augmented"
     assert manifest["seed"] == 7
     # pinned: the digest covers the inputs, config and method, not the code
-    assert manifest["input_hash"] == "70beb1ff9f3f7d4d985a8c3a3ca34c3db4db48ec8f98a186dc809f2dbc4c1d02"
+    assert manifest["input_hash"] == "12fb87a5877abe6aeeed9ee6666536e4c85bdddb4fa20d5d5cc4a864ab4c915f"
     report = json.loads((out / "report.json").read_text())
     assert report["epsilon_actions"] == "enabled alongside ordinary actions"
     assert len(report["sessions"]) == 2
@@ -214,6 +214,7 @@ def test_train_malformed_input_file_names_path_and_line(tmp_path, capsys, flag, 
     "config,message",
     [
         ({"bogus": 1}, "unknown config field 'bogus'"),
+        ({"epsilon_scope": "episode"}, "unknown config field 'epsilon_scope'"),
         ({"episodes": "2"}, "config field 'episodes' must be an integer, not '2'"),
         ([1, 2], "config must be a JSON object, not list"),
         ({"episodes": 1.5}, "config field 'episodes' must be an integer, not 1.5"),
@@ -228,8 +229,9 @@ def test_train_malformed_input_file_names_path_and_line(tmp_path, capsys, flag, 
         ({"episodes": 10**7, "sessions": 10**7},
          "episodes * sessions must be at most 2**24, not 100000000000000"),
     ],
-    ids=["unknown-key", "string-count", "list", "float-count", "nan-r_p", "inf-r_p",
-         "nan-epsilon", "negative-seed", "int64-steps", "huge-curve", "huge-curve-sessions"],
+    ids=["unknown-key", "retired-epsilon_scope", "string-count", "list", "float-count",
+         "nan-r_p", "inf-r_p", "nan-epsilon", "negative-seed", "int64-steps", "huge-curve",
+         "huge-curve-sessions"],
 )
 def test_train_malformed_config_is_validation_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

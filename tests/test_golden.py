@@ -67,9 +67,9 @@ GOLDEN = {
 }
 
 GOLDEN_LIBRARY = {
-    "augmented": "451c088639fad584616bc849fcb1ffff1da64bcce59ba42a0651db84a20c1342",
-    "degeneralized": "3d129ee1f5753950295a3a232fc421fd47d679bbf835e4d141bf106fb50cdf85",
-    "frontier": "85d0cc3d630752667eac9500d89ead162071ef20b828ef7d991d124ff06a5d7a",
+    "augmented": "59558754d8d6a32f8470212ba1a1236647eb8fc02a42987abd2afadc4408ab0d",
+    "degeneralized": "4f0d3daaf47374d69ec949dd97120b02c54c47c5e3d515fea3d82086a626cb7e",
+    "frontier": "709e3c8488cbff8390659bd543d614abda408587951700364a274f79e9dcf9aa",
 }
 
 
@@ -124,13 +124,15 @@ def test_golden_cli_run(tmp_path, capsys, env, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_golden_library_session_scope(method):
+def test_golden_library_run(method):
+    """A library run long enough that every method earns reward, so that its
+    pin covers learned Q-values and not only zeros."""
     product, scheme = method_product_and_scheme(
         ENVIRONMENTS["grid9"](), named_fixture("gfa_gfb_gnc"), method, 2.0
     )
-    cfg = TrainConfig(episodes=15, steps_per_episode=250, sessions=2, rng_seed=23,
-                      epsilon_scope="session")
+    cfg = TrainConfig(episodes=200, steps_per_episode=250, sessions=2, rng_seed=25)
     result = train(product, scheme, cfg, track_satisfaction=False)
+    assert any(v for q in result.qtables for v in q.values)
     digest = hashlib.sha256(result.curve.per_session.tobytes())
     for q in result.qtables:
         digest.update(repr(sorted(zip(product.keys, q.values))).encode())

@@ -2,7 +2,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from omegarl.graphs import close_rows, explore
+from helpers import random_dichotomy_instance
+from omegarl.graphs import close_rows, end_components, explore
+from omegarl.product import method_product
 
 # "b" loops on itself, "a" lists "b" twice, and a depth-first walk would
 # number "d" before "c"
@@ -75,3 +77,46 @@ def test_close_rows_closes_each_bit_slice_as_networkx_does():
             closed = {(x, y) for x, row in enumerate(got)
                       for y, bits in enumerate(row) if bits >> j & 1}
             assert closed == set(expect.edges)
+
+
+def networkx_end_components(allowed, succ):
+    """``end_components`` by the same fixpoint on networkx's SCCs: drop each
+    pair with a successor outside its state's SCC until nothing drops."""
+    kept = [set(pairs) for pairs in allowed]
+    while True:
+        g = nx.DiGraph((x, y) for x, pairs in enumerate(kept) for q in pairs for y in succ[q])
+        g.add_nodes_from(range(len(kept)))
+        comps = list(nx.strongly_connected_components(g))
+        scc = {x: i for i, comp in enumerate(comps) for x in comp}
+        inside = [{q for q in pairs if all(scc[y] == scc[x] for y in succ[q])}
+                  for x, pairs in enumerate(kept)]
+        if inside == kept:
+            break
+        kept = inside
+    return sorted((tuple(sorted(comp)), tuple(sorted(q for x in comp for q in kept[x])))
+                  for comp in comps if any(kept[x] for x in comp))
+
+
+def test_end_components_match_a_networkx_fixpoint():
+    """On the augmented products of the recurrence-dichotomy generator, with
+    every pair allowed and with only the pairs that avoid one accepting set:
+    the components equal networkx's fixpoint, lowest state first, and each
+    is closed and strongly connected under its pairs."""
+    # pair 1 leads from state 0 to the end component {1}, so no component keeps it
+    assert end_components([[0, 1], [2]], [(0,), (1,), (1,)]) == [((0,), (0,)), ((1,), (2,))]
+    sizes = []
+    for seed in range(80):
+        p = method_product(*random_dichotomy_instance(seed), "augmented")
+        spans = list(zip(p.first, p.first[1:]))
+        for avoid in (0, *(1 << j for j in range(p.automaton.n_sets))):
+            allowed = [[q for q in range(lo, hi) if not any(m & avoid for m in p.masks[q])]
+                       for lo, hi in spans]
+            got = end_components(allowed, p.succ)
+            assert got == networkx_end_components(allowed, p.succ), (seed, avoid)
+            for states, pairs in got:
+                assert {p.keys[q][0] for q in pairs} == set(states)
+                assert all(q in allowed[p.keys[q][0]] for q in pairs)
+                g = nx.DiGraph((p.keys[q][0], y) for q in pairs for y in p.succ[q])
+                assert set(g) == set(states) and nx.is_strongly_connected(g)
+            sizes += [len(states) for states, _ in got]
+    assert len(sizes) > 100 and max(sizes) > 1

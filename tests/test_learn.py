@@ -21,9 +21,7 @@ from omegarl import (
     TGba,
     TrainConfig,
     Transition,
-    alpha,
     build_product,
-    epsilon,
     evaluate_policy,
     greedy_policy,
     named_fixture,
@@ -57,24 +55,6 @@ def loop_automaton():
     return TGba(1, 0, frozenset({"a"}), {loop_a: 1, loop_empty: 0}, 1)
 
 
-def test_epsilon_schedule():
-    assert epsilon(1) == 0.95
-    assert epsilon(19) == pytest.approx(0.05, abs=1e-15)
-    values = [epsilon(n) for n in range(1, 200)]
-    assert values == sorted(values, reverse=True)
-    assert epsilon(10**9) < 1e-8
-    with pytest.raises(ValueError):
-        epsilon(0)
-
-
-def test_alpha_schedule():
-    assert alpha(1) == 1.0
-    assert alpha(16, 0.85) == pytest.approx(math.exp(-0.85 * math.log(16)), abs=1e-12)
-    assert alpha(16, 0.85) == pytest.approx(0.0947, abs=2e-4)
-    with pytest.raises(ValueError):
-        alpha(0)
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError, match="alpha_exponent"):
         TrainConfig(alpha_exponent=0.4)
@@ -82,8 +62,6 @@ def test_train_config_validation():
         TrainConfig(gamma=1.0)
     with pytest.raises(ValueError, match="episodes"):
         TrainConfig(episodes=0)
-    with pytest.raises(ValueError, match="epsilon_scope"):
-        TrainConfig(epsilon_scope="weekly")
     for name in ("r_p", "epsilon_numerator"):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
@@ -293,19 +271,6 @@ def test_train_collects_reward_and_reports_curves(augmented_product):
     assert result.curve.per_session.sum() > 0.0
 
 
-def test_train_session_scope_available(augmented_product):
-    cfg = TrainConfig(
-        episodes=4, steps_per_episode=50, sessions=1, rng_seed=2, epsilon_scope="session"
-    )
-    result = train(
-        augmented_product,
-        AcceptingReward(augmented_product, cfg.r_p),
-        cfg,
-        track_satisfaction=False,
-    )
-    assert result.curve.per_session.shape == (1, 4)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_raw_draws_replay_numpy_generator(seed):
     """The reference's decoded raw words equal interleaved Generator.random()
@@ -441,7 +406,7 @@ def test_train_matches_python_reference_on_random_mdps(seed):
     """The compiled kernel reproduces the Python step loop bit for bit:
     Q-values, visits, curves, first episodes and policies, over three
     sessions (a half-word leaking from one session into the next would show)
-    on random MDPs, both fixtures, every method and both epsilon scopes."""
+    on random MDPs, both fixtures and every method."""
     rng = np.random.default_rng(seed)
     # c-free labels, so that most sessions reach sat 1 and the episode counts mean something
     m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 10)), letters=letters_over("ab"))
@@ -451,12 +416,10 @@ def test_train_matches_python_reference_on_random_mdps(seed):
             product, scheme = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
             widths = np.diff(product.first)
             one_action_states += int((widths == 1).sum())
-            for scope in ("episode", "session"):
-                cfg = TrainConfig(episodes=20, steps_per_episode=200, sessions=3,
-                                  gamma=(0.9, 0.95, 0.99)[seed % 3], rng_seed=seed,
-                                  epsilon_scope=scope)
-                assert_same_training(train(product, scheme, cfg),
-                                     reference_train(product, scheme, cfg))
+            cfg = TrainConfig(episodes=20, steps_per_episode=200, sessions=3,
+                              gamma=(0.9, 0.95, 0.99)[seed % 3], rng_seed=seed)
+            assert_same_training(train(product, scheme, cfg),
+                                 reference_train(product, scheme, cfg))
     assert one_action_states > 0
 
 
@@ -465,28 +428,24 @@ def test_train_matches_python_reference_with_one_action_everywhere():
     only policy satisfies at once, so sat 1 comes after the first episode
     and one kernel call runs the rest."""
     product = two_state_loop_product()
-    for scope in ("episode", "session"):
-        cfg = TrainConfig(episodes=5, steps_per_episode=40, sessions=3, rng_seed=1,
-                          epsilon_scope=scope)
-        scheme = AcceptingReward(product, cfg.r_p)
-        for track in (True, False):
-            result = train(product, scheme, cfg, track)
-            assert_same_training(result, reference_train(product, scheme, cfg, track))
-            assert result.first_sat1_episode == ((1,) * 3 if track else (None,) * 3)
+    cfg = TrainConfig(episodes=5, steps_per_episode=40, sessions=3, rng_seed=1)
+    scheme = AcceptingReward(product, cfg.r_p)
+    for track in (True, False):
+        result = train(product, scheme, cfg, track)
+        assert_same_training(result, reference_train(product, scheme, cfg, track))
+        assert result.first_sat1_episode == ((1,) * 3 if track else (None,) * 3)
 
 
 @pytest.mark.parametrize("track", [True, False])
-@pytest.mark.parametrize("scope", ["episode", "session"])
-def test_train_matches_python_reference_at_the_session_edges(augmented_product, scope, track):
-    """One-episode sessions, and in episode scope a first session that
-    reaches sat 1 in episode 17: as its last episode, and with 3 to go."""
+def test_train_matches_python_reference_at_the_session_edges(augmented_product, track):
+    """One-episode sessions, and a first session that reaches sat 1 in
+    episode 17: as its last episode, and with 3 to go."""
     scheme = AcceptingReward(augmented_product, 2.0)
     for episodes in (1, 17, 20):
-        cfg = TrainConfig(episodes=episodes, steps_per_episode=300, sessions=2, rng_seed=8,
-                          epsilon_scope=scope)
+        cfg = TrainConfig(episodes=episodes, steps_per_episode=300, sessions=2, rng_seed=8)
         result = train(augmented_product, scheme, cfg, track)
         assert_same_training(result, reference_train(augmented_product, scheme, cfg, track))
-        if track and scope == "episode" and episodes > 1:
+        if track and episodes > 1:
             assert result.first_sat1_episode == (17, None)
 
 
@@ -527,29 +486,26 @@ def test_stopping_at_dead_states_changes_no_learning_outcome(grid, fig_automaton
             product, scheme = method_product_and_scheme(m, fig_automaton, method, 2.0)
             dead = product.dead
             dead_pairs = [dead[s] for s, _ in product.keys]
-            for scope in ("episode", "session"):
-                cfg = TrainConfig(episodes=15, steps_per_episode=150, sessions=2, rng_seed=i,
-                                  epsilon_scope=scope)
-                result = train(product, scheme, cfg)
-                ref = reference_train(product, scheme, cfg, walk_seed=100 + i)
-                assert result.curve.per_session.tobytes() == ref.curve.per_session.tobytes()
-                for q, r in zip(result.qtables, ref.qtables, strict=True):
-                    assert np.array(q.values).tobytes() == np.array(r.values).tobytes()
-                    for visits, walks, off in ((q.pair_visits, r.pair_visits, dead_pairs),
-                                               (q.state_visits, r.state_visits, dead)):
-                        assert [v for v, d in zip(visits, off) if not d] == \
-                            [v for v, d in zip(walks, off) if not d]
-                        assert not any(v for v, d in zip(visits, off) if d)
-                    walked += sum(v for v, d in zip(r.pair_visits, dead_pairs) if d)
-                assert [p.choice for p in result.policies] == [p.choice for p in ref.policies]
-                assert result.first_positive_episode == ref.first_positive_episode
-                assert result.first_sat1_episode == ref.first_sat1_episode
-                assert result.evaluations == ref.evaluations
+            cfg = TrainConfig(episodes=15, steps_per_episode=150, sessions=2, rng_seed=i)
+            result = train(product, scheme, cfg)
+            ref = reference_train(product, scheme, cfg, walk_seed=100 + i)
+            assert result.curve.per_session.tobytes() == ref.curve.per_session.tobytes()
+            for q, r in zip(result.qtables, ref.qtables, strict=True):
+                assert np.array(q.values).tobytes() == np.array(r.values).tobytes()
+                for visits, walks, off in ((q.pair_visits, r.pair_visits, dead_pairs),
+                                           (q.state_visits, r.state_visits, dead)):
+                    assert [v for v, d in zip(visits, off) if not d] == \
+                        [v for v, d in zip(walks, off) if not d]
+                    assert not any(v for v, d in zip(visits, off) if d)
+                walked += sum(v for v, d in zip(r.pair_visits, dead_pairs) if d)
+            assert [p.choice for p in result.policies] == [p.choice for p in ref.policies]
+            assert result.first_positive_episode == ref.first_positive_episode
+            assert result.first_sat1_episode == ref.first_sat1_episode
+            assert result.evaluations == ref.evaluations
     assert walked > 0
 
 
-@pytest.mark.parametrize("scope", ["episode", "session"])
-def test_a_dead_initial_state_runs_no_step(scope):
+def test_a_dead_initial_state_runs_no_step():
     """No transition ever accepts, so every state is dead, the initial one
     too: no episode runs a step, every curve cell is 0, and the kernel
     agrees with the reference."""
@@ -563,8 +519,7 @@ def test_a_dead_initial_state_runs_no_step(scope):
     )
     product = build_product(m, loop_automaton())
     assert product.dead == (True, True)
-    cfg = TrainConfig(episodes=4, steps_per_episode=50, sessions=2, rng_seed=1,
-                      epsilon_scope=scope)
+    cfg = TrainConfig(episodes=4, steps_per_episode=50, sessions=2, rng_seed=1)
     scheme = AcceptingReward(product, cfg.r_p)
     for track in (True, False):
         result = train(product, scheme, cfg, track)

@@ -11,10 +11,9 @@ from functools import reduce
 from operator import or_
 
 import networkx as nx
-import numpy as np
 import pytest
 
-from helpers import enum_accepts, letters_over, random_labeled_mdp, reference_lasso_agreement
+from helpers import enum_accepts, random_dichotomy_instance, reference_lasso_agreement
 from omegarl import (
     LassoWord,
     TGba,
@@ -73,13 +72,6 @@ def every_policy_dichotomy(product) -> bool:
     return True
 
 
-def random_deterministic_tgba(rng, n_states: int, n_sets: int) -> TGba:
-    """A complete deterministic automaton over a and b with random masks."""
-    masks = {Transition(s, letter, int(rng.integers(n_states))): int(rng.integers(1 << n_sets))
-             for s in range(n_states) for letter in letters_over("ab")}
-    return TGba(n_states, 0, frozenset("ab"), masks, n_sets)
-
-
 def test_recurrence_dichotomy_matches_every_positional_policy():
     """On the augmented and raw products of seeded random MDPs, with the
     fixture and with random deterministic automata of two and three sets,
@@ -88,11 +80,7 @@ def test_recurrence_dichotomy_matches_every_positional_policy():
     skipped."""
     verdicts = {"augmented": [], "frontier": []}
     for seed in range(80):
-        rng = np.random.default_rng(seed)
-        m = random_labeled_mdp(rng, n_states=int(rng.integers(2, 7)), max_succ=2,
-                               letters=[frozenset(), frozenset("a"), frozenset("b")])
-        b = (named_fixture("gfa_gfb_gnc") if seed % 2
-             else random_deterministic_tgba(rng, int(rng.integers(1, 3)), int(rng.integers(2, 4))))
+        m, b = random_dichotomy_instance(seed)
         for method, got in verdicts.items():
             product = method_product(m, b, method)
             if math.prod(hi - lo for lo, hi in zip(product.first, product.first[1:])) <= 500:
