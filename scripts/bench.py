@@ -1,27 +1,34 @@
-"""Write a checkout's BENCH file: gated benchmark metrics plus desk and paper runs.
+"""Write BENCH files: gated benchmark metrics plus desk and paper runs, for
+one checkout or several measured side by side.
 
 Usage, from the repository root:
 
-    python3 scripts/bench.py [--checkout DIR] [--rev REV] [--out DIR]
+    python3 scripts/bench.py [--checkout DIR [--rev REV]]... [--out DIR]
 
-For each workload of ``BENCHMARK.json`` it runs the checkout's
+For each workload of ``BENCHMARK.json`` it runs each checkout's
 ``perfbench/run.py --seed 1 --seconds 3 --trace 0`` five times, each a
 subprocess of at least 3 iterations, and reads its result line and the
-result document before it.  It reports each gated end-to-end metric's median
-and quartiles over those runs (each run's figure is a median over its
-iterations, the figure the benchmark gate compares), and the pooled
-per-iteration samples of ``run_s`` and ``setup_s``.  It then times
-``omegarl train --env grid9 --spec gfa_gfb_gnc --config desk`` and
-``--config paper`` once for each method, each run a fresh process from start
-to exit, after one untimed import that builds the training kernel.  From
-each run's ``report.json`` it records the sat-1 session count, the report's
-median first-sat1 episode, and the censored median, which counts a session
-that never reached sat 1 as later than every episode.
+result document before it.  With several checkouts the runs take turns,
+round by round, the order reversed every other round (A B, B A, A B, ...),
+so that drift of the machine falls on every checkout alike.  It reports
+each gated end-to-end metric's median and quartiles over those runs (each
+run's figure is a median over its iterations, the figure the benchmark gate
+compares), and the pooled per-iteration samples of ``run_s`` and
+``setup_s``.  It then times ``omegarl train --env grid9 --spec gfa_gfb_gnc
+--config desk`` and ``--config paper`` once for each method and checkout,
+the checkouts taking turns in the same way, each run a fresh process from
+start to exit, after one untimed import per checkout that builds the
+training kernel.  From each run's ``report.json`` it records the sat-1
+session count, the report's median first-sat1 episode, and the censored
+median, which counts a session that never reached sat 1 as later than
+every episode.
 
-The result goes to ``BENCH_<rev>.json`` in ``--out`` (default: the
-checkout).  ``--rev`` defaults to the checkout's short git revision; a
-checkout without ``.git`` (a ``git archive`` copy) needs it.  The file
-records the interpreter, numpy and cffi versions, the core count,
+Each checkout's result goes to its own ``BENCH_<rev>.json`` in ``--out``
+(default: the checkout).  ``--checkout`` defaults to this repository.  A
+checkout's ``--rev`` defaults to its short git revision; a checkout
+without ``.git`` (a ``git archive`` copy) needs one, and ``--rev`` is then
+given once per checkout, in the same order.  The file records the
+interpreter, numpy and cffi versions, the core count,
 ``PYTHONDONTWRITEBYTECODE`` and whether the checkout held compiled bytecode
 of the package when the measurement began.
 """
@@ -47,10 +54,16 @@ RUNS, SECONDS = 5, 3  # perfbench runs per workload, and each run's --seconds
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--rev")
+    parser.add_argument("--checkout", type=Path, action="append")
+    parser.add_argument("--rev", action="append")
     parser.add_argument("--out", type=Path)
     return parser.parse_args(argv)
+
+
+def turns(count: int, rounds: int) -> list[list[int]]:
+    """The order of ``count`` checkouts in each of ``rounds`` rounds: in
+    order, then reversed, and so on."""
+    return [list(range(count))[::1 if r % 2 == 0 else -1] for r in range(rounds)]
 
 
 def revision(checkout: Path) -> str | None:
@@ -82,12 +95,25 @@ def perfbench(checkout: Path, workload: str) -> tuple[dict, dict]:
     return json.loads(result), json.loads(doc)
 
 
-def measure_workload(checkout: Path, workload: str) -> dict:
+def measure_workloads(checkouts: list[Path], workloads: list[str]) -> list[dict]:
+    """Per checkout, each workload's figures from ``RUNS`` perfbench runs,
+    the checkouts taking :func:`turns`, one round per run."""
+    out = [{} for _ in checkouts]
+    for workload in workloads:
+        runs = [[] for _ in checkouts]
+        for order in turns(len(checkouts), RUNS):
+            for i in order:
+                runs[i].append(perfbench(checkouts[i], workload))
+        for doc, results in zip(out, runs):
+            doc[workload] = summarize(results)
+    return out
+
+
+def summarize(runs: list[tuple[dict, dict]]) -> dict:
     figures: dict[str, list[float]] = {}
     samples: dict[str, list[float]] = {"run_s": [], "setup_s": []}
     attempted = failed = 0
-    for _ in range(RUNS):
-        result, doc = perfbench(checkout, workload)
+    for result, doc in runs:
         attempted += result["attempted"]
         failed += result["failed"]
         for name, fig in result["metrics"].items():
@@ -131,14 +157,21 @@ def train_run(checkout: Path, preset: str, method: str, env: dict) -> dict:
     }
 
 
-def measure_presets(checkout: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    subprocess.run([sys.executable, "-c", "import omegarl.learn"], cwd=checkout, env=env,
-                   check=True)  # builds the kernel outside the timed runs
-    out = {}
+def measure_presets(checkouts: list[Path]) -> list[dict]:
+    """Per checkout, each preset's train runs, the checkouts taking
+    :func:`turns`, one round per method."""
+    envs = [{**os.environ, "PYTHONPATH": str(checkout / "src")} for checkout in checkouts]
+    for checkout, env in zip(checkouts, envs):
+        subprocess.run([sys.executable, "-c", "import omegarl.learn"], cwd=checkout, env=env,
+                       check=True)  # builds the kernel outside the timed runs
+    out = [{} for _ in checkouts]
     for preset in PRESETS:
-        runs = {method: train_run(checkout, preset, method, env) for method in METHODS}
-        out[preset] = {**runs, "total_wall_s": sum(r["wall_s"] for r in runs.values())}
+        runs = [{} for _ in checkouts]
+        for method, order in zip(METHODS, turns(len(checkouts), len(METHODS))):
+            for i in order:
+                runs[i][method] = train_run(checkouts[i], preset, method, envs[i])
+        for doc, by_method in zip(out, runs):
+            doc[preset] = {**by_method, "total_wall_s": sum(r["wall_s"] for r in by_method.values())}
     return out
 
 
@@ -158,24 +191,28 @@ def environment(checkout: Path) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    checkout = args.checkout.resolve()
-    rev = args.rev or revision(checkout)
-    if rev is None:
-        print(f"error: {checkout} has no git revision; pass --rev", file=sys.stderr)
+    checkouts = [c.resolve() for c in args.checkout or [ROOT]]
+    revs = args.rev or [revision(c) for c in checkouts]
+    if len(revs) != len(checkouts):
+        print(f"error: {len(revs)} --rev for {len(checkouts)} checkouts", file=sys.stderr)
         return 2
-    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    doc = {
+    for checkout, rev in zip(checkouts, revs):
+        if rev is None:
+            print(f"error: {checkout} has no git revision; pass --rev", file=sys.stderr)
+            return 2
+    docs = [{
         "rev": rev,
         "perfbench": {"runs": RUNS, "seconds": SECONDS, "seed": 1, "trace": 0},
         "environment": environment(checkout),
-        "workloads": {},
-    }
-    for w in spec["workloads"]:
-        doc["workloads"][w["name"]] = measure_workload(checkout, w["name"])
-    doc["presets"] = measure_presets(checkout)
-    path = (args.out or checkout).resolve() / f"BENCH_{rev}.json"
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(path)
+    } for checkout, rev in zip(checkouts, revs)]
+    spec = json.loads((checkouts[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = measure_workloads(checkouts, [w["name"] for w in spec["workloads"]])
+    presets = measure_presets(checkouts)
+    for doc, checkout, figures, runs in zip(docs, checkouts, workloads, presets):
+        doc["workloads"], doc["presets"] = figures, runs
+        path = (args.out or checkout).resolve() / f"BENCH_{doc['rev']}.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(path)
     return 0
 
 

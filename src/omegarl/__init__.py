@@ -34,6 +34,7 @@ from .learn import (
     value_iteration,
 )
 from .ltl import (
+    CycleTable,
     Formula,
     LassoWord,
     ParseError,

@@ -213,20 +213,25 @@ static inline double backup(
 /* Up to `limit` synchronous Bellman-optimality sweeps of the state values
  * `v`: a sweep computes each state's maximal pair backup into `next` and
  * the loop stops after the first sweep that moves no state by more than
- * `threshold`.  Returns 0 when `limit` sweeps ran without meeting the
- * threshold (`v` holds the last sweep's values, ready for another call),
- * else 1, with the final values in `v` and each pair's backup from them in
- * `q`. */
+ * `threshold`.  Sweeps skip the `dead` states, whose entries in `v` and
+ * `next` must be +0.0: a dead state's pairs carry mask 0 and lead only to
+ * dead states, so its value and every backup of its pairs stay +0.0 and
+ * add nothing to a sweep's change.  Returns 0 when `limit` sweeps ran
+ * without meeting the threshold (`v` holds the last sweep's values, ready
+ * for another call), else 1, with the final values in `v` and each pair's
+ * backup from them in `q`. */
 int64_t value_sweeps(
     int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
-    const double *probs, const int64_t *masks, double gamma, double r_p,
-    double threshold, int64_t limit, double *v, double *next, double *q)
+    const double *probs, const int64_t *masks, const uint8_t *dead, double gamma,
+    double r_p, double threshold, int64_t limit, double *v, double *next, double *q)
 {
     double *cur = v;
     int converged = 0;
     for (int64_t sweep = 0; sweep < limit && !converged; sweep++) {
         double delta = 0.0;
         for (int64_t s = 0; s < states; s++) {
+            if (dead[s])
+                continue;
             double top = backup(first[s], width, succ, probs, masks, gamma, r_p, cur);
             for (int64_t p = first[s] + 1; p < first[s + 1]; p++) {
                 double t = backup(p, width, succ, probs, masks, gamma, r_p, cur);

@@ -29,18 +29,17 @@ def augment(b: TGba) -> TGba:
     n = b.n_sets
     full = (1 << n) - 1
 
-    def successors(node):
+    masks: dict[Transition, int] = {}
+
+    def expand(node, number):
         x, v = node
+        i = number(node)
         for t in chain.from_iterable(b.moves[x].values()):
             w = v | b.masks[t]
-            yield (t.dst, 0 if w == full else w), t
+            j = number((t.dst, 0 if w == full else w))
+            masks[Transition(i, t.letter, j)] = b.masks[t] & ~v
 
-    order, rows = explore((b.initial, 0), successors)
-    masks = {
-        Transition(i_src, t.letter, i_dst): b.masks[t] & ~v
-        for i_src, ((_, v), row) in enumerate(zip(order, rows))
-        for t, i_dst in row
-    }
+    order = explore((b.initial, 0), expand)
     names = tuple(
         f"{b.name_of(x)}@{''.join(str(v >> j & 1) for j in range(n))}" for (x, v) in order
     )

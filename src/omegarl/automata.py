@@ -333,6 +333,8 @@ def parse_automaton(text: str) -> TGba:
         frozenset(a for a, bit in zip(ap_sorted, bits) if bit)
         for bits in itertools.product((False, True), repeat=len(ap_sorted))
     ]
+    # a propositional guard holds on letter^w iff it holds on letter
+    one_letter_cycles = ltl.CycleTable([(letter,) for letter in letters])
 
     masks: dict[Transition, int] = {}
     top = initial  # the highest state id any line names
@@ -372,8 +374,7 @@ def parse_automaton(text: str) -> TGba:
                 raise AutomatonError(
                     f"line {lineno}: undeclared proposition(s) {sorted(undeclared)}"
                 )
-            # a propositional guard holds on letter^w iff it holds on letter
-            holds = ltl.formula_evaluator(phi, [(letter,) for letter in letters])(())
+            holds = ltl.formula_evaluator(phi, one_letter_cycles)(())
             expanded = [Transition(src, letter, dst)
                         for j, letter in enumerate(letters) if holds >> j & 1]
         for t in expanded:
@@ -416,17 +417,16 @@ def degeneralize(b: TGba) -> TGba:
     """
     n = b.n_sets
 
-    def successors(node):
-        x, j = node
-        for t in itertools.chain.from_iterable(b.moves[x].values()):
-            yield (t.dst, j % n + 1 if b.masks[t] >> (j - 1) & 1 else j), t
+    masks: dict[Transition, int] = {}
 
-    order, rows = explore((b.initial, 1), successors)
-    masks = {
-        Transition(i_src, t.letter, i_dst): b.masks[t] >> (n - 1) & 1 if j == n else 0
-        for i_src, ((_, j), row) in enumerate(zip(order, rows))
-        for t, i_dst in row
-    }
+    def expand(node, number):
+        x, j = node
+        i = number(node)
+        for t in itertools.chain.from_iterable(b.moves[x].values()):
+            k = number((t.dst, j % n + 1 if b.masks[t] >> (j - 1) & 1 else j))
+            masks[Transition(i, t.letter, k)] = b.masks[t] >> (n - 1) & 1 if j == n else 0
+
+    order = explore((b.initial, 1), expand)
     names = tuple(f"{b.name_of(x)}.{j}" for (x, j) in order)
     return TGba(num_states=len(order), initial=0, ap=b.ap, masks=masks, n_sets=1, names=names)
 
@@ -439,13 +439,14 @@ def accepts_lasso(b: TGba, w: LassoWord) -> bool:
     read at ``w.prefix``.  Nothing is kept across calls, so a caller that
     decides many words on one automaton should build one acceptor over all
     of their cycles."""
-    return lasso_acceptor(b, (w.cycle,))(w.prefix) == 1
+    return lasso_acceptor(b, ltl.CycleTable((w.cycle,)))(w.prefix) == 1
 
 
-def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
-    """Decide every word ``prefix . cycle^w`` with ``cycle`` in ``cycles``
-    at once: the returned function maps a prefix (a tuple of letters) to an
-    int whose bit ``j`` is set iff ``prefix . cycles[j]^w`` is accepted.
+def lasso_acceptor(b: TGba, cycles: ltl.CycleTable) -> Callable[[tuple], int]:
+    """Decide every word ``prefix . cycle^w`` with ``cycle`` among the
+    tabled ``cycles`` at once: the returned function maps a prefix (a tuple
+    of letters) to an int whose bit ``j`` is set iff ``prefix .
+    cycles[j]^w`` is accepted.
 
     Epsilon transitions consume no letter.  The prefix is walked letter by
     letter, each step an epsilon closure and then the letter's moves, to
@@ -473,11 +474,11 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     transitions meet set ``j`` iff ``T^j`` has a pair inside that component.
 
     A letter is read projected onto ``b.ap``, as :func:`~omegarl.product.
-    build_product` projects labels, so propositions outside it are ignored.
-    The acceptor reads ``b.moves`` and ``b.masks`` once.  Raises
-    ``AutomatonError`` here, before any prefix is read, if epsilon
-    transitions form a cycle (which would allow runs that consume nothing),
-    and ``ValueError`` naming the first empty cycle.
+    build_product` projects labels, so propositions outside it are ignored;
+    the projection goes into a copy of the table's columns.  The acceptor
+    reads ``b.moves`` and ``b.masks`` once.  Raises ``AutomatonError``
+    here, before any prefix is read, if epsilon transitions form a cycle
+    (which would allow runs that consume nothing).
     """
     moves, n = b.moves, b.num_states
     eps_out = [[t.dst for t in row.get(EPSILON, ())] for row in moves]
@@ -487,7 +488,7 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
     into = [[z for z in range(n) if z == w or eps[z][w]] for w in range(n)]
     # per position, each letter's cycles, a letter projected onto b.ap as
     # build_product projects labels; None pads the cycles that have ended
-    for column in (columns := ltl.cycle_columns(cycles)):
+    for column in (columns := [dict(column) for column in cycles.columns]):
         for letter in [x for x in column if x is not None and not x <= b.ap]:
             column[letter & b.ap] = column.get(letter & b.ap, 0) | column.pop(letter)
     # per letter, D_l as triples (z, y, mask): an epsilon closure from z and a
@@ -506,7 +507,7 @@ def lasso_acceptor(b: TGba, cycles) -> Callable[[tuple], int]:
                         out[x][y] |= row[z] & group
         return out
 
-    full = (1 << len(cycles)) - 1
+    full = (1 << cycles.count) - 1
     identity = [[full * (x == y) for y in range(n)] for x in range(n)]
     t = compose(identity, columns[0])  # T, and T^j at index j
     t_sets = [compose(identity, columns[0], j) for j in range(b.n_sets)]

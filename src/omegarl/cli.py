@@ -126,10 +126,9 @@ def _curve_csv(curve) -> str:
         "# avg_reward = total episode reward / steps_per_episode (per-step normalization)",
         "episode,session,avg_reward",
     ]
-    sessions, episodes = curve.per_session.shape
-    for si in range(sessions):
-        for ep in range(episodes):
-            lines.append(f"{ep + 1},{si + 1},{float(curve.per_session[si, ep])!r}")
+    for si, row in enumerate(curve.per_session.tolist(), 1):
+        for ep, value in enumerate(row, 1):
+            lines.append(f"{ep},{si},{value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -138,8 +137,8 @@ def _aggregate_csv(curve) -> str:
         "# mean/std of per-step average reward across sessions (population std)",
         "episode,mean,std",
     ]
-    for ep in range(curve.mean.shape[0]):
-        lines.append(f"{ep + 1},{float(curve.mean[ep])!r},{float(curve.std[ep])!r}")
+    for ep, (mean, std) in enumerate(zip(curve.mean.tolist(), curve.std.tolist()), 1):
+        lines.append(f"{ep},{mean!r},{std!r}")
     return "\n".join(lines) + "\n"
 
 

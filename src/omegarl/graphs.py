@@ -8,28 +8,32 @@ from typing import Callable, Hashable, Iterable, Sequence
 Node = Hashable
 
 
-def explore(
-    start: Node, successors: Callable[[Node], Iterable[tuple[Node, object]]]
-) -> tuple[list[Node], list[list[tuple[object, int]]]]:
+def explore(start: Node, expand: Callable[[Node, Callable[[Node], int]], None]) -> list[Node]:
     """Breadth-first numbering of the nodes reachable from ``start``.
 
-    ``successors(node)`` yields ``(next_node, edge)`` pairs.  Nodes are
-    numbered in discovery order, ``start`` as 0.  Returns the nodes in that
-    order and, per node, its ``(edge, id)`` row in the order yielded.
+    ``expand(node, number)`` is called once per node, in numbering order;
+    ``number(next_node)`` returns a node's id, giving the next free id to a
+    node on first sight, and the nodes it numbers are the ones expanded
+    later.  ``start`` is 0.  Returns the nodes in numbering order.
     """
-    index = {start: 0}
     order = [start]
-    rows: list[list[tuple[object, int]]] = []
+    ids = _Ids(order)
+    ids[start] = 0
     for node in order:  # order grows as it is walked, which makes it the FIFO queue
-        row = []
-        for nxt, edge in successors(node):
-            i = index.get(nxt)
-            if i is None:
-                i = index[nxt] = len(order)
-                order.append(nxt)
-            row.append((edge, i))
-        rows.append(row)
-    return order, rows
+        expand(node, ids.__getitem__)
+    return order
+
+
+class _Ids(dict):
+    """Node -> id; a missing node gets the next id and joins ``order``."""
+
+    def __init__(self, order: list[Node]):
+        self.order = order
+
+    def __missing__(self, node: Node) -> int:
+        self[node] = i = len(self.order)
+        self.order.append(node)
+        return i
 
 
 def strongly_connected_components(

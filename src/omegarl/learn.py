@@ -21,8 +21,9 @@ arrays (Q-values, counts, greedy pairs, generator, curve row; reset for each
 session) and the watched states, those the last evaluation reached, with their greedy pairs
 then.  ``run_session`` runs episodes until the greedy pair changes at a
 watched state or the session ends, so Python wakes only to evaluate.
-``value_sweeps`` runs the synchronous sweeps of value iteration and hands
-back the final values and each pair's backup from them.  A ``QTable``
+``value_sweeps`` runs the synchronous sweeps of value iteration over the
+live states, since a dead state's value stays 0, and hands back the final
+values and each pair's backup from them.  A ``QTable``
 holds flat lists: Q-values and visit counts indexed by pair, state visits
 indexed by state, copied from the kernel's arrays.  Action
 names come back only in the returned policies, which ``greedy_policy`` and
@@ -95,8 +96,8 @@ int64_t run_session(const struct problem *problem, struct session *session,
 void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out);
 int64_t value_sweeps(
     int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
-    const double *probs, const int64_t *masks, double gamma, double r_p,
-    double threshold, int64_t limit, double *v, double *next, double *q);
+    const double *probs, const int64_t *masks, const uint8_t *dead, double gamma,
+    double r_p, double threshold, int64_t limit, double *v, double *next, double *q);
 """
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off")
 _SWEEPS_PER_CALL = 4096
@@ -489,7 +490,10 @@ def value_iteration(
     most ``tol * (1 - gamma) / gamma`` (``tol`` itself at gamma 0).  One
     kernel call runs at most ``_SWEEPS_PER_CALL`` sweeps and the next call
     resumes from its values, so a keyboard interrupt still lands within one
-    call where the sweeps take long (tens of thousands near gamma 1).
+    call where the sweeps take long (tens of thousands near gamma 1).  The
+    sweeps skip the product's dead states (``ProductMdp.dead``): their
+    pairs carry mask 0 and lead only to dead states, so their values and
+    backups stay exactly 0, as the reference's full sweeps compute them.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
@@ -498,9 +502,10 @@ def value_iteration(
     require_positive("r_p", r_p)
     succ, probs, _, masks = _padded_tables(product)
     first = np.array(product.first, dtype=np.int64)
+    dead = np.array(product.dead, dtype=np.uint8)
     v, scratch, q = np.zeros(product.num_states), np.zeros(product.num_states), np.zeros(len(succ))
     threshold = tol if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-    args = (product.num_states, succ.shape[1], *_pointers(first, succ, probs, masks),
+    args = (product.num_states, succ.shape[1], *_pointers(first, succ, probs, masks, dead),
             gamma, r_p, threshold, _SWEEPS_PER_CALL, *_pointers(v, scratch, q))
     while not _lib.value_sweeps(*args):
         pass

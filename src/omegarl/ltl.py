@@ -308,18 +308,26 @@ _OPCODE = {
 }
 
 
-def cycle_columns(cycles) -> list[dict]:
-    """Per position of the longest of ``cycles``, each letter's cycles as an
-    int: bit ``j`` of ``columns[i][letter]`` is set iff ``cycles[j]`` reads
-    ``letter`` at position ``i``, where a cycle that has ended reads
-    ``None``.  Raises ``ValueError`` naming the first empty cycle."""
-    columns = [{} for _ in range(max(map(len, cycles), default=1))]
-    for j, cycle in enumerate(cycles):
-        if not cycle:
-            raise ValueError(f"cycle {j} is empty")
-        for column, letter in itertools.zip_longest(columns, cycle):
-            column[letter] = column.get(letter, 0) | 1 << j
-    return columns
+class CycleTable:
+    """The cycles of a batch of lasso words, tabled once for the oracles
+    that decide them all at once (:func:`formula_evaluator` and
+    :func:`~omegarl.automata.lasso_acceptor`), which only read it.  Sets
+    are ints whose bit ``j`` speaks of ``cycles[j]``: ``columns[i]`` maps
+    each letter to the cycles that read it at position ``i`` of the longest
+    cycle, where a cycle that has ended reads ``None``; ``lengths`` maps
+    each cycle length to its cycles; ``count`` is the number of cycles.
+    Raises ``ValueError`` naming the first empty cycle."""
+
+    def __init__(self, cycles):
+        self.columns = [{} for _ in range(max(map(len, cycles), default=1))]
+        self.lengths: dict[int, int] = {}
+        for j, cycle in enumerate(cycles):
+            if not cycle:
+                raise ValueError(f"cycle {j} is empty")
+            for column, letter in itertools.zip_longest(self.columns, cycle):
+                column[letter] = column.get(letter, 0) | 1 << j
+            self.lengths[len(cycle)] = self.lengths.get(len(cycle), 0) | 1 << j
+        self.count = len(cycles)
 
 
 def _step(program, k: int, now: list[int], later: list[int], atoms: dict, full: int) -> int:
@@ -349,11 +357,11 @@ def _step(program, k: int, now: list[int], later: list[int], atoms: dict, full: 
     return full if op == _TRUE else 0
 
 
-def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
+def formula_evaluator(phi: Formula, cycles: CycleTable) -> Callable[[tuple], int]:
     """Compile ``phi`` once and decide it on every word ``prefix . cycle^w``
-    with ``cycle`` in ``cycles`` at once: the returned function maps a
-    prefix (a tuple of letters) to an int whose bit ``j`` is set iff
-    ``prefix . cycles[j]^w`` satisfies ``phi``.
+    with ``cycle`` among the tabled ``cycles`` at once: the returned
+    function maps a prefix (a tuple of letters) to an int whose bit ``j``
+    is set iff ``prefix . cycles[j]^w`` satisfies ``phi``.
 
     Each subformula becomes one instruction, and a subformula object that
     occurs twice is compiled once.  Every value is bit-sliced across the
@@ -369,8 +377,7 @@ def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
     the lengths.  A prefix position is never revisited, so the same rules,
     with an atom true on every cycle or on none, walk a prefix backwards
     from the entry values to position 0, whose top instruction is the
-    verdict.  Raises ``ValueError`` on an empty cycle before any prefix is
-    read.
+    verdict.
     """
     program: list[tuple[int, object, int]] = []
     # keyed on node identity: a frozen formula re-hashes its whole subtree on
@@ -390,13 +397,10 @@ def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
         return len(program) - 1
 
     emit(phi)
-    columns, lengths = cycle_columns(cycles), {}
-    for j, cycle in enumerate(cycles):
-        lengths[len(cycle)] = lengths.get(len(cycle), 0) | 1 << j
     entry = [0] * len(program)
-    for length, full in lengths.items():
+    for length, full in cycles.lengths.items():
         atoms = [{} for _ in range(length)]  # per position, each name's cycles
-        for names, column in zip(atoms, columns):
+        for names, column in zip(atoms, cycles.columns):
             for letter, bits in column.items():
                 for name in letter or ():
                     names[name] = names.get(name, 0) | bits & full
@@ -412,7 +416,7 @@ def formula_evaluator(phi: Formula, cycles) -> Callable[[tuple], int]:
                     changed |= val != values[i][k]
                     values[i][k] = val
         entry = [e | v for e, v in zip(entry, values[0])]
-    every = (1 << len(cycles)) - 1
+    every = (1 << cycles.count) - 1
 
     def holds(prefix) -> int:
         later = entry
@@ -431,4 +435,4 @@ def eval_lasso(phi: Formula, w: LassoWord) -> bool:
     :func:`formula_evaluator` over the single cycle ``w.cycle``, read at
     ``w.prefix``.  A caller that decides one formula on many words should
     build one evaluator over all of their cycles."""
-    return formula_evaluator(phi, (w.cycle,))(w.prefix) == 1
+    return formula_evaluator(phi, CycleTable((w.cycle,)))(w.prefix) == 1

@@ -83,6 +83,8 @@ class LabeledMdp:
         for s, actions in enumerate(self.enabled):
             if not actions:
                 raise MdpError(f"state {s} has no enabled action")
+            if len(set(actions)) < len(actions):
+                raise MdpError(f"state {s} enables an action twice")
             for a in actions:
                 row = self.prob.get((s, a))
                 if row is None:

@@ -9,7 +9,9 @@ working-set ("frontier") baseline.  ``evaluate_pairs`` evaluates a policy
 exactly in one pass over its chosen pairs' rows of the integer tables below.
 
 ``build_product`` stores the product only as the integer tables that
-training, value iteration, evaluation and verify run on.  Pair ``p`` is the
+training, value iteration, evaluation and verify run on, filled in one
+breadth-first pass (``graphs.explore``) that numbers each state's
+successors as it expands the state.  Pair ``p`` is the
 p-th enabled (state, action), in state order and then action-id order; state
 ``s`` owns the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]``
 names the pair.  Each pair has a tuple of successor states, a tuple of their
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 
 from .augment import augment, merge_unaccepting
 from .automata import EPSILON, TGba, degeneralize
@@ -126,57 +129,66 @@ def build_product(m: LabeledMdp, b: TGba) -> ProductMdp:
     the allowed nondeterminism) and must offer a move for every label the
     MDP can produce from a reachable pair, and no MDP action may share an
     epsilon guess's name; otherwise construction fails with a diagnostic
-    rather than dropping or merging probability mass.
+    rather than dropping or merging probability mass.  Each MDP state's
+    projected labels and each automaton state's moves are tabled once,
+    before the walk, not once per product state.
     """
     if not b.ap <= m.ap:
         raise AlphabetMismatch(
             f"automaton propositions {sorted(b.ap - m.ap)} missing from the MDP"
         )
 
-    # every state, reachable or not: the automaton itself is malformed
+    # per automaton state, letter -> (target, mask) and its epsilon guesses;
+    # every state, reachable or not, is checked: the automaton itself is malformed
+    tables = []
     for x, row in enumerate(b.moves):
+        step = {}
         for letter, ts in row.items():
-            if letter is not EPSILON and len(ts) > 1:
-                raise NondeterministicMove(
-                    f"automaton state {b.name_of(x)} has {len(ts)} successors on "
-                    f"letter {sorted(letter)}"
-                )
+            if letter is not EPSILON:
+                if len(ts) > 1:
+                    raise NondeterministicMove(
+                        f"automaton state {b.name_of(x)} has {len(ts)} successors on "
+                        f"letter {sorted(letter)}"
+                    )
+                step[letter] = ts[0].dst, b.masks[ts[0]]
+        guesses = [(f"eps->{b.name_of(t.dst)}", t.dst, b.masks[t]) for t in row.get(EPSILON, ())]
+        tables.append((step, guesses))
+    # per MDP state and action, the row with each label projected onto b.ap
+    rows = [[(a, [(dst, p, m.label_of(s, a, dst) & b.ap) for dst, p in m.prob[(s, a)]])
+             for a in actions] for s, actions in enumerate(m.enabled)]
+    keys, first, succ, probs, masks = [], [0], [], [], []
 
-    def successors(node):
+    def add(i, a, dist):
+        js, ps, ms = zip(*sorted(dist))
+        keys.append((i, a))
+        succ.append(js)
+        probs.append(ps)
+        masks.append(ms)
+
+    def expand(node, number):
         s, x = node
-        moves = b.moves[x]
-        for a in m.enabled[s]:
-            for dst, p in m.prob[(s, a)]:
-                letter = m.label_of(s, a, dst) & b.ap
-                step = moves.get(letter)
-                if step is None:
+        i = number(node)
+        step, guesses = tables[x]
+        for a, row in rows[s]:
+            dist = []
+            for dst, p, letter in row:
+                move = step.get(letter)
+                if move is None:
                     raise MissingAutomatonMove(
                         f"automaton state {b.name_of(x)} has no move on label "
                         f"{sorted(letter)} produced by ({m.name_of(s)}, {a}, {m.name_of(dst)})"
                     )
-                t = step[0]
-                yield (dst, t.dst), (a, p, b.masks[t])
+                dist.append((number((dst, move[0])), p, move[1]))
+            add(i, a, dist)
         # action ids keep the base MDP's ordering, epsilon guesses last
-        for t in moves.get(EPSILON, ()):
-            a = f"eps->{b.name_of(t.dst)}"
+        for a, y, mask in guesses:
             if (s, a) in m.prob:
                 raise ProductError(f"MDP action {a} at state {m.name_of(s)} clashes with "
                                    f"the epsilon guess of automaton state {b.name_of(x)}")
-            yield (s, t.dst), (a, 1.0, b.masks[t])
-
-    order, rows = explore((m.initial, b.initial), successors)
-    keys, first, succ, probs, masks = [], [0], [], [], []
-    for i, row in enumerate(rows):
-        dists: dict[str, list[tuple[int, float, int]]] = {}
-        for (a, p, mask), j in row:
-            dists.setdefault(a, []).append((j, p, mask))
-        for a, dist in dists.items():
-            js, ps, ms = zip(*sorted(dist))
-            keys.append((i, a))
-            succ.append(js)
-            probs.append(ps)
-            masks.append(ms)
+            add(i, a, [(number((s, y)), 1.0, mask)])
         first.append(len(keys))
+
+    order = explore((m.initial, b.initial), expand)
     return ProductMdp(m, tuple(order), b, *map(tuple, (keys, first, succ, probs, masks)))
 
 
@@ -394,9 +406,10 @@ def check_positional_impossibility(p: ProductMdp) -> bool:
     """
     sources: list[set[tuple[int, str]]] = [set() for _ in range(p.automaton.n_sets)]
     for key, masks in zip(p.keys, p.masks):
-        for j, acc in enumerate(sources):
-            if any(m >> j & 1 for m in masks):
-                acc.add(key)
+        if union := reduce(or_, masks):
+            for j, acc in enumerate(sources):
+                if union >> j & 1:
+                    acc.add(key)
     for i, fi in enumerate(sources):
         for fj in sources[i + 1:]:
             if not fi or not fj:

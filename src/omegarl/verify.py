@@ -20,7 +20,7 @@ from operator import or_
 from .augment import augment
 from .automata import TGba, degeneralize, lasso_acceptor, named_fixture
 from .graphs import end_components
-from .ltl import LassoWord, formula_evaluator, parse_ltl
+from .ltl import CycleTable, LassoWord, formula_evaluator, parse_ltl
 from .mdp import ENVIRONMENTS, ROW_SUM_TOL, LabeledMdp
 from .product import ProductMdp, check_positional_impossibility, method_product
 
@@ -81,13 +81,15 @@ class Battery:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @cached_property
-    def base_verdicts(self) -> tuple[list, list, list[int]]:
+    def base_verdicts(self) -> tuple[list, list, CycleTable, list[int]]:
         """The prefixes and the cycles of the bounded lasso words, as
-        :func:`lasso_parts` lists them, and per prefix the automaton's
-        verdicts as a bitset over the cycles (:func:`lasso_acceptor`)."""
+        :func:`lasso_parts` lists them, the cycles' one table that every
+        lasso oracle reads, and per prefix the automaton's verdicts as a
+        bitset over the cycles (:func:`lasso_acceptor`)."""
         prefixes, cycles = lasso_parts(sorted(self.automaton.ap), self.max_prefix, self.max_cycle)
-        accepts = lasso_acceptor(self.automaton, cycles)
-        return prefixes, cycles, [accepts(prefix) for prefix in prefixes]
+        table = CycleTable(cycles)
+        accepts = lasso_acceptor(self.automaton, table)
+        return prefixes, cycles, table, [accepts(prefix) for prefix in prefixes]
 
     @cached_property
     def augmented(self) -> TGba:
@@ -111,18 +113,19 @@ def _lasso_agreement(battery: Battery, candidates) -> tuple[bool, str]:
     that reports its disagreement, must give the battery automaton's
     verdict on every bounded lasso word.
 
-    The automaton's verdicts are decided once per battery, for all three
-    lasso checks (:attr:`Battery.base_verdicts`).  Each candidate's oracle,
-    its :func:`lasso_acceptor` or :func:`formula_evaluator`, is built once
-    per check in one bit-sliced pass over all the cycles, and answers a
+    The cycles' table and the automaton's verdicts are built once per
+    battery, for all three lasso checks (:attr:`Battery.base_verdicts`).
+    Each candidate's oracle, its :func:`lasso_acceptor` or
+    :func:`formula_evaluator`, is built once per check from that table in
+    one bit-sliced pass over all the cycles, and answers a
     prefix with one bitset over them: one XOR per candidate and prefix.  A
     failure names the word of the first disagreement in :func:`all_lassos`
     order: the first prefix with any, then the lowest cycle bit over all
     candidates, the earlier candidate on a tie.
     """
-    prefixes, cycles, verdicts = battery.base_verdicts
-    acceptors = [(lasso_acceptor(oracle, cycles) if isinstance(oracle, TGba)
-                  else formula_evaluator(oracle, cycles), disagreement)
+    prefixes, cycles, table, verdicts = battery.base_verdicts
+    acceptors = [(lasso_acceptor(oracle, table) if isinstance(oracle, TGba)
+                  else formula_evaluator(oracle, table), disagreement)
                  for oracle, disagreement in candidates]
     for prefix, expect in zip(prefixes, verdicts):
         first_bit, phrase = 0, None

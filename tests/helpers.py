@@ -10,7 +10,9 @@ pair at a time with a scalar loop over its successors, the reference
 training loop steps in Python on numpy's raw generator words, the reference
 frontier reward keeps its working set as a set of transitions, and a
 product's accepting transitions are rebuilt from its base MDP and
-automaton rather than read from its masks.
+automaton rather than read from its masks, and the reference product is
+built in two passes, a walk that lists each state's edges and then a
+regrouping by action.
 """
 
 from __future__ import annotations
@@ -478,6 +480,75 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
         first_sat1_episode=tuple(first_sat1),
         evaluations=tuple(evaluations),
     )
+
+
+# --- product construction reference ------------------------------------------------
+
+def reference_build_product(m, b):
+    """Reference for ``product.build_product``, as it was built in two
+    passes: a breadth-first walk that lists each product state's edges, in
+    the order its successors are generated, then a regrouping of each row
+    by action.  The same checks raise the same errors in the same order."""
+    from omegarl.product import (
+        AlphabetMismatch, MissingAutomatonMove, NondeterministicMove, ProductError, ProductMdp,
+    )
+
+    if not b.ap <= m.ap:
+        raise AlphabetMismatch(
+            f"automaton propositions {sorted(b.ap - m.ap)} missing from the MDP"
+        )
+    for x, row in enumerate(b.moves):
+        for letter, ts in row.items():
+            if letter is not EPSILON and len(ts) > 1:
+                raise NondeterministicMove(
+                    f"automaton state {b.name_of(x)} has {len(ts)} successors on "
+                    f"letter {sorted(letter)}"
+                )
+
+    def successors(node):
+        s, x = node
+        moves = b.moves[x]
+        for a in m.enabled[s]:
+            for dst, p in m.prob[(s, a)]:
+                letter = m.label_of(s, a, dst) & b.ap
+                step = moves.get(letter)
+                if step is None:
+                    raise MissingAutomatonMove(
+                        f"automaton state {b.name_of(x)} has no move on label "
+                        f"{sorted(letter)} produced by ({m.name_of(s)}, {a}, {m.name_of(dst)})"
+                    )
+                t = step[0]
+                yield (dst, t.dst), (a, p, b.masks[t])
+        for t in moves.get(EPSILON, ()):
+            a = f"eps->{b.name_of(t.dst)}"
+            if (s, a) in m.prob:
+                raise ProductError(f"MDP action {a} at state {m.name_of(s)} clashes with "
+                                   f"the epsilon guess of automaton state {b.name_of(x)}")
+            yield (s, t.dst), (a, 1.0, b.masks[t])
+
+    start = (m.initial, b.initial)
+    index, order, rows = {start: 0}, [start], []
+    for node in order:
+        row = []
+        for nxt, edge in successors(node):
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append((edge, index[nxt]))
+        rows.append(row)
+    keys, first, succ, probs, masks = [], [0], [], [], []
+    for i, row in enumerate(rows):
+        dists = {}
+        for (a, p, mask), j in row:
+            dists.setdefault(a, []).append((j, p, mask))
+        for a, dist in dists.items():
+            js, ps, ms = zip(*sorted(dist))
+            keys.append((i, a))
+            succ.append(js)
+            probs.append(ps)
+            masks.append(ms)
+        first.append(len(keys))
+    return ProductMdp(m, tuple(order), b, *map(tuple, (keys, first, succ, probs, masks)))
 
 
 # --- product views -----------------------------------------------------------------

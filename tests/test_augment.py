@@ -6,6 +6,7 @@ import pytest
 from helpers import letters_over, random_lasso, random_tgba, split_augmented
 from omegarl import (
     EPSILON,
+    CycleTable,
     TGba,
     Transition,
     accepts_lasso,
@@ -189,14 +190,14 @@ def test_language_preserved_on_random_automata():
     prefixes, cycles = lasso_parts(("a", "b"), max_prefix=2, max_cycle=3)
     for k in range(12):
         b = random_tgba(rng, n_sets=1 + k % 3)
-        expect = lasso_acceptor(b, cycles)
+        expect = lasso_acceptor(b, CycleTable(cycles))
         transforms = {
             "augment": augment(b),
             "merge.augment": merge_unaccepting(augment(b)),
             "degeneralize": degeneralize(b),
             "augment.degeneralize": augment(degeneralize(b)),
         }
-        acceptors = {name: lasso_acceptor(c, cycles) for name, c in transforms.items()}
+        acceptors = {name: lasso_acceptor(c, CycleTable(cycles)) for name, c in transforms.items()}
         for prefix in prefixes:
             verdicts = expect(prefix)
             for name, accepts in acceptors.items():

@@ -23,6 +23,7 @@ from helpers import (
 from omegarl import (
     EPSILON,
     AutomatonError,
+    CycleTable,
     NotLimitDeterministic,
     TGba,
     Transition,
@@ -570,7 +571,7 @@ def test_reused_acceptor_matches_walk_enum_on_random_automata():
         b = random_tgba(rng, n_states=3, ap=("a", "b"), n_sets=int(rng.integers(1, 3)))
         words = lassos_sharing_cycles(rng, n_cycles=4, per_cycle=8, ap=("a", "b"))
         cycles = list(dict.fromkeys(w.cycle for w in words))
-        accepts = lasso_acceptor(b, cycles)
+        accepts = lasso_acceptor(b, CycleTable(cycles))
         for w in words:
             assert cycle_verdict(accepts, cycles, w) == enum_accepts(b, w)
 
@@ -581,7 +582,7 @@ def test_reused_acceptor_matches_walk_enum_on_fixtures(fig_automaton, eps_automa
         words = lassos_sharing_cycles(rng, n_cycles=10, per_cycle=10, ap=ap)
         assert any(w.prefix for w in words)
         cycles = list(dict.fromkeys(w.cycle for w in words))
-        accepts = lasso_acceptor(b, cycles)
+        accepts = lasso_acceptor(b, CycleTable(cycles))
         for w in words:
             assert cycle_verdict(accepts, cycles, w) == enum_accepts(b, w)
 
@@ -599,9 +600,9 @@ def test_acceptors_of_distinct_automata_share_no_verdicts(fig_automaton):
     )
     words = lassos_sharing_cycles(np.random.default_rng(17), n_cycles=12, per_cycle=6)
     cycles = list(dict.fromkeys(w.cycle for w in words))
-    good = lasso_acceptor(fig_automaton, cycles)
+    good = lasso_acceptor(fig_automaton, CycleTable(cycles))
     verdicts = [cycle_verdict(good, cycles, w) for w in words]
-    bad = lasso_acceptor(corrupted, cycles)
+    bad = lasso_acceptor(corrupted, CycleTable(cycles))
     corrupted_verdicts = [cycle_verdict(bad, cycles, w) for w in words]
     assert corrupted_verdicts == [enum_accepts(corrupted, w) for w in words]
     assert verdicts == [enum_accepts(fig_automaton, w) for w in words]
@@ -614,7 +615,7 @@ def test_acceptor_bits_match_walk_enum_on_battery_automata(fig_automaton):
     prefixes, cycles = lasso_parts(AP3, 1, 2)
     aug = augment(fig_automaton)
     for b in (fig_automaton, aug, merge_unaccepting(aug), degeneralize(fig_automaton)):
-        accepts = lasso_acceptor(b, cycles)
+        accepts = lasso_acceptor(b, CycleTable(cycles))
         assert_table_matches(accepts, prefixes, cycles, lambda w: enum_accepts(b, w))
 
 
@@ -629,9 +630,9 @@ def test_acceptor_bits_match_walk_enum_on_random_automata():
         b = random_tgba(rng, n_states=int(rng.integers(2, 7)), n_sets=int(rng.integers(1, 4)))
         with_eps += any(t.is_epsilon() for t in b.masks)
         sizes.add((b.num_states, b.n_sets))
-        accepts = lasso_acceptor(b, cycles)
+        accepts = lasso_acceptor(b, CycleTable(cycles))
         assert_table_matches(accepts, prefixes, cycles, lambda w: enum_accepts(b, w))
-        assert {lasso_acceptor(b, ())(prefix) for prefix in prefixes} == {0}
+        assert {lasso_acceptor(b, CycleTable(()))(prefix) for prefix in prefixes} == {0}
     assert with_eps >= 20
     assert {n for n, _ in sizes} == set(range(2, 7)) and {k for _, k in sizes} == {1, 2, 3}
 
@@ -652,17 +653,17 @@ def test_acceptor_rejects_epsilon_cycles(edges):
     )
     for cycles in ((), ((A,),)):
         with pytest.raises(AutomatonError, match="epsilon transitions form a cycle"):
-            lasso_acceptor(b, cycles)
+            lasso_acceptor(b, CycleTable(cycles))
 
 
 @pytest.mark.parametrize(
-    "oracle", [lambda cycles: lasso_acceptor(named_fixture("gfa_gfb_gnc"), cycles),
-               lambda cycles: formula_evaluator(parse_ltl(SPEC_FORMULA), cycles)],
+    "oracle", [lambda cycles: lasso_acceptor(named_fixture("gfa_gfb_gnc"), CycleTable(cycles)),
+               lambda cycles: formula_evaluator(parse_ltl(SPEC_FORMULA), CycleTable(cycles))],
     ids=["acceptor", "evaluator"],
 )
 def test_oracles_reject_an_empty_cycle(oracle):
-    """Building the oracle raises, before any prefix is read, and names the
-    first empty cycle."""
+    """Tabling the cycles for the oracle raises, before any prefix is read,
+    and names the first empty cycle."""
     for cycles, index in ([()], 0), ([(A,), (), (B, A), ()], 1):
         with pytest.raises(ValueError, match=f"^cycle {index} is empty$"):
             oracle(cycles)
@@ -674,9 +675,9 @@ def test_acceptor_ignores_propositions_outside_its_ap(fig_automaton):
     declare, the acceptor agrees with the spec formula on every word, and
     decides each word as it decides the word without z."""
     prefixes, cycles = lasso_parts(("a", "b", "c", "z"), 1, 2)
-    accepts = lasso_acceptor(fig_automaton, cycles)
-    holds = formula_evaluator(parse_ltl(SPEC_FORMULA), cycles)
-    plain = lasso_acceptor(fig_automaton, [tuple(x - {"z"} for x in c) for c in cycles])
+    accepts = lasso_acceptor(fig_automaton, CycleTable(cycles))
+    holds = formula_evaluator(parse_ltl(SPEC_FORMULA), CycleTable(cycles))
+    plain = lasso_acceptor(fig_automaton, CycleTable([tuple(x - {"z"} for x in c) for c in cycles]))
     for prefix in prefixes:
         assert accepts(prefix) == holds(prefix) == plain(tuple(x - {"z"} for x in prefix))
     assert any(accepts(prefix) for prefix in prefixes if any("z" in x for x in prefix))

@@ -1,5 +1,7 @@
 """The summaries that ``scripts/bench.py`` writes into a BENCH file."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +27,26 @@ def test_censored_median_counts_a_missed_session_as_latest(episodes, expected):
 def test_spread_gives_median_and_quartiles():
     assert bench.spread([4.0, 1.0, 3.0, 2.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
     assert bench.spread([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5, "n": 1}
+
+
+def test_checkouts_take_turns_in_each_workload(monkeypatch, tmp_path):
+    """With two checkouts, each workload's perfbench runs alternate A B, B A,
+    ..., and each checkout's figures come from its own runs."""
+    calls = []
+
+    def run(args, cwd, **kwargs):
+        calls.append((cwd.name, args[args.index("--workload") + 1]))
+        value = {"a": 1.0, "b": 2.0}[cwd.name]
+        doc = {"run_s_samples": [value], "setup_s_samples": [value]}
+        result = {"attempted": 3, "failed": 0, "metrics": {"run_s": {"value": value}}}
+        return subprocess.CompletedProcess(args, 0, stdout=f"{json.dumps(doc)}\n{json.dumps(result)}\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    checkouts = [tmp_path / "a", tmp_path / "b"]
+    figures = bench.measure_workloads(checkouts, ["w1", "w2"])
+    rounds = ["a", "b", "b", "a", "a", "b", "b", "a", "a", "b"][:2 * bench.RUNS]
+    assert calls == [(c, w) for w in ("w1", "w2") for c in rounds]
+    for name, doc in zip("ab", figures):
+        assert list(doc) == ["w1", "w2"]
+        assert doc["w1"]["metrics"]["run_s"]["median"] == {"a": 1.0, "b": 2.0}[name]
+        assert doc["w1"]["operations"] == {"attempted": 3 * bench.RUNS, "failed": 0}

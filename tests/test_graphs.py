@@ -16,16 +16,22 @@ def edges(node):
         yield nxt, f"{node}{nxt}{k}"
 
 
+def rows_of(start, edges):
+    """``explore`` from ``start`` with each node's ``(edge, id)`` row, as
+    ``number`` gave the ids, and the nodes in the order they were expanded."""
+    rows, expanded = [], []
+
+    def expand(node, number):
+        expanded.append(node)
+        rows.append([(edge, number(nxt)) for nxt, edge in edges(node)])
+
+    return explore(start, expand), rows, expanded
+
+
 def test_explore_numbers_nodes_breadth_first_in_discovery_order():
-    visited = []
-
-    def successors(node):
-        visited.append(node)
-        return edges(node)
-
-    order, rows = explore("a", successors)
+    order, rows, expanded = rows_of("a", edges)
     assert order == ["a", "b", "c", "d", "e"]
-    assert visited == order  # each node is expanded once, in numbering order
+    assert expanded == order  # each node is expanded once, in numbering order
     assert rows == [
         [("ab0", 1), ("ac1", 2), ("ab2", 1)],
         [("bb0", 1), ("bd1", 3)],
@@ -35,8 +41,14 @@ def test_explore_numbers_nodes_breadth_first_in_discovery_order():
     ]
 
 
+def test_explore_numbers_a_node_it_is_expanding_by_its_own_id():
+    ids = []
+    explore("a", lambda node, number: ids.append(number(node)))
+    assert ids == [0]
+
+
 def test_explore_from_a_sink():
-    assert explore("d", edges) == (["d"], [[]])
+    assert rows_of("d", edges)[:2] == (["d"], [[]])
 
 
 def test_explore_lets_a_successor_error_through():
@@ -45,13 +57,13 @@ def test_explore_lets_a_successor_error_through():
 
     error = Boom("no move from c")
 
-    def successors(node):
+    def failing(node):
         if node == "c":
             raise error
         return edges(node)
 
     with pytest.raises(Boom) as caught:
-        explore("a", successors)
+        rows_of("a", failing)
     assert caught.value is error
 
 

@@ -14,6 +14,7 @@ from helpers import (
     random_lasso,
 )
 from omegarl import (
+    CycleTable,
     LassoWord,
     ParseError,
     eval_lasso,
@@ -143,7 +144,7 @@ def test_formulas_at_the_nesting_cap_parse_walk_evaluate_and_print(nest, same):
     and printer and the walks handle it; one level more does not parse."""
     phi = parse_ltl(nest(MAX_DEPTH))
     cycles = [(frozenset("a"),), (frozenset(),)]
-    assert formula_evaluator(phi, cycles)(()) == formula_evaluator(parse_ltl(same), cycles)(())
+    assert formula_evaluator(phi, CycleTable(cycles))(()) == formula_evaluator(parse_ltl(same), CycleTable(cycles))(())
     assert (atoms(phi), is_propositional(phi)) == (frozenset("a"), True)
     assert parse_ltl(format_ltl(phi)) == phi
     with pytest.raises(ParseError, match=f"^formula nested more than {MAX_DEPTH} deep"):
@@ -171,7 +172,7 @@ def test_nodes_built_past_the_cap_raise(build):
     assert again == phi and hash(again) == hash(phi) and again is not phi
     cycles = [(frozenset("a"),), (frozenset(),), (frozenset(), frozenset("a"))]
     w = LassoWord((), cycles[2])
-    assert formula_evaluator(phi, cycles)(()) >> 2 & 1 == bf_eval(phi, w) == eval_lasso(phi, w)
+    assert formula_evaluator(phi, CycleTable(cycles))(()) >> 2 & 1 == bf_eval(phi, w) == eval_lasso(phi, w)
 
 
 # symbol: (class, precedence, groups right), tightest binding first
@@ -323,7 +324,7 @@ def test_reused_evaluator_matches_suffix_walk_oracle():
         phi = random_formula(rng, depth=4)
         words = lassos_sharing_cycles(rng, n_cycles=3, per_cycle=5)
         cycles = list(dict.fromkeys(w.cycle for w in words))
-        holds = formula_evaluator(phi, cycles)
+        holds = formula_evaluator(phi, CycleTable(cycles))
         for w in words:
             assert cycle_verdict(holds, cycles, w) == bf_eval(phi, w)
 
@@ -350,7 +351,7 @@ def test_evaluator_on_rotated_and_repeated_cycles():
     cycles = list(dict.fromkeys(w.cycle for w in words))
     for _ in range(60):
         phi = random_formula(rng, depth=4)
-        holds = formula_evaluator(phi, cycles)
+        holds = formula_evaluator(phi, CycleTable(cycles))
         for w in words:
             assert cycle_verdict(holds, cycles, w) == bf_eval(phi, w)
 
@@ -366,7 +367,7 @@ def test_evaluators_built_back_to_back_give_their_own_verdicts():
         (random_formula(rng, depth=4), random_formula(rng, depth=4)) for _ in range(40)
     ]
     for phi, psi in pairs:
-        holds_phi, holds_psi = formula_evaluator(phi, cycles), formula_evaluator(psi, cycles)
+        holds_phi, holds_psi = formula_evaluator(phi, CycleTable(cycles)), formula_evaluator(psi, CycleTable(cycles))
         for w in words:
             assert cycle_verdict(holds_phi, cycles, w) == bf_eval(phi, w)
             assert cycle_verdict(holds_psi, cycles, w) == bf_eval(psi, w)
@@ -376,7 +377,7 @@ def test_spec_evaluator_on_every_short_lasso():
     prefixes, cycles = lasso_parts(AP3, 1, 2)
     assert len(prefixes) * len(cycles) == 648
     phi = parse_ltl(SPEC)
-    holds = formula_evaluator(phi, cycles)
+    holds = formula_evaluator(phi, CycleTable(cycles))
     assert_table_matches(holds, prefixes, cycles, lambda w: bf_eval(phi, w))
 
 
@@ -394,7 +395,7 @@ def test_evaluator_bits_match_suffix_walk_at_the_battery_bounds():
         if not is_propositional(phi):
             phis.append(phi)
     for phi in phis:
-        holds = formula_evaluator(phi, cycles)
+        holds = formula_evaluator(phi, CycleTable(cycles))
         for prefix, row in zip(prefixes, words):  # every bit, and none beyond the cycles
             assert holds(prefix) == sum(bf_eval(phi, w) << j for j, w in enumerate(row)), prefix
 
@@ -406,5 +407,5 @@ def test_evaluator_bits_match_suffix_walk_on_random_formulas():
     prefixes, cycles = lasso_parts(AP3, 1, 2)
     for _ in range(60):
         phi = random_formula(rng, depth=4)
-        holds = formula_evaluator(phi, cycles)
+        holds = formula_evaluator(phi, CycleTable(cycles))
         assert_table_matches(holds, prefixes, cycles, lambda w: bf_eval(phi, w))

@@ -196,6 +196,12 @@ def test_parse_mdp_rejects_label_on_zero_probability():
         parse_mdp(text)
 
 
+def test_mdp_rejects_an_action_enabled_twice():
+    """One name twice in ``enabled`` would give one row two action ids."""
+    with pytest.raises(MdpError, match="^state 0 enables an action twice$"):
+        LabeledMdp(1, 0, frozenset(), (("go", "go"),), {(0, "go"): ((0, 1.0),)}, {})
+
+
 def test_parse_mdp_rejects_bad_row_sum():
     text = "states: 2\ninitial: 0\nap: a\nprob 0 go 1 0.5\nprob 1 go 1 1.0\n"
     with pytest.raises(MdpError, match="sum"):

@@ -13,6 +13,8 @@ from helpers import (
     product_aut_edge,
     product_view,
     random_labeled_mdp,
+    random_tgba,
+    reference_build_product,
     reference_evaluate_policy,
     split_augmented,
 )
@@ -30,6 +32,7 @@ from omegarl import (
     build_product,
     check_positional_impossibility,
     decompose,
+    degeneralize,
     evaluate_policy,
     induce_chain,
     merge_unaccepting,
@@ -226,6 +229,69 @@ def test_product_tables_match_prob_and_acceptance(env, method):
             for dst, mask in zip(product.succ[p], product.masks[p]):
                 t = (s, a, dst)
                 assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
+
+
+def build_outcome(build, m, b):
+    """The tables ``build`` gives, or the type and message of its error."""
+    try:
+        p = build(m, b)
+    except ProductError as exc:
+        return type(exc), str(exc)
+    return p.pairs, p.keys, p.first, p.succ, p.probs, p.masks
+
+
+TRANSFORMS = {"augmented": lambda b: merge_unaccepting(augment(b)),
+              "degeneralized": lambda b: augment(degeneralize(b)), "frontier": lambda b: b}
+
+
+def test_build_matches_the_two_pass_reference_on_random_products():
+    """Every table of the one-pass build equals the two-pass reference's,
+    or both raise the same error with the same message, on random MDPs
+    with letters over a, b and c (projected onto the automaton's a and b)
+    times random automata with epsilon moves for every method:
+    nondeterministic ones, ones cut to the lowest target per letter, which
+    may miss a move, and those completed with a self-loop per missing
+    letter."""
+    outcomes, guesses = {}, 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m = random_labeled_mdp(rng, n_states=int(rng.integers(2, 10)))
+        raw = random_tgba(rng, n_states=int(rng.integers(1, 5)), n_sets=int(rng.integers(1, 4)))
+        kept = {t: raw.masks[t] for row in raw.moves for letter, ts in row.items()
+                for t in (ts if letter is EPSILON else ts[:1])}
+        loops = {Transition(x, letter, x): 0 for x in raw.states() for letter in letters_over("ab")
+                 if letter not in raw.moves[x]}
+        for masks in (raw.masks, kept, {**kept, **loops}):
+            b = TGba(raw.num_states, 0, raw.ap, masks, raw.n_sets)
+            for method, transform in TRANSFORMS.items():
+                got = build_outcome(build_product, m, transform(b))
+                assert got == build_outcome(reference_build_product, m, transform(b))
+                kind = got[0].__name__ if isinstance(got[0], type) else "built"
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+                guesses += kind == "built" and any(a.startswith("eps->") for _, a in got[1])
+    assert outcomes.keys() == {"built", "MissingAutomatonMove", "NondeterministicMove"}, outcomes
+    assert min(outcomes.values()) >= 50 and guesses >= 20, (outcomes, guesses)
+
+
+def test_build_raises_as_the_reference_does(grid, eps_automaton):
+    """A missing move, a nondeterministic letter, an epsilon guess that
+    clashes with an MDP action and an alphabet mismatch each raise the
+    reference's error with its message."""
+    letters = letters_over(("a", "b", "c"))
+    nondeterministic = TGba(2, 0, frozenset("abc"), {
+        **{Transition(0, letter, 0): 0 for letter in letters}, Transition(0, A, 1): 1,
+        **{Transition(1, letter, 1): 0 for letter in letters}}, 1)
+    cases = [
+        (grid, TGba(1, 0, frozenset({"a"}), {Transition(0, A, 0): 1}, 1)),
+        (grid, nondeterministic),
+        (parse_mdp("states: 1\ninitial: 0\nap: a\nprob 0 eps->x1 0 1.0\n"), eps_automaton),
+        (grid, TGba(1, 0, frozenset({"d"}), {Transition(0, frozenset({"d"}), 0): 1}, 1)),
+    ]
+    kinds = [MissingAutomatonMove, NondeterministicMove, ProductError, AlphabetMismatch]
+    for (m, b), kind in zip(cases, kinds):
+        got = build_outcome(build_product, m, b)
+        assert got == build_outcome(reference_build_product, m, b)
+        assert got[0] is kind
 
 
 # --- dead states -------------------------------------------------------------------

@@ -99,14 +99,15 @@ def augment_with(update, keep):
     def augmented(b):
         n, full = b.n_sets, (1 << b.n_sets) - 1
 
-        def successors(node):
+        masks = {}
+
+        def expand(node, number):
             x, v = node
             for t in itertools.chain.from_iterable(b.moves[x].values()):
-                yield (t.dst, update(v, b.masks[t], full)), t
+                j = number((t.dst, update(v, b.masks[t], full)))
+                masks[Transition(number(node), t.letter, j)] = keep(b.masks[t], v)
 
-        order, rows = explore((b.initial, 0), successors)
-        masks = {Transition(i, t.letter, j): keep(b.masks[t], v)
-                 for i, ((_, v), row) in enumerate(zip(order, rows)) for t, j in row}
+        order = explore((b.initial, 0), expand)
         names = tuple(f"{b.name_of(x)}@{''.join(str(v >> j & 1) for j in range(n))}"
                       for x, v in order)
         return TGba(len(order), 0, b.ap, masks, n, names)
@@ -304,15 +305,19 @@ def test_battery_builds_each_shared_input_once(monkeypatch):
 
 def test_lasso_checks_share_the_automatons_verdicts(monkeypatch):
     """The battery automaton's acceptor is built once for the three lasso
-    checks, each candidate's once in its own check, and the checks' details
-    count the words the shared verdicts cover."""
+    checks, each candidate's once in its own check, all from one table of
+    the cycles, and the checks' details count the words the shared
+    verdicts cover."""
     built, real = [], verify.lasso_acceptor
     monkeypatch.setattr(verify, "lasso_acceptor",
                         lambda b, cycles: built.append(b) or real(b, cycles))
+    tables, table = [], verify.CycleTable
+    monkeypatch.setattr(verify, "CycleTable", lambda cycles: tables.append(1) or table(cycles))
     battery = verify.Battery(max_prefix=1, max_cycle=2)
     results = [verify.CHECKS[name](battery) for name in LASSO_CHECKS]
     assert results == [(True, "648 lasso words agree")] * 3
     assert [b is battery.automaton for b in built] == [True, False, False, False]
+    assert tables == [1]
 
 
 def test_battery_products_are_the_ones_train_runs():
