@@ -6,7 +6,7 @@ Usage, from the repository root:
     python3 scripts/bench.py [--checkout DIR [--rev REV]]... [--out DIR]
 
 For each workload of ``BENCHMARK.json`` it runs each checkout's
-``perfbench/run.py --seed 1 --seconds 3 --trace 0`` five times, each a
+``perfbench/run.py --seed 1 --seconds 3 --trace 0`` ten times, each a
 subprocess of at least 3 iterations, and reads its result line and the
 result document before it.  With several checkouts the runs take turns,
 round by round, the order reversed every other round (A B, B A, A B, ...),
@@ -14,11 +14,15 @@ so that drift of the machine falls on every checkout alike.  It reports
 each gated end-to-end metric's median and quartiles over those runs (each
 run's figure is a median over its iterations, the figure the benchmark gate
 compares), and the pooled per-iteration samples of ``run_s`` and
-``setup_s``.  It then times ``omegarl train --env grid9 --spec gfa_gfb_gnc
---config desk`` and ``--config paper`` once for each method and checkout,
-the checkouts taking turns in the same way, each run a fresh process from
-start to exit, after one untimed import per checkout that builds the
-training kernel.  From each run's ``report.json`` it records the sat-1
+``setup_s``.  With several checkouts, each checkout after the first also
+gets, per workload and metric, its figure over the first checkout's in the
+same round, for every round, with the median of these ratios and the
+number of rounds in which it read lower; ``ratio_to`` names the first
+checkout's revision.  It then times ``omegarl train --env grid9 --spec
+gfa_gfb_gnc --config desk`` and ``--config paper`` once for each method
+and checkout, the checkouts taking turns in the same way, each run a fresh
+process from start to exit, after one untimed import per checkout that
+builds the training kernel.  From each run's ``report.json`` it records the sat-1
 session count, the report's median first-sat1 episode, and the censored
 median, which counts a session that never reached sat 1 as later than
 every episode.
@@ -49,7 +53,7 @@ from statistics import median, quantiles
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("augmented", "degeneralized", "frontier")
 PRESETS = ("desk", "paper")
-RUNS, SECONDS = 5, 3  # perfbench runs per workload, and each run's --seconds
+RUNS, SECONDS = 10, 3  # perfbench runs per workload, and each run's --seconds
 
 
 def parse_args(argv=None):
@@ -97,7 +101,8 @@ def perfbench(checkout: Path, workload: str) -> tuple[dict, dict]:
 
 def measure_workloads(checkouts: list[Path], workloads: list[str]) -> list[dict]:
     """Per checkout, each workload's figures from ``RUNS`` perfbench runs,
-    the checkouts taking :func:`turns`, one round per run."""
+    the checkouts taking :func:`turns`, one round per run, and for each
+    checkout after the first its :func:`ratios` to the first."""
     out = [{} for _ in checkouts]
     for workload in workloads:
         runs = [[] for _ in checkouts]
@@ -106,6 +111,20 @@ def measure_workloads(checkouts: list[Path], workloads: list[str]) -> list[dict]
                 runs[i].append(perfbench(checkouts[i], workload))
         for doc, results in zip(out, runs):
             doc[workload] = summarize(results)
+        for doc, results in zip(out[1:], runs[1:]):
+            doc[workload]["ratio_to_first"] = ratios(results, runs[0])
+    return out
+
+
+def ratios(runs: list[tuple[dict, dict]], first: list[tuple[dict, dict]]) -> dict:
+    """Per metric, each round's figure over the first checkout's in that
+    round, their median, and the rounds in which the figure read lower."""
+    out = {}
+    for name in runs[0][0]["metrics"]:
+        per_round = [result["metrics"][name]["value"] / base["metrics"][name]["value"]
+                     for (result, _), (base, _) in zip(runs, first, strict=True)]
+        out[name] = {"per_round": per_round, "median": median(per_round),
+                     "lower": sum(r < 1.0 for r in per_round), "rounds": len(per_round)}
     return out
 
 
@@ -208,6 +227,8 @@ def main(argv=None) -> int:
     spec = json.loads((checkouts[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = measure_workloads(checkouts, [w["name"] for w in spec["workloads"]])
     presets = measure_presets(checkouts)
+    for doc in docs[1:]:
+        doc["ratio_to"] = revs[0]
     for doc, checkout, figures, runs in zip(docs, checkouts, workloads, presets):
         doc["workloads"], doc["presets"] = figures, runs
         path = (args.out or checkout).resolve() / f"BENCH_{doc['rev']}.json"

@@ -1,9 +1,9 @@
 /* The compiled loops of omegarl.learn: a training session's episodes of
  * tabular Q-learning (run_session, which steps numpy's PCG64 generator; draw
  * exposes that generator to the tests) and the synchronous sweeps of value
- * iteration (value_sweeps), both on a product's padded integer tables.
- * Training reads struct problem, which train fills once, and struct session,
- * one session's state; a new kernel input is one more field of either.
+ * iteration (value_sweeps).  Both read the product's rows, laid end to end,
+ * from one struct problem; training also reads struct session, one
+ * session's state.  A new kernel input is one more field of either.
  *
  * The module docstring of omegarl.learn states the contract (layout,
  * generator state, float order).  Every floating-point operation below is
@@ -96,12 +96,14 @@ void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out)
 }
 
 struct problem {
-    const int64_t *first, *succ;  /* state s's pairs are first[s]..first[s+1]-1 */
-    const double *cuts;
+    const int64_t *first;         /* state s's pairs are first[s]..first[s+1]-1 */
+    const int64_t *slots;         /* pair p's slots are slots[p]..slots[p+1]-1 */
+    const int64_t *succ;          /* per slot: successor, probability, mask */
+    const double *probs;
     const int64_t *masks;
     const uint8_t *empty;         /* empty[done]: no accepting set is left */
     const uint8_t *dead;          /* dead[s]: no reward is reachable from s */
-    int64_t width, states, steps;
+    int64_t states, steps;
     double gamma, r_p, eps_num, neg_exp; /* neg_exp: minus the alpha exponent */
 };
 
@@ -134,15 +136,16 @@ static double run_episode(const struct problem *problem, const struct session *s
             p = pb.first[s] + next_below(d, (uint32_t)(pb.first[s + 1] - pb.first[s]));
         else
             p = se.best[s];
-        /* bisect_right: the cuts that are <= u; +inf pads the row */
+        /* bisect_right over the running sums of the row's probabilities but
+         * its last: the first slot whose running sum exceeds u, else the last */
         double u = next_double(d);
-        const double *cut = pb.cuts + p * pb.width;
-        int64_t j = 0;
-        while (cut[j] <= u)
-            j++;
-        int64_t dst = pb.succ[p * pb.width + j];
+        int64_t j = pb.slots[p], last = pb.slots[p + 1] - 1;
+        double sum = pb.probs[j];
+        while (j < last && sum <= u)
+            sum += pb.probs[++j];
+        int64_t dst = pb.succ[j];
         double target = pb.gamma * se.top[dst]; /* adding a zero reward changes no bit */
-        int64_t m = pb.masks[p * pb.width + j];
+        int64_t m = pb.masks[j];
         if (m && !(m & done)) {
             done |= m;
             if (pb.empty[done])
@@ -195,46 +198,42 @@ int64_t run_session(const struct problem *problem, struct session *session,
     return episode;
 }
 
-/* Pair p's backup from the values v: each successor slot's probability
- * times its reward (r_p on a non-zero mask) plus gamma times its value,
- * added from the left; a padding slot adds +0.0. */
-static inline double backup(
-    int64_t p, int64_t width, const int64_t *succ, const double *probs,
-    const int64_t *masks, double gamma, double r_p, const double *v)
+/* Pair p's backup from the values v: each of its slots' probability times
+ * its reward (r_p on a non-zero mask) plus gamma times its value, added from
+ * the left. */
+static inline double backup(const struct problem *pb, int64_t p, const double *v)
 {
-    const int64_t *dst = succ + p * width, *m = masks + p * width;
-    const double *prob = probs + p * width;
-    double t = prob[0] * ((m[0] ? r_p : 0.0) + gamma * v[dst[0]]);
-    for (int64_t j = 1; j < width; j++)
-        t += prob[j] * ((m[j] ? r_p : 0.0) + gamma * v[dst[j]]);
+    int64_t j = pb->slots[p];
+    double t = pb->probs[j] * ((pb->masks[j] ? pb->r_p : 0.0) + pb->gamma * v[pb->succ[j]]);
+    for (j++; j < pb->slots[p + 1]; j++)
+        t += pb->probs[j] * ((pb->masks[j] ? pb->r_p : 0.0) + pb->gamma * v[pb->succ[j]]);
     return t;
 }
 
 /* Up to `limit` synchronous Bellman-optimality sweeps of the state values
  * `v`: a sweep computes each state's maximal pair backup into `next` and
  * the loop stops after the first sweep that moves no state by more than
- * `threshold`.  Sweeps skip the `dead` states, whose entries in `v` and
+ * `threshold`.  Sweeps skip the dead states, whose entries in `v` and
  * `next` must be +0.0: a dead state's pairs carry mask 0 and lead only to
  * dead states, so its value and every backup of its pairs stay +0.0 and
  * add nothing to a sweep's change.  Returns 0 when `limit` sweeps ran
  * without meeting the threshold (`v` holds the last sweep's values, ready
  * for another call), else 1, with the final values in `v` and each pair's
- * backup from them in `q`. */
-int64_t value_sweeps(
-    int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
-    const double *probs, const int64_t *masks, const uint8_t *dead, double gamma,
-    double r_p, double threshold, int64_t limit, double *v, double *next, double *q)
+ * backup from them in `q`.  The struct is copied, as in run_episode. */
+int64_t value_sweeps(const struct problem *problem, double threshold, int64_t limit,
+                     double *v, double *next, double *q)
 {
+    const struct problem pb = *problem;
     double *cur = v;
     int converged = 0;
     for (int64_t sweep = 0; sweep < limit && !converged; sweep++) {
         double delta = 0.0;
-        for (int64_t s = 0; s < states; s++) {
-            if (dead[s])
+        for (int64_t s = 0; s < pb.states; s++) {
+            if (pb.dead[s])
                 continue;
-            double top = backup(first[s], width, succ, probs, masks, gamma, r_p, cur);
-            for (int64_t p = first[s] + 1; p < first[s + 1]; p++) {
-                double t = backup(p, width, succ, probs, masks, gamma, r_p, cur);
+            double top = backup(&pb, pb.first[s], cur);
+            for (int64_t p = pb.first[s] + 1; p < pb.first[s + 1]; p++) {
+                double t = backup(&pb, p, cur);
                 if (t > top)
                     top = t;
             }
@@ -249,10 +248,10 @@ int64_t value_sweeps(
         converged = delta <= threshold;
     }
     if (cur != v)
-        for (int64_t s = 0; s < states; s++)
+        for (int64_t s = 0; s < pb.states; s++)
             v[s] = cur[s];
     if (converged)
-        for (int64_t p = 0; p < first[states]; p++)
-            q[p] = backup(p, width, succ, probs, masks, gamma, r_p, v);
+        for (int64_t p = 0; p < pb.first[pb.states]; p++)
+            q[p] = backup(&pb, p, v);
     return converged;
 }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .automata import TGba, Transition
-from .graphs import closure, explore
+from .graphs import explore, reaching
 
 
 def augment(b: TGba) -> TGba:
@@ -58,10 +58,8 @@ def merge_unaccepting(b_aug: TGba) -> TGba:
         raise ValueError("merge needs augmented state names ('base@bits')")
     base_names = tuple(name.split("@", 1)[0] for name in b_aug.names)
 
-    preds: list[set[int]] = [set() for _ in range(b_aug.num_states)]
-    for t in b_aug.masks:
-        preds[t.dst].add(t.src)
-    live = closure({t.src for t, mask in b_aug.masks.items() if mask}, lambda v: preds[v])
+    live = reaching({t.src for t, mask in b_aug.masks.items() if mask},
+                    ((t.src, t.dst) for t in b_aug.masks))
     dead = [s for s in b_aug.states() if s not in live]
     if not dead:
         return b_aug

@@ -3,6 +3,7 @@ and the transitive closure of relations bit-sliced into Python ints."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Sequence
 
 Node = Hashable
@@ -116,8 +117,8 @@ def end_components(
 
 
 def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]]) -> set[Node]:
-    """All nodes reachable from some seed along ``neighbours`` (seeds included);
-    given predecessors, all nodes from which some seed is reachable."""
+    """All nodes reachable from some seed along ``neighbours``, seeds
+    included."""
     seen = set(seeds)
     stack = list(seen)
     while stack:
@@ -126,6 +127,15 @@ def closure(seeds: Iterable[Node], neighbours: Callable[[Node], Iterable[Node]])
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def reaching(targets: Iterable[Node], edges: Iterable[tuple[Node, Node]]) -> set[Node]:
+    """All nodes from which some target is reachable along the ``(src,
+    dst)`` edges, the targets included."""
+    preds: defaultdict[Node, list[Node]] = defaultdict(list)
+    for src, dst in edges:
+        preds[dst].append(src)
+    return closure(targets, preds.__getitem__)
 
 
 def close_rows(rows: list[list[int]]) -> list[list[int]]:

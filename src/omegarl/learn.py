@@ -11,21 +11,21 @@ would write 0 over 0.  Value iteration is a test oracle only and takes no
 part in training.
 
 Both loops run in C (``_kernel.c``) on the product's integer tables, its
-only store (layout in the product module), padded to the widest row by
-``_padded_tables``: row ``p`` holds pair ``p``'s successors,
-probabilities, cuts (derived there from the probabilities) and masks,
-padded with state 0, probability 0, cut ``+inf`` and mask 0.  ``train``
-fills two kernel structs once: ``struct problem`` with the tables, the
-dead states and the hyperparameters, ``struct session`` with one session's
-arrays (Q-values, counts, greedy pairs, generator, curve row; reset for each
-session) and the watched states, those the last evaluation reached, with their greedy pairs
-then.  ``run_session`` runs episodes until the greedy pair changes at a
-watched state or the session ends, so Python wakes only to evaluate.
-``value_sweeps`` runs the synchronous sweeps of value iteration over the
-live states, since a dead state's value stays 0, and hands back the final
-values and each pair's backup from them.  A ``QTable``
-holds flat lists: Q-values and visit counts indexed by pair, state visits
-indexed by state, copied from the kernel's arrays.  Action
+only store (layout in the product module), which ``_problem`` hands to the
+kernel once as one ``struct problem``: the rows laid end to end, pair
+``p``'s successors, probabilities and masks in the slots from ``slots[p]``
+up to ``slots[p + 1]``, with ``first``, the dead states, gamma and ``r_p``.
+``train`` adds the training fields to it and fills ``struct session`` with
+one session's arrays (Q-values, counts, greedy pairs, generator, curve row;
+reset for each session) and the watched states, those the last evaluation
+reached, with their greedy pairs then.  ``run_session`` runs episodes until
+the greedy pair changes at a watched state or the session ends, so Python
+wakes only to evaluate.  ``value_sweeps`` runs the synchronous sweeps of
+value iteration over the live states, since a dead state's value stays 0,
+and hands back the final values and each pair's backup from them.  A
+``QTable`` holds flat lists, Q-values and pair visits, copied from the
+kernel's arrays; the state visits that set the exploration probability are
+the kernel's per-episode scratch and are not returned.  Action
 names come back only in the returned policies, which ``greedy_policy`` and
 ``value_iteration`` extract by one rule: the first maximal pair of each
 state.  Per state, the training kernel also keeps its greedy pair and
@@ -55,13 +55,14 @@ the same order, so every float they return is bit-identical to the
 reference's.  Training: ``eps_num / k``; ``gamma * top[dst]``, then ``r_p
 + target`` on a fresh accepting mask; ``v + pow(k, -alpha_exponent) *
 (target - v)``, since CPython's ``int ** float`` is the same libm ``pow``
-call; the successor is the count of the pair's cuts that are ``<= u``, as
-``bisect_right`` gives, with the cut rows padded by ``+inf``.  Value
-iteration: a pair's backup is ``p0 * (r0 + gamma * v[d0])``, then ``+=
-pj * (rj + gamma * v[dj])`` for each further slot from the left, where
-``r`` is ``r_p`` on a non-zero mask and 0 otherwise, so a padding slot
-adds ``+0.0`` and changes no bit; a state's value is the maximum of its
-pairs' backups; a sweep's change is the maximum of ``|new - old|``.  The
+call; the successor is the first slot of the pair's row whose running sum
+of probabilities, added from the left, exceeds ``u``, else its last slot:
+the index that ``bisect_right`` gives on ``accumulate`` of the row's
+probabilities but the last, from the same sums.  Value iteration: a pair's
+backup is ``p0 * (r0 + gamma * v[d0])``, then ``+= pj * (rj + gamma *
+v[dj])`` for each further slot of its row from the left, where ``r`` is
+``r_p`` on a non-zero mask and 0 otherwise; a state's value is the maximum
+of its pairs' backups; a sweep's change is the maximum of ``|new - old|``.  The
 kernel is compiled with ``gcc -O2 -ffp-contract=off`` and no
 ``-ffast-math``, ``-Ofast`` or ``-march``, since a fused multiply-add or a
 reassociated sum would change the last bits.  The module builds the
@@ -81,7 +82,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +95,8 @@ _KERNEL_CDEF = """
 int64_t run_session(const struct problem *problem, struct session *session,
                     int64_t episode, int64_t limit);
 void draw(uint64_t *rng, const int64_t *ops, int64_t count, uint64_t *out);
-int64_t value_sweeps(
-    int64_t states, int64_t width, const int64_t *first, const int64_t *succ,
-    const double *probs, const int64_t *masks, const uint8_t *dead, double gamma,
-    double r_p, double threshold, int64_t limit, double *v, double *next, double *q);
+int64_t value_sweeps(const struct problem *problem, double threshold, int64_t limit,
+                     double *v, double *next, double *q);
 """
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off")
 _SWEEPS_PER_CALL = 4096
@@ -230,15 +229,13 @@ class TrainConfig:
 
 
 class QTable:
-    """Action values plus visit counts of a product, initialized to zero:
-    ``values`` and ``pair_visits`` are indexed by pair (``product.keys``
-    names them), ``state_visits`` by state."""
+    """Action values plus visit counts of a product, initialized to zero and
+    indexed by pair (``product.keys`` names them)."""
 
     def __init__(self, product: ProductMdp):
         self.product = product
         self.values: list[float] = [0.0] * len(product.keys)
         self.pair_visits: list[int] = [0] * len(product.keys)
-        self.state_visits: list[int] = [0] * product.num_states
 
 
 def _first_maximal(product: ProductMdp, values) -> PositionalPolicy:
@@ -314,24 +311,6 @@ def _generator_array(seed: int, spawn_key: tuple[int, ...] = ()) -> np.ndarray:
     return np.array([state >> 64, state & _M64, inc >> 64, inc & _M64, 0, 0], dtype=np.uint64)
 
 
-def _padded_tables(product: ProductMdp) -> tuple[np.ndarray, ...]:
-    """The product's ``succ``, ``probs`` and ``masks`` as ``(pairs, width)``
-    arrays, each row padded to the widest one with state 0, probability 0
-    and mask 0, and the cuts: the running sums of ``probs`` (``cumsum`` adds
-    left to right, as the reference's ``accumulate`` does), ``+inf`` from
-    each row's last successor on."""
-    lengths = np.array([len(row) for row in product.succ])
-    slots = np.arange(lengths.max())
-    used = slots < lengths[:, None]
-    succ, probs = np.zeros(used.shape, dtype=np.int64), np.zeros(used.shape)
-    masks = np.zeros(used.shape, dtype=np.int64)
-    # a boolean index fills the selected slots row by row, left to right
-    for table, rows in ((succ, product.succ), (probs, product.probs), (masks, product.masks)):
-        table[used] = list(chain.from_iterable(rows))
-    cuts = np.where(slots < lengths[:, None] - 1, np.cumsum(probs, axis=1), np.inf)
-    return succ, probs, cuts, masks
-
-
 _CTYPES = {np.dtype(t): c for t, c in (
     (np.float64, "double[]"), (np.int64, "int64_t[]"),
     (np.uint8, "uint8_t[]"), (np.uint64, "uint64_t[]"),
@@ -341,6 +320,26 @@ _CTYPES = {np.dtype(t): c for t, c in (
 def _pointers(*arrays: np.ndarray) -> tuple:
     """Typed cffi views of C-contiguous arrays; each keeps its array alive."""
     return tuple(_ffi.from_buffer(_CTYPES[a.dtype], a) for a in arrays)
+
+
+def _problem(product: ProductMdp, gamma: float, r_p: float, **fields) -> tuple:
+    """A ``struct problem`` on the product's rows, laid end to end: pair
+    ``p``'s successors, probabilities and masks fill the slots from
+    ``slots[p]`` up to ``slots[p + 1]``.  ``fields`` sets the rest, which
+    only training reads.  Returns the struct and the views that keep its
+    arrays alive."""
+    slots = np.array([0, *accumulate(map(len, product.succ))], dtype=np.int64)
+    handles = _pointers(
+        np.array(product.first, dtype=np.int64), slots,
+        *(np.fromiter(chain.from_iterable(rows), dtype, slots[-1]) for rows, dtype in (
+            (product.succ, np.int64), (product.probs, np.float64), (product.masks, np.int64))),
+        np.array(product.dead, dtype=np.uint8),
+    )
+    names = ("first", "slots", "succ", "probs", "masks", "dead")
+    return _ffi.new("struct problem *", {
+        **dict(zip(names, handles)), "states": product.num_states, "gamma": gamma, "r_p": r_p,
+        **fields,
+    }), handles
 
 
 @dataclass(frozen=True)
@@ -395,26 +394,21 @@ def train(
     interrupt lands between calls; an episode longer than that still runs
     in one call.
     """
-    keys = product.keys
-    succ, _, cuts, masks = _padded_tables(product)
-    first = np.array(product.first, dtype=np.int64)
-    empty, dead = np.array(scheme.empty, dtype=np.uint8), np.array(product.dead, dtype=np.uint8)
-    n = product.num_states
+    keys, n = product.keys, product.num_states
     curves = np.zeros((cfg.sessions, cfg.episodes))
     values, top = np.zeros(len(keys)), np.zeros(n)  # top: per state, its maximal value
+    # state_visits: the kernel's scratch, cleared before every episode
     pair_visits, state_visits = np.zeros(len(keys), dtype=np.int64), np.zeros(n, dtype=np.int64)
-    best = first[:-1].copy()  # per state, its first pair of maximal value
+    best = np.array(product.first[:-1], dtype=np.int64)  # per state, its first maximal pair
     rng, watch, held = np.zeros(6, dtype=np.uint64), np.zeros_like(best), np.zeros_like(best)
-    handles = _pointers(first, succ, cuts, masks, empty, dead, values, pair_visits, state_visits,
-                        best, top, rng, curves, watch, held)  # alive while the structs are
-    problem = _ffi.new("struct problem *", {
-        **dict(zip(("first", "succ", "cuts", "masks", "empty", "dead"), handles)),
-        "width": succ.shape[1], "states": n, "steps": cfg.steps_per_episode, "gamma": cfg.gamma,
-        "r_p": scheme.r_p, "eps_num": cfg.epsilon_numerator, "neg_exp": -cfg.alpha_exponent,
-    })
+    handles = _pointers(np.array(scheme.empty, dtype=np.uint8), values, pair_visits,
+                        state_visits, best, top, rng, curves, watch, held)  # alive with the structs
+    problem, alive = _problem(
+        product, cfg.gamma, scheme.r_p, empty=handles[0], steps=cfg.steps_per_episode,
+        eps_num=cfg.epsilon_numerator, neg_exp=-cfg.alpha_exponent)
     fields = ("values", "pair_visits", "state_visits", "best", "top", "rng", "curve", "watch",
               "held")
-    session = _ffi.new("struct session *", dict(zip(fields, handles[6:])))
+    session = _ffi.new("struct session *", dict(zip(fields, handles[1:])))
 
     qtables: list[QTable] = []
     policies: list[PositionalPolicy] = []
@@ -423,11 +417,11 @@ def train(
     evaluations: list[PolicyEvaluation | None] = []
 
     for si in range(cfg.sessions):
-        for array in (values, top, pair_visits):  # run_session clears state_visits per episode
+        for array in (values, top, pair_visits):
             array.fill(0)
-        best[:] = first[:-1]
+        best[:] = product.first[:-1]
         rng[:] = _generator_array(cfg.rng_seed, (si,))  # SeedSequence(seed).spawn(n)[si]
-        session.curve, session.n_watch = handles[12] + si * cfg.episodes, 0
+        session.curve, session.n_watch = handles[7] + si * cfg.episodes, 0
         pos_ep: int | None = None
         sat1_ep: int | None = None
         ev: PolicyEvaluation | None = None
@@ -451,7 +445,6 @@ def train(
             ev = evaluate_pairs(product, best.tolist())
         q = QTable(product)
         q.values, q.pair_visits = values.tolist(), pair_visits.tolist()
-        q.state_visits = state_visits.tolist()
         qtables.append(q)
         policies.append(PositionalPolicy({s: keys[p][1] for s, p in enumerate(best.tolist())}))
         first_pos.append(pos_ep)
@@ -500,13 +493,11 @@ def value_iteration(
     if not tol >= 0.0:
         raise ValueError("tol must be non-negative")
     require_positive("r_p", r_p)
-    succ, probs, _, masks = _padded_tables(product)
-    first = np.array(product.first, dtype=np.int64)
-    dead = np.array(product.dead, dtype=np.uint8)
-    v, scratch, q = np.zeros(product.num_states), np.zeros(product.num_states), np.zeros(len(succ))
+    problem, alive = _problem(product, gamma, r_p)
+    n = product.num_states
+    v, scratch, q = np.zeros(n), np.zeros(n), np.zeros(len(product.keys))  # q: one per pair
     threshold = tol if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-    args = (product.num_states, succ.shape[1], *_pointers(first, succ, probs, masks, dead),
-            gamma, r_p, threshold, _SWEEPS_PER_CALL, *_pointers(v, scratch, q))
+    args = (problem, threshold, _SWEEPS_PER_CALL, *_pointers(v, scratch, q))
     while not _lib.value_sweeps(*args):
         pass
     return dict(enumerate(v.tolist())), _first_maximal(product, q.tolist())

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .automata import number, read_text
-from .graphs import closure, strongly_connected_components
+from .graphs import closure, reaching, strongly_connected_components
 
 ROW_SUM_TOL = 1e-12
 SOLVE_RESIDUAL_TOL = 1e-10  # the largest residual a reachability solve may leave
@@ -312,11 +312,7 @@ def reach_probability(mc: MarkovChain, target: set[int]) -> dict[int, float]:
     target = set(target) & set(mc.states)
     if not target:
         raise MdpError("target set is empty (or disjoint from the chain)")
-    preds: dict[int, list[int]] = {s: [] for s in mc.states}
-    for s in mc.states:
-        for dst, _ in mc.prob[s]:
-            preds[dst].append(s)
-    can_reach = closure(target, lambda v: preds[v])
+    can_reach = reaching(target, ((s, dst) for s in mc.states for dst, _ in mc.prob[s]))
 
     result = {s: 0.0 for s in mc.states}
     for s in target:

@@ -15,8 +15,8 @@ successors as it expands the state.  Pair ``p`` is the
 p-th enabled (state, action), in state order and then action-id order; state
 ``s`` owns the pairs from ``first[s]`` up to ``first[s + 1]``, and ``keys[p]``
 names the pair.  Each pair has a tuple of successor states, a tuple of their
-probabilities (training derives the cuts a uniform draw bisects from these;
-none are stored), and a tuple of bitmasks: each is the mask that
+probabilities (training's sampler adds these up from the left), and a
+tuple of bitmasks: each is the mask that
 ``TGba.masks`` stores for the move it synchronizes with, whose bit ``k``
 says that the move lies in accepting set ``k + 1``.  An epsilon guess
 carries mask 0, since the automaton has no accepting epsilon move.
@@ -37,7 +37,7 @@ from operator import or_
 
 from .augment import augment, merge_unaccepting
 from .automata import EPSILON, TGba, degeneralize
-from .graphs import closure, explore, strongly_connected_components
+from .graphs import explore, reaching, strongly_connected_components
 from .mdp import (
     LabeledMdp,
     MarkovChain,
@@ -96,12 +96,8 @@ class ProductMdp:
         """Per state, whether no pair with a non-zero mask is reachable from it
         under any action, so that it can never earn reward again.  Every
         successor of a dead state is dead."""
-        preds: list[list[int]] = [[] for _ in self.pairs]
-        for (s, _), js in zip(self.keys, self.succ):
-            for j in js:
-                preds[j].append(s)
-        live = closure({s for (s, _), ms in zip(self.keys, self.masks) if any(ms)},
-                       preds.__getitem__)
+        live = reaching({s for (s, _), ms in zip(self.keys, self.masks) if any(ms)},
+                        ((s, j) for (s, _), js in zip(self.keys, self.succ) for j in js))
         return tuple(s not in live for s in range(self.num_states))
 
     @cached_property

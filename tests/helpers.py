@@ -460,7 +460,7 @@ def reference_train(product, scheme, cfg, track_satisfaction: bool = True,
         if track_satisfaction and best != evaluated:
             ev = reference_evaluate_policy(product, policy(best))
         q = QTable(product)
-        q.values, q.pair_visits, q.state_visits = values, pair_visits, state_visits
+        q.values, q.pair_visits = values, pair_visits
         qtables.append(q)
         policies.append(policy(best))
         first_pos.append(pos_ep)

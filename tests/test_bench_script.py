@@ -44,9 +44,35 @@ def test_checkouts_take_turns_in_each_workload(monkeypatch, tmp_path):
     monkeypatch.setattr(bench.subprocess, "run", run)
     checkouts = [tmp_path / "a", tmp_path / "b"]
     figures = bench.measure_workloads(checkouts, ["w1", "w2"])
-    rounds = ["a", "b", "b", "a", "a", "b", "b", "a", "a", "b"][:2 * bench.RUNS]
+    rounds = [c for r in range(bench.RUNS) for c in ("ab" if r % 2 == 0 else "ba")]
     assert calls == [(c, w) for w in ("w1", "w2") for c in rounds]
     for name, doc in zip("ab", figures):
         assert list(doc) == ["w1", "w2"]
         assert doc["w1"]["metrics"]["run_s"]["median"] == {"a": 1.0, "b": 2.0}[name]
         assert doc["w1"]["operations"] == {"attempted": 3 * bench.RUNS, "failed": 0}
+
+
+def test_later_checkouts_record_each_rounds_ratio_to_the_first(monkeypatch, tmp_path):
+    """Checkout "b" reads (r + 1) / 4 times checkout "a"'s figure in round r:
+    its BENCH figures hold the ten ratios in round order, their median and
+    the three rounds in which it read lower; "a" gets no ratios."""
+    rounds = {"a": 0, "b": 0}
+
+    def run(args, cwd, **kwargs):
+        r = rounds[cwd.name]
+        rounds[cwd.name] += 1
+        value = 2.0 * ((r + 1) / 4 if cwd.name == "b" else 1.0)
+        doc = {"run_s_samples": [value], "setup_s_samples": [value]}
+        metrics = {"run_s": {"value": value}, "peak_rss_mb": {"value": 30.0}}
+        result = {"attempted": 3, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(args, 0, stdout=f"{json.dumps(doc)}\n{json.dumps(result)}\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    a, b = bench.measure_workloads([tmp_path / "a", tmp_path / "b"], ["w1"])
+    assert bench.RUNS == 10
+    assert "ratio_to_first" not in a["w1"]
+    ratio = b["w1"]["ratio_to_first"]
+    assert ratio["run_s"] == {"per_round": [(r + 1) / 4 for r in range(10)], "median": 1.375,
+                              "lower": 3, "rounds": 10}
+    assert ratio["peak_rss_mb"] == {"per_round": [1.0] * 10, "median": 1.0, "lower": 0,
+                                    "rounds": 10}

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dichotomy_instance
-from omegarl.graphs import close_rows, end_components, explore
+from omegarl.graphs import close_rows, end_components, explore, reaching
 from omegarl.product import method_product
 
 # "b" loops on itself, "a" lists "b" twice, and a depth-first walk would
@@ -65,6 +65,22 @@ def test_explore_lets_a_successor_error_through():
     with pytest.raises(Boom) as caught:
         rows_of("a", failing)
     assert caught.value is error
+
+
+def test_reaching_gives_the_targets_and_their_networkx_ancestors():
+    """On random digraphs with self-loops, parallel edges and nodes without
+    edges: the targets themselves, whether or not an edge touches them, and
+    every node with a path to one of them."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 20, 60):
+        for _ in range(10):
+            count = int(rng.integers(0, 2 * n + 1))
+            edges = [tuple(e) for e in rng.integers(0, n, (count, 2)).tolist()]
+            targets = set(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+            g = nx.MultiDiGraph(edges)
+            g.add_nodes_from(range(n))
+            expect = targets.union(*(nx.ancestors(g, t) for t in targets))
+            assert reaching(targets, iter(edges)) == expect
 
 
 def test_close_rows_closes_each_bit_slice_as_networkx_does():

@@ -176,12 +176,18 @@ def assert_same_as_scalar(product, gamma, tol=1e-10):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_value_iteration_matches_scalar_reference_on_random_mdps(seed):
-    # rows of 1-4 successors pad the short ones; twin actions tie exactly
+    # rows of different lengths, so that each pair's slots start at its own
+    # offset: fg_a's one-successor epsilon guesses next to rows of up to four
+    # successors; twin actions tie exactly
     rng = np.random.default_rng(seed)
     m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 12)), letters=letters_over("ab"))
-    for method in METHODS:
-        product, _ = method_product_and_scheme(m, named_fixture("gfa_gfb_gnc"), method, 2.0)
-        assert_same_as_scalar(product, GAMMAS[seed % len(GAMMAS)])
+    mixed = 0
+    for spec in ("gfa_gfb_gnc", "fg_a"):
+        for method in METHODS:
+            product, _ = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
+            mixed += len(set(map(len, product.succ))) > 1
+            assert_same_as_scalar(product, GAMMAS[seed % len(GAMMAS)])
+    assert mixed > 0
 
 
 @pytest.mark.parametrize("spec", ["gfa_gfb_gnc", "fg_a"],
@@ -394,7 +400,7 @@ def assert_same_training(result, ref):
     assert result.curve.per_session.tobytes() == ref.curve.per_session.tobytes()
     for q, r in zip(result.qtables, ref.qtables, strict=True):
         assert np.array(q.values).tobytes() == np.array(r.values).tobytes()
-        assert (q.pair_visits, q.state_visits) == (r.pair_visits, r.state_visits)
+        assert q.pair_visits == r.pair_visits
     assert [p.choice for p in result.policies] == [p.choice for p in ref.policies]
     assert result.first_positive_episode == ref.first_positive_episode
     assert result.first_sat1_episode == ref.first_sat1_episode
@@ -410,17 +416,18 @@ def test_train_matches_python_reference_on_random_mdps(seed):
     rng = np.random.default_rng(seed)
     # c-free labels, so that most sessions reach sat 1 and the episode counts mean something
     m = random_labeled_mdp(rng, n_states=int(rng.integers(3, 10)), letters=letters_over("ab"))
-    one_action_states = 0
+    one_action_states = mixed = 0
     for spec in ("gfa_gfb_gnc", "fg_a"):
         for method in METHODS:
             product, scheme = method_product_and_scheme(m, named_fixture(spec), method, 2.0)
             widths = np.diff(product.first)
             one_action_states += int((widths == 1).sum())
+            mixed += len(set(map(len, product.succ))) > 1  # rows of different lengths
             cfg = TrainConfig(episodes=20, steps_per_episode=200, sessions=3,
                               gamma=(0.9, 0.95, 0.99)[seed % 3], rng_seed=seed)
             assert_same_training(train(product, scheme, cfg),
                                  reference_train(product, scheme, cfg))
-    assert one_action_states > 0
+    assert one_action_states > 0 and mixed > 0
 
 
 def test_train_matches_python_reference_with_one_action_everywhere():
@@ -477,26 +484,23 @@ def test_stopping_at_dead_states_changes_no_learning_outcome(grid, fig_automaton
     kernel's Q-values, curves, policies, first episodes and evaluations bit
     for bit: in a dead state every reward is 0 and every successor is dead,
     so each update there writes 0 over 0 and moves neither the greedy pair
-    nor the maximal value.  Only the dead states' visit counts differ."""
+    nor the maximal value.  Only the visit counts of dead states' pairs differ."""
     bases = [grid] + [random_labeled_mdp(np.random.default_rng(seed), n_states=8)
                       for seed in range(4)]  # labels with c, so G !c traps
     walked = 0
     for i, m in enumerate(bases):
         for method in METHODS:
             product, scheme = method_product_and_scheme(m, fig_automaton, method, 2.0)
-            dead = product.dead
-            dead_pairs = [dead[s] for s, _ in product.keys]
+            dead_pairs = [product.dead[s] for s, _ in product.keys]
             cfg = TrainConfig(episodes=15, steps_per_episode=150, sessions=2, rng_seed=i)
             result = train(product, scheme, cfg)
             ref = reference_train(product, scheme, cfg, walk_seed=100 + i)
             assert result.curve.per_session.tobytes() == ref.curve.per_session.tobytes()
             for q, r in zip(result.qtables, ref.qtables, strict=True):
                 assert np.array(q.values).tobytes() == np.array(r.values).tobytes()
-                for visits, walks, off in ((q.pair_visits, r.pair_visits, dead_pairs),
-                                           (q.state_visits, r.state_visits, dead)):
-                    assert [v for v, d in zip(visits, off) if not d] == \
-                        [v for v, d in zip(walks, off) if not d]
-                    assert not any(v for v, d in zip(visits, off) if d)
+                assert [v for v, d in zip(q.pair_visits, dead_pairs) if not d] == \
+                    [v for v, d in zip(r.pair_visits, dead_pairs) if not d]
+                assert not any(v for v, d in zip(q.pair_visits, dead_pairs) if d)
                 walked += sum(v for v, d in zip(r.pair_visits, dead_pairs) if d)
             assert [p.choice for p in result.policies] == [p.choice for p in ref.policies]
             assert result.first_positive_episode == ref.first_positive_episode
@@ -526,7 +530,7 @@ def test_a_dead_initial_state_runs_no_step():
         assert_same_training(result, reference_train(product, scheme, cfg, track))
         assert not result.curve.per_session.any()
         for q in result.qtables:
-            assert not any(q.pair_visits) and not any(q.state_visits) and not any(q.values)
+            assert not any(q.pair_visits) and not any(q.values)
         assert result.first_sat1_episode == (None, None)
 
 

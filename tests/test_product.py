@@ -41,7 +41,7 @@ from omegarl import (
     value_iteration,
 )
 from omegarl.cli import METHODS, method_product_and_scheme
-from omegarl.learn import TrainConfig, _padded_tables, train
+from omegarl.learn import TrainConfig, train
 from omegarl.mdp import ENVIRONMENTS
 from omegarl.product import AcceptingReward, FrontierReward, ProductError, evaluate_pairs
 from test_golden import slip_mdp_text
@@ -220,12 +220,9 @@ def test_product_tables_match_prob_and_acceptance(env, method):
         assert any(acceptance)
         assert list(product.keys) == list(view.prob)
         assert product.first == (0, *accumulate(map(len, view.enabled)))
-        _, _, cuts, _ = _padded_tables(product)
         for p, (s, a) in enumerate(product.keys):
             assert product.first[s] <= p < product.first[s + 1]
             assert tuple(zip(product.succ[p], product.probs[p])) == view.prob[(s, a)]
-            row = list(accumulate(product.probs[p][:-1]))
-            assert cuts[p].tolist() == row + [np.inf] * (cuts.shape[1] - len(row))
             for dst, mask in zip(product.succ[p], product.masks[p]):
                 t = (s, a, dst)
                 assert mask == sum(1 << k for k, acc in enumerate(acceptance) if t in acc)
