@@ -329,12 +329,13 @@ def _problem(product: ProductMdp, gamma: float, r_p: float, **fields) -> tuple:
     only training reads.  Returns the struct and the views that keep its
     arrays alive."""
     slots = np.array([0, *accumulate(map(len, product.succ))], dtype=np.int64)
-    handles = _pointers(
-        np.array(product.first, dtype=np.int64), slots,
-        *(np.fromiter(chain.from_iterable(rows), dtype, slots[-1]) for rows, dtype in (
-            (product.succ, np.int64), (product.probs, np.float64), (product.masks, np.int64))),
-        np.array(product.dead, dtype=np.uint8),
-    )
+
+    def flat(rows, dtype) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(rows), dtype, slots[-1])
+
+    handles = _pointers(np.array(product.first, dtype=np.int64), slots,
+                        flat(product.succ, np.int64), flat(product.probs, np.float64),
+                        flat(product.masks, np.int64), np.array(product.dead, dtype=np.uint8))
     names = ("first", "slots", "succ", "probs", "masks", "dead")
     return _ffi.new("struct problem *", {
         **dict(zip(names, handles)), "states": product.num_states, "gamma": gamma, "r_p": r_p,
@@ -380,7 +381,7 @@ def train(
     ``scheme`` is a reward scheme of the product module; the kernel applies
     its bitmask rule to the product's masks.  An episode ends early on
     entering a dead state; its steps there would change no Q-value, greedy
-    pair or curve cell, only dead states' visit counts and the draws.  A
+    pair or curve cell, only their pairs' visit counts and the draws.  A
     curve cell is the episode's reward per configured step.  The greedy
     policy, one pair id per state, is evaluated exactly on the product's
     tables (``evaluate_pairs``) after the first episode and after each episode that
